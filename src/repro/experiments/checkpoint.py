@@ -2,14 +2,17 @@
 
 A grid experiment is a list of pure cells; losing a multi-hour fan-out
 to one Ctrl-C or OOM kill means recomputing cells whose results were
-already known.  This module gives :func:`repro.experiments.parallel.
-run_cells` a durable side-channel:
+already known.  This module gives each chunk of
+:func:`repro.experiments.parallel.run_stream` a durable side-channel.
+The stream opens chunk ``k`` of a run labelled ``L`` under the label
+``L-<k:06d>``, so a grid (one chunk) lives in the files
+``L-000000-<digest16>.*``:
 
-* a **manifest** (``<label>-<digest>.manifest.json``, written via
+* a **manifest** (``<label>-<digest16>.manifest.json``, written via
   tmp+rename so it is never observed half-written) records what the
   grid *is*: experiment label, cell-function identity, effective
   engine, cell count, and the grid digest;
-* a **shard** (``<label>-<digest>.jsonl``) accumulates one JSON line
+* a **shard** (``<label>-<digest16>.jsonl``) accumulates one JSON line
   per completed cell — appended as results arrive, each line a single
   ``write`` of ``{"i": index, "a": attempts, "p": base64(pickle)}``.
   A process killed mid-append leaves at most one truncated final
@@ -28,9 +31,9 @@ green-lit by engine Y's cached cells.
 
 Resume semantics: construction with ``resume=False`` truncates any
 existing shard (a fresh run never trusts stale bytes); ``resume=True``
-loads every decodable line first, and ``run_cells`` then computes only
+loads every decodable line first, and the stream then computes only
 the missing indices.  ``loaded_count`` / ``computed_count`` make the
-split observable to tests and reports.
+split observable to the stream's statistics.
 
 Creation ordering
 -----------------

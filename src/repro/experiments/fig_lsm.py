@@ -170,7 +170,6 @@ def run(
     keys: int | None = None,
     theta: float = DEFAULT_THETA,
     stamp: bool | None = None,
-    checkpoint=None,
 ) -> ExperimentResult:
     """Sweep the fpp targets at ``keys`` distinct resident keys each.
 
@@ -182,10 +181,7 @@ def run(
     if keys is None:
         keys = DEFAULT_FULL_KEYS if is_full_scale(full) else DEFAULT_SCALED_KEYS
     cells = [(fpp, keys, theta, seed) for fpp in FPP_SWEEP]
-    results = run_cells(
-        cells, _run_cell, jobs=jobs, label="fig_lsm",
-        checkpoint=checkpoint,
-    )
+    results = run_cells(cells, _run_cell, jobs=jobs, label="fig_lsm")
 
     result = ExperimentResult(
         "lsm",

@@ -20,22 +20,42 @@ to a single crashed worker, wedged syscall, or Ctrl-C:
   can never change a result, only recover it.  Exhausted retries
   produce a structured :class:`CellFailure` naming the cell, not a
   bare pool traceback; ``REPRO_ON_FAILURE=raise`` (default) raises a
-  :class:`GridExecutionError` after the rest of the grid completes,
-  ``partial`` returns the grid with ``CellFailure`` objects in the
-  failed slots so a fleet report can degrade gracefully.
+  :class:`GridExecutionError` after the rest of the grid (of a
+  stream: of the chunk) completes, ``partial`` returns the grid with
+  ``CellFailure`` objects in the failed slots so a fleet report can
+  degrade gracefully.
 * **Integrity** — results cross the process boundary as explicitly
   pickled payloads with a CRC-32 checksum; a corrupted payload (bad
   pipe, injected fault) is rejected and the cell replayed.
 * **Checkpointing** — with ``REPRO_CHECKPOINT_DIR`` set (or an
-  explicit :class:`~repro.experiments.checkpoint.GridCheckpoint`),
-  completed results stream to a digest-keyed JSONL shard as they
-  arrive; ``REPRO_RESUME=1`` (the CLI's ``--resume``) replays only
-  the missing cells after a kill.  See :mod:`.checkpoint`.
+  explicit ``directory``), completed results stream to a digest-keyed
+  JSONL shard as they arrive; ``REPRO_RESUME=1`` (``resume=True``, the
+  CLI's ``--resume``) replays only the missing cells after a kill.
+  See :mod:`.checkpoint`.
 * **Fault injection** — ``REPRO_FAULTS=crash:p,hang:p,corrupt:p``
   makes workers die, stall, or return corrupted payloads on a seeded,
   deterministic schedule, so every recovery path above is *provable*
   (``tests/test_fault_tolerance.py``), not hoped for.  See
   :mod:`.faults`.
+
+One execution path
+------------------
+:func:`run_stream` is the only executor: it resolves the knobs, pulls
+cells lazily in bounded chunks, gives each chunk its own digest-keyed
+checkpoint shard, runs the chunk serially (``jobs <= 1``) or on the
+stream's one worker pool, applies the failure policy, and hands the
+values to an online ``consume`` callback in cell order.  Peak memory
+is bounded by the chunk size, never by the stream length, which the
+fleet-scale campaign sweeps (:mod:`.campaign`) rely on.
+:func:`run_cells` runs a grid as one chunk and collects the values
+into a list, so for grids:
+
+* serial ``on_failure="raise"`` finishes the grid before it raises,
+  like the supervised path (the worker traceback stays in the error
+  message; the exception is not chained as ``__cause__``);
+* the shard is named ``<label>-000000-<digest16>``, like the first
+  chunk of a stream;
+* a one-cell grid at ``jobs > 1`` runs on one supervised worker.
 
 Determinism contract
 --------------------
@@ -55,23 +75,8 @@ way whether it arrives via the environment, ``--jobs 0``, or an
 explicit ``jobs=0`` argument).  Cell functions must be module-level
 (picklable) and take a single argument.  The serial path keeps the
 checkpoint/retry/failure semantics but spawns nothing and ignores
-``REPRO_FAULTS`` and the cell deadline — it is the reference
-recovered runs are compared against (and it fails fast on an
-exhausted cell, where the parallel path finishes the rest of the
-grid first).
-
-Streaming grids
----------------
-:func:`run_cells` materialises its cell list (grids are small).  The
-fleet-scale campaign sweeps (:mod:`.campaign`) instead feed
-:func:`run_stream`: cells are pulled lazily from an iterable in
-bounded chunks, each chunk runs through the *same* supervised worker
-pool (spawned once, reused across chunks), completed values are handed
-to an online ``consume`` callback in cell order and then dropped —
-peak memory is bounded by the chunk size, never by the stream length.
-Each chunk gets its own digest-keyed checkpoint shard (bounded digest
-work per chunk), so a killed campaign resumes by replaying only the
-chunks — and within them only the cells — that never completed.
+``REPRO_FAULTS`` and the cell deadline — it is the fault-free
+reference that recovered runs are compared against.
 
 Cell-tuple discipline
 ---------------------
@@ -118,40 +123,30 @@ DEFAULT_RETRIES = 2
 FAILURE_POLICIES = ("raise", "partial")
 
 
-def repro_jobs() -> int:
-    """Resolve the configured worker count.
-
-    ``REPRO_JOBS`` unset/empty/``1`` → 1 (serial), ``0`` → CPU count,
-    ``n`` → n.  Invalid values raise so typos do not silently
-    serialise a sweep.
-    """
-    raw = os.environ.get(_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{_ENV_VAR} must be an integer >= 0, got {raw!r}"
-        ) from None
-    if jobs < 0:
-        raise ValueError(f"{_ENV_VAR} must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
 def resolve_jobs(jobs: int | None) -> int:
-    """Resolve an explicit ``jobs`` argument the way ``REPRO_JOBS`` is.
+    """Resolve the worker count from ``jobs``, or from ``REPRO_JOBS``
+    when ``jobs`` is ``None``.
 
-    ``None`` defers to the environment; ``0`` means one worker per CPU
-    (the CLI's ``--jobs 0``) — without this mapping an explicit 0
-    would fall through ``jobs <= 1`` and silently serialise the run.
+    ``REPRO_JOBS`` unset/empty → 1 (serial).  ``0`` from either source
+    means one worker per CPU (the CLI's ``--jobs 0``) — without this
+    mapping an explicit 0 would fall through ``jobs <= 1`` and silently
+    serialise the run.  Invalid values raise so typos do not silently
+    serialise a sweep either.
     """
+    source = "jobs"
     if jobs is None:
-        return repro_jobs()
+        raw = os.environ.get(_ENV_VAR, "").strip()
+        if not raw:
+            return 1
+        source = _ENV_VAR
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{_ENV_VAR} must be an integer >= 0, got {raw!r}"
+            ) from None
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise ValueError(f"{source} must be >= 0, got {jobs}")
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
@@ -305,75 +300,40 @@ def run_cells(
     timeout: float | None = None,
     retries: int | None = None,
     on_failure: str | None = None,
-    checkpoint: GridCheckpoint | None = None,
+    directory: str | os.PathLike | None = None,
+    resume: bool | None = None,
 ) -> list[Any]:
     """Apply ``fn`` to every cell; return results in cell order.
 
-    ``jobs=None`` reads ``REPRO_JOBS``.  With one job (or one cell)
-    the grid runs in-process — no pool, no pickling — which keeps unit
-    tests and debugging sessions free of multiprocessing machinery.
-    Parallel runs prefer the ``fork`` start method (cheap, inherits
-    the loaded modules) and fall back to the platform default where
-    fork is unavailable.
-
-    ``label`` names the grid in checkpoint shards and failure reports
-    (default: derived from ``fn``).  ``timeout`` / ``retries`` /
-    ``on_failure`` override the ``REPRO_CELL_TIMEOUT`` /
-    ``REPRO_RETRIES`` / ``REPRO_ON_FAILURE`` environment knobs; an
-    explicit ``checkpoint`` overrides the ambient
-    ``REPRO_CHECKPOINT_DIR`` / ``REPRO_RESUME`` pair.
+    The grid runs as one chunk of :func:`run_stream`, which takes the
+    same knobs and resolves each one the same way for grids and
+    streams.  Under ``on_failure="partial"`` the slot of a cell that
+    exhausted its retries holds its :class:`CellFailure`.  ``label``
+    names the grid in its trace span, checkpoint shard and failure
+    reports (default: derived from ``fn``).
     """
-    cell_list: Sequence[Cell] = list(cells)
+    cell_list = list(cells)
+    label = label or _auto_label(fn)
+    # Resolved here only so the grid span can record the worker count.
     jobs = resolve_jobs(jobs)
-    if timeout is None:
-        timeout = cell_timeout()
-    if retries is None:
-        retries = cell_retries()
-    if on_failure is None:
-        on_failure = failure_policy()
-    elif on_failure not in FAILURE_POLICIES:
-        raise ValueError(
-            f"on_failure must be one of {FAILURE_POLICIES}, got {on_failure!r}"
+    out: list[Any] = [None] * len(cell_list)
+    with _span("grid", "grid", label=label, cells=len(cell_list), jobs=jobs):
+        stats = run_stream(
+            cell_list, fn, out.__setitem__,
+            jobs=jobs, label=label, timeout=timeout, retries=retries,
+            on_failure=on_failure, chunk_size=max(1, len(cell_list)),
+            directory=directory, resume=resume,
         )
-    own_checkpoint = False
-    if checkpoint is None:
-        directory = checkpoint_dir()
-        if directory is not None and cell_list:
-            checkpoint = GridCheckpoint(
-                directory,
-                label or _auto_label(fn),
-                cell_list,
-                fn,
-                resume=resume_enabled(),
-            )
-            own_checkpoint = True
-    progress = current_progress()
-    if progress is not None and progress.total is None:
-        progress.set_total(len(cell_list))
-    try:
-        with _span(
-            "grid", "grid",
-            label=label or _auto_label(fn),
-            cells=len(cell_list), jobs=jobs,
-        ):
-            if jobs <= 1 or len(cell_list) <= 1:
-                return _run_serial(
-                    cell_list, fn, retries, on_failure, checkpoint
-                )
-            return _run_supervised(
-                cell_list, fn, jobs, timeout, retries, on_failure,
-                checkpoint, label or _auto_label(fn),
-            )
-    finally:
-        if own_checkpoint and checkpoint is not None:
-            checkpoint.close()
+    for failure in stats.failures:
+        out[failure.index] = failure
+    return out
 
 
 # ----------------------------------------------------------------------
 # Serial path
 # ----------------------------------------------------------------------
 
-def _run_serial(cell_list, fn, retries, on_failure, checkpoint):
+def _run_serial(cell_list, fn, retries, checkpoint):
     from repro.engine import effective_engine
 
     progress = current_progress()
@@ -401,7 +361,7 @@ def _run_serial(cell_list, fn, retries, on_failure, checkpoint):
                     continue
                 if progress is not None:
                     progress.note_failure()
-                failure = CellFailure(
+                out.append(CellFailure(
                     index=index,
                     cell=repr(cell),
                     attempts=attempts,
@@ -410,12 +370,7 @@ def _run_serial(cell_list, fn, retries, on_failure, checkpoint):
                     engine=effective_engine(),
                     traceback=traceback.format_exc(),
                     seed=_cell_seed(cell),
-                )
-                if on_failure == "raise":
-                    raise GridExecutionError(
-                        [failure], len(cell_list)
-                    ) from exc
-                out.append(failure)
+                ))
                 break
             else:
                 if checkpoint is not None:
@@ -470,7 +425,7 @@ def _observed_call(fn, cell, index: int, attempt: int, want_tele: bool):
     return value, error, (zlib.crc32(blob), blob)
 
 
-def _worker_main(conn, fn, pinned: dict) -> None:
+def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
     """Worker loop: receive ``(index, attempt, cell)``, run, reply.
 
     Replies are ``("ok", index, attempt, crc32, payload, obs)`` with
@@ -484,6 +439,10 @@ def _worker_main(conn, fn, pinned: dict) -> None:
     counts the drop) without failing the cell.  Injected faults
     (``REPRO_FAULTS``) fire here, between task receipt and reply.
     """
+    # A fork child inherits the supervisor's end of its own pipe.  Close
+    # it, or a supervisor killed by SIGKILL never reads as EOF here and
+    # the worker sleeps in recv() forever.
+    supervisor_end.close()
     os.environ.update(pinned)
     plan = FaultPlan.from_env()
     want_spans = _trace.env_enabled()
@@ -564,7 +523,8 @@ class _Worker:
     def __init__(self, ctx, fn, pinned):
         parent, child = ctx.Pipe()
         self.proc = ctx.Process(
-            target=_worker_main, args=(child, fn, pinned), daemon=True
+            target=_worker_main, args=(child, parent, fn, pinned),
+            daemon=True,
         )
         self.proc.start()
         child.close()
@@ -617,15 +577,20 @@ def _pinned_env() -> dict:
 
 
 class _WorkerPool:
-    """A set of supervised workers that outlives one grid.
+    """The supervised workers of one :func:`run_stream` call.
 
-    ``run_cells`` spins a pool up per call; :func:`run_stream` keeps
-    one alive across every chunk of a campaign so worker spawn cost is
+    Every chunk of the stream reuses them, so worker spawn cost is
     paid once per sweep, not once per chunk.  The pool only replaces
     workers (``respawn``) — scheduling stays in ``_run_supervised``.
+    Workers prefer the ``fork`` start method (cheap, inherits the
+    loaded modules) and fall back to the platform default where fork
+    is unavailable.
     """
 
     def __init__(self, fn: Callable, size: int):
+        # Fail fast on an unparseable fault spec in the supervisor, not
+        # silently inside every worker.
+        FaultPlan.from_env()
         self.ctx = multiprocessing.get_context(
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
@@ -647,20 +612,13 @@ class _WorkerPool:
             worker.shutdown()
 
 
-def _run_supervised(
-    cell_list, fn, jobs, timeout, retries, on_failure, checkpoint, label,
-    pool: _WorkerPool | None = None,
-):
+def _run_supervised(cell_list, timeout, retries, checkpoint, pool):
     from repro.engine import effective_engine
 
     engine = effective_engine()
-    # Fail fast on an unparseable fault spec in the supervisor, not
-    # silently inside every worker.
-    FaultPlan.from_env()
-
     total = len(cell_list)
+    # Values and the CellFailures of exhausted cells, by index.
     results: dict[int, Any] = dict(checkpoint.loaded) if checkpoint else {}
-    failures: dict[int, CellFailure] = {}
     attempts: dict[int, int] = {}
     pending: deque[int] = deque(
         i for i in range(total) if i not in results
@@ -668,12 +626,6 @@ def _run_supervised(
     progress = current_progress()
     if progress is not None and results:
         progress.advance(len(results), loaded=True)
-    if not pending:
-        return [results[i] for i in range(total)]
-
-    own_pool = pool is None
-    if own_pool:
-        pool = _WorkerPool(fn, min(jobs, len(pending)))
     workers = pool.workers
 
     def fail_attempt(index: int, kind: str, error: str, tb: str = "") -> None:
@@ -684,7 +636,7 @@ def _run_supervised(
             return
         if progress is not None:
             progress.note_failure()
-        failures[index] = CellFailure(
+        results[index] = CellFailure(
             index=index,
             cell=repr(cell_list[index]),
             attempts=attempts[index],
@@ -702,121 +654,108 @@ def _run_supervised(
         if progress is not None:
             progress.advance()
 
-    try:
-        while len(results) + len(failures) < total:
-            # Hand pending cells to idle workers (attempt numbers are
-            # 0-based and feed the deterministic fault plan).
-            for slot, worker in enumerate(workers):
-                if worker.current is not None or not pending:
-                    continue
-                index = pending.popleft()
-                attempt = attempts.get(index, 0)
-                attempts[index] = attempt + 1
-                if not worker.assign(index, attempt, cell_list[index]):
-                    # Worker died before it could take the task.
-                    fail_attempt(
-                        index, "crash",
-                        "worker died before task delivery "
-                        f"(exitcode {worker.proc.exitcode})",
-                    )
-                    pool.respawn(slot)
-
-            busy = [w for w in workers if w.current is not None]
-            if progress is not None:
-                # The ≤0.5 s poll tick below doubles as the heartbeat
-                # cadence: the progress line keeps moving (ETA, busy
-                # workers) even while a long cell runs.
-                progress.heartbeat(len(busy), len(workers))
-            if not busy:
+    while len(results) < total:
+        # Hand pending cells to idle workers (attempt numbers are
+        # 0-based and feed the deterministic fault plan).
+        for slot, worker in enumerate(workers):
+            if worker.current is not None or not pending:
                 continue
-
-            # Sleep until a reply, a death (pipe EOF wakes the wait),
-            # or the nearest per-cell deadline.
-            if timeout is not None:
-                now = time.monotonic()
-                tick = max(
-                    0.01,
-                    min(timeout - (now - w.started) for w in busy),
+            index = pending.popleft()
+            attempt = attempts.get(index, 0)
+            attempts[index] = attempt + 1
+            if not worker.assign(index, attempt, cell_list[index]):
+                # Worker died before it could take the task.
+                fail_attempt(
+                    index, "crash",
+                    "worker died before task delivery "
+                    f"(exitcode {worker.proc.exitcode})",
                 )
-                tick = min(tick, 0.5)
-            else:
-                tick = 0.5
-            ready = connection.wait([w.conn for w in busy], timeout=tick)
+                pool.respawn(slot)
 
-            for conn in ready:
-                worker = next(w for w in busy if w.conn is conn)
-                index, attempt = worker.current
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    # The worker died mid-cell: crash detected the
-                    # moment its pipe closed, no deadline needed.
-                    pool.respawn(workers.index(worker))
+        busy = [w for w in workers if w.current is not None]
+        if progress is not None:
+            # The ≤0.5 s poll tick below doubles as the heartbeat
+            # cadence: the progress line keeps moving (ETA, busy
+            # workers) even while a long cell runs.
+            progress.heartbeat(len(busy), len(workers))
+        if not busy:
+            continue
+
+        # Sleep until a reply, a death (pipe EOF wakes the wait),
+        # or the nearest per-cell deadline.
+        if timeout is not None:
+            now = time.monotonic()
+            tick = max(
+                0.01,
+                min(timeout - (now - w.started) for w in busy),
+            )
+            tick = min(tick, 0.5)
+        else:
+            tick = 0.5
+        ready = connection.wait([w.conn for w in busy], timeout=tick)
+
+        for conn in ready:
+            worker = next(w for w in busy if w.conn is conn)
+            index, attempt = worker.current
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                # The worker died mid-cell: crash detected the
+                # moment its pipe closed, no deadline needed.
+                pool.respawn(workers.index(worker))
+                fail_attempt(
+                    index, "crash",
+                    f"worker crashed (exitcode {worker.proc.exitcode})",
+                )
+                continue
+            worker.current = None
+            if reply[0] == "ok":
+                _, r_index, r_attempt, crc, payload, obs = reply
+                _absorb_sidecar(obs)
+                if zlib.crc32(payload) != crc:
                     fail_attempt(
-                        index, "crash",
-                        f"worker crashed (exitcode {worker.proc.exitcode})",
+                        r_index, "corrupt",
+                        "result payload failed its CRC-32 check",
                     )
                     continue
-                worker.current = None
-                if reply[0] == "ok":
-                    _, r_index, r_attempt, crc, payload, obs = reply
-                    _absorb_sidecar(obs)
-                    if zlib.crc32(payload) != crc:
-                        fail_attempt(
-                            r_index, "corrupt",
-                            "result payload failed its CRC-32 check",
-                        )
-                        continue
-                    try:
-                        value = pickle.loads(payload)
-                    except Exception as exc:
-                        fail_attempt(
-                            r_index, "corrupt",
-                            f"result payload failed to unpickle: {exc}",
-                        )
-                        continue
-                    complete(r_index, value)
-                else:
-                    _, r_index, r_attempt, info, obs = reply
-                    _absorb_sidecar(obs)
+                try:
+                    value = pickle.loads(payload)
+                except Exception as exc:
                     fail_attempt(
-                        r_index, "exception", info["error"],
-                        info["traceback"],
+                        r_index, "corrupt",
+                        f"result payload failed to unpickle: {exc}",
                     )
+                    continue
+                complete(r_index, value)
+            else:
+                _, r_index, r_attempt, info, obs = reply
+                _absorb_sidecar(obs)
+                fail_attempt(
+                    r_index, "exception", info["error"],
+                    info["traceback"],
+                )
 
-            # Deadline scan: a worker past the per-cell timeout is
-            # hung — kill it, respawn, replay the cell.
-            if timeout is not None:
-                now = time.monotonic()
-                for slot, worker in enumerate(workers):
-                    if worker.current is None:
-                        continue
-                    if now - worker.started <= timeout:
-                        continue
-                    index, attempt = worker.current
-                    pool.respawn(slot)
-                    fail_attempt(
-                        index, "hang",
-                        f"cell exceeded {_ENV_TIMEOUT}={timeout}s "
-                        "and its worker was terminated",
-                    )
-    finally:
-        if own_pool:
-            pool.shutdown()
-
-    if failures:
-        ordered = [failures[i] for i in sorted(failures)]
-        if on_failure == "raise":
-            raise GridExecutionError(ordered, total)
-        return [
-            results[i] if i in results else failures[i]
-            for i in range(total)
-        ]
+        # Deadline scan: a worker past the per-cell timeout is
+        # hung — kill it, respawn, replay the cell.
+        if timeout is not None:
+            now = time.monotonic()
+            for slot, worker in enumerate(workers):
+                if worker.current is None:
+                    continue
+                if now - worker.started <= timeout:
+                    continue
+                index, attempt = worker.current
+                pool.respawn(slot)
+                fail_attempt(
+                    index, "hang",
+                    f"cell exceeded {_ENV_TIMEOUT}={timeout}s "
+                    "and its worker was terminated",
+                )
     return [results[i] for i in range(total)]
 
 
 # ----------------------------------------------------------------------
-# Streaming path — bounded-memory sweeps over lazily generated cells
+# The execution path — bounded chunks of a lazily generated cell stream
 # ----------------------------------------------------------------------
 
 #: Cells per streamed chunk: one checkpoint shard, one digest, one
@@ -857,14 +796,22 @@ def run_stream(
     """Apply ``fn`` to a lazily generated cell stream, handing each
     completed value to ``consume(index, value)`` in cell order.
 
-    The streaming sibling of :func:`run_cells` for sweeps too large to
-    materialise: cells are pulled from ``cells`` in chunks of
-    ``chunk_size``, each chunk runs through the same supervised worker
-    pool (spawned once for the whole stream), and completed values are
+    The one execution path (a :func:`run_cells` grid is a single
+    chunk): cells are pulled from ``cells`` in chunks of
+    ``chunk_size``, each chunk runs serially (``jobs <= 1``) or on the
+    stream's one supervised worker pool (spawned on the first chunk
+    with ``min(jobs, len(chunk))`` workers), and completed values are
     consumed and dropped — peak memory is bounded by the chunk size.
     ``consume`` must fold online (sufficient statistics, sketches);
     collecting values into a list reintroduces exactly the
     per-run-record blowup this entry point exists to avoid.
+
+    ``jobs=None`` reads ``REPRO_JOBS``.  One job runs in-process — no
+    pool, no pickling — which keeps unit tests and debugging sessions
+    free of multiprocessing machinery.  ``timeout`` / ``retries`` /
+    ``on_failure`` / ``directory`` / ``resume`` override
+    ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_ON_FAILURE``
+    / ``REPRO_CHECKPOINT_DIR`` / ``REPRO_RESUME``.
 
     Checkpointing is per chunk: with a checkpoint directory configured
     (``directory`` argument or ``REPRO_CHECKPOINT_DIR``), chunk ``k``
@@ -929,15 +876,12 @@ def run_stream(
                     label=label, chunk=stats.chunks, cells=len(chunk),
                 ):
                     if jobs <= 1:
-                        out = _run_serial(
-                            chunk, fn, retries, "partial", checkpoint
-                        )
+                        out = _run_serial(chunk, fn, retries, checkpoint)
                     else:
                         if pool is None:
-                            pool = _WorkerPool(fn, jobs)
+                            pool = _WorkerPool(fn, min(jobs, len(chunk)))
                         out = _run_supervised(
-                            chunk, fn, jobs, timeout, retries, "partial",
-                            checkpoint, label, pool=pool,
+                            chunk, timeout, retries, checkpoint, pool
                         )
                 if checkpoint is not None:
                     stats.loaded += checkpoint.loaded_count

@@ -103,6 +103,8 @@ def test_env_knob_parsing(monkeypatch):
     ("REPRO_RETRIES", "many"),
     ("REPRO_RETRIES", "-2"),
     ("REPRO_ON_FAILURE", "shrug"),
+    ("REPRO_JOBS", "many"),
+    ("REPRO_JOBS", "-1"),
 ])
 def test_env_knob_validation(monkeypatch, var, value):
     monkeypatch.setenv(var, value)
@@ -110,6 +112,7 @@ def test_env_knob_validation(monkeypatch, var, value):
         "REPRO_CELL_TIMEOUT": cell_timeout,
         "REPRO_RETRIES": cell_retries,
         "REPRO_ON_FAILURE": failure_policy,
+        "REPRO_JOBS": lambda: resolve_jobs(None),
     }[var]
     with pytest.raises(ValueError):
         resolver()
@@ -173,12 +176,16 @@ def test_partial_policy_returns_failures_in_slot():
             assert value == SERIAL[i]
 
 
-def test_serial_path_matches_parallel_failure_semantics():
+def test_serial_path_matches_parallel_failure_semantics(tmp_path):
+    # Serial ``raise`` finishes the grid first, like the supervised
+    # path: every other cell reaches the shard before the error.
     with pytest.raises(GridExecutionError) as excinfo:
         run_cells(CELLS, _failing_cell, jobs=1, retries=0,
-                  on_failure="raise")
-    assert excinfo.value.failures[0].index == 2
-    assert isinstance(excinfo.value.__cause__, ValueError)
+                  on_failure="raise", directory=tmp_path)
+    failure, = excinfo.value.failures
+    assert failure.index == 2
+    assert "ValueError" in failure.traceback
+    assert _shard_lines(tmp_path) == len(CELLS) - 1
     out = run_cells(CELLS, _failing_cell, jobs=1, retries=0,
                     on_failure="partial")
     assert isinstance(out[2], CellFailure)
@@ -236,6 +243,11 @@ def test_mixed_faults_recover_bit_identical(monkeypatch):
 def test_serial_reference_ignores_faults(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
     assert run_cells(CELLS, _mix_cell, jobs=1) == SERIAL
+    # Dispatch looks at jobs alone: a one-cell grid at jobs > 1 still
+    # runs on a worker, where the injected crash fires.
+    out = run_cells(CELLS[:1], _mix_cell, jobs=JOBS, retries=0,
+                    on_failure="partial")
+    assert out[0].kind == "crash"
 
 
 def test_exhausted_retries_produce_well_formed_report(monkeypatch):
@@ -268,45 +280,50 @@ def test_invalid_fault_spec_fails_fast_in_supervisor(monkeypatch):
 # Tentpole: checkpointed resumable grids
 # ----------------------------------------------------------------------
 
+def _shard_lines(directory) -> int:
+    """Newline-terminated records in the one shard under ``directory``."""
+    shard, = Path(directory).glob("*.jsonl")
+    return shard.read_text().count("\n")
+
+
+def _record_all(ckpt: GridCheckpoint) -> None:
+    """Fill a shard the way a completed grid does, then close it."""
+    for index, value in enumerate(SERIAL):
+        ckpt.record(index, 1, value)
+    ckpt.close()
+
+
 def test_checkpoint_resume_replays_only_missing_cells(tmp_path, monkeypatch):
     # Interrupt mid-grid: every cell whose crash roll fires dies with
     # zero retries, the rest land in the shard.
     monkeypatch.setenv("REPRO_FAULTS", "crash:0.4")
     monkeypatch.setenv("REPRO_FAULT_SEED", "5")
-    first = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell)
     out = run_cells(CELLS, _mix_cell, jobs=JOBS, retries=0,
-                    on_failure="partial", checkpoint=first)
-    first.close()
+                    on_failure="partial", directory=tmp_path)
     failed = [i for i, v in enumerate(out) if isinstance(v, CellFailure)]
     assert failed, "fault seed must kill at least one cell"
-    assert first.computed_count == len(CELLS) - len(failed)
+    assert _shard_lines(tmp_path) == len(CELLS) - len(failed)
 
     # Resume without faults: only the missing cells are recomputed and
     # the merged grid is bit-identical to the serial reference.
     monkeypatch.delenv("REPRO_FAULTS")
-    second = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell, resume=True)
-    assert second.loaded_count == len(CELLS) - len(failed)
-    out = run_cells(CELLS, _mix_cell, jobs=JOBS, checkpoint=second)
-    second.close()
+    out = run_cells(CELLS, _mix_cell, jobs=JOBS, directory=tmp_path,
+                    resume=True)
     assert out == SERIAL
-    assert second.computed_count == len(failed)
+    assert _shard_lines(tmp_path) == len(CELLS)
 
 
 def test_checkpoint_streams_during_run_and_survives_partial_line(tmp_path):
-    ckpt = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell)
-    out = run_cells(CELLS, _mix_cell, jobs=JOBS, checkpoint=ckpt)
-    ckpt.close()
-    assert out == SERIAL
+    assert run_cells(CELLS, _mix_cell, jobs=JOBS, directory=tmp_path) == SERIAL
+    assert _shard_lines(tmp_path) == len(CELLS)
     # Simulate a kill mid-append: truncate the last line.
-    shard = ckpt.path
-    content = shard.read_text()
-    shard.write_text(content[:-20])
-    resumed = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell, resume=True)
-    assert resumed.loaded_count == len(CELLS) - 1
-    out = run_cells(CELLS, _mix_cell, jobs=1, checkpoint=resumed)
-    resumed.close()
+    shard, = tmp_path.glob("*.jsonl")
+    shard.write_text(shard.read_text()[:-20])
+    out = run_cells(CELLS, _mix_cell, jobs=1, directory=tmp_path,
+                    resume=True)
     assert out == SERIAL
-    assert resumed.computed_count == 1
+    # Nine records replayed, the truncated one recomputed and appended.
+    assert _shard_lines(tmp_path) == len(CELLS)
 
 
 def test_checkpoint_digest_keys_the_grid(tmp_path):
@@ -321,9 +338,7 @@ def test_checkpoint_digest_keys_the_grid(tmp_path):
 
 
 def test_fresh_run_truncates_stale_shard(tmp_path):
-    first = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell)
-    run_cells(CELLS, _mix_cell, jobs=1, checkpoint=first)
-    first.close()
+    _record_all(GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell))
     fresh = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell, resume=False)
     assert fresh.loaded_count == 0
     assert fresh.path.read_text() == ""
@@ -343,33 +358,43 @@ def test_ambient_checkpoint_env(tmp_path, monkeypatch):
     assert shards[0].read_text() == lines_before
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is alive; a zombie has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def test_kill_and_resume_across_processes(tmp_path):
-    """A real SIGKILL mid-grid: the streamed shard survives and a
-    resumed process replays only the missing cells.
+    """A real SIGKILL mid-grid: the streamed shard survives, the fork
+    workers exit with their supervisor, and a resumed process replays
+    only the missing cells.
 
     The grid script is self-contained (tests/ is not a package) and
     runs twice: the first invocation is killed hard once some cells
     have checkpointed; the second resumes and must finish with results
     identical to the serial reference.
     """
+    pids = tmp_path / "worker-pids"
     script = f"""
-import sys, time
+import os, sys, time
 sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / 'src')!r})
-from repro.experiments.checkpoint import GridCheckpoint
 from repro.experiments.parallel import run_cells
 from repro.utils.bitops import mix64
 
 CELLS = {CELLS!r}
 
 def slow_cell(cell):
+    with open({str(pids)!r}, "a") as fh:
+        fh.write(f"{{os.getpid()}}\\n")
     index, seed = cell
     time.sleep(0.2)
     return mix64(index, salt=seed)
 
-ckpt = GridCheckpoint({str(tmp_path)!r}, "killed", CELLS, slow_cell,
-                      resume=True)
-out = run_cells(CELLS, slow_cell, jobs=2, checkpoint=ckpt)
-ckpt.close()
+out = run_cells(CELLS, slow_cell, jobs=2, label="killed",
+                directory={str(tmp_path)!r}, resume=True)
 expected = [mix64(i, salt=s) for i, s in CELLS]
 print("MATCH" if out == expected else "MISMATCH", len(out))
 """
@@ -394,12 +419,22 @@ print("MATCH" if out == expected else "MISMATCH", len(out))
     assert 0 < before < len(CELLS), (
         f"kill must land mid-grid, shard had {before} lines"
     )
+    workers = {int(pid) for pid in pids.read_text().split()}
+    deadline = time.monotonic() + 10
+    while (alive := {p for p in workers if _running(p)}) and (
+        time.monotonic() < deadline
+    ):
+        time.sleep(0.05)
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"workers {sorted(alive)} outlived their supervisor"
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True,
         text=True, timeout=60,
     )
     assert out.returncode == 0, out.stdout
     assert f"MATCH {len(CELLS)}" in out.stdout
+    assert _shard_lines(tmp_path) == len(CELLS)
 
 
 # ----------------------------------------------------------------------
@@ -612,20 +647,16 @@ def test_manifest_written_before_shard(tmp_path):
 
 def test_orphan_shard_is_reconciled_on_open(tmp_path):
     first = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell)
-    run_cells(CELLS, _mix_cell, jobs=1, checkpoint=first)
-    first.close()
+    _record_all(first)
     # Simulate the pre-hardening crash window: shard without manifest.
     first.manifest_path.unlink()
     with pytest.warns(OrphanShardWarning):
         second = GridCheckpoint(
             tmp_path, "grid", CELLS, _mix_cell, resume=True
         )
-    assert second.loaded_count == len(CELLS)
+    assert second.loaded == dict(enumerate(SERIAL))
     assert second.manifest_path.exists()
-    out = run_cells(CELLS, _mix_cell, jobs=1, checkpoint=second)
     second.close()
-    assert out == SERIAL
-    assert second.computed_count == 0
 
 
 def test_contradicting_manifest_refuses_to_open(tmp_path):
@@ -642,8 +673,7 @@ def test_contradicting_manifest_refuses_to_open(tmp_path):
 
 def test_undecodable_manifest_is_rederived(tmp_path):
     first = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell)
-    run_cells(CELLS, _mix_cell, jobs=1, checkpoint=first)
-    first.close()
+    _record_all(first)
     first.manifest_path.write_text("{ truncated")
     with pytest.warns(OrphanShardWarning):
         second = GridCheckpoint(
@@ -664,10 +694,10 @@ def test_resolve_jobs_contract(monkeypatch):
     assert resolve_jobs(1) == 1
     monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 7)
     assert resolve_jobs(0) == 7
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    assert resolve_jobs(None) == 7
-    monkeypatch.setenv("REPRO_JOBS", "5")
-    assert resolve_jobs(None) == 5
+    # None defers to REPRO_JOBS, resolved by the same rules.
+    for raw, expected in (("0", 7), ("4", 4), (" 5 ", 5), ("", 1)):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        assert resolve_jobs(None) == expected
     monkeypatch.delenv("REPRO_JOBS")
     assert resolve_jobs(None) == 1
     with pytest.raises(ValueError):

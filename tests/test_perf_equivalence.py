@@ -29,7 +29,7 @@ from repro.experiments import (
     secthr_sensitivity,
 )
 from repro.experiments.common import scaled_mix_workloads, scaled_system_config
-from repro.experiments.parallel import run_cells
+from repro.experiments.parallel import resolve_jobs, run_cells
 from repro.utils.events import EventQueue
 
 _U64 = (1 << 64) - 1
@@ -179,9 +179,9 @@ class TestParallelRunnerEquivalence:
     def test_simulation_result_identical_across_processes(self):
         args = ("mix3", 20_000, 7)
         in_process = _cell(args)
-        # Two cells force the pool path (a single cell short-circuits
-        # to the serial map); both workers must reproduce the
-        # in-process SimulationResult exactly, field for field.
+        # Two cells give each of the two workers one; both must
+        # reproduce the in-process SimulationResult exactly, field for
+        # field.
         worker_results = run_cells([args, args], _cell, jobs=2)
         assert worker_results[0] == in_process
         assert worker_results[1] == in_process
@@ -222,11 +222,11 @@ class TestParallelRunnerEquivalence:
         assert serial.tables == parallel.tables
 
     def test_repro_jobs_env(self, monkeypatch):
-        from repro.experiments.parallel import repro_jobs
-
+        # jobs=None defers to REPRO_JOBS; the full contract is pinned in
+        # test_fault_tolerance::test_resolve_jobs_contract.
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert repro_jobs() == 1
+        assert resolve_jobs(None) == 1
         monkeypatch.setenv("REPRO_JOBS", "4")
-        assert repro_jobs() == 4
+        assert resolve_jobs(None) == 4
         monkeypatch.setenv("REPRO_JOBS", "0")
-        assert repro_jobs() >= 1
+        assert resolve_jobs(None) >= 1
