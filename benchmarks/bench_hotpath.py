@@ -431,6 +431,16 @@ def test_fig8_single_cell(benchmark):
     return result
 
 
+def test_fig8_single_cell_generator_loop(benchmark, monkeypatch):
+    """:func:`test_fig8_single_cell` on the generator path
+    (``REPRO_BATCH=0``): the Python scheduler loop with per-op kernel
+    calls, which every attacker tenant and the python engine still
+    run, recorded beside the C-resident run loop the batched cell
+    takes."""
+    monkeypatch.setenv("REPRO_BATCH", "0")
+    return test_fig8_single_cell(benchmark)
+
+
 def test_campaign_throughput(benchmark):
     """Fleet-campaign throughput (tenants/sec): a pinned 32-tenant
     streamed sweep, serial, folded online — the trajectory point for

@@ -62,6 +62,7 @@ CELL_GROUPS = {
     ),
     "end_to_end": (
         "test_fig8_single_cell",
+        "test_fig8_single_cell_generator_loop",
         "test_campaign_throughput",
         "test_fig10_detection_cell",
     ),

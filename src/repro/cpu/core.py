@@ -29,12 +29,18 @@ stream is record-for-record identical to the generator (pinned by the
 golden-equivalence tests) — prefetching only moves *production* of
 future records earlier, which is legal precisely because these
 workloads cannot react to simulation state.
+
+A batch core built by :func:`repro.cpu.system.build_system` also
+records its ``source`` — the workload and seed its chunks come from —
+so :meth:`repro.cpu.multicore.MulticoreSystem.run` can hand a fresh
+core's whole stream to the compiled run loop instead
+(:meth:`native_source`, PERFORMANCE.md rule 19).
 """
 
 from __future__ import annotations
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.workloads.base import WorkloadGenerator
+from repro.workloads.base import Workload, WorkloadGenerator
 
 
 class Core:
@@ -63,6 +69,7 @@ class Core:
         "_l1_latency",
         "_line_bits",
         "_stats",
+        "source",
     )
 
     def __init__(
@@ -71,6 +78,7 @@ class Core:
         workload: WorkloadGenerator | None,
         hierarchy: CacheHierarchy,
         batches=None,
+        source: tuple[Workload, int] | None = None,
     ):
         if (workload is None) == (batches is None):
             raise ValueError(
@@ -115,6 +123,9 @@ class Core:
         self._chunk = None
         self._chunk_len = 0
         self._chunk_pos = 0
+        #: ``(workload, seed)`` that ``batches`` was built from, when
+        #: the caller binds it (None: the stream is opaque).
+        self.source = source
         # Original access binding while a throttle wrapper is active
         # (None = unthrottled).  Throttling swaps the binding instead
         # of adding a per-op check, so unthrottled cores — the only
@@ -156,6 +167,23 @@ class Core:
     @property
     def throttled(self) -> bool:
         return self._throttle_base is not None
+
+    def native_source(self) -> tuple[Workload, int] | None:
+        """``(workload, seed)`` when this core's whole run may move into
+        the compiled run loop: a batch core with a known source that
+        has not consumed a record, retired an instruction or finished,
+        and is not throttled.  None otherwise."""
+        if (
+            self.source is None
+            or self._chunk is not None
+            or self.time
+            or self.instructions
+            or self.memory_ops
+            or self.finished
+            or self._throttle_base is not None
+        ):
+            return None
+        return self.source
 
     def advance(self) -> bool:
         """Consume the next workload record (compute phase).

@@ -5,6 +5,14 @@ memory operations in global timestamp order, and scheduled events
 (PiPoMonitor's delayed prefetches) fire before any operation with a
 later timestamp touches the hierarchy — the property the defense
 evaluation depends on.
+
+The loop runs in one of two places with identical results.  When the
+C cache walk is installed, no detection unit is deployed and every
+core is a fresh batch core of a synthetic archetype, the whole loop —
+record emission included — runs inside the walk
+(``CWalkState.run_cores``, PERFORMANCE.md rule 19) and comes back to
+Python only for due events and monitor callbacks.  Every other system
+runs the Python loop below.
 """
 
 from __future__ import annotations
@@ -75,6 +83,48 @@ class MulticoreSystem:
         # keys, but int comparisons and no per-push allocation.
         if len(self.cores) > 256:
             raise ValueError("scheduler supports at most 256 cores")
+        # Both loops allocate only acyclic objects (record tuples,
+        # ints) that reference counting frees immediately, so the
+        # cyclic collector's periodic gen-0 sweeps are pure overhead
+        # here — pause it for the duration of the run.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            completion = None
+            walk = self.hierarchy._c_state
+            if (walk is not None and self.detection is None
+                    and max_instructions_per_core is not None):
+                completion = walk.run_cores(
+                    self.cores, max_instructions_per_core, self.events
+                )
+            if completion is None:
+                completion = self._run_python(max_instructions_per_core)
+            # Late events (e.g. prefetches scheduled near the end).
+            while (next_time := self.events.next_time()) is not None:
+                self.events.run_until(next_time)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        # Under the C cache walk, the Python-side mirrors (cache dicts,
+        # AccessStats, monitor/filter counters, _memory_versions) are
+        # stale until a batch sync; resync here so the result below —
+        # and any post-run introspection — reads consistent state.
+        self.hierarchy.engine_sync()
+        monitor = self.hierarchy.monitor
+        result = SimulationResult(
+            core_times=completion,
+            core_instructions=[c.instructions for c in self.cores],
+            core_memory_ops=[c.memory_ops for c in self.cores],
+            stats=self.hierarchy.stats,
+            monitor_stats=getattr(monitor, "stats", None),
+        )
+        if self.detection is not None:
+            result.extra["detection"] = self.detection.report()
+        return result
+
+    def _run_python(self, max_instructions_per_core: int | None) -> list[int]:
+        """The earliest-core-first loop in Python; returns each core's
+        completion time."""
         heap: list[int] = []
         for core in self.cores:
             if core.advance():
@@ -99,44 +149,16 @@ class MulticoreSystem:
             if max_instructions_per_core is not None
             else float("inf")
         )
-        # The loop allocates only acyclic objects (record tuples,
-        # ints) that reference counting frees immediately, so the
-        # cyclic collector's periodic gen-0 sweeps are pure overhead
-        # here — pause it for the duration of the run.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while heap:
-                key = heap[0]
-                cid = key & 255
-                core = cores[cid]
-                # Fire every event due at or before this operation.
-                if event_heap:
-                    run_until(key >> 8)
-                if core.step(budget):
-                    heapreplace(heap, core.time << 8 | cid)
-                else:
-                    heappop(heap)
-                    completion[cid] = core.time
-            # Late events (e.g. prefetches scheduled near the end).
-            while (next_time := self.events.next_time()) is not None:
-                self.events.run_until(next_time)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        # Under the C cache walk, the Python-side mirrors (cache dicts,
-        # AccessStats, monitor/filter counters, _memory_versions) are
-        # stale until a batch sync; resync here so the result below —
-        # and any post-run introspection — reads consistent state.
-        self.hierarchy.engine_sync()
-        monitor = self.hierarchy.monitor
-        result = SimulationResult(
-            core_times=[completion[c.core_id] for c in self.cores],
-            core_instructions=[c.instructions for c in self.cores],
-            core_memory_ops=[c.memory_ops for c in self.cores],
-            stats=self.hierarchy.stats,
-            monitor_stats=getattr(monitor, "stats", None),
-        )
-        if self.detection is not None:
-            result.extra["detection"] = self.detection.report()
-        return result
+        while heap:
+            key = heap[0]
+            cid = key & 255
+            core = cores[cid]
+            # Fire every event due at or before this operation.
+            if event_heap:
+                run_until(key >> 8)
+            if core.step(budget):
+                heapreplace(heap, core.time << 8 | cid)
+            else:
+                heappop(heap)
+                completion[cid] = core.time
+        return [completion[core.core_id] for core in self.cores]

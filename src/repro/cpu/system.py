@@ -8,10 +8,13 @@ per core, and runs to an instruction budget.
 Cores whose workload declares ``batchable`` (synthetic/SPEC streams,
 packable traces — anything that ignores latency feedback) are bound
 through the chunked batch prefetch (:class:`repro.cpu.core.Core`'s
-``batches`` mode) instead of a per-record generator.  The record
-streams are identical either way, so results are bit-identical —
-``REPRO_BATCH=0`` (or ``batch=False``) forces the generator path,
-which the golden-equivalence tests compare against.
+``batches`` mode) instead of a per-record generator, together with the
+workload and seed the chunks come from.  Under the C cache walk,
+``MulticoreSystem.run`` uses that source to run a system of synthetic
+streams entirely in C (PERFORMANCE.md rule 19).  The record streams
+are identical every way, so results are bit-identical —
+``REPRO_BATCH=0`` (or ``batch=False``) forces the generator path and
+the Python loop, which the golden-equivalence tests compare against.
 
 Engine binding happens here implicitly: both assembly helpers attach
 the monitor *before* constructing cores, and each core resolves its
@@ -88,6 +91,7 @@ def build_system(
                     None,
                     hierarchy,
                     batches=workload.record_chunks(core_id, workload_seed),
+                    source=(workload, workload_seed),
                 )
             )
         else:

@@ -31,6 +31,14 @@ prefetch helper -1) after setting ``err``/``err_addr``/``err_cache``
 on the state; the Python wrappers re-raise the exact exception the
 generic engine would have raised (duplicate insert, inclusion
 violations, or a stored callback exception).
+
+The same translation unit carries the C-resident run loop
+(``cw_schedule``, PERFORMANCE.md rule 19): a port of the five
+synthetic archetypes' record emission (``workloads/synthetic.py``,
+MT19937 draw for draw) and of ``MulticoreSystem.run``'s
+earliest-core-first loop around ``cw_access``.  It returns to Python
+when an event is due, after a step that made a callback (counted in
+``cw_hier.callbacks``), on a walk error, and when every core is done.
 """
 
 # Cache array layout inside ``cw_hier.caches``:
@@ -122,7 +130,55 @@ typedef struct {
     int err;
     int err_cache;
     uint64_t err_addr;
+    uint64_t callbacks;
 } cw_hier;
+
+typedef struct {
+    cw_mt rng;
+    const uint64_t *chain;
+    double gap_frac;
+    double write_fraction;
+    double ifetch_limit;
+    double conflict_limit;
+    double hot_probability;
+    int64_t gap_base;
+    int64_t visits_per_line;
+    uint64_t data_base;
+    uint64_t code_base;
+    uint64_t num_lines;
+    uint64_t hot_lines;
+    uint64_t code_lines;
+    uint64_t conflict_lines;
+    uint64_t conflict_base;
+    uint64_t conflict_stride;
+    int64_t side;
+    int kind;
+    int num_shift;
+    int hot_shift;
+    int64_t position;
+    uint64_t code_line;
+    uint64_t conflict_index;
+    uint64_t current_line;
+    int64_t visits_left;
+    int64_t st_i;
+    int64_t st_j;
+    int64_t st_k;
+    int64_t time;
+    int64_t instructions;
+    int64_t memory_ops;
+    uint64_t pending_addr;
+    int pending_op;
+    int finished;
+} cw_core;
+
+typedef struct {
+    cw_core *cores;
+    int num_cores;
+    int started;
+    int64_t budget;
+    int64_t event_at;
+    int64_t due;
+} cw_sched;
 
 int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now);
 int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now);
@@ -130,6 +186,9 @@ int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag);
 int64_t cw_access_many(cw_hier *h, const int32_t *cores, const int32_t *ops,
                        const uint64_t *addrs, int64_t n, int64_t now,
                        int64_t *lat_out);
+int cw_schedule(cw_hier *h, cw_sched *s);
+void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
+             uint64_t *addrs);
 int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
 void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
 void cw_hier_free(cw_hier *h);
@@ -239,6 +298,7 @@ typedef struct {
     int err;
     int err_cache;
     uint64_t err_addr;
+    uint64_t callbacks;  /* Python callbacks made; cw_schedule returns on a change */
 } cw_hier;
 
 static int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
@@ -765,6 +825,7 @@ static int cw_handle_llc_evict(cw_hier *h, uint64_t vaddr, uint64_t vword,
     h->s_llc_evictions++;
     if (h->mon_kind && ((vword & 2) || h->needs_all)) {
         uint64_t out;
+        h->callbacks++;
         if (cw_cb_evict(h->ctx, vaddr, vword, vstamp, now, &out) != 0) {
             h->err = CW_ERR_CALLBACK;
             return -1;
@@ -822,15 +883,19 @@ static int64_t cw_fetch_into_llc(cw_hier *h, uint64_t line_addr, int64_t now,
             h->m_accesses++;
             if (acf_access(h->acf, line_addr) >= (int)h->thresh) {
                 h->m_captures++;
-                if (h->capture_cb
-                    && cw_cb_capture(h->ctx, line_addr, now) != 0) {
-                    h->err = CW_ERR_CALLBACK;
-                    return -1;
+                if (h->capture_cb) {
+                    h->callbacks++;
+                    if (cw_cb_capture(h->ctx, line_addr, now) != 0) {
+                        h->err = CW_ERR_CALLBACK;
+                        return -1;
+                    }
                 }
                 captured = 1;
             }
         } else {
-            int r = cw_cb_access(h->ctx, line_addr, now);
+            int r;
+            h->callbacks++;
+            r = cw_cb_access(h->ctx, line_addr, now);
             if (r < 0) {
                 h->err = CW_ERR_CALLBACK;
                 return -1;
@@ -954,6 +1019,7 @@ int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now)
     latency += h->llc_lat;
     if (h->mon_kind && ((word & 2) || h->needs_all)) {
         uint64_t out;
+        h->callbacks++;
         if (cw_cb_evict(h->ctx, line_addr, word, stamp, now, &out) != 0) {
             h->err = CW_ERR_CALLBACK;
             return -1;
@@ -1158,5 +1224,220 @@ int64_t cw_access_many(cw_hier *h, const int32_t *cores, const int32_t *ops,
         lat_out[i] = lat;
     }
     return -1;  /* all served */
+}
+
+/* ------------------------------------------------------------------ */
+/* C-resident run loop (PERFORMANCE.md rule 19): the synthetic record
+ * emission of workloads/synthetic.py and the earliest-core-first loop
+ * of MulticoreSystem.run / Core.step around cw_access. */
+
+typedef struct {
+    cw_mt rng;                /* the stream's random.Random, via getstate() */
+    const uint64_t *chain;    /* pointer chase: the permutation cycle */
+    double gap_frac;
+    double write_fraction;
+    double ifetch_limit;
+    double conflict_limit;
+    double hot_probability;
+    int64_t gap_base;
+    int64_t visits_per_line;
+    uint64_t data_base;
+    uint64_t code_base;
+    uint64_t num_lines;
+    uint64_t hot_lines;
+    uint64_t code_lines;
+    uint64_t conflict_lines;
+    uint64_t conflict_base;
+    uint64_t conflict_stride;
+    int64_t side;             /* stencil grid side */
+    int kind;                 /* 0 stream, 1 random, 2 pointer, 3 stencil, 4 hotcold */
+    int num_shift;            /* 32 - num_lines.bit_length() */
+    int hot_shift;            /* 32 - hot_lines.bit_length() */
+    /* Emission state (the locals of _SyntheticWorkload.record_chunks). */
+    int64_t position;
+    uint64_t code_line;
+    uint64_t conflict_index;
+    uint64_t current_line;
+    int64_t visits_left;
+    int64_t st_i;
+    int64_t st_j;
+    int64_t st_k;
+    /* Core state (Core.time / instructions / memory_ops / pending op). */
+    int64_t time;
+    int64_t instructions;
+    int64_t memory_ops;
+    uint64_t pending_addr;
+    int pending_op;
+    int finished;
+} cw_core;
+
+typedef struct {
+    cw_core *cores;
+    int num_cores;
+    int started;
+    int64_t budget;
+    int64_t event_at;         /* earliest pending event (INT64_MAX: none) */
+    int64_t due;              /* out: the next core's time on CW_SCHED_EVENT */
+} cw_sched;
+
+#define CW_SCHED_DONE     0
+#define CW_SCHED_EVENT    1
+#define CW_SCHED_CALLBACK 2
+#define CW_SCHED_ERROR    3
+
+/* random.Random.random(): CPython's genrand_res53. */
+static double cw_random(cw_mt *r)
+{
+    uint32_t a = cw_genrand(r) >> 5, b = cw_genrand(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.Random.randrange(n) for 0 < n < 2**32: getrandbits(k)
+ * rejection with k = n.bit_length() (shift = 32 - k). */
+static uint64_t cw_randbelow(cw_mt *r, uint64_t n, int shift)
+{
+    uint64_t v = cw_genrand(r) >> shift;
+    while (v >= n)
+        v = cw_genrand(r) >> shift;
+    return v;
+}
+
+/* The archetype's _line_picker closure. */
+static uint64_t cw_next_line(cw_core *c)
+{
+    static const int64_t di[5] = {0, -1, 1, 0, 0};
+    static const int64_t dj[5] = {0, 0, 0, -1, 1};
+    int64_t k, side, row, col;
+    switch (c->kind) {
+    case 0:
+        c->position = (c->position + 1) % (int64_t)c->num_lines;
+        return (uint64_t)c->position;
+    case 1:
+        return cw_randbelow(&c->rng, c->num_lines, c->num_shift);
+    case 2:
+        c->position = (int64_t)c->chain[c->position];
+        return (uint64_t)c->position;
+    case 3:
+        k = c->st_k;
+        side = c->side;
+        if (++c->st_k == 5) {
+            c->st_k = 0;
+            if (++c->st_j >= side) {
+                c->st_j = 0;
+                c->st_i = (c->st_i + 1) % side;
+            }
+        }
+        /* Python's % is non-negative for a positive modulus. */
+        row = ((c->st_i + di[k]) % side + side) % side;
+        col = ((c->st_j + dj[k]) % side + side) % side;
+        return (uint64_t)(row * side + col);
+    default:
+        if (cw_random(&c->rng) < c->hot_probability)
+            return cw_randbelow(&c->rng, c->hot_lines, c->hot_shift);
+        return cw_randbelow(&c->rng, c->num_lines, c->num_shift);
+    }
+}
+
+/* One record of the shared emission loop, draw for draw. */
+static void cw_emit_one(cw_core *c, int64_t *gap, int *op, uint64_t *addr)
+{
+    double roll;
+    uint64_t line;
+    *gap = cw_random(&c->rng) < c->gap_frac ? c->gap_base + 1 : c->gap_base;
+    roll = cw_random(&c->rng);
+    if (roll >= c->conflict_limit) {
+        if (c->visits_left > 0) {
+            c->visits_left--;
+            line = c->current_line;
+        } else {
+            line = cw_next_line(c);
+            c->current_line = line;
+            c->visits_left = c->visits_per_line;
+        }
+        *op = cw_random(&c->rng) < c->write_fraction ? 1 : 0;
+        *addr = c->data_base + line * 64;
+    } else if (roll < c->ifetch_limit) {
+        if (++c->code_line == c->code_lines)
+            c->code_line = 0;
+        *op = 2;
+        *addr = c->code_base + c->code_line * 64;
+    } else {
+        if (++c->conflict_index == c->conflict_lines)
+            c->conflict_index = 0;
+        line = c->conflict_base + c->conflict_index * c->conflict_stride;
+        *op = cw_random(&c->rng) < c->write_fraction ? 1 : 0;
+        *addr = c->data_base + line * 64;
+    }
+}
+
+void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
+             uint64_t *addrs)
+{
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        int op;
+        cw_emit_one(c, &gaps[i], &op, &addrs[i]);
+        ops[i] = op;
+    }
+}
+
+/* Core.advance: take the next record's compute gap, park its op. */
+static void cw_advance(cw_core *c)
+{
+    int64_t gap;
+    int op;
+    uint64_t addr;
+    cw_emit_one(c, &gap, &op, &addr);
+    c->time += gap;
+    c->instructions += gap;
+    c->pending_op = op;
+    c->pending_addr = addr;
+}
+
+/* MulticoreSystem.run until every core retired its budget.  Returns
+ * to Python (which owns the event queue and the monitor) when an event
+ * is due at the next core's time, after a step that made a Python
+ * callback (it may have scheduled one), and on a walk error. */
+int cw_schedule(cw_hier *h, cw_sched *s)
+{
+    cw_core *cores = s->cores;
+    int n = s->num_cores, i;
+    if (!s->started) {
+        for (i = 0; i < n; i++)
+            cw_advance(&cores[i]);
+        s->started = 1;
+    }
+    for (;;) {
+        int cid = -1;
+        cw_core *c;
+        uint64_t callbacks;
+        int64_t lat;
+        /* The heap's time << 8 | core_id minimum: earliest time, then
+         * lowest core id. */
+        for (i = 0; i < n; i++)
+            if (!cores[i].finished
+                && (cid < 0 || cores[i].time < cores[cid].time))
+                cid = i;
+        if (cid < 0)
+            return CW_SCHED_DONE;
+        c = &cores[cid];
+        if (s->event_at <= c->time) {
+            s->due = c->time;
+            return CW_SCHED_EVENT;
+        }
+        callbacks = h->callbacks;
+        lat = cw_access(h, cid, c->pending_op, c->pending_addr, c->time);
+        if (lat < 0)
+            return CW_SCHED_ERROR;
+        c->time += lat;
+        c->instructions++;
+        c->memory_ops++;
+        if (c->instructions >= s->budget)
+            c->finished = 1;
+        else
+            cw_advance(c);
+        if (h->callbacks != callbacks)
+            return CW_SCHED_CALLBACK;
+    }
 }
 """

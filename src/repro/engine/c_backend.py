@@ -304,11 +304,14 @@ def _load_lib():
             str(sysconfig.get_config_var("CC") or ""),
         )).encode()).hexdigest()[:20]
         cache = _cache_dir() / tag
-        ffibuilder = FFI()
-        ffibuilder.cdef(_FULL_CDEF)
-        ffibuilder.set_source(_MODULE_NAME, _FULL_CSOURCE)
         sofile = next(cache.glob(f"{_MODULE_NAME}*.so"), None)
         if sofile is None:
+            # Parsing the cdef costs tens of milliseconds per process
+            # (pycparser), so only a build pays it: a cached artefact
+            # under this tag was compiled from this exact cdef.
+            ffibuilder = FFI()
+            ffibuilder.cdef(_FULL_CDEF)
+            ffibuilder.set_source(_MODULE_NAME, _FULL_CSOURCE)
             # Build in a private tempdir *on the cache filesystem*
             # (an os.replace across filesystems raises EXDEV and would
             # leave the cache forever empty), then publish atomically

@@ -47,6 +47,11 @@ monitor once at install time:
 Callbacks only schedule events (alarm subscribers and response
 policies go through the event queue — pinned by the conformance
 suite), so they never re-enter the walk synchronously.
+
+:meth:`CWalkState.run_cores` runs a whole ``MulticoreSystem.run`` of
+synthetic streams inside the walk (PERFORMANCE.md rule 19); the event
+queue stays in Python, which is why the C loop comes back after every
+step that made a callback.
 """
 
 from __future__ import annotations
@@ -75,6 +80,13 @@ _TELE_EXPORTS = (
 
 _U64 = (1 << 64) - 1
 _EMPTY = 0xFFFFFFFFFFFFFFFF
+_I64_MAX = (1 << 63) - 1
+
+#: ``cw_schedule`` return codes (2, "a step made a callback", needs
+#: no action beyond re-reading the event queue).
+_SCHED_DONE = 0
+_SCHED_EVENT = 1
+_SCHED_ERROR = 3
 
 #: One-shot ``@ffi.def_extern`` registration (process-wide, like the
 #: extension itself).
@@ -492,6 +504,64 @@ class CWalkState:
                 tele.count(name, now_v - last_v)
         self._tele_last = current
 
+    def run_cores(self, cores, budget: int, events) -> list[int] | None:
+        """Run ``MulticoreSystem.run``'s loop for ``cores`` in C
+        (PERFORMANCE.md rule 19): ``cw_schedule`` emits every core's
+        records and steps the earliest core through the walk until each
+        has retired ``budget`` instructions.  Python keeps the event
+        queue: C comes back when an event is due at the next core's
+        time (run here with ``run_until``, as the Python loop does) and
+        after a step that made a monitor callback (it may have
+        scheduled one).
+
+        Returns each core's completion time, with ``time``,
+        ``instructions`` and ``memory_ops`` written back to the cores.
+        Returns None, touching nothing, unless every core is a fresh
+        batch core whose stream the C emitter reproduces
+        (``Core.native_source`` + ``Workload.emitter_state``).
+        """
+        states = []
+        for index, core in enumerate(cores):
+            source = core.native_source()
+            if source is None or core.core_id != index:
+                return None
+            workload, seed = source
+            state = workload.emitter_state(index, seed)
+            if state is None:
+                return None
+            states.append(state)
+        ffi = self.ffi
+        carr = ffi.new("cw_core[]", len(cores))
+        chains = []
+        for c, state in zip(carr, states):
+            _load_emitter(ffi, c, state, chains)
+        sched = ffi.new("cw_sched *")
+        sched.cores = carr
+        sched.num_cores = len(cores)
+        sched.budget = min(budget, _I64_MAX)
+        schedule = self.lib.cw_schedule
+        st = self.st
+        try:
+            while True:
+                due = events.next_time()
+                sched.event_at = _I64_MAX if due is None else due
+                rc = schedule(st, sched)
+                self.dirty = True
+                if rc == _SCHED_DONE:
+                    break
+                if rc == _SCHED_EVENT:
+                    events.run_until(sched.due)
+                elif rc == _SCHED_ERROR:
+                    self._raise()
+        finally:
+            for core, c in zip(cores, carr):
+                core.time = c.time
+                core.instructions = c.instructions
+                core.memory_ops = c.memory_ops
+                if c.finished:
+                    core.finished = True
+        return [c.time for c in carr]
+
     def _raise(self):
         """Re-raise the exact exception the generic engine would have."""
         st = self.st
@@ -614,6 +684,37 @@ class CWalkState:
         # Scalar-kernel runs reach the sink here: sync is the batch
         # boundary the introspection paths already pay for.
         self._export_telemetry()
+
+
+def _load_emitter(ffi, c, state: dict, keep: list) -> None:
+    """Fill the ``cw_core`` ``c`` from an ``emitter_state`` dict; the
+    buffers ``c`` points into are appended to ``keep``."""
+    for name, value in state.items():
+        if name == "mt":
+            c.rng.mt = list(value[:624])
+            c.rng.mti = value[624]
+        elif name == "chain":
+            keep.append(ffi.new("uint64_t[]", value))
+            c.chain = keep[-1]
+        else:
+            setattr(c, name, value)
+
+
+def emit_records(workload, core_id: int, seed: int, n: int) -> list[tuple]:
+    """The first ``n`` records of the C emitter for ``workload``'s
+    stream (the equivalence tests compare them with ``record_chunks``).
+    ``workload.emitter_state`` must accept the stream, and the backend
+    must build."""
+    ffi, lib = c_backend._load_lib()
+    c = ffi.new("cw_core *")
+    keep: list = []
+    _load_emitter(ffi, c, workload.emitter_state(core_id, seed), keep)
+    gaps = ffi.new("int64_t[]", n)
+    ops = ffi.new("int32_t[]", n)
+    addrs = ffi.new("uint64_t[]", n)
+    lib.cw_emit(c, n, gaps, ops, addrs)
+    return list(zip(ffi.unpack(gaps, n), ffi.unpack(ops, n),
+                    ffi.unpack(addrs, n)))
 
 
 #: AccessStats counter fields mirrored into ``cw_hier.s_*`` (order

@@ -16,7 +16,8 @@ The stream opens chunk ``k`` of a run labelled ``L`` under the label
   per completed cell — appended as results arrive, each line a single
   ``write`` of ``{"i": index, "a": attempts, "p": base64(pickle)}``.
   A process killed mid-append leaves at most one truncated final
-  line, which the loader skips; every completed line is replayable.
+  line, which the loader skips and a resume cuts off before appending;
+  every completed line is replayable.
 
 The **grid digest** is SHA-256 over the label, the cell function's
 module-qualified name, the effective engine, and the ``repr`` of every
@@ -203,27 +204,31 @@ class GridCheckpoint:
         return len(self.loaded)
 
     def _load(self) -> dict[int, Any]:
-        """Replay every decodable shard line; skip a truncated tail.
+        """Replay every decodable shard line; cut off a truncated tail.
 
         Only a trailing partial line can exist (appends are sequential
-        single writes), but the loader tolerates any undecodable line
-        so a corrupted shard degrades to recomputation, never to a
-        crash or a wrong result.
+        single writes).  It is truncated away here, so the next record
+        starts a line of its own instead of extending the fragment.
+        The loader tolerates any undecodable line, so a corrupted shard
+        degrades to recomputation, never to a crash or a wrong result.
         """
+        data = self.path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            with self.path.open("r+b") as fh:
+                fh.truncate(complete)
         results: dict[int, Any] = {}
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    index = record["i"]
-                    value = pickle.loads(base64.b64decode(record["p"]))
-                except Exception:
-                    continue
-                if isinstance(index, int) and 0 <= index < self.num_cells:
-                    results[index] = value
+        for line in data[:complete].splitlines():
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                index = record["i"]
+                value = pickle.loads(base64.b64decode(record["p"]))
+            except Exception:
+                continue
+            if isinstance(index, int) and 0 <= index < self.num_cells:
+                results[index] = value
         return results
 
     def record(self, index: int, attempts: int, value) -> None:

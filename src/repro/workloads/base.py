@@ -8,35 +8,28 @@ benchmark workloads ignore it).
 Batch emission
 --------------
 Workloads that *ignore* the latency feedback declare ``batchable =
-True`` and can then be consumed through :meth:`Workload.batch_stream`
-/ :meth:`Workload.emit_batch`: chunks of records packed into
-``array('q')`` ints instead of one generator suspension per record.
-The packed stream is **record-for-record identical** to the generator
-(pinned by the equivalence tests), so order-insensitive consumers
-(trace replay, warmups) and the per-core chunked prefetch in
-:class:`repro.cpu.core.Core` produce bit-identical simulations.
+True`` and can then be consumed through :meth:`Workload.record_chunks`:
+lists of record tuples, one producer suspension per chunk instead of
+one generator suspension per record.  The chunked stream is
+**record-for-record identical** to the generator (pinned by the
+equivalence tests), so the per-core chunked prefetch in
+:class:`repro.cpu.core.Core` produces bit-identical simulations.  The
+synthetic archetypes go one step further and hand their whole stream
+to the compiled run loop (:meth:`Workload.emitter_state`,
+PERFORMANCE.md rule 19).
 
-Packed record layout (one signed 64-bit int)::
-
-    bits 0-3    op + 1 (0 = pure-compute record, no memory op)
-    bits 4-17   compute instruction gap (< 2**14)
-    bits 18+    line address (byte address >> 6)
-
-The op field carries every hierarchy opcode, including ``OP_FLUSH``
-(packed as 4) — scripted flush streams batch like any other.  The
-flush *attackers* (:mod:`repro.attacks.flush_reload`) nevertheless
-stay ``batchable = False``: their probes time the returned latencies,
-the one thing batch consumption cannot feed back.
-
-Addresses are line-granular, so records stay within 63 bits for any
-core id the region layout supports.
+The ``batchable`` gate is :func:`packable`: line-aligned addresses,
+every hierarchy opcode including ``OP_FLUSH``, and compute gaps up to
+:data:`REC_COMPUTE_MAX`.  The flush *attackers*
+(:mod:`repro.attacks.flush_reload`) nevertheless stay ``batchable =
+False``: their probes time the returned latencies, the one thing batch
+consumption cannot feed back.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from array import array
 from collections.abc import Generator, Iterable, Iterator
 
 #: yields (compute_instructions, op_or_None, byte_address); receives
@@ -64,49 +57,23 @@ def core_code_base(core_id: int) -> int:
     return core_data_base(core_id) + _CODE_OFFSET_BYTES
 
 
-#: Packed-record field widths (see module docstring).
-REC_OP_BITS = 4
-REC_COMPUTE_BITS = 14
-REC_COMPUTE_SHIFT = REC_OP_BITS
-REC_ADDR_SHIFT = REC_OP_BITS + REC_COMPUTE_BITS
-REC_COMPUTE_MAX = (1 << REC_COMPUTE_BITS) - 1
+#: Largest compute gap a batchable record may carry (a 14-bit field).
+REC_COMPUTE_MAX = (1 << 14) - 1
 
 #: Default records per batch chunk: large enough to amortise the
 #: producer call, small enough that short runs stay cheap.
 DEFAULT_BATCH_CHUNK = 1024
 
 
-def pack_record(compute: int, op: int | None, byte_address: int) -> int:
-    """Pack one workload record into a signed-64-bit int."""
-    if not 0 <= compute <= REC_COMPUTE_MAX:
-        raise ValueError(f"compute gap {compute} exceeds the packed field")
-    if op is None:
-        return compute << REC_COMPUTE_SHIFT
-    if byte_address % 64:
-        raise ValueError("packed records require line-aligned addresses")
-    return (
-        ((byte_address >> 6) << REC_ADDR_SHIFT)
-        | (compute << REC_COMPUTE_SHIFT)
-        | (op + 1)
-    )
-
-
-def unpack_record(record: int) -> tuple[int, int | None, int]:
-    """Inverse of :func:`pack_record`."""
-    op = record & 0xF
-    return (
-        (record >> REC_COMPUTE_SHIFT) & REC_COMPUTE_MAX,
-        None if op == 0 else op - 1,
-        (record >> REC_ADDR_SHIFT) << 6,
-    )
-
-
 def packable(records: Iterable[tuple[int, int | None, int]]) -> bool:
-    """True when every record round-trips the packed layout exactly.
+    """True when every record fits the batchable record shape: a
+    compute gap in ``[0, REC_COMPUTE_MAX]``, and either a hierarchy
+    opcode with a line-aligned address or a pure-compute record at
+    address 0.
 
-    Pure-compute records only qualify with address 0: the packed form
-    stores no address for them, so a nonzero address (meaningless to
-    the simulator but visible to trace capture) would not survive.
+    Pure-compute records only qualify with address 0, so a nonzero
+    address (meaningless to the simulator but visible to trace
+    capture) never rides a batch path.
     """
     return all(
         0 <= compute <= REC_COMPUTE_MAX
@@ -161,9 +128,7 @@ class Workload(ABC):
         output for the same ``(core_id, seed)``.  This is the form the
         scheduler's chunked per-core prefetch consumes — measured
         faster than both the generator protocol (no frame resume per
-        record) and packed ints (no re-boxing per record).  The packed
-        :meth:`batch_stream`/:meth:`emit_batch` forms layer on top of
-        it for bulk, memory-compact consumers.
+        record) and packed ints (no re-boxing per record).
 
         This default materialises from the generator (correct for any
         ``batchable`` workload, no speedup); stream-native workloads
@@ -195,34 +160,11 @@ class Workload(ABC):
         if out:
             yield out
 
-    def batch_stream(
-        self, core_id: int, seed: int, chunk: int = DEFAULT_BATCH_CHUNK
-    ) -> Iterator[array]:
-        """Yield ``array('q')`` chunks of packed records (the compact
-        bulk form of :meth:`record_chunks`; same stream)."""
-        for records in self.record_chunks(core_id, seed, chunk):
-            yield array(
-                "q",
-                (pack_record(compute, op, addr)
-                 for compute, op, addr in records),
-            )
-
-    def emit_batch(self, core_id: int, seed: int, n: int) -> array:
-        """The first ``n`` packed records of this workload's stream.
-
-        One-shot form of :meth:`batch_stream` for order-insensitive
-        consumers (warmups, trace replay, single-core sweeps); the
-        result may be shorter than ``n`` when the stream ends first.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        out = array("q")
-        for chunk in self.batch_stream(core_id, seed, chunk=n or 1):
-            take = n - len(out)
-            out.extend(chunk[:take] if take < len(chunk) else chunk)
-            if len(out) >= n:
-                break
-        return out
+    def emitter_state(self, core_id: int, seed: int) -> dict | None:
+        """This stream as the compiled run loop's emitter fields, or
+        None when the C port does not reproduce it (the default: only
+        the synthetic archetypes are ported)."""
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
@@ -233,8 +175,8 @@ class ScriptedWorkload(Workload):
     trace tools.
 
     Scripted streams never react to latency, so they are batchable
-    whenever every record fits the packed layout (line-aligned
-    addresses, compute gaps under 2**14).
+    whenever every record is :func:`packable` (line-aligned addresses,
+    compute gaps under 2**14).
     """
 
     def __init__(self, records: Iterable[tuple[int, int | None, int]],
@@ -244,7 +186,7 @@ class ScriptedWorkload(Workload):
         # Batch emission replays ``self.records`` — only legal when
         # the generator is the stock replay (a subclass overriding
         # ``generator`` streams something else entirely) and every
-        # record fits the packed layout.
+        # record is packable.
         self.batchable = (
             type(self).generator is ScriptedWorkload.generator
             and packable(self.records)
@@ -259,7 +201,7 @@ class ScriptedWorkload(Workload):
     ) -> Iterator[list]:
         if not self.batchable:
             raise ValueError(
-                f"{self.name}: records do not fit the packed layout"
+                f"{self.name}: records are not packable"
             )
         records = self.records
         for start in range(0, len(records), chunk):

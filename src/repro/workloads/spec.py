@@ -158,10 +158,11 @@ class SpecWorkload(Workload):
             return self._inner.record_chunks(core_id, seed)
         return self._inner.record_chunks(core_id, seed, chunk)
 
-    def batch_stream(self, core_id: int, seed: int, chunk: int | None = None):
-        if chunk is None:
-            return self._inner.batch_stream(core_id, seed)
-        return self._inner.batch_stream(core_id, seed, chunk)
+    def emitter_state(self, core_id: int, seed: int) -> dict | None:
+        # Exact class only: a subclass may override the stream.
+        if type(self) is not SpecWorkload:
+            return None
+        return self._inner.emitter_state(core_id, seed)
 
 
 def spec_workload(name: str) -> SpecWorkload:

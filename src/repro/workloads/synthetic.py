@@ -20,12 +20,14 @@ memory operations average the profile's ``mem_fraction``.
 
 Each archetype contributes only a *line picker*
 (:meth:`_SyntheticWorkload._line_picker`); the shared emission loop
-exists in two forms with identical record streams: the generator
+exists in three forms with identical record streams: the generator
 (:meth:`_emit`, one suspension per record, for feedback-driven
-consumers) and the chunked batch producer (:meth:`record_chunks`, one
-record-list chunk per suspension, for the scheduler prefetch and —
-packed through the base class's ``batch_stream``/``emit_batch`` — for
-bulk replay).  The equivalence tests pin the streams
+consumers), the chunked batch producer (:meth:`record_chunks`, one
+record-list chunk per suspension, for the Python scheduler's
+prefetch), and the compiled run loop's C port, which
+:meth:`_SyntheticWorkload.emitter_state` hands the loop's constants,
+its ``random.Random`` state and the picker's parameters
+(PERFORMANCE.md rule 19).  The equivalence tests pin the streams
 record-for-record.
 """
 
@@ -112,8 +114,8 @@ class _SyntheticWorkload(Workload):
         # the repeats hit L1 and set the benchmark's realistic MPKI.
         self.accesses_per_line = accesses_per_line
         # Synthetic streams ignore latency feedback, so batch emission
-        # is legal whenever the dithered compute gap fits the packed
-        # record (it always does for realistic mem_fractions).
+        # is legal whenever the dithered compute gap fits
+        # REC_COMPUTE_MAX (it always does for realistic mem_fractions).
         self.batchable = int(1.0 / mem_fraction - 1.0) + 1 <= REC_COMPUTE_MAX
         if name is not None:
             self.name = name
@@ -127,8 +129,13 @@ class _SyntheticWorkload(Workload):
         (stateful; one per stream)."""
         raise NotImplementedError
 
+    def _picker_state(self, core_id: int, seed: int) -> dict:
+        """The same picker as :meth:`_line_picker`, as the C port's
+        ``cw_core`` fields (``kind`` plus its parameters)."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
-    # The two emission forms (identical record streams)
+    # The emission forms (identical record streams)
     # ------------------------------------------------------------------
 
     def generator(self, core_id: int, seed: int) -> WorkloadGenerator:
@@ -203,7 +210,7 @@ class _SyntheticWorkload(Workload):
         """
         if not self.batchable:
             raise ValueError(
-                f"{self.name}: compute gaps exceed the packed record field"
+                f"{self.name}: compute gaps exceed REC_COMPUTE_MAX"
             )
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
@@ -261,6 +268,40 @@ class _SyntheticWorkload(Workload):
                 count += 1
             yield out
 
+    def emitter_state(self, core_id: int, seed: int) -> dict | None:
+        """The :meth:`record_chunks` stream for ``(core_id, seed)`` as
+        the compiled run loop's ``cw_core`` fields: the loop constants
+        derived exactly as above, the stream's ``random.Random`` state
+        (``mt``, from ``getstate()``) and the picker's parameters.
+
+        None when the C port does not reproduce the stream: a subclass
+        (it may change the stream), or a working set of 2**32 lines or
+        more (``randrange`` would draw more than one 32-bit word).
+        """
+        if (type(self) not in NATIVE_ARCHETYPES or not self.batchable
+                or self.num_lines >> 32):
+            return None
+        gap_target = 1.0 / self.mem_fraction - 1.0
+        gap_base = int(gap_target)
+        return {
+            "mt": derive_rng(seed, self.name, core_id).getstate()[1],
+            "gap_base": gap_base,
+            "gap_frac": gap_target - gap_base,
+            "write_fraction": self.write_fraction,
+            "ifetch_limit": self.ifetch_fraction,
+            "conflict_limit": self.ifetch_fraction + self.conflict_fraction,
+            "data_base": core_data_base(core_id),
+            "code_base": core_code_base(core_id),
+            "num_lines": self.num_lines,
+            "num_shift": 32 - self.num_lines.bit_length(),
+            "code_lines": self.code_lines,
+            "conflict_lines": self.conflict_lines,
+            "conflict_base": self.num_lines + self.conflict_stride,
+            "conflict_stride": self.conflict_stride,
+            "visits_per_line": self.accesses_per_line - 1,
+            **self._picker_state(core_id, seed),
+        }
+
 
 class StreamWorkload(_SyntheticWorkload):
     """Repeated sequential sweeps over the working set."""
@@ -278,6 +319,9 @@ class StreamWorkload(_SyntheticWorkload):
 
         return next_line
 
+    def _picker_state(self, core_id: int, seed: int) -> dict:
+        return {"kind": 0, "position": -1}
+
 
 class RandomWorkload(_SyntheticWorkload):
     """Uniform random lines over the working set."""
@@ -292,6 +336,9 @@ class RandomWorkload(_SyntheticWorkload):
 
         return next_line
 
+    def _picker_state(self, core_id: int, seed: int) -> dict:
+        return {"kind": 1}
+
 
 class PointerChaseWorkload(_SyntheticWorkload):
     """Follows a random permutation cycle: each access determines the
@@ -299,7 +346,8 @@ class PointerChaseWorkload(_SyntheticWorkload):
 
     name = "pointer"
 
-    def _line_picker(self, core_id: int, seed: int) -> Callable:
+    def _chain(self, core_id: int, seed: int) -> list[int]:
+        """``chain[line]`` is the line visited after ``line``."""
         rng = derive_rng(seed, "pointer-permutation", core_id)
         # A single Hamiltonian cycle over the working set (not a plain
         # shuffled permutation, whose cycle through the start line has
@@ -311,6 +359,10 @@ class PointerChaseWorkload(_SyntheticWorkload):
         for here, there in zip(order, order[1:]):
             chain[here] = there
         chain[order[-1]] = order[0]
+        return chain
+
+    def _line_picker(self, core_id: int, seed: int) -> Callable:
+        chain = self._chain(core_id, seed)
         position = 0
 
         def next_line(_rng):
@@ -320,14 +372,22 @@ class PointerChaseWorkload(_SyntheticWorkload):
 
         return next_line
 
+    def _picker_state(self, core_id: int, seed: int) -> dict:
+        return {"kind": 2, "chain": self._chain(core_id, seed), "position": 0}
+
 
 class StencilWorkload(_SyntheticWorkload):
     """Five-point stencil sweeps over a square 2-D grid."""
 
     name = "stencil"
 
+    @property
+    def side(self) -> int:
+        """Side of the square grid the stencil sweeps."""
+        return max(2, int(self.num_lines ** 0.5))
+
     def _line_picker(self, core_id: int, seed: int) -> Callable:
-        side = max(2, int(self.num_lines ** 0.5))
+        side = self.side
         offsets = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
         state = {"i": 0, "j": 0, "k": 0}
 
@@ -345,6 +405,9 @@ class StencilWorkload(_SyntheticWorkload):
             return row * side + col
 
         return next_line
+
+    def _picker_state(self, core_id: int, seed: int) -> dict:
+        return {"kind": 3, "side": self.side}
 
 
 class HotColdWorkload(_SyntheticWorkload):
@@ -380,3 +443,22 @@ class HotColdWorkload(_SyntheticWorkload):
             return rng.randrange(num_lines)
 
         return next_line
+
+    def _picker_state(self, core_id: int, seed: int) -> dict:
+        return {
+            "kind": 4,
+            "hot_lines": self.hot_lines,
+            "hot_shift": 32 - self.hot_lines.bit_length(),
+            "hot_probability": self.hot_probability,
+        }
+
+
+#: The archetypes :meth:`_SyntheticWorkload.emitter_state` ports to C,
+#: as exact classes: a subclass may override the stream.
+NATIVE_ARCHETYPES = (
+    StreamWorkload,
+    RandomWorkload,
+    PointerChaseWorkload,
+    StencilWorkload,
+    HotColdWorkload,
+)

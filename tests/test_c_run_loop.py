@@ -1,0 +1,251 @@
+"""The C-resident run loop (PERFORMANCE.md rule 19) against its Python
+references.
+
+* the C emitter reproduces each synthetic archetype's
+  ``record_chunks`` stream record for record (Hypothesis over sizes,
+  fractions and seeds);
+* under the ``c`` engine, ``run_workloads(batch=True)`` — which takes
+  the C loop — equals ``batch=False`` — the generator path and the
+  Python loop — field for field, including monitor callbacks, captured
+  lines and prefetch events interleaving with the cores;
+* the C loop is taken exactly when it should be: a fig8 cell never
+  steps a Python core, while the python engine, a detection unit, a
+  scripted core and a plru LLC each keep the Python loop.
+"""
+
+from dataclasses import replace
+from itertools import chain, islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.pipomonitor import PiPoMonitor
+from repro.cpu.core import Core
+from repro.cpu.multicore import MulticoreSystem
+from repro.cpu.system import build_system, run_workloads
+from repro.detection import DetectionSpec
+from repro.engine import available_engines, c_cache
+from repro.experiments import fig8_performance
+from repro.experiments.common import scaled_mix_workloads, scaled_system_config
+from repro.utils.events import EventQueue
+from repro.workloads.base import ScriptedWorkload
+from repro.workloads.spec import spec_workload
+from repro.workloads.synthetic import (
+    HotColdWorkload,
+    PointerChaseWorkload,
+    RandomWorkload,
+    StencilWorkload,
+    StreamWorkload,
+)
+
+
+@pytest.fixture
+def c_engine(monkeypatch):
+    if "c" not in available_engines():
+        pytest.skip("C backend unavailable (no cffi/toolchain)")
+    monkeypatch.setenv("REPRO_ENGINE", "c")
+
+
+def _refuse(self, *args):
+    raise AssertionError("the Python loop stepped a core")
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    calls = [0]
+    step = Core.step
+
+    def counted(self, budget):
+        calls[0] += 1
+        return step(self, budget)
+
+    monkeypatch.setattr(Core, "step", counted)
+    return calls
+
+
+# ----------------------------------------------------------------------
+# The emitter
+# ----------------------------------------------------------------------
+
+_common = st.fixed_dictionaries({
+    "working_set_bytes": st.integers(64, 64 * 4096),
+    "mem_fraction": st.floats(0.01, 1.0),
+    "write_fraction": st.floats(0.0, 1.0),
+    "ifetch_fraction": st.floats(0.0, 0.5),
+    "code_bytes": st.integers(64, 64 * 1024),
+    "conflict_lines": st.integers(0, 24),
+    "conflict_fraction": st.floats(0.0, 0.5),
+    "conflict_stride_bytes": st.integers(1, 4096).map(lambda n: n * 64),
+    "accesses_per_line": st.integers(1, 8),
+})
+
+
+@st.composite
+def _workloads(draw, cls):
+    kwargs = draw(_common)
+    if cls is HotColdWorkload:
+        kwargs["hot_bytes"] = draw(st.integers(64, kwargs["working_set_bytes"]))
+        kwargs["hot_probability"] = draw(st.floats(0.01, 0.99))
+    return cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls", [
+    StreamWorkload, RandomWorkload, PointerChaseWorkload, StencilWorkload,
+    HotColdWorkload,
+], ids=lambda cls: cls.name)
+def test_c_emitter_matches_record_chunks(c_engine, cls):
+    @settings(max_examples=40, deadline=None)
+    @given(workload=_workloads(cls), core_id=st.integers(0, 15),
+           seed=st.integers(0, 2**64 - 1))
+    def check(workload, core_id, seed):
+        n = 1500
+        expected = list(islice(
+            chain.from_iterable(workload.record_chunks(core_id, seed, chunk=257)), n
+        ))
+        assert c_cache.emit_records(workload, core_id, seed, n) == expected
+
+    check()
+
+
+def test_emitter_refuses_streams_it_does_not_port():
+    class Subclassed(StreamWorkload):
+        pass
+
+    assert Subclassed(64 * 1024).emitter_state(0, 0) is None
+    assert ScriptedWorkload([(0, 0, 64)]).emitter_state(0, 0) is None
+    assert RandomWorkload(64 << 32).emitter_state(0, 0) is None
+    assert spec_workload("sjeng").emitter_state(0, 0)["kind"] == 1
+
+
+# ----------------------------------------------------------------------
+# The loop: C (batch=True) vs Python (batch=False)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("budget", [1, 9_999])
+@pytest.mark.parametrize("monitor", [False, True], ids=["off", "pipo"])
+@pytest.mark.parametrize("mix", ["mix1", "mix4", "mix9"])
+def test_c_loop_equals_python_loop(c_engine, monkeypatch, mix, monitor, budget):
+    config = scaled_system_config(False, monitor_enabled=monitor)
+
+    def run(batch):
+        return run_workloads(
+            config, scaled_mix_workloads(mix, False), budget, seed=7, batch=batch
+        )
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Core, "step", _refuse)
+        native = run(True)
+    reference = run(False)
+    assert native == reference
+    assert native.extra == reference.extra
+
+
+@pytest.mark.parametrize("budget", [30_001, 4_447])
+def test_callbacks_and_events_interleave(c_engine, monkeypatch, budget):
+    # secThr 1 and a 3-cycle prefetch delay: captures (tracked, so each
+    # one calls back), pEvicts and prefetch events land between steps.
+    base = scaled_system_config(False)
+    config = replace(
+        base, prefetch_delay=3,
+        filter=replace(base.filter, security_threshold=1),
+    )
+
+    def run(batch):
+        system, monitor = build_system(
+            config, scaled_mix_workloads("mix1", False), seed=5,
+            track_captured_lines=True, batch=batch,
+        )
+        return system.run(budget), monitor.captured_lines
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Core, "step", _refuse)
+        native, native_lines = run(True)
+    reference, reference_lines = run(False)
+    assert native == reference
+    assert native_lines == reference_lines
+    if budget > 10_000:
+        assert reference.monitor_stats.prefetches_issued > 10
+
+
+def test_callback_error_surfaces_from_the_c_loop(c_engine, monkeypatch):
+    base = scaled_system_config(False)
+    config = replace(base, filter=replace(base.filter, security_threshold=1))
+
+    def explode(self, victim, now):
+        raise RuntimeError("monitor failed")
+
+    monkeypatch.setattr(PiPoMonitor, "on_llc_eviction", explode)
+    monkeypatch.setattr(Core, "step", _refuse)
+    system, _ = build_system(config, scaled_mix_workloads("mix1", False), seed=5)
+    with pytest.raises(RuntimeError, match="monitor failed"):
+        system.run(30_001)
+    assert 0 < sum(core.memory_ops for core in system.cores)
+
+
+# ----------------------------------------------------------------------
+# Which systems take the C loop
+# ----------------------------------------------------------------------
+
+def test_fig8_cell_never_steps_a_python_core(c_engine, monkeypatch):
+    monkeypatch.setattr(Core, "step", _refuse)
+    monkeypatch.setattr(Core, "advance", _refuse)
+    result = fig8_performance.run(
+        seed=2, mixes=["mix1"], filter_sizes=((1024, 8),),
+        instructions=5_000, jobs=1,
+    )
+    assert result.data["normalized"]
+
+
+def _detected_run(batch: bool):
+    """A monitored mix1 system with a detection unit deployed, bound
+    like ``build_system`` binds it (batch cores carry their source)."""
+    config = scaled_system_config(False)
+    spec = DetectionSpec()
+    events = EventQueue()
+    hierarchy = config.build_hierarchy(seed=3)
+    monitor = PiPoMonitor(config.filter.build(seed=4), events)
+    monitor.attach(hierarchy)
+    bus = spec.attach_bus(monitor)
+    cores = []
+    for core_id, workload in enumerate(scaled_mix_workloads("mix1", False)):
+        if batch:
+            cores.append(Core(core_id, None, hierarchy,
+                              batches=workload.record_chunks(core_id, 9),
+                              source=(workload, 9)))
+        else:
+            cores.append(Core(core_id, workload.generator(core_id, 9), hierarchy))
+    unit = spec.deploy(bus, events, hierarchy, cores)
+    return MulticoreSystem(hierarchy, cores, events, detection=unit).run(20_000)
+
+
+def _mix_run(engine="c", scripted=False, llc_policy=None):
+    def run(batch):
+        config = scaled_system_config(False)
+        if llc_policy is not None:
+            config = replace(config, llc_policy=llc_policy)
+        workloads = scaled_mix_workloads("mix1", False)
+        if scripted:
+            workloads[0] = ScriptedWorkload(
+                [(3, 0, 64 * i) for i in range(50)] * 40, name="scripted"
+            )
+        return run_workloads(config, workloads, 20_000, seed=3, batch=batch)
+
+    return engine, run
+
+
+@pytest.mark.parametrize("case", [
+    _mix_run(engine="python"),
+    ("c", _detected_run),
+    _mix_run(scripted=True),
+    _mix_run(llc_policy="plru"),
+], ids=["python-engine", "detection-unit", "scripted-core", "plru-llc"])
+def test_other_systems_keep_the_python_loop(monkeypatch, case):
+    engine, run = case
+    if engine not in available_engines():
+        pytest.skip("C backend unavailable (no cffi/toolchain)")
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    with monkeypatch.context() as patched:
+        steps = _count_steps(patched)
+        batched = run(True)
+    assert steps[0] > 0
+    assert batched == run(False)

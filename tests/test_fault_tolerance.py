@@ -326,6 +326,24 @@ def test_checkpoint_streams_during_run_and_survives_partial_line(tmp_path):
     assert _shard_lines(tmp_path) == len(CELLS)
 
 
+def test_resume_appends_after_a_cut_off_line(tmp_path):
+    # A kill mid-append leaves a fragment with no newline; the next
+    # record must not be glued onto it, or every later resume would
+    # compute that cell again.
+    first = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell)
+    first.record(0, 1, SERIAL[0])
+    first.close()
+    with first.path.open("a") as fh:
+        fh.write('{"a": 1, "i": 1, "p": "gASV')
+    resumed = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell, resume=True)
+    assert resumed.loaded == {0: SERIAL[0]}
+    resumed.record(1, 1, SERIAL[1])
+    resumed.close()
+    again = GridCheckpoint(tmp_path, "grid", CELLS, _mix_cell, resume=True)
+    assert again.loaded == {0: SERIAL[0], 1: SERIAL[1]}
+    again.close()
+
+
 def test_checkpoint_digest_keys_the_grid(tmp_path):
     base = grid_digest("grid", _mix_cell, "c", CELLS)
     assert grid_digest("grid", _mix_cell, "c", CELLS) == base

@@ -6,8 +6,8 @@ Two contracts of the array-native engine are pinned here:
   field at its boundaries, with full-width tags (the dict key) never
   colliding with any field;
 * every workload class emits the *identical* record stream through its
-  generator, its chunked batch producer, and the packed
-  ``emit_batch``/``batch_stream`` forms — and the filter's batched
+  generator, its chunked batch producer and (for the synthetic
+  archetypes) the C run loop's emitter — and the filter's batched
   entry point leaves identical table state.
 """
 
@@ -26,13 +26,9 @@ from repro.cache.line import (
     unpack_line,
 )
 from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
+from repro.engine import available_engines, c_cache
 from repro.filters.auto_cuckoo import AutoCuckooFilter
-from repro.workloads.base import (
-    REC_COMPUTE_MAX,
-    ScriptedWorkload,
-    pack_record,
-    unpack_record,
-)
+from repro.workloads.base import REC_COMPUTE_MAX, ScriptedWorkload
 from repro.workloads.spec import spec_workload
 from repro.workloads.synthetic import (
     HotColdWorkload,
@@ -166,12 +162,13 @@ class TestBatchEmissionEquivalence:
         assert streamed[:n] == expected
 
     @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
-    def test_emit_batch_packs_the_same_stream(self, workload):
+    def test_c_emitter_matches_generator(self, workload):
+        # The C run loop's emitter (PERFORMANCE.md rule 19), SpecWorkload
+        # wrappers included, against the generator.
+        if "c" not in available_engines():
+            pytest.skip("C backend unavailable (no cffi/toolchain)")
         n = 1500
-        expected = _first_records(workload, n)
-        batch = workload.emit_batch(1, 99, n)
-        assert batch.typecode == "q"
-        assert [unpack_record(r) for r in batch] == expected
+        assert c_cache.emit_records(workload, 1, 99, n) == _first_records(workload, n)
 
     def test_scripted_workload_batches(self):
         records = [(2, OP_READ, 0x1000), (0, None, 0), (5, OP_WRITE, 0x2040),
@@ -181,8 +178,6 @@ class TestBatchEmissionEquivalence:
         assert list(
             itertools.chain.from_iterable(workload.record_chunks(0, 0, chunk=7))
         ) == records * 10
-        batch = workload.emit_batch(0, 0, 13)
-        assert [unpack_record(r) for r in batch] == (records * 10)[:13]
 
     def test_scripted_unpackable_records_disable_batching(self):
         # Unaligned address
@@ -191,22 +186,11 @@ class TestBatchEmissionEquivalence:
         assert not ScriptedWorkload(
             [(REC_COMPUTE_MAX + 1, OP_READ, 0x40)]
         ).batchable
-        # Pure-compute record carrying an address: the packed form
-        # stores no address for op=None, so trace capture would lose it
+        # Pure-compute record carrying an address: batch paths carry
+        # no address for op=None, so trace capture would lose it
         assert not ScriptedWorkload([(1, None, 4096)]).batchable
         with pytest.raises(ValueError):
             next(ScriptedWorkload([(1, OP_READ, 0x1001)]).record_chunks(0, 0))
-
-    def test_pack_record_round_trip_boundaries(self):
-        for record in (
-            (0, None, 0),
-            (REC_COMPUTE_MAX, OP_READ, 0),
-            (3, OP_IFETCH, (1 << 44) * 64),
-            (7, OP_WRITE, 5 << 40),
-        ):
-            assert unpack_record(pack_record(*record)) == (
-                record if record[1] is not None else (record[0], None, 0)
-            )
 
     def test_non_batchable_workload_refuses(self):
         class Feedback(StreamWorkload):

@@ -130,8 +130,9 @@ class TestAccessManyEquivalence:
 class TestBatchPrefetchEquivalence:
     """The chunked per-core batch prefetch must be semantically
     invisible: identical SimulationResult whether cores consume their
-    workload through the generator protocol or through record chunks,
-    with or without a monitor on the path."""
+    workload through the generator protocol or through record chunks
+    (under ``c``, the C-resident run loop), with or without a monitor
+    on the path."""
 
     def _run(self, batch, monitor_enabled, seed=11):
         config = scaled_system_config(False, monitor_enabled=monitor_enabled)
