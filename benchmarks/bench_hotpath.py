@@ -476,6 +476,15 @@ def test_campaign_throughput(benchmark):
     return result
 
 
+def test_campaign_throughput_generator_loop(benchmark, monkeypatch):
+    """:func:`test_campaign_throughput` on the generator path
+    (``REPRO_BATCH=0``): every tenant on the Python scheduler loop with
+    per-op kernel calls, recorded beside the batched sweep whose benign
+    tenants take the C-resident run loop."""
+    monkeypatch.setenv("REPRO_BATCH", "0")
+    return test_campaign_throughput(benchmark)
+
+
 def test_fig10_detection_cell(benchmark):
     """One end-to-end fig10 cell: Flush+Reload under PiPoMonitor with
     the alarm bus, rate detector, and throttle response all online —

@@ -64,6 +64,7 @@ CELL_GROUPS = {
         "test_fig8_single_cell",
         "test_fig8_single_cell_generator_loop",
         "test_campaign_throughput",
+        "test_campaign_throughput_generator_loop",
         "test_fig10_detection_cell",
     ),
     "telemetry": (

@@ -21,8 +21,9 @@ from repro.attacks.victim import SquareMultiplyVictim, random_key
 from repro.cache.hierarchy import OP_READ
 from repro.core.config import SystemConfig, TABLE_II
 from repro.core.pipomonitor import PiPoMonitor
-from repro.cpu.core import Core, WorkloadGenerator
+from repro.cpu.core import WorkloadGenerator
 from repro.cpu.multicore import MulticoreSystem
+from repro.cpu.system import bind_cores
 from repro.utils.events import EventQueue
 from repro.utils.rng import derive_seed
 from repro.workloads.base import ScriptedWorkload, Workload, core_data_base
@@ -193,11 +194,7 @@ def run_prime_probe_attack(
     workloads: list[Workload] = [attacker, victim]
     while len(workloads) < system_config.num_cores:
         workloads.append(ScriptedWorkload([(0, None, 0)], name="idle"))
-    cores = [
-        Core(core_id, wl.generator(core_id, derive_seed(seed, "attack", core_id)),
-             hierarchy)
-        for core_id, wl in enumerate(workloads)
-    ]
+    cores = bind_cores(hierarchy, workloads, seed, "attack")
     unit = None
     if detection is not None:
         unit = detection.deploy(bus, events, hierarchy, cores)

@@ -30,7 +30,7 @@ golden-equivalence tests) — prefetching only moves *production* of
 future records earlier, which is legal precisely because these
 workloads cannot react to simulation state.
 
-A batch core built by :func:`repro.cpu.system.build_system` also
+A batch core bound by :func:`repro.cpu.system.bind_cores` also
 records its ``source`` — the workload and seed its chunks come from —
 so :meth:`repro.cpu.multicore.MulticoreSystem.run` can hand a fresh
 core's whole stream to the compiled run loop instead
@@ -65,6 +65,7 @@ class Core:
         "_chunk_len",
         "_chunk_pos",
         "_throttle_base",
+        "penalty",
         "_l1d",
         "_l1_latency",
         "_line_bits",
@@ -131,29 +132,44 @@ class Core:
         # of adding a per-op check, so unthrottled cores — the only
         # state outside an active OS response — pay zero.
         self._throttle_base = None
+        #: Active throttle penalty in cycles (0 = unthrottled); the
+        #: compiled run loop reads it before every re-entry.
+        self.penalty = 0
 
     # ------------------------------------------------------------------
     # OS response hook: throttling
     # ------------------------------------------------------------------
 
     def throttle(self, penalty: int) -> None:
-        """Add ``penalty`` cycles to every operation served through
-        the access kernel (anything past the inline L1 read hit — the
-        probes, flushes, and misses an attack consists of).
+        """Add ``penalty`` cycles to every operation past the L1 read
+        hit (the probes, flushes, and misses an attack consists of).
+
+        A read that comes back at exactly the L1 latency is that hit
+        and pays nothing; a read that misses L1 costs at least the L1
+        plus L2 latency.  The rule matters wherever the access kernel
+        serves an L1 read hit itself, as the C walk always does; under
+        the ``python`` engine :meth:`step` serves most of them inline,
+        before the wrapper.
 
         Re-throttling replaces the previous wrapper (penalties do not
         stack).  Implemented by wrapping the engine access binding, so
         it composes with every engine and never touches the shared
-        hierarchy state.
+        hierarchy state; the compiled run loop applies ``penalty``
+        with the same rule.
         """
         if penalty < 1:
             raise ValueError("penalty must be >= 1")
         if self._throttle_base is None:
             self._throttle_base = self._access
         base = self._throttle_base
+        self.penalty = penalty
 
-        def throttled(core, op, addr, now=0, _base=base, _penalty=penalty):
-            return _base(core, op, addr, now) + _penalty
+        def throttled(core, op, addr, now=0, _base=base, _penalty=penalty,
+                      _l1=self._l1_latency):
+            latency = _base(core, op, addr, now)
+            if op == 0 and latency == _l1:
+                return latency
+            return latency + _penalty
 
         self._access = throttled
 
@@ -163,6 +179,7 @@ class Core:
         if self._throttle_base is not None:
             self._access = self._throttle_base
             self._throttle_base = None
+            self.penalty = 0
 
     @property
     def throttled(self) -> bool:
@@ -171,8 +188,8 @@ class Core:
     def native_source(self) -> tuple[Workload, int] | None:
         """``(workload, seed)`` when this core's whole run may move into
         the compiled run loop: a batch core with a known source that
-        has not consumed a record, retired an instruction or finished,
-        and is not throttled.  None otherwise."""
+        has not consumed a record, retired an instruction or finished.
+        None otherwise."""
         if (
             self.source is None
             or self._chunk is not None
@@ -180,7 +197,6 @@ class Core:
             or self.instructions
             or self.memory_ops
             or self.finished
-            or self._throttle_base is not None
         ):
             return None
         return self.source

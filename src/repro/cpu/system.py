@@ -5,13 +5,15 @@ experiments (Fig. 8, secThr sensitivity) are built on: it constructs the
 Table II hierarchy, optionally deploys PiPoMonitor, binds one workload
 per core, and runs to an instruction budget.
 
+Both assembly helpers bind their cores through :func:`bind_cores`.
 Cores whose workload declares ``batchable`` (synthetic/SPEC streams,
 packable traces — anything that ignores latency feedback) are bound
 through the chunked batch prefetch (:class:`repro.cpu.core.Core`'s
 ``batches`` mode) instead of a per-record generator, together with the
-workload and seed the chunks come from.  Under the C cache walk,
-``MulticoreSystem.run`` uses that source to run a system of synthetic
-streams entirely in C (PERFORMANCE.md rule 19).  The record streams
+workload and seed the chunks come from; timing-sensitive attackers
+stay generator cores.  Under the C cache walk, ``MulticoreSystem.run``
+uses that source to run a system of synthetic streams entirely in C,
+detection unit included (PERFORMANCE.md rule 19).  The record streams
 are identical every way, so results are bit-identical —
 ``REPRO_BATCH=0`` (or ``batch=False``) forces the generator path and
 the Python loop, which the golden-equivalence tests compare against.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import os
 
 from repro.baselines.registry import build_defence
+from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import SystemConfig
 from repro.engine import engine_provenance
 from repro.core.pipomonitor import PiPoMonitor
@@ -48,6 +51,46 @@ def batch_enabled(batch: bool | None = None) -> bool:
     if batch is not None:
         return batch
     return os.environ.get("REPRO_BATCH", "") != "0"
+
+
+def bind_cores(
+    hierarchy: CacheHierarchy,
+    workloads: list[Workload],
+    seed: int,
+    seed_label: str = "workload",
+    batch: bool | None = None,
+) -> list[Core]:
+    """One core per workload, core ``i`` seeded with
+    ``derive_seed(seed, seed_label, i)``.
+
+    A batchable workload becomes a batch core that records its
+    ``(workload, seed)`` source (so the run may move into C); any
+    other workload, and every workload when batching is off
+    (:func:`batch_enabled`), becomes a generator core.
+    """
+    use_batches = batch_enabled(batch)
+    cores = []
+    for core_id, workload in enumerate(workloads):
+        workload_seed = derive_seed(seed, seed_label, core_id)
+        if use_batches and workload.batchable:
+            cores.append(
+                Core(
+                    core_id,
+                    None,
+                    hierarchy,
+                    batches=workload.record_chunks(core_id, workload_seed),
+                    source=(workload, workload_seed),
+                )
+            )
+        else:
+            cores.append(
+                Core(
+                    core_id,
+                    workload.generator(core_id, workload_seed),
+                    hierarchy,
+                )
+            )
+    return cores
 
 
 def build_system(
@@ -80,28 +123,7 @@ def build_system(
             track_captured_lines=track_captured_lines,
         )
         monitor.attach(hierarchy)
-    use_batches = batch_enabled(batch)
-    cores = []
-    for core_id, workload in enumerate(workloads):
-        workload_seed = derive_seed(seed, "workload", core_id)
-        if use_batches and workload.batchable:
-            cores.append(
-                Core(
-                    core_id,
-                    None,
-                    hierarchy,
-                    batches=workload.record_chunks(core_id, workload_seed),
-                    source=(workload, workload_seed),
-                )
-            )
-        else:
-            cores.append(
-                Core(
-                    core_id,
-                    workload.generator(core_id, workload_seed),
-                    hierarchy,
-                )
-            )
+    cores = bind_cores(hierarchy, workloads, seed, batch=batch)
     return MulticoreSystem(hierarchy, cores, events), monitor
 
 
@@ -143,9 +165,11 @@ def run_defended_workloads(
     PiPoMonitor), ``pad_idle`` fills the remaining cores with idle
     workloads, and ``seed_label`` is the per-core seed-derivation
     namespace (kept caller-chosen so existing streams stay
-    bit-identical).  Cores consume generators directly — timing-
-    sensitive attackers cannot batch, and the fixed generator path
-    keeps conformance fixtures independent of ``REPRO_BATCH``.
+    bit-identical).  Cores are bound by :func:`bind_cores`:
+    timing-sensitive attackers stay generator cores, and a system of
+    batchable synthetic streams (a benign tenant) takes the C run loop
+    with its detection unit online.  ``REPRO_BATCH=0`` forces
+    generator cores and the Python loop, with identical results.
 
     ``detection`` (a :class:`repro.detection.DetectionSpec`) deploys
     the online detection-and-response subsystem: the defence's alarm
@@ -183,11 +207,7 @@ def run_defended_workloads(
                     "(defence='none' has no monitor on the hierarchy)"
                 )
             bus = detection.attach_bus(monitor)
-        cores = [
-            Core(core_id, wl.generator(core_id, derive_seed(seed, seed_label, core_id)),
-                 hierarchy)
-            for core_id, wl in enumerate(workloads)
-        ]
+        cores = bind_cores(hierarchy, workloads, seed, seed_label)
         unit = None
         if detection is not None:
             unit = detection.deploy(bus, events, hierarchy, cores)

@@ -113,9 +113,10 @@ class FlushSuspectPolicy(LogPolicy):
 class ThrottleCorePolicy(LogPolicy):
     """Penalise the accused core's memory operations for a while.
 
-    The penalty applies to every operation the core sends through its
-    access kernel (anything past an L1 read hit — exactly the probes,
-    flushes, and misses an attack is made of).  Repeat verdicts extend
+    The penalty applies to every memory operation of the core except
+    an L1 read hit (exactly the probes, flushes, and misses an attack
+    is made of), under either engine and either scheduler loop
+    (:meth:`repro.cpu.core.Core.throttle`).  Repeat verdicts extend
     the throttle window.  Verdicts that accuse no core (``core == -1``,
     e.g. against a Flush+Flush attacker who never holds the line) are
     counted but unanswered — the stealthy-attacker limitation the

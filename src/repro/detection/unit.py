@@ -110,10 +110,10 @@ class DetectionUnit:
     def throttle_core(self, core_id: int, penalty: int, until: int) -> None:
         """(Re)arm the throttle on one core until ``until``.
 
-        The wrapper adds ``penalty`` cycles to every operation served
-        through the core's access kernel; an expiry event restores the
-        original binding (re-verdicts extend the window — the latest
-        expiry wins).
+        The core adds ``penalty`` cycles to every operation but an L1
+        read hit (:meth:`repro.cpu.core.Core.throttle`); an expiry
+        event restores the original binding (re-verdicts extend the
+        window — the latest expiry wins).
         """
         core = self.cores[core_id]
         already = core_id in self._throttle_expiry

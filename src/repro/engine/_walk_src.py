@@ -166,6 +166,7 @@ typedef struct {
     int64_t time;
     int64_t instructions;
     int64_t memory_ops;
+    int64_t penalty;
     uint64_t pending_addr;
     int pending_op;
     int finished;
@@ -1266,6 +1267,7 @@ typedef struct {
     int64_t time;
     int64_t instructions;
     int64_t memory_ops;
+    int64_t penalty;          /* Core.penalty, refreshed before every entry */
     uint64_t pending_addr;
     int pending_op;
     int finished;
@@ -1429,6 +1431,9 @@ int cw_schedule(cw_hier *h, cw_sched *s)
         lat = cw_access(h, cid, c->pending_op, c->pending_addr, c->time);
         if (lat < 0)
             return CW_SCHED_ERROR;
+        /* Core.throttle: every op but the L1 read hit pays. */
+        if (c->penalty && !(c->pending_op == 0 && lat == h->l1_lat))
+            lat += c->penalty;
         c->time += lat;
         c->instructions++;
         c->memory_ops++;

@@ -49,9 +49,9 @@ policies go through the event queue — pinned by the conformance
 suite), so they never re-enter the walk synchronously.
 
 :meth:`CWalkState.run_cores` runs a whole ``MulticoreSystem.run`` of
-synthetic streams inside the walk (PERFORMANCE.md rule 19); the event
-queue stays in Python, which is why the C loop comes back after every
-step that made a callback.
+synthetic streams inside the walk (PERFORMANCE.md rule 19), detection
+unit or not; the event queue stays in Python, which is why the C loop
+comes back after every step that made a callback.
 """
 
 from __future__ import annotations
@@ -512,7 +512,9 @@ class CWalkState:
         queue: C comes back when an event is due at the next core's
         time (run here with ``run_until``, as the Python loop does) and
         after a step that made a monitor callback (it may have
-        scheduled one).
+        scheduled one).  Each core's throttle penalty
+        (``Core.penalty``) is copied in before every entry, since an
+        event is the only thing that changes it.
 
         Returns each core's completion time, with ``time``,
         ``instructions`` and ``memory_ops`` written back to the cores.
@@ -543,6 +545,10 @@ class CWalkState:
         st = self.st
         try:
             while True:
+                # An event (a throttle response) may have changed a
+                # core's penalty since the last entry.
+                for core, c in zip(cores, carr):
+                    c.penalty = core.penalty
                 due = events.next_time()
                 sched.event_at = _I64_MAX if due is None else due
                 rc = schedule(st, sched)

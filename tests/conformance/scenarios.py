@@ -116,9 +116,10 @@ def benign(defence: str):
     """One Table III mix at tier-1 scale under each defence — the
     engine-level scenario the performance experiments are made of.
 
-    Built on the explicit generator path so the fixture is independent
-    of the ``REPRO_BATCH`` toggle (batch equivalence has its own
-    golden tests in ``tests/test_packed_and_batching.py``).
+    The mix's cores are batch cores, so under the ``c`` engine the run
+    takes the C-resident loop; ``REPRO_BATCH=0`` binds generator cores
+    and the Python loop instead, and the fixture is the same either
+    way (CI replays every fixture under both).
     """
     config = scaled_system_config(False, monitor_enabled=False)
     workloads = scaled_mix_workloads("mix1", False)

@@ -9,8 +9,14 @@ references.
   Python loop — field for field, including monitor callbacks, captured
   lines and prefetch events interleaving with the cores;
 * the C loop is taken exactly when it should be: a fig8 cell never
-  steps a Python core, while the python engine, a detection unit, a
-  scripted core and a plru LLC each keep the Python loop.
+  steps a Python core, while the python engine, a scripted core and a
+  plru LLC each keep the Python loop;
+* a defended system (``run_defended_workloads`` with a detection unit
+  online) takes the C loop and equals its ``REPRO_BATCH=0`` run —
+  generator cores, the Python loop — field for field, the detection
+  report included, under every response policy and alarm-publishing
+  defence; a throttle response costs the same under both engines and
+  both loops.
 """
 
 from dataclasses import replace
@@ -23,8 +29,9 @@ from hypothesis import strategies as st
 from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import Core
 from repro.cpu.multicore import MulticoreSystem
-from repro.cpu.system import build_system, run_workloads
+from repro.cpu.system import build_system, run_defended_workloads, run_workloads
 from repro.detection import DetectionSpec
+from repro.detection.responses import RESPONSES
 from repro.engine import available_engines, c_cache
 from repro.experiments import fig8_performance
 from repro.experiments.common import scaled_mix_workloads, scaled_system_config
@@ -196,9 +203,45 @@ def test_fig8_cell_never_steps_a_python_core(c_engine, monkeypatch):
     assert result.data["normalized"]
 
 
+def _mix_run(engine="c", scripted=False, llc_policy=None):
+    def run(batch):
+        config = scaled_system_config(False)
+        if llc_policy is not None:
+            config = replace(config, llc_policy=llc_policy)
+        workloads = scaled_mix_workloads("mix1", False)
+        if scripted:
+            workloads[0] = ScriptedWorkload(
+                [(3, 0, 64 * i) for i in range(50)] * 40, name="scripted"
+            )
+        return run_workloads(config, workloads, 20_000, seed=3, batch=batch)
+
+    return engine, run
+
+
+@pytest.mark.parametrize("case", [
+    _mix_run(engine="python"),
+    _mix_run(scripted=True),
+    _mix_run(llc_policy="plru"),
+], ids=["python-engine", "scripted-core", "plru-llc"])
+def test_other_systems_keep_the_python_loop(monkeypatch, case):
+    engine, run = case
+    if engine not in available_engines():
+        pytest.skip("C backend unavailable (no cffi/toolchain)")
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    with monkeypatch.context() as patched:
+        steps = _count_steps(patched)
+        batched = run(True)
+    assert steps[0] > 0
+    assert batched == run(False)
+
+
+# ----------------------------------------------------------------------
+# Defended systems: a detection unit online
+# ----------------------------------------------------------------------
+
 def _detected_run(batch: bool):
     """A monitored mix1 system with a detection unit deployed, bound
-    like ``build_system`` binds it (batch cores carry their source)."""
+    like ``bind_cores`` binds it (batch cores carry their source)."""
     config = scaled_system_config(False)
     spec = DetectionSpec()
     events = EventQueue()
@@ -218,34 +261,62 @@ def _detected_run(batch: bool):
     return MulticoreSystem(hierarchy, cores, events, detection=unit).run(20_000)
 
 
-def _mix_run(engine="c", scripted=False, llc_policy=None):
+def _defended_run(defence: str, response: str):
+    """A benign mix1 tenant under ``defence`` with a rate detector that
+    fires (12 verdicts and one throttle window under ``pipo``)."""
     def run(batch):
-        config = scaled_system_config(False)
-        if llc_policy is not None:
-            config = replace(config, llc_policy=llc_policy)
-        workloads = scaled_mix_workloads("mix1", False)
-        if scripted:
-            workloads[0] = ScriptedWorkload(
-                [(3, 0, 64 * i) for i in range(50)] * 40, name="scripted"
+        config = scaled_system_config(
+            False, security_threshold=2, monitor_enabled=False
+        )
+        spec = DetectionSpec(
+            detectors=(("rate", {"threshold": 2, "window": 24_000}),),
+            response=response,
+        )
+        with pytest.MonkeyPatch.context() as env:
+            env.setenv("REPRO_BATCH", "1" if batch else "0")
+            simulation, _, _ = run_defended_workloads(
+                config, scaled_mix_workloads("mix1", False), defence,
+                seed=7, instructions_per_core=60_000, detection=spec,
             )
-        return run_workloads(config, workloads, 20_000, seed=3, batch=batch)
+        assert simulation.extra["detection"]["verdicts"] > 0
+        return simulation
 
-    return engine, run
+    return run
 
 
-@pytest.mark.parametrize("case", [
-    _mix_run(engine="python"),
-    ("c", _detected_run),
-    _mix_run(scripted=True),
-    _mix_run(llc_policy="plru"),
-], ids=["python-engine", "detection-unit", "scripted-core", "plru-llc"])
-def test_other_systems_keep_the_python_loop(monkeypatch, case):
-    engine, run = case
-    if engine not in available_engines():
-        pytest.skip("C backend unavailable (no cffi/toolchain)")
-    monkeypatch.setenv("REPRO_ENGINE", engine)
+_DEFENDED = {
+    f"{defence}-{response}": _defended_run(defence, response)
+    for defence in ("pipo", "bitp", "table") for response in RESPONSES
+}
+_DEFENDED["detection-unit"] = _detected_run
+
+
+@pytest.mark.parametrize("case", list(_DEFENDED))
+def test_defended_c_loop_equals_generator_loop(c_engine, monkeypatch, case):
+    run = _DEFENDED[case]
     with monkeypatch.context() as patched:
-        steps = _count_steps(patched)
-        batched = run(True)
-    assert steps[0] > 0
-    assert batched == run(False)
+        patched.setattr(Core, "step", _refuse)
+        patched.setattr(Core, "advance", _refuse)
+        native = run(True)
+    reference = run(False)
+    assert native == reference
+    assert native.extra["detection"] == reference.extra["detection"]
+
+
+def test_throttle_costs_the_same_under_both_engines(monkeypatch):
+    """A throttled core pays its penalty on every op but the L1 read
+    hit, whichever engine serves the op and whichever loop runs it."""
+    def run(engine, batch):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        system, _ = build_system(
+            scaled_system_config(False), scaled_mix_workloads("mix3", False),
+            seed=1, batch=batch,
+        )
+        system.events.schedule(100, lambda: system.cores[0].throttle(300))
+        return system.run(20_000)
+
+    reference = run("python", False)
+    assert reference.core_times[0] == 715_035
+    for engine in available_engines():
+        for batch in (True, False):
+            assert run(engine, batch) == reference, (engine, batch)

@@ -317,22 +317,30 @@ def test_throttle_wraps_and_restores_core_access():
     from repro.cpu.system import build_system
     from repro.workloads.base import ScriptedWorkload
 
-    system, _ = build_system(
-        TABLE_II,
-        [ScriptedWorkload([(0, 0, 64)], name="w")
-         for _ in range(TABLE_II.num_cores)],
-    )
-    core = system.cores[0]
+    def core0():
+        system, _ = build_system(
+            TABLE_II,
+            [ScriptedWorkload([(0, 0, 64)], name="w")
+             for _ in range(TABLE_II.num_cores)],
+        )
+        return system.cores[0]
+
+    # Twin systems, one throttled: the same ops cost the same plus the
+    # penalty on everything but the L1 read hit.
+    plain, core = core0(), core0()
     base = core._access
-    latency = base(0, 0, 0x4000, 0)
     core.throttle(250)
-    assert core.throttled
-    assert core._access(0, 0, 0x4000, 0) == base(0, 0, 0x4000, 0) + 250
+    assert core.throttled and core.penalty == 250
+    miss = plain._access(0, 0, 0x4000, 0)
+    assert core._access(0, 0, 0x4000, 0) == miss + 250
+    hit = plain._access(0, 0, 0x4000, 0)
+    assert hit == TABLE_II.l1.latency < miss
+    assert core._access(0, 0, 0x4000, 0) == hit
     core.throttle(100)  # re-throttle replaces, never stacks
-    assert core._access(0, 0, 0x4000, 0) == base(0, 0, 0x4000, 0) + 100
+    assert core._access(0, 0, 0x8000, 0) == plain._access(0, 0, 0x8000, 0) + 100
+    assert core._access(0, 1, 0x4000, 0) == plain._access(0, 1, 0x4000, 0) + 100
     core.unthrottle()
-    assert not core.throttled and core._access is base
-    assert latency > 0
+    assert not core.throttled and core._access is base and core.penalty == 0
 
 
 def test_flush_suspect_issues_real_flushes():
