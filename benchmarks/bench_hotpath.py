@@ -12,6 +12,8 @@ tracked, not asserted:
   dominated, cold miss+fill, and monitored evict-heavy — so the C
   walk's effect is measured per-path, not only end-to-end;
 * ``AutoCuckooFilter.access`` hit-heavy and mixed (insert-heavy);
+* the batched storage-mode filter ops, and filter construction plus
+  install at the LSM level shapes;
 * one end-to-end Fig. 8 cell (mix1, Table II filter, scaled system).
 
 Run through ``benchmarks/run_perf.sh``, which writes the ops/sec
@@ -405,6 +407,32 @@ def test_filter_batch_mixed_deletes(benchmark):
         batch.delete_many(victims)
 
     _bench_ops(benchmark, run, setup, BATCH_OPS + deletes)
+
+
+#: The LSM level shapes: ``from_fpp`` capacities 512..32768 at both
+#: storage targets (fpp 1e-2: b=2, f=9; fpp 1e-3: b=4, f=13).
+BUILD_SHAPES = [(512 << i, fpp) for i in range(7) for fpp in (1e-2, 1e-3)]
+
+#: Passes over the shapes per round: 140 filters, about what one
+#: perfbench ``lsm_store`` round builds.
+BUILD_PASSES = 10
+
+
+def test_filter_build_install(benchmark):
+    """Filter construction and install (filters/sec): every LSM level
+    shape built with ``from_fpp``, given ``engine_batch()`` and one
+    128-key ``insert_many``, so the python leg pays its deferred table
+    build inside the cell and the c leg its C-side set-up."""
+    def setup():
+        return _u64_array(13, 128, 1 << 60)
+
+    def run(keys):
+        for _ in range(BUILD_PASSES):
+            for cap, fpp in BUILD_SHAPES:
+                batch = AutoCuckooFilter.from_fpp(cap, fpp, seed=0).engine_batch()
+                batch.insert_many(keys)
+
+    _bench_ops(benchmark, run, setup, BUILD_PASSES * len(BUILD_SHAPES))
 
 
 # ----------------------------------------------------------------------

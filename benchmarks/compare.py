@@ -59,6 +59,7 @@ CELL_GROUPS = {
         "test_filter_batch_insert_cold",
         "test_filter_batch_query_hits",
         "test_filter_batch_mixed_deletes",
+        "test_filter_build_install",
     ),
     "end_to_end": (
         "test_fig8_single_cell",

@@ -21,9 +21,11 @@ line-for-line exact-uint64 port of the reference implementation in
 
 Bit-identical results against the Python reference are gated by the
 conformance matrix and the batched-vs-per-key equivalence suites.  Like ``acf_access``, these
-kernels assume the ``_alt_xor`` table exists — ``install`` refuses
-wide-fingerprint (f > 16) filters, which stay on the inline-splitmix
-reference path.
+kernels assume the C alternate table ``st->alt_xor`` exists:
+``CFilterState`` fills it with ``acf_fill_alt_xor`` at install, whether
+or not the Python ``_alt_xor`` was ever built.  ``install`` refuses
+wide-fingerprint (f > 16) filters, whose fingerprints do not fit the
+``uint16_t`` rows; they stay on the inline-splitmix reference path.
 """
 
 BATCH_CDEF = """

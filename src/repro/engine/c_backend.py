@@ -38,9 +38,16 @@ State-consistency contract with the Python object: once
 (``valid_count``, ``autonomic_deletions``, ``total_relocations``,
 ``_lcg``) only change on insertions, so they are synced back exactly
 when an Access returns 0 (a Response of 0 *is* a fresh insertion);
-``total_accesses`` is kept on the Python side.  The fingerprint and
-Security rows are materialised back into ``_fps``/``_security`` on
-demand by introspection (``AutoCuckooFilter._sync_rows_from_c``).
+``total_accesses`` is kept on the Python side.  The tables are born
+in C: a filter whose Python rows were never read gets zeroed C rows,
+and the ``_alt_xor`` table is always computed in C
+(``acf_fill_alt_xor``); only rows that already exist (``from_bytes``,
+or a filter driven on the reference path first) are copied in.  The
+Python ``_fps``/``_security``/``_alt_xor`` appear only when something
+reads them: the first read builds them from the C arrays
+(``AutoCuckooFilter._build_rows``/``_build_alt_xor``), and
+introspection refreshes rows that exist
+(``AutoCuckooFilter._sync_rows_from_c``).
 The cache walk's (batch) sync contract is documented in
 :mod:`repro.engine.c_cache` and PERFORMANCE.md design rule 16.
 """
@@ -85,6 +92,8 @@ typedef struct {
 
 int acf_access(acf_state *st, uint64_t key);
 uint64_t acf_access_many(acf_state *st, const uint64_t *keys, uint64_t n);
+void acf_fill_alt_xor(uint32_t *out, uint64_t n, uint64_t alt_add,
+                      uint32_t index_mask);
 """
 
 _CSOURCE = """
@@ -116,6 +125,15 @@ static inline uint64_t acf_mix(uint64_t z)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
+}
+
+/* The alternate-bucket table: out[fp] = mix(fp + alt_add) & index_mask
+ * for every fp < n, the arithmetic of AutoCuckooFilter._build_alt_xor. */
+void acf_fill_alt_xor(uint32_t *out, uint64_t n, uint64_t alt_add,
+                      uint32_t index_mask)
+{
+    for (uint64_t fp = 0; fp < n; fp++)
+        out[fp] = (uint32_t)(acf_mix(fp + alt_add) & index_mask);
 }
 
 /* _insert_new: vacancy scan then the LCG kick walk with autonomic
@@ -374,12 +392,24 @@ class CFilterState:
     def __init__(self, ffi, lib, flt):
         self.ffi = ffi
         self.lib = lib
-        l, b = flt.num_buckets, flt.entries_per_bucket
-        flat_fps = [fp for row in flt._fps for fp in row]
-        flat_sec = [s for row in flt._security for s in row]
-        self._fps_buf = ffi.new("uint16_t[]", flat_fps)
-        self._sec_buf = ffi.new("uint8_t[]", flat_sec)
-        self._alt_buf = ffi.new("uint32_t[]", flt._alt_xor)
+        b = flt.entries_per_bucket
+        if "_fps" in vars(flt):
+            # Python rows exist (``from_bytes``, or a filter driven on
+            # the reference path before install): copy them.
+            self._fps_buf = ffi.new(
+                "uint16_t[]", [fp for row in flt._fps for fp in row])
+            self._sec_buf = ffi.new(
+                "uint8_t[]", [s for row in flt._security for s in row])
+        else:
+            # Never materialised, so the table is empty: ``ffi.new``
+            # returns zeroed memory.
+            slots = flt.num_buckets * b
+            self._fps_buf = ffi.new("uint16_t[]", slots)
+            self._sec_buf = ffi.new("uint8_t[]", slots)
+        alt_len = 1 << flt.hasher.fingerprint_bits
+        self._alt_buf = ffi.new("uint32_t[]", alt_len)
+        lib.acf_fill_alt_xor(
+            self._alt_buf, alt_len, flt._alt_mix_add, flt._index_mask)
         st = ffi.new("acf_state *")
         st.fps = self._fps_buf
         st.security = self._sec_buf
@@ -408,14 +438,19 @@ class CFilterState:
         sec = [flat_sec[i * b:(i + 1) * b] for i in range(num_buckets)]
         return fps, sec
 
+    def alt_xor(self) -> list[int]:
+        """The C-computed ``_alt_xor`` table as a list."""
+        return list(self._alt_buf)
+
 
 def filter_supported(flt) -> bool:
     """Can the C kernels take this filter?  Requires a plain
-    ``AutoCuckooFilter`` with the ``_alt_xor`` table (f <= 16) and no
+    ``AutoCuckooFilter`` whose fingerprints fit the 16-bit C rows
+    (f <= 16, the widths that have an ``_alt_xor`` table) and no
     instrumentation shadow maps."""
     return (
         type(flt).__name__ == "AutoCuckooFilter"
-        and flt._alt_xor is not None
+        and flt.hasher.fingerprint_bits <= 16
         and not flt.instrumented
     )
 
@@ -423,8 +458,9 @@ def filter_supported(flt) -> bool:
 def install(flt) -> bool:
     """Route all of ``flt``'s accesses through the C kernels.
 
-    Copies the current table into C arrays and rebinds ``access`` /
-    ``access_many`` plus the storage-mode surface (``insert`` /
+    Gives the filter C arrays (zeroed, or a copy of the Python rows
+    when they exist) and a C-computed alternate table, and rebinds
+    ``access`` / ``access_many`` plus the storage-mode surface (``insert`` /
     ``query`` / ``delete``, their ``*_many`` batch forms, and
     ``contains``) on the *instance*; returns False (leaving the filter
     untouched) when the filter is ineligible (see

@@ -84,6 +84,43 @@ _SERIAL_VERSION = 1
 _SERIAL_HEADER = struct.Struct("<4sHHIIIIIQQQQQQ")
 
 
+class _BuiltOnFirstRead:
+    """A filter table built on first read.
+
+    A non-data descriptor: an instance attribute of the same name
+    shadows it, so it runs only while the table is missing.  The first
+    read calls ``build(flt, flt._c_state)``, which stores the table as
+    a plain instance attribute; every later read (every hot path) finds
+    that attribute, with no call and no per-read check.  On CPython
+    3.11 loads of the three table names stay unspecialised all the
+    same, which costs the per-key python ``access`` loop 5-13 %.  A
+    ``__getattr__`` hook would also run only on a miss, but defining
+    one stops the specialisation of *every* attribute load on the
+    class (about 3x slower per read).  A half-built instance
+    (``__new__`` without ``__init__``) has no ``_c_state`` and raises
+    AttributeError.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, flt, owner=None):
+        if flt is None:
+            return self
+        try:
+            state = flt._c_state
+        except AttributeError:
+            raise AttributeError(
+                f"{type(flt).__name__!r} object has no attribute "
+                f"{self.name!r}"
+            ) from None
+        self.build(flt, state)
+        return getattr(flt, self.name)
+
+
 @dataclass(frozen=True)
 class FilterGeometry:
     """The (l, b, f) triple plus derived storage quantities."""
@@ -165,26 +202,15 @@ class AutoCuckooFilter:
         self._fp_add = ((self.hasher._fp_salt + 1) * _GOLDEN_GAMMA) & _U64
         self._index_add = ((self.hasher._index_salt + 1) * _GOLDEN_GAMMA) & _U64
         self._index_mask = num_buckets - 1
-        # The alternate-bucket mix depends only on the (f-bit)
-        # fingerprint, so for realistic widths it collapses into one
-        # table lookup: ``i2 = i1 ^ _alt_xor[fp]``.  This removes a
-        # full splitmix64 chain per Query *and* per relocation — the
-        # kick walk at saturation is the monitor's hottest loop.
-        # (Bit-identical to PartialKeyHasher.alt_index: with a
-        # power-of-two bucket count, masking the xor-term first is
-        # equivalent to masking the combined index.)
-        if fingerprint_bits <= 16:
-            alt_add = self._alt_mix_add
-            index_mask = self._index_mask
-            table = []
-            for fp in range(1 << fingerprint_bits):
-                z = (fp + alt_add) & _U64
-                z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
-                z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
-                table.append((z ^ (z >> 31)) & index_mask)
-            self._alt_xor: list[int] | None = table
-        else:
-            self._alt_xor = None
+        # The tables power up empty and are built on first read (see
+        # ``_BuiltOnFirstRead``): the fingerprint rows ``_fps``, the
+        # Security rows ``_security`` and, for f <= 16, the ``_alt_xor``
+        # table.  Under ``c`` the C arrays own the table, so a filter
+        # the kernels serve never builds the Python copies at all.
+        # Wide fingerprints have no table; every path takes the inline
+        # mix.
+        if fingerprint_bits > 16:
+            self._alt_xor: list[int] | None = None
         self.geometry = FilterGeometry(
             num_buckets, entries_per_bucket, fingerprint_bits
         )
@@ -202,12 +228,6 @@ class AutoCuckooFilter:
         # full random.Random call per kick dominates the profile.  The
         # LCG mirrors the hardware's cheap LFSR victim picker.
         self._lcg = derive_seed(seed, "auto-cuckoo-victim") | 1
-        self._fps: list[list[int]] = [
-            [0] * entries_per_bucket for _ in range(num_buckets)
-        ]
-        self._security: list[list[int]] = [
-            [0] * entries_per_bucket for _ in range(num_buckets)
-        ]
         self.instrumented = instrument
         self._addresses: list[list[set[int] | None]] | None = (
             [[None] * entries_per_bucket for _ in range(num_buckets)]
@@ -220,9 +240,45 @@ class AutoCuckooFilter:
         self.total_relocations = 0
         # REPRO_ENGINE=c rebinds access/access_many on the instance and
         # parks the authoritative table in C arrays here (see
-        # repro.engine.c_backend); None means the Python lists above
-        # are authoritative.
+        # repro.engine.c_backend); None means the Python lists are
+        # authoritative.  Set last: an instance without it is
+        # half-built, and its tables cannot be read.
         self._c_state = None
+
+    def _build_rows(self, state) -> None:
+        # The fingerprint and Security rows come as a pair.
+        l, b = self.num_buckets, self.entries_per_bucket
+        if state is not None:
+            self._fps, self._security = state.rows(l, b)
+        else:
+            self._fps = [[0] * b for _ in range(l)]
+            self._security = [[0] * b for _ in range(l)]
+
+    def _build_alt_xor(self, state) -> None:
+        # The alternate-bucket mix depends only on the (f-bit)
+        # fingerprint, so for realistic widths it collapses into one
+        # table lookup: ``i2 = i1 ^ _alt_xor[fp]``.  This removes a
+        # full splitmix64 chain per Query *and* per relocation — the
+        # kick walk at saturation is the monitor's hottest loop.
+        # (Bit-identical to PartialKeyHasher.alt_index: with a
+        # power-of-two bucket count, masking the xor-term first is
+        # equivalent to masking the combined index.)
+        if state is not None:
+            self._alt_xor = state.alt_xor()
+            return
+        alt_add = self._alt_mix_add
+        index_mask = self._index_mask
+        table = []
+        for fp in range(1 << self.hasher.fingerprint_bits):
+            z = (fp + alt_add) & _U64
+            z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
+            z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
+            table.append((z ^ (z >> 31)) & index_mask)
+        self._alt_xor = table
+
+    _fps = _BuiltOnFirstRead(_build_rows)
+    _security = _BuiltOnFirstRead(_build_rows)
+    _alt_xor = _BuiltOnFirstRead(_build_alt_xor)
 
     # ------------------------------------------------------------------
     # fpp-driven sizing (storage mode)
@@ -256,11 +312,15 @@ class AutoCuckooFilter:
         requires a power of two), so real occupancy at ``item_num``
         keys lands at or below the load budget.
 
+        Construction allocates no table: the rows and the ``_alt_xor``
+        table are built on first read, so under ``c`` a filter handed
+        straight to :meth:`engine_batch` gets zeroed C rows and a
+        C-computed alternate table and never builds the Python copies.
         Tight targets legitimately derive f > 16 — e.g. fpp = 1e-4
-        gives f = 17 — where the ``_alt_xor`` table is not built and
-        every path takes the inline-splitmix fallback (and the C
-        engine declines the filter; the batch seam then quietly serves
-        the reference implementation).
+        gives f = 17 — where there is no ``_alt_xor`` table and every
+        path takes the inline-splitmix fallback (the C rows are 16 bits
+        wide, so the C engine declines the filter and the batch seam
+        quietly serves the reference implementation).
         """
         if item_num < 1:
             raise ValueError("item_num must be >= 1")
@@ -757,11 +817,12 @@ class AutoCuckooFilter:
 
     def _sync_rows_from_c(self) -> None:
         """Refresh ``_fps``/``_security`` from the C arrays (no-op when
-        the Python lists are authoritative).  Row *contents* are
+        the Python lists are authoritative, or were never built — the
+        first read then builds them from C).  Row *contents* are
         replaced in place so closures holding the outer lists stay
         valid."""
         state = self._c_state
-        if state is None:
+        if state is None or "_fps" not in self.__dict__:
             return
         fps, sec = state.rows(self.num_buckets, self.entries_per_bucket)
         for row, fresh in zip(self._fps, fps):
@@ -845,6 +906,11 @@ class AutoCuckooFilter:
         every subsequent operation (including kick walks) replays
         bit-exactly.  Works across processes and machines of either
         byte order.
+
+        Raises ValueError on a bad frame and on rows no filter can
+        hold: a fingerprint of ``2**f`` or more (the kick walk indexes
+        ``_alt_xor`` with it), a Security value above ``secThr``, or a
+        ``valid_count`` other than the number of occupied slots.
         """
         header_size = _SERIAL_HEADER.size
         if len(data) < header_size:
@@ -880,10 +946,22 @@ class AutoCuckooFilter:
         if sys.byteorder == "big":
             fps.byteswap()
         sec = data[header_size + entry_count * 4:]
+        if max(fps, default=0) >= 1 << fingerprint_bits:
+            raise ValueError(
+                f"fingerprint out of range for {fingerprint_bits}-bit rows"
+            )
+        if max(sec, default=0) > security_threshold:
+            raise ValueError(
+                f"Security value above secThr={security_threshold}"
+            )
+        occupied = entry_count - fps.count(0)
+        if valid_count != occupied:
+            raise ValueError(
+                f"valid_count {valid_count} != {occupied} occupied slots"
+            )
         b = entries_per_bucket
-        for index in range(num_buckets):
-            flt._fps[index][:] = fps[index * b:(index + 1) * b].tolist()
-            flt._security[index][:] = list(sec[index * b:(index + 1) * b])
+        flt._fps = [fps[i:i + b].tolist() for i in range(0, entry_count, b)]
+        flt._security = [list(sec[i:i + b]) for i in range(0, entry_count, b)]
         flt.valid_count = valid_count
         flt.autonomic_deletions = autonomic_deletions
         flt.total_accesses = total_accesses

@@ -4,7 +4,8 @@ Three families:
 
 * hashing — the partial-key alternate index is an involution
   (``alt(alt(i, fp), fp) == i``) for any seed, and the Auto-Cuckoo
-  filter's precomputed XOR table is bit-identical to the hasher;
+  filter's precomputed XOR table is bit-identical to the hasher for
+  every f <= 16 and bucket count up to 2**16, built in Python or in C;
 * classic :class:`CuckooFilter` — insert/query/delete round-trips:
   no false negatives while resident, delete removes exactly one
   matching record, occupancy bookkeeping stays consistent;
@@ -13,11 +14,14 @@ Three families:
   ``secThr``, occupancy is monotone and never exceeds capacity.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import available_engines
 from repro.filters.auto_cuckoo import AutoCuckooFilter
 from repro.filters.cuckoo import CuckooFilter
 from repro.filters.hashing import PartialKeyHasher
+from repro.utils.rng import derive_seed
 
 #: Filter-sized integers: line addresses are 64-bit-ish keys.
 keys = st.integers(min_value=0, max_value=(1 << 48) - 1)
@@ -59,16 +63,27 @@ class TestAltIndexInvolution:
         assert hasher.alt_index(i2, fp) == i1
         assert 1 <= fp <= (1 << 10) - 1
 
-    @given(seed=seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_precomputed_xor_table_matches_hasher(self, seed):
-        fltr = AutoCuckooFilter(
-            num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
-            fingerprint_bits=8, seed=seed,
-        )
-        assert fltr._alt_xor is not None
-        for fp in range(1, 1 << 8):
-            assert fltr.hasher.alt_index(0, fp) == fltr._alt_xor[fp]
+    @pytest.mark.parametrize("fingerprint_bits", range(1, 17))
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_precomputed_xor_table_matches_hasher(
+        self, engine, fingerprint_bits
+    ):
+        # Every bucket count 2**0..2**16, each filter on its own seed.
+        # Under ``c`` the table is computed in C at install and read
+        # back from an installed, never-touched filter; under
+        # ``python`` the first read builds it with the splitmix loop.
+        for log_buckets in range(17):
+            fltr = AutoCuckooFilter(
+                num_buckets=1 << log_buckets, entries_per_bucket=1,
+                fingerprint_bits=fingerprint_bits,
+                seed=derive_seed(fingerprint_bits, "alt-xor", log_buckets),
+            )
+            if engine == "c":
+                assert fltr.use_c_backend()
+            alt_index = fltr.hasher.alt_index
+            assert fltr._alt_xor == [
+                alt_index(0, fp) for fp in range(1 << fingerprint_bits)
+            ]
 
 
 class TestClassicCuckooRoundTrips:

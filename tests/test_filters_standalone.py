@@ -19,6 +19,7 @@ Property-based where the contract is algebraic:
 """
 
 import math
+import struct
 from array import array
 
 import pytest
@@ -30,7 +31,7 @@ from repro.engine import (
     filter_batch,
     set_engine,
 )
-from repro.filters.auto_cuckoo import AutoCuckooFilter
+from repro.filters.auto_cuckoo import _SERIAL_HEADER, AutoCuckooFilter
 from repro.filters.metrics import (
     FppReport,
     fpp_report,
@@ -63,6 +64,21 @@ def _state(flt: AutoCuckooFilter):
         flt._fps,
         flt._security,
     )
+
+
+def _reframed(flt, fps=None, sec=None, valid_count=None):
+    """``flt.to_bytes()`` with the rows or ``valid_count`` replaced,
+    framing intact."""
+    blob = flt.to_bytes()
+    fields = list(_SERIAL_HEADER.unpack_from(blob))
+    if valid_count is not None:
+        fields[10] = valid_count
+    slots = flt.capacity
+    body = blob[_SERIAL_HEADER.size:]
+    fp_bytes = (struct.pack(f"<{slots}I", *fps) if fps is not None
+                else body[:4 * slots])
+    sec_bytes = bytes(sec) if sec is not None else body[4 * slots:]
+    return _SERIAL_HEADER.pack(*fields) + fp_bytes + sec_bytes
 
 
 @pytest.fixture
@@ -213,6 +229,32 @@ class TestSerialization:
         with pytest.raises(ValueError):
             AutoCuckooFilter.from_bytes(blob[:-1])
 
+    # Well-framed blobs whose rows no filter can hold.  Each is refused
+    # at ``from_bytes``; no op runs on the result, because a kick walk
+    # over an out-of-range fingerprint reads past the ``_alt_xor``
+    # table (a crash under ``c``).
+
+    def test_from_bytes_rejects_out_of_range_fingerprints(self):
+        slots = SMALL_BUCKETS * SMALL_ENTRIES
+        blob = _reframed(_small(3), fps=[60000] * slots, valid_count=slots)
+        with pytest.raises(ValueError, match="fingerprint"):
+            AutoCuckooFilter.from_bytes(blob)
+
+    def test_from_bytes_rejects_security_above_threshold(self):
+        flt = _small(3)
+        flt.insert_many(range(20))
+        sec = [0] * (SMALL_BUCKETS * SMALL_ENTRIES)
+        sec[0] = flt.security_threshold + 1
+        with pytest.raises(ValueError, match="Security"):
+            AutoCuckooFilter.from_bytes(_reframed(flt, sec=sec))
+
+    def test_from_bytes_rejects_a_wrong_valid_count(self):
+        flt = _small(3)
+        flt.insert_many(range(20))
+        blob = _reframed(flt, valid_count=flt.valid_count + 1)
+        with pytest.raises(ValueError, match="valid_count"):
+            AutoCuckooFilter.from_bytes(blob)
+
     def test_instrumented_filters_refuse_serialization(self):
         flt = AutoCuckooFilter(
             num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
@@ -259,29 +301,104 @@ class TestWideFingerprintRegression:
         assert _state(restored) == _state(flt)
 
 
+#: Filters the batch seam must serve state-identically to a Python
+#: twin: the 16x4 f=8 table, both ``from_fpp`` regimes (b=2, f=9 and
+#: b=4, f=13; 4,000 keys load them past 90 % so long kick walks run),
+#: and a b=3 table, whose kick walk takes the modulo slot pick.
+SEAM_FILTERS = (
+    lambda: _small(21),
+    lambda: AutoCuckooFilter.from_fpp(1800, 1e-2, seed=21),
+    lambda: AutoCuckooFilter.from_fpp(3000, 1e-3, seed=21),
+    lambda: AutoCuckooFilter(
+        num_buckets=1024, entries_per_bucket=3, fingerprint_bits=12,
+        seed=21),
+)
+
+SEAM_PAYLOAD = array("Q", (k * 2654435761 % (1 << 40) for k in range(4000)))
+
+
+def _assert_twins(flt, twin, keys):
+    """Every read surface agrees between ``flt`` and its Python twin.
+
+    ``bucket`` and ``security_of`` resync every row from C per call
+    under ``c``, so they are sampled: 64 buckets and the given keys.
+    """
+    assert flt.snapshot() == twin.snapshot()
+    assert flt.to_bytes() == twin.to_bytes()
+    assert list(flt.entries()) == list(twin.entries())
+    step = max(1, twin.num_buckets // 64)
+    assert all(flt.bucket(i) == twin.bucket(i)
+               for i in range(0, twin.num_buckets, step))
+    assert [flt.security_of(k) for k in keys] == [
+        twin.security_of(k) for k in keys]
+
+
 class TestEngineBatchSeam:
     @pytest.mark.parametrize("engine", available_engines())
     def test_batch_views_are_state_identical(self, engine, engine_env):
         set_engine(engine)
-        reference = _small(21)
-        flt = _small(21)
-        batch = filter_batch(flt)
-        assert batch is flt
-        assert (flt._c_state is not None) == (engine == "c")
-        payload = array("Q", (k * 2654435761 % (1 << 40)
-                              for k in range(4000)))
-        assert batch.insert_many(payload) == reference.insert_many(payload)
-        assert batch.query_many(payload) == reference.query_many(payload)
-        threshold = reference.security_threshold
-        captures = sum(
-            1 for key in payload if reference.access(key) >= threshold
-        )
-        assert batch.access_many(payload) == captures
-        assert batch.delete_many(payload) == reference.delete_many(payload)
+        payload = SEAM_PAYLOAD
+        for make in SEAM_FILTERS:
+            reference = make()
+            flt = make()
+            batch = filter_batch(flt)
+            assert batch is flt
+            assert (flt._c_state is not None) == (engine == "c")
+            assert batch.insert_many(payload) == reference.insert_many(payload)
+            assert reference.total_relocations > 0  # kick walks ran
+            assert batch.query_many(payload) == reference.query_many(payload)
+            threshold = reference.security_threshold
+            captures = sum(
+                1 for key in payload if reference.access(key) >= threshold
+            )
+            assert batch.access_many(payload) == captures
+            _assert_twins(flt, reference, payload[:64])
+            assert batch.delete_many(payload) == reference.delete_many(payload)
+            _assert_twins(flt, reference, payload[:64])
+
+    def test_existing_rows_are_copied_into_c(self):
+        """Rows that exist before the install — restored by
+        ``from_bytes``, or built by ops on the reference path — are
+        copied into C, and the filter then tracks its Python twin."""
+        if not c_backend.available():
+            pytest.skip("no C toolchain")
+        head, tail = SEAM_PAYLOAD[:2500], SEAM_PAYLOAD[2500:]
+        for make in SEAM_FILTERS:
+            driven, twin = make(), make()
+            driven.insert_many(head)
+            twin.insert_many(head)
+            blob = twin.to_bytes()
+            restored = AutoCuckooFilter.from_bytes(blob)
+            for flt in (driven, restored):
+                assert flt.use_c_backend()
+                assert flt.snapshot() == twin.snapshot()
+            threshold = twin.security_threshold
+            captures = sum(1 for key in tail if twin.access(key) >= threshold)
+            for flt in (driven, restored):
+                assert flt.access_many(tail) == captures
+                _assert_twins(flt, twin, tail[:64])
+
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_tables_are_built_only_when_read(self, engine, engine_env):
+        set_engine(engine)
+        flt = AutoCuckooFilter.from_fpp(32768, 1e-3)
+        batch = flt.engine_batch()
+        keys = array("Q", range(1, 4097))
+        lazy = {"_fps", "_security", "_alt_xor"}
+        assert not lazy & vars(flt).keys()
+        batch.insert_many(keys)
+        if engine == "python":
+            assert lazy <= vars(flt).keys()
+        batch.query_many(keys)
+        batch.delete_many(keys)
         if engine == "c":
-            flt._sync_rows_from_c()
-        assert _state(flt) == _state(reference)
-        assert flt.to_bytes() == reference.to_bytes()
+            # The C arrays own the table; no Python copy was built.
+            assert not lazy & vars(flt).keys()
+        # A half-built instance has nothing to build from: the read
+        # raises AttributeError (``hasattr`` lets nothing else through).
+        half = AutoCuckooFilter.__new__(AutoCuckooFilter)
+        assert not hasattr(half, "_alt_xor")
+        assert not hasattr(half, "_fps")
 
     def test_wide_fingerprints_fall_back_quietly(self, engine_env):
         if "c" not in available_engines():
