@@ -460,11 +460,11 @@ def test_fig8_single_cell(benchmark):
 
 
 def test_fig8_single_cell_generator_loop(benchmark, monkeypatch):
-    """:func:`test_fig8_single_cell` on the generator path
-    (``REPRO_BATCH=0``): the Python scheduler loop with per-op kernel
-    calls, which every attacker tenant and the python engine still
-    run, recorded beside the C-resident run loop the batched cell
-    takes."""
+    """:func:`test_fig8_single_cell` on the Python loop
+    (``REPRO_BATCH=0``: cores bound without a source): the scheduler
+    loop with per-op kernel calls, which every attacker tenant and the
+    python engine still run, recorded beside the C-resident run loop
+    the default cell takes."""
     monkeypatch.setenv("REPRO_BATCH", "0")
     return test_fig8_single_cell(benchmark)
 
@@ -505,10 +505,10 @@ def test_campaign_throughput(benchmark):
 
 
 def test_campaign_throughput_generator_loop(benchmark, monkeypatch):
-    """:func:`test_campaign_throughput` on the generator path
+    """:func:`test_campaign_throughput` on the Python loop
     (``REPRO_BATCH=0``): every tenant on the Python scheduler loop with
-    per-op kernel calls, recorded beside the batched sweep whose benign
-    tenants take the C-resident run loop."""
+    per-op kernel calls, recorded beside the default sweep whose
+    benign tenants take the C-resident run loop."""
     monkeypatch.setenv("REPRO_BATCH", "0")
     return test_campaign_throughput(benchmark)
 

@@ -68,7 +68,8 @@ class _FlushAttackerBase(Workload):
 
     ``targets`` (byte addresses of the victim's secret-dependent
     lines) must be assigned before the generator is first advanced.
-    Flush attackers time their probes, so they are never batchable.
+    Flush attackers time their probes, so the C emitter, which feeds
+    no latency back, never runs them.
     """
 
     def __init__(

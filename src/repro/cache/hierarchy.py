@@ -440,9 +440,8 @@ class CacheHierarchy:
         L1 read hit — is handled entirely inline.  Trace replay and
         synthetic warmups are built on this; the cycle-interleaved
         multicore scheduler still consumes one record per core per
-        step (through the chunked batch prefetch in
-        :class:`repro.cpu.core.Core`) because it must interleave cores
-        between operations.
+        step (:meth:`repro.cpu.core.Core.step`) because it must
+        interleave cores between operations.
 
         Returns the per-request latencies.
         """

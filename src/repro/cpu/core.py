@@ -17,24 +17,12 @@ interleave shared-state mutations in global time order:
   operation will reach the hierarchy.
 * :meth:`execute_pending` — perform that operation and add its latency.
 
-Chunked batch prefetch
-----------------------
-Workloads that ignore latency feedback (``workload.batchable``) can be
-bound through ``batches`` — an iterator of record-tuple chunks
-(:meth:`repro.workloads.base.Workload.record_chunks`).  The core then
-pops one record per step from its current chunk instead of resuming a
-generator frame per record.  Interleave semantics are untouched: the
-scheduler still hands out exactly one record per step, and the chunked
-stream is record-for-record identical to the generator (pinned by the
-golden-equivalence tests) — prefetching only moves *production* of
-future records earlier, which is legal precisely because these
-workloads cannot react to simulation state.
-
-A batch core bound by :func:`repro.cpu.system.bind_cores` also
-records its ``source`` — the workload and seed its chunks come from —
-so :meth:`repro.cpu.multicore.MulticoreSystem.run` can hand a fresh
+A core bound by :func:`repro.cpu.system.bind_cores` also records its
+``source`` — the workload and seed its generator comes from — so
+:meth:`repro.cpu.multicore.MulticoreSystem.run` can hand a fresh
 core's whole stream to the compiled run loop instead
-(:meth:`native_source`, PERFORMANCE.md rule 19).
+(:meth:`native_source`, PERFORMANCE.md rule 19); the generator is then
+never advanced.
 """
 
 from __future__ import annotations
@@ -60,10 +48,6 @@ class Core:
         "_primed",
         "_send",
         "_access",
-        "_batches",
-        "_chunk",
-        "_chunk_len",
-        "_chunk_pos",
         "_throttle_base",
         "penalty",
         "_l1d",
@@ -76,15 +60,10 @@ class Core:
     def __init__(
         self,
         core_id: int,
-        workload: WorkloadGenerator | None,
+        workload: WorkloadGenerator,
         hierarchy: CacheHierarchy,
-        batches=None,
         source: tuple[Workload, int] | None = None,
     ):
-        if (workload is None) == (batches is None):
-            raise ValueError(
-                "exactly one of workload (generator) or batches must be given"
-            )
         self.core_id = core_id
         self.workload = workload
         self.hierarchy = hierarchy
@@ -105,7 +84,7 @@ class Core:
         # (REPRO_ENGINE): cores are constructed after the monitor is
         # attached, so the C walk installs with the final monitor
         # configuration.
-        self._send = workload.send if workload is not None else None
+        self._send = workload.send
         self._access = hierarchy.engine_access()
         # This core's own L1D plus the shared stats block, resolved
         # once: ~3/4 of all memory operations are L1 read hits, and
@@ -120,12 +99,8 @@ class Core:
         self._l1_latency = hierarchy.l1_latency
         self._line_bits = hierarchy._line_bits
         self._stats = hierarchy.stats
-        self._batches = batches
-        self._chunk = None
-        self._chunk_len = 0
-        self._chunk_pos = 0
-        #: ``(workload, seed)`` that ``batches`` was built from, when
-        #: the caller binds it (None: the stream is opaque).
+        #: ``(workload, seed)`` the generator was built from, when the
+        #: caller binds it (None: the stream is opaque).
         self.source = source
         # Original access binding while a throttle wrapper is active
         # (None = unthrottled).  Throttling swaps the binding instead
@@ -187,12 +162,12 @@ class Core:
 
     def native_source(self) -> tuple[Workload, int] | None:
         """``(workload, seed)`` when this core's whole run may move into
-        the compiled run loop: a batch core with a known source that
-        has not consumed a record, retired an instruction or finished.
-        None otherwise."""
+        the compiled run loop: a core with a known source that has not
+        consumed a record, retired an instruction or finished.  None
+        otherwise."""
         if (
             self.source is None
-            or self._chunk is not None
+            or self._primed
             or self.time
             or self.instructions
             or self.memory_ops
@@ -209,8 +184,6 @@ class Core:
         """
         if self.finished:
             return False
-        if self._batches is not None:
-            return self._advance_batched()
         try:
             if self._primed:
                 item = self._send(self._last_latency)
@@ -223,30 +196,6 @@ class Core:
         compute, op, addr = item
         if compute < 0:
             raise ValueError("compute instruction count must be >= 0")
-        self.time += compute
-        self.instructions += compute
-        if op is None:
-            self._pending_op = None
-            self._last_latency = 0
-        else:
-            self._pending_op = op
-            self._pending_addr = addr
-        return True
-
-    def _advance_batched(self) -> bool:
-        """Pop one record tuple from the prefetched chunk."""
-        pos = self._chunk_pos
-        if pos >= self._chunk_len:
-            try:
-                chunk = next(self._batches)
-            except StopIteration:
-                self.finished = True
-                return False
-            self._chunk = chunk
-            self._chunk_len = len(chunk)
-            pos = 0
-        compute, op, addr = self._chunk[pos]
-        self._chunk_pos = pos + 1
         self.time += compute
         self.instructions += compute
         if op is None:
@@ -313,31 +262,6 @@ class Core:
             self._pending_op = None
             self.finished = True
             return False
-        if self._batches is not None:
-            # Inlined ``_advance_batched`` (scheduler-only fast path —
-            # the method form remains for direct callers).
-            pos = self._chunk_pos
-            if pos >= self._chunk_len:
-                try:
-                    chunk = next(self._batches)
-                except StopIteration:
-                    self._pending_op = None
-                    self.finished = True
-                    return False
-                self._chunk = chunk
-                self._chunk_len = len(chunk)
-                pos = 0
-            compute, op, addr = self._chunk[pos]
-            self._chunk_pos = pos + 1
-            self.time += compute
-            self.instructions += compute
-            if op is None:
-                self._pending_op = None
-                self._last_latency = 0
-            else:
-                self._pending_op = op
-                self._pending_addr = addr
-            return True
         # Inlined ``advance`` (same semantics; scheduler-only fast
         # path — the method form remains for direct callers).  The
         # scheduler only steps cores whose initial ``advance``

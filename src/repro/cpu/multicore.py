@@ -7,16 +7,17 @@ later timestamp touches the hierarchy — the property the defense
 evaluation depends on.
 
 The loop runs in one of two places with identical results.  When the
-C cache walk is installed and every core is a fresh batch core of a
-synthetic archetype, the whole loop — record emission included — runs
-inside the walk (``CWalkState.run_cores``, PERFORMANCE.md rule 19) and
-comes back to Python only for due events and monitor callbacks.  A
-detection unit does not change that: alarms reach it through monitor
-callbacks, its responses through the event queue, and the one core
-state a response changes mid-run, the throttle penalty, is copied into
-C before every re-entry.  Every other system — one with a generator
-core (an attacker) or a scripted core, a configuration the walk
-refuses, the ``python`` engine — runs the Python loop below.
+C cache walk is installed and every core is a fresh core whose source
+is a synthetic archetype, the whole loop — record emission included —
+runs inside the walk (``CWalkState.run_cores``, PERFORMANCE.md rule
+19) and comes back to Python only for due events and monitor
+callbacks.  A detection unit does not change that: alarms reach it
+through monitor callbacks, its responses through the event queue, and
+the one core state a response changes mid-run, the throttle penalty,
+is copied into C before every re-entry.  Every other system — one with
+an attacker or a scripted core, cores bound without a source
+(``REPRO_BATCH=0``), a configuration the walk refuses, the ``python``
+engine — runs the Python loop below.
 """
 
 from __future__ import annotations

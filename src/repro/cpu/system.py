@@ -5,18 +5,15 @@ experiments (Fig. 8, secThr sensitivity) are built on: it constructs the
 Table II hierarchy, optionally deploys PiPoMonitor, binds one workload
 per core, and runs to an instruction budget.
 
-Both assembly helpers bind their cores through :func:`bind_cores`.
-Cores whose workload declares ``batchable`` (synthetic/SPEC streams,
-packable traces — anything that ignores latency feedback) are bound
-through the chunked batch prefetch (:class:`repro.cpu.core.Core`'s
-``batches`` mode) instead of a per-record generator, together with the
-workload and seed the chunks come from; timing-sensitive attackers
-stay generator cores.  Under the C cache walk, ``MulticoreSystem.run``
+Both assembly helpers bind their cores through :func:`bind_cores`:
+every core runs its workload's generator and carries the workload and
+seed it comes from.  Under the C cache walk, ``MulticoreSystem.run``
 uses that source to run a system of synthetic streams entirely in C,
-detection unit included (PERFORMANCE.md rule 19).  The record streams
-are identical every way, so results are bit-identical —
-``REPRO_BATCH=0`` (or ``batch=False``) forces the generator path and
-the Python loop, which the golden-equivalence tests compare against.
+detection unit included (PERFORMANCE.md rule 19); a system with any
+other stream (an attacker, a scripted trace) runs the Python loop.
+Results are bit-identical either way — ``REPRO_BATCH=0`` binds no
+sources, forcing the Python loop, which the golden-equivalence tests
+compare against.
 
 Engine binding happens here implicitly: both assembly helpers attach
 the monitor *before* constructing cores, and each core resolves its
@@ -45,51 +42,30 @@ from repro.utils.rng import derive_seed
 from repro.workloads.base import ScriptedWorkload, Workload
 
 
-def batch_enabled(batch: bool | None = None) -> bool:
-    """Resolve the batch-prefetch flag: explicit argument beats the
-    ``REPRO_BATCH`` environment toggle (default on)."""
-    if batch is not None:
-        return batch
-    return os.environ.get("REPRO_BATCH", "") != "0"
-
-
 def bind_cores(
     hierarchy: CacheHierarchy,
     workloads: list[Workload],
     seed: int,
     seed_label: str = "workload",
-    batch: bool | None = None,
 ) -> list[Core]:
-    """One core per workload, core ``i`` seeded with
+    """One generator core per workload, core ``i`` seeded with
     ``derive_seed(seed, seed_label, i)``.
 
-    A batchable workload becomes a batch core that records its
-    ``(workload, seed)`` source (so the run may move into C); any
-    other workload, and every workload when batching is off
-    (:func:`batch_enabled`), becomes a generator core.
+    Each core records its ``(workload, seed)`` source, so the run may
+    move into C, unless ``REPRO_BATCH=0`` asks for the Python loop.
     """
-    use_batches = batch_enabled(batch)
+    with_source = os.environ.get("REPRO_BATCH", "") != "0"
     cores = []
     for core_id, workload in enumerate(workloads):
         workload_seed = derive_seed(seed, seed_label, core_id)
-        if use_batches and workload.batchable:
-            cores.append(
-                Core(
-                    core_id,
-                    None,
-                    hierarchy,
-                    batches=workload.record_chunks(core_id, workload_seed),
-                    source=(workload, workload_seed),
-                )
+        cores.append(
+            Core(
+                core_id,
+                workload.generator(core_id, workload_seed),
+                hierarchy,
+                source=(workload, workload_seed) if with_source else None,
             )
-        else:
-            cores.append(
-                Core(
-                    core_id,
-                    workload.generator(core_id, workload_seed),
-                    hierarchy,
-                )
-            )
+        )
     return cores
 
 
@@ -98,7 +74,6 @@ def build_system(
     workloads: list[Workload],
     seed: int = 0,
     track_captured_lines: bool = False,
-    batch: bool | None = None,
 ) -> tuple[MulticoreSystem, PiPoMonitor | None]:
     """Construct the system a config describes.
 
@@ -123,7 +98,7 @@ def build_system(
             track_captured_lines=track_captured_lines,
         )
         monitor.attach(hierarchy)
-    cores = bind_cores(hierarchy, workloads, seed, batch=batch)
+    cores = bind_cores(hierarchy, workloads, seed)
     return MulticoreSystem(hierarchy, cores, events), monitor
 
 
@@ -132,11 +107,10 @@ def run_workloads(
     workloads: list[Workload],
     instructions_per_core: int,
     seed: int = 0,
-    batch: bool | None = None,
 ) -> SimulationResult:
     """Build and run in one call; returns the simulation result."""
     with _span("assemble", "engine", seed=seed):
-        system, monitor = build_system(config, workloads, seed=seed, batch=batch)
+        system, monitor = build_system(config, workloads, seed=seed)
     with _span("simulate", "engine", seed=seed):
         result = system.run(max_instructions_per_core=instructions_per_core)
     if monitor is not None:
@@ -165,11 +139,11 @@ def run_defended_workloads(
     PiPoMonitor), ``pad_idle`` fills the remaining cores with idle
     workloads, and ``seed_label`` is the per-core seed-derivation
     namespace (kept caller-chosen so existing streams stay
-    bit-identical).  Cores are bound by :func:`bind_cores`:
-    timing-sensitive attackers stay generator cores, and a system of
-    batchable synthetic streams (a benign tenant) takes the C run loop
-    with its detection unit online.  ``REPRO_BATCH=0`` forces
-    generator cores and the Python loop, with identical results.
+    bit-identical).  Cores are bound by :func:`bind_cores`: a system
+    of synthetic streams (a benign tenant) takes the C run loop with
+    its detection unit online, one with a timing-sensitive attacker
+    the Python loop.  ``REPRO_BATCH=0`` forces the Python loop, with
+    identical results.
 
     ``detection`` (a :class:`repro.detection.DetectionSpec`) deploys
     the online detection-and-response subsystem: the defence's alarm

@@ -1254,7 +1254,7 @@ typedef struct {
     int kind;                 /* 0 stream, 1 random, 2 pointer, 3 stencil, 4 hotcold */
     int num_shift;            /* 32 - num_lines.bit_length() */
     int hot_shift;            /* 32 - hot_lines.bit_length() */
-    /* Emission state (the locals of _SyntheticWorkload.record_chunks). */
+    /* Emission state (the locals of _SyntheticWorkload.generator). */
     int64_t position;
     uint64_t code_line;
     uint64_t conflict_index;

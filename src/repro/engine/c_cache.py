@@ -519,7 +519,7 @@ class CWalkState:
         Returns each core's completion time, with ``time``,
         ``instructions`` and ``memory_ops`` written back to the cores.
         Returns None, touching nothing, unless every core is a fresh
-        batch core whose stream the C emitter reproduces
+        core with a source whose stream the C emitter reproduces
         (``Core.native_source`` + ``Workload.emitter_state``).
         """
         states = []
@@ -708,7 +708,7 @@ def _load_emitter(ffi, c, state: dict, keep: list) -> None:
 
 def emit_records(workload, core_id: int, seed: int, n: int) -> list[tuple]:
     """The first ``n`` records of the C emitter for ``workload``'s
-    stream (the equivalence tests compare them with ``record_chunks``).
+    stream (the equivalence tests compare them with its generator).
     ``workload.emitter_state`` must accept the stream, and the backend
     must build."""
     ffi, lib = c_backend._load_lib()

@@ -15,8 +15,8 @@ are unchanged; EXPERIMENTS.md quantifies this.
 Table II geometry; ``REPRO_INSNS`` overrides the instruction budget.
 
 The scaled default budget is 2 M instructions/core (10× the original
-200 k): the array-native engine (packed line words, batched workload
-emission — see PERFORMANCE.md) plus ``REPRO_JOBS`` fan-out brought a
+200 k): the array-native engine (packed line words, the C-resident
+run loop — see PERFORMANCE.md) plus ``REPRO_JOBS`` fan-out brought a
 fig8 cell at this budget back into benchmark-suite time, an order of
 magnitude closer to the paper's 1 B/core evaluation regime.
 """

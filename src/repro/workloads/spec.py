@@ -144,19 +144,13 @@ class SpecWorkload(Workload):
                  conflict_stride_bytes: int = 64 * 1024):
         self.profile = profile
         self.name = profile.name
+        # The inner synthetic stream carries this wrapper's name, and
+        # therefore the same RNG derivation: it is the single source of
+        # records, in Python and in C.
         self._inner = profile.build(conflict_stride_bytes)
-        # Delegate the batch-emission contract: the inner synthetic
-        # stream (which carries this wrapper's name and therefore the
-        # same RNG derivation) is the single source of records.
-        self.batchable = self._inner.batchable
 
     def generator(self, core_id: int, seed: int) -> WorkloadGenerator:
         return self._inner.generator(core_id, seed)
-
-    def record_chunks(self, core_id: int, seed: int, chunk: int | None = None):
-        if chunk is None:
-            return self._inner.record_chunks(core_id, seed)
-        return self._inner.record_chunks(core_id, seed, chunk)
 
     def emitter_state(self, core_id: int, seed: int) -> dict | None:
         # Exact class only: a subclass may override the stream.

@@ -20,11 +20,9 @@ memory operations average the profile's ``mem_fraction``.
 
 Each archetype contributes only a *line picker*
 (:meth:`_SyntheticWorkload._line_picker`); the shared emission loop
-exists in three forms with identical record streams: the generator
-(:meth:`_emit`, one suspension per record, for feedback-driven
-consumers), the chunked batch producer (:meth:`record_chunks`, one
-record-list chunk per suspension, for the Python scheduler's
-prefetch), and the compiled run loop's C port, which
+exists in two forms with identical record streams: the generator
+(:meth:`_SyntheticWorkload.generator`, one suspension per record), and
+the compiled run loop's C port, which
 :meth:`_SyntheticWorkload.emitter_state` hands the loop's constants,
 its ``random.Random`` state and the picker's parameters
 (PERFORMANCE.md rule 19).  The equivalence tests pin the streams
@@ -33,13 +31,11 @@ record-for-record.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from repro.cache.hierarchy import OP_IFETCH, OP_READ, OP_WRITE
 from repro.utils.rng import derive_rng
 from repro.workloads.base import (
-    DEFAULT_BATCH_CHUNK,
-    REC_COMPUTE_MAX,
     Workload,
     WorkloadGenerator,
     core_code_base,
@@ -113,10 +109,6 @@ class _SyntheticWorkload(Workload):
         # several times (word-granular strides, multi-field structs);
         # the repeats hit L1 and set the benchmark's realistic MPKI.
         self.accesses_per_line = accesses_per_line
-        # Synthetic streams ignore latency feedback, so batch emission
-        # is legal whenever the dithered compute gap fits
-        # REC_COMPUTE_MAX (it always does for realistic mem_fractions).
-        self.batchable = int(1.0 / mem_fraction - 1.0) + 1 <= REC_COMPUTE_MAX
         if name is not None:
             self.name = name
 
@@ -139,11 +131,14 @@ class _SyntheticWorkload(Workload):
     # ------------------------------------------------------------------
 
     def generator(self, core_id: int, seed: int) -> WorkloadGenerator:
-        return self._emit(core_id, seed, self._line_picker(core_id, seed))
+        """Shared emission loop; the pattern's ``next_data_line(rng)``
+        supplies each new data line offset.
 
-    def _emit(self, core_id: int, seed: int, next_data_line) -> WorkloadGenerator:
-        """Shared emission loop; ``next_data_line(rng)`` supplies the
-        pattern-specific next data line offset."""
+        The picker is built in the body, on the first ``next``: a core
+        whose stream runs in the compiled loop never advances its
+        generator, and a pointer-chase picker shuffles its whole
+        working set."""
+        next_data_line = self._line_picker(core_id, seed)
         rng = derive_rng(seed, self.name, core_id)
         data_base = core_data_base(core_id)
         code_base = core_code_base(core_id)
@@ -199,90 +194,24 @@ class _SyntheticWorkload(Workload):
                 addr = data_base + line * LINE
             yield gap, op, addr
 
-    def record_chunks(
-        self, core_id: int, seed: int, chunk: int = DEFAULT_BATCH_CHUNK
-    ) -> Iterator[list]:
-        """Native chunked emission: the :meth:`_emit` loop body with the
-        per-record ``yield`` replaced by a list append.  Same RNG draws
-        in the same order, same records (the equivalence tests compare
-        the two streams), one generator suspension per *chunk* instead
-        of per record.
-        """
-        if not self.batchable:
-            raise ValueError(
-                f"{self.name}: compute gaps exceed REC_COMPUTE_MAX"
-            )
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        next_data_line = self._line_picker(core_id, seed)
-        rng = derive_rng(seed, self.name, core_id)
-        data_base = core_data_base(core_id)
-        code_base = core_code_base(core_id)
-        conflict_base = self.num_lines + self.conflict_stride
-        conflict_index = 0
-        code_line = 0
-        ifetch_limit = self.ifetch_fraction
-        conflict_limit = ifetch_limit + self.conflict_fraction
-        current_line = None
-        line_visits_left = 0
-        rng_random = rng.random
-        gap_target = 1.0 / self.mem_fraction - 1.0
-        gap_base = int(gap_target)
-        gap_frac = gap_target - gap_base
-        write_fraction = self.write_fraction
-        code_lines = self.code_lines
-        conflict_lines = self.conflict_lines
-        conflict_stride = self.conflict_stride
-        visits_per_line = self.accesses_per_line - 1
-        while True:
-            out = []
-            append = out.append
-            count = 0
-            while count < chunk:
-                gap = gap_base + 1 if rng_random() < gap_frac else gap_base
-                roll = rng_random()
-                if roll >= conflict_limit:
-                    if line_visits_left > 0 and current_line is not None:
-                        line_visits_left -= 1
-                        line = current_line
-                    else:
-                        line = next_data_line(rng)
-                        current_line = line
-                        line_visits_left = visits_per_line
-                    op = OP_WRITE if rng_random() < write_fraction else OP_READ
-                    addr = data_base + line * LINE
-                elif roll < ifetch_limit:
-                    code_line += 1
-                    if code_line == code_lines:
-                        code_line = 0
-                    op = OP_IFETCH
-                    addr = code_base + code_line * LINE
-                else:
-                    conflict_index += 1
-                    if conflict_index == conflict_lines:
-                        conflict_index = 0
-                    line = conflict_base + conflict_index * conflict_stride
-                    op = OP_WRITE if rng_random() < write_fraction else OP_READ
-                    addr = data_base + line * LINE
-                append((gap, op, addr))
-                count += 1
-            yield out
-
     def emitter_state(self, core_id: int, seed: int) -> dict | None:
-        """The :meth:`record_chunks` stream for ``(core_id, seed)`` as
-        the compiled run loop's ``cw_core`` fields: the loop constants
+        """The :meth:`generator` stream for ``(core_id, seed)`` as the
+        compiled run loop's ``cw_core`` fields: the loop constants
         derived exactly as above, the stream's ``random.Random`` state
         (``mt``, from ``getstate()``) and the picker's parameters.
 
         None when the C port does not reproduce the stream: a subclass
-        (it may change the stream), or a working set of 2**32 lines or
-        more (``randrange`` would draw more than one 32-bit word).
+        (it may change the stream), a working set of 2**32 lines or
+        more (``randrange`` would draw more than one 32-bit word), or a
+        compute gap of 2**32 instructions or more (the loop keeps gaps
+        and times in ``int64_t``; below 2**32, overflowing one takes
+        2**31 records).
         """
-        if (type(self) not in NATIVE_ARCHETYPES or not self.batchable
-                or self.num_lines >> 32):
-            return None
         gap_target = 1.0 / self.mem_fraction - 1.0
         gap_base = int(gap_target)
+        if (type(self) not in NATIVE_ARCHETYPES or self.num_lines >> 32
+                or gap_base >> 32):
+            return None
         return {
             "mt": derive_rng(seed, self.name, core_id).getstate()[1],
             "gap_base": gap_base,

@@ -20,11 +20,18 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.cache.hierarchy import OP_IFETCH, OP_READ, OP_WRITE, CacheHierarchy
+from repro.cache.hierarchy import (
+    OP_FLUSH,
+    OP_IFETCH,
+    OP_READ,
+    OP_WRITE,
+    CacheHierarchy,
+)
 from repro.workloads.base import ScriptedWorkload, Workload
 
-_OP_NAMES = {OP_READ: "R", OP_WRITE: "W", OP_IFETCH: "I", None: "-"}
-_OP_VALUES = {"R": OP_READ, "W": OP_WRITE, "I": OP_IFETCH, "-": None}
+_OP_NAMES = {OP_READ: "R", OP_WRITE: "W", OP_IFETCH: "I", OP_FLUSH: "F",
+             None: "-"}
+_OP_VALUES = {name: op for op, name in _OP_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -54,18 +61,6 @@ def record_trace(
     """
     if max_ops < 1:
         raise ValueError("max_ops must be >= 1")
-    if workload.batchable:
-        # Feedback-free stream: capture through the chunked batch
-        # producer (identical records, no per-record suspension).
-        records = []
-        for chunk in workload.record_chunks(core_id, seed):
-            records.extend(
-                TraceRecord(compute, op, addr)
-                for compute, op, addr in chunk[:max_ops - len(records)]
-            )
-            if len(records) >= max_ops:
-                break
-        return records
     generator = workload.generator(core_id, seed)
     records: list[TraceRecord] = []
     try:
@@ -102,6 +97,11 @@ def read_trace_csv(path: str | Path) -> list[TraceRecord]:
             raise ValueError(f"unrecognised trace header: {header}")
         for row in reader:
             compute, op_name, addr = row
+            if op_name not in _OP_VALUES:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: unknown op "
+                    f"{op_name!r} (expected one of {', '.join(_OP_VALUES)})"
+                )
             records.append(
                 TraceRecord(int(compute), _OP_VALUES[op_name], int(addr, 16))
             )

@@ -116,9 +116,9 @@ def benign(defence: str):
     """One Table III mix at tier-1 scale under each defence — the
     engine-level scenario the performance experiments are made of.
 
-    The mix's cores are batch cores, so under the ``c`` engine the run
-    takes the C-resident loop; ``REPRO_BATCH=0`` binds generator cores
-    and the Python loop instead, and the fixture is the same either
+    The mix's cores carry their source, so under the ``c`` engine the
+    run takes the C-resident loop; ``REPRO_BATCH=0`` binds them without
+    one, keeping the Python loop, and the fixture is the same either
     way (CI replays every fixture under both).
     """
     config = scaled_system_config(False, monitor_enabled=False)

@@ -128,10 +128,6 @@ class TestWorkloadContracts:
             with pytest.raises(RuntimeError):
                 next(attacker.generator(0, 0))
 
-    def test_attackers_are_not_batchable(self):
-        assert not FlushReloadAttacker(4).batchable
-        assert not FlushFlushAttacker(4).batchable
-
     def test_unknown_kind_and_defence_raise(self):
         with pytest.raises(ValueError):
             run_flush_attack("flush_evict", "none", iterations=2)

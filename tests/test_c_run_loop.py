@@ -1,31 +1,39 @@
 """The C-resident run loop (PERFORMANCE.md rule 19) against its Python
 references.
 
-* the C emitter reproduces each synthetic archetype's
-  ``record_chunks`` stream record for record (Hypothesis over sizes,
-  fractions and seeds);
-* under the ``c`` engine, ``run_workloads(batch=True)`` — which takes
-  the C loop — equals ``batch=False`` — the generator path and the
-  Python loop — field for field, including monitor callbacks, captured
-  lines and prefetch events interleaving with the cores;
+* the C emitter reproduces each synthetic archetype's generator
+  stream record for record (Hypothesis over sizes, fractions and
+  seeds), and refuses every stream it does not port — attackers and
+  victims included;
+* under the ``c`` engine, a system whose cores carry their source
+  takes the C loop and equals its ``REPRO_BATCH=0`` run — cores bound
+  without a source, the Python loop — field for field, including
+  monitor callbacks, captured lines, prefetch events interleaving with
+  the cores, and streams as sparse as one memory op per 10**5
+  instructions;
 * the C loop is taken exactly when it should be: a fig8 cell never
   steps a Python core, while the python engine, a scripted core and a
-  plru LLC each keep the Python loop;
+  plru LLC each keep the Python loop; a generator the C loop runs
+  never builds its line picker, so a pointer-chase chain is shuffled
+  once per core;
 * a defended system (``run_defended_workloads`` with a detection unit
-  online) takes the C loop and equals its ``REPRO_BATCH=0`` run —
-  generator cores, the Python loop — field for field, the detection
-  report included, under every response policy and alarm-publishing
-  defence; a throttle response costs the same under both engines and
-  both loops.
+  online) takes the C loop and equals its ``REPRO_BATCH=0`` run field
+  for field, the detection report included, under every response
+  policy and alarm-publishing defence; a throttle response costs the
+  same under both engines and both loops.
 """
 
 from dataclasses import replace
-from itertools import chain, islice
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.covert_channel import CovertReceiver, CovertSender
+from repro.attacks.flush_reload import FlushFlushAttacker, FlushReloadAttacker
+from repro.attacks.primeprobe import PrimeProbeAttacker
+from repro.attacks.victim import SquareMultiplyVictim
 from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import Core
 from repro.cpu.multicore import MulticoreSystem
@@ -58,16 +66,25 @@ def _refuse(self, *args):
     raise AssertionError("the Python loop stepped a core")
 
 
-def _count_steps(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, cls, name) -> list[int]:
     calls = [0]
-    step = Core.step
+    method = getattr(cls, name)
 
-    def counted(self, budget):
+    def counted(self, *args):
         calls[0] += 1
-        return step(self, budget)
+        return method(self, *args)
 
-    monkeypatch.setattr(Core, "step", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def _bound(native: bool, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` with its cores bound for the C loop
+    (``native``), or under ``REPRO_BATCH=0``: without a source, so the
+    run stays on the Python loop."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_BATCH", "1" if native else "0")
+        return build(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -100,15 +117,14 @@ def _workloads(draw, cls):
     StreamWorkload, RandomWorkload, PointerChaseWorkload, StencilWorkload,
     HotColdWorkload,
 ], ids=lambda cls: cls.name)
-def test_c_emitter_matches_record_chunks(c_engine, cls):
+def test_c_emitter_matches_generator(c_engine, cls):
     @settings(max_examples=40, deadline=None)
     @given(workload=_workloads(cls), core_id=st.integers(0, 15),
            seed=st.integers(0, 2**64 - 1))
+    @example(workload=cls(64 * 1024, mem_fraction=1e-5), core_id=3, seed=11)
     def check(workload, core_id, seed):
         n = 1500
-        expected = list(islice(
-            chain.from_iterable(workload.record_chunks(core_id, seed, chunk=257)), n
-        ))
+        expected = list(islice(workload.generator(core_id, seed), n))
         assert c_cache.emit_records(workload, core_id, seed, n) == expected
 
     check()
@@ -121,11 +137,38 @@ def test_emitter_refuses_streams_it_does_not_port():
     assert Subclassed(64 * 1024).emitter_state(0, 0) is None
     assert ScriptedWorkload([(0, 0, 64)]).emitter_state(0, 0) is None
     assert RandomWorkload(64 << 32).emitter_state(0, 0) is None
+    assert StreamWorkload(64 * 1024, mem_fraction=1e-10).emitter_state(0, 0) is None
     assert spec_workload("sjeng").emitter_state(0, 0)["kind"] == 1
+    # Streams that read the latency they are sent back stay on the
+    # Python loop.
+    for workload in (
+        FlushReloadAttacker(4), FlushFlushAttacker(4), PrimeProbeAttacker(4),
+        CovertSender([1, 0]), CovertReceiver(2), SquareMultiplyVictim([1, 0]),
+    ):
+        assert workload.emitter_state(0, 0) is None, workload
+
+
+def test_generator_builds_its_picker_on_first_next(monkeypatch):
+    chains = _count_calls(monkeypatch, PointerChaseWorkload, "_chain")
+    generator = PointerChaseWorkload(64 * 1024).generator(2, 5)
+    assert chains[0] == 0
+    next(generator)
+    assert chains[0] == 1
+
+
+def test_c_loop_builds_each_chain_once(c_engine, monkeypatch):
+    workloads = scaled_mix_workloads("mix1", False)
+    pointer_cores = sum(w.profile.pattern == "pointer" for w in workloads)
+    assert pointer_cores
+    monkeypatch.setattr(Core, "step", _refuse)
+    chains = _count_calls(monkeypatch, PointerChaseWorkload, "_chain")
+    _bound(True, run_workloads, scaled_system_config(False), workloads,
+           5_000, seed=2)
+    assert chains[0] == pointer_cores
 
 
 # ----------------------------------------------------------------------
-# The loop: C (batch=True) vs Python (batch=False)
+# The loop: C (cores with a source) vs Python (REPRO_BATCH=0)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("budget", [1, 9_999])
@@ -134,15 +177,33 @@ def test_emitter_refuses_streams_it_does_not_port():
 def test_c_loop_equals_python_loop(c_engine, monkeypatch, mix, monitor, budget):
     config = scaled_system_config(False, monitor_enabled=monitor)
 
-    def run(batch):
-        return run_workloads(
-            config, scaled_mix_workloads(mix, False), budget, seed=7, batch=batch
-        )
+    def run(native):
+        return _bound(native, run_workloads, config,
+                      scaled_mix_workloads(mix, False), budget, seed=7)
 
     with monkeypatch.context() as patched:
         patched.setattr(Core, "step", _refuse)
         native = run(True)
     reference = run(False)
+    assert native == reference
+    assert native.extra == reference.extra
+
+
+def test_sparse_stream_takes_the_c_loop(c_engine, monkeypatch):
+    # One memory op per ~10**5 instructions: a compute gap far past
+    # any 14-bit record field.
+    config = scaled_system_config(False)
+    workloads = scaled_mix_workloads("mix1", False)
+    workloads[2] = StreamWorkload(64 * 1024, mem_fraction=1e-5)
+
+    def run(native):
+        return _bound(native, run_workloads, config, workloads, 250_001, seed=7)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Core, "step", _refuse)
+        native = run(True)
+    reference = run(False)
+    assert reference.core_memory_ops[2] >= 2
     assert native == reference
     assert native.extra == reference.extra
 
@@ -157,10 +218,10 @@ def test_callbacks_and_events_interleave(c_engine, monkeypatch, budget):
         filter=replace(base.filter, security_threshold=1),
     )
 
-    def run(batch):
-        system, monitor = build_system(
-            config, scaled_mix_workloads("mix1", False), seed=5,
-            track_captured_lines=True, batch=batch,
+    def run(native):
+        system, monitor = _bound(
+            native, build_system, config, scaled_mix_workloads("mix1", False),
+            seed=5, track_captured_lines=True,
         )
         return system.run(budget), monitor.captured_lines
 
@@ -204,7 +265,7 @@ def test_fig8_cell_never_steps_a_python_core(c_engine, monkeypatch):
 
 
 def _mix_run(engine="c", scripted=False, llc_policy=None):
-    def run(batch):
+    def run(native):
         config = scaled_system_config(False)
         if llc_policy is not None:
             config = replace(config, llc_policy=llc_policy)
@@ -213,7 +274,7 @@ def _mix_run(engine="c", scripted=False, llc_policy=None):
             workloads[0] = ScriptedWorkload(
                 [(3, 0, 64 * i) for i in range(50)] * 40, name="scripted"
             )
-        return run_workloads(config, workloads, 20_000, seed=3, batch=batch)
+        return _bound(native, run_workloads, config, workloads, 20_000, seed=3)
 
     return engine, run
 
@@ -229,19 +290,20 @@ def test_other_systems_keep_the_python_loop(monkeypatch, case):
         pytest.skip("C backend unavailable (no cffi/toolchain)")
     monkeypatch.setenv("REPRO_ENGINE", engine)
     with monkeypatch.context() as patched:
-        steps = _count_steps(patched)
-        batched = run(True)
+        steps = _count_calls(patched, Core, "step")
+        native = run(True)
     assert steps[0] > 0
-    assert batched == run(False)
+    assert native == run(False)
 
 
 # ----------------------------------------------------------------------
 # Defended systems: a detection unit online
 # ----------------------------------------------------------------------
 
-def _detected_run(batch: bool):
+def _detected_run(native: bool):
     """A monitored mix1 system with a detection unit deployed, bound
-    like ``bind_cores`` binds it (batch cores carry their source)."""
+    like ``bind_cores`` binds it (``native``: cores carry their
+    source)."""
     config = scaled_system_config(False)
     spec = DetectionSpec()
     events = EventQueue()
@@ -251,12 +313,8 @@ def _detected_run(batch: bool):
     bus = spec.attach_bus(monitor)
     cores = []
     for core_id, workload in enumerate(scaled_mix_workloads("mix1", False)):
-        if batch:
-            cores.append(Core(core_id, None, hierarchy,
-                              batches=workload.record_chunks(core_id, 9),
-                              source=(workload, 9)))
-        else:
-            cores.append(Core(core_id, workload.generator(core_id, 9), hierarchy))
+        cores.append(Core(core_id, workload.generator(core_id, 9), hierarchy,
+                          source=(workload, 9) if native else None))
     unit = spec.deploy(bus, events, hierarchy, cores)
     return MulticoreSystem(hierarchy, cores, events, detection=unit).run(20_000)
 
@@ -264,7 +322,7 @@ def _detected_run(batch: bool):
 def _defended_run(defence: str, response: str):
     """A benign mix1 tenant under ``defence`` with a rate detector that
     fires (12 verdicts and one throttle window under ``pipo``)."""
-    def run(batch):
+    def run(native):
         config = scaled_system_config(
             False, security_threshold=2, monitor_enabled=False
         )
@@ -272,12 +330,11 @@ def _defended_run(defence: str, response: str):
             detectors=(("rate", {"threshold": 2, "window": 24_000}),),
             response=response,
         )
-        with pytest.MonkeyPatch.context() as env:
-            env.setenv("REPRO_BATCH", "1" if batch else "0")
-            simulation, _, _ = run_defended_workloads(
-                config, scaled_mix_workloads("mix1", False), defence,
-                seed=7, instructions_per_core=60_000, detection=spec,
-            )
+        simulation, _, _ = _bound(
+            native, run_defended_workloads,
+            config, scaled_mix_workloads("mix1", False), defence,
+            seed=7, instructions_per_core=60_000, detection=spec,
+        )
         assert simulation.extra["detection"]["verdicts"] > 0
         return simulation
 
@@ -306,11 +363,12 @@ def test_defended_c_loop_equals_generator_loop(c_engine, monkeypatch, case):
 def test_throttle_costs_the_same_under_both_engines(monkeypatch):
     """A throttled core pays its penalty on every op but the L1 read
     hit, whichever engine serves the op and whichever loop runs it."""
-    def run(engine, batch):
+    def run(engine, native):
         monkeypatch.setenv("REPRO_ENGINE", engine)
-        system, _ = build_system(
+        system, _ = _bound(
+            native, build_system,
             scaled_system_config(False), scaled_mix_workloads("mix3", False),
-            seed=1, batch=batch,
+            seed=1,
         )
         system.events.schedule(100, lambda: system.cores[0].throttle(300))
         return system.run(20_000)
@@ -318,5 +376,5 @@ def test_throttle_costs_the_same_under_both_engines(monkeypatch):
     reference = run("python", False)
     assert reference.core_times[0] == 715_035
     for engine in available_engines():
-        for batch in (True, False):
-            assert run(engine, batch) == reference, (engine, batch)
+        for native in (True, False):
+            assert run(engine, native) == reference, (engine, native)

@@ -62,8 +62,6 @@ class TestCore:
             yield (0, None, 0)
 
         class Probe(ScriptedWorkload):
-            # Overriding ``generator`` (here: with a latency-consuming
-            # stream) disables batch prefetch automatically.
             def generator(self, core_id, seed):
                 return workload()
 
@@ -99,6 +97,20 @@ class TestMulticoreScheduler:
         ])
         system.run()
         assert system.cores[1].time < system.cores[0].time
+
+    def test_records_of_any_shape_replay(self, repro_engine):
+        # An unaligned address, a compute gap far wider than 14 bits
+        # and a pure-compute record carrying an address each run as
+        # given; the unaligned read fills the line the last read hits.
+        records = [(1, OP_READ, 0x1001), (1 << 20, OP_WRITE, 0x40),
+                   (3, None, 4096), (0, OP_READ, 0x1000)]
+        system, _ = build_small([ScriptedWorkload(records)])
+        result = system.run()
+        assert result.core_instructions == [(1 << 20) + 4 + 3]
+        assert result.core_memory_ops == [3]
+        assert result.stats.l1_hits == 1 and result.stats.l1_misses == 2
+        miss = 2 + 18 + 35 + 200
+        assert result.core_times == [1 + miss + (1 << 20) + miss + 3 + 2]
 
     def test_instruction_budget_respected(self):
         workload = ScriptedWorkload([(9, OP_READ, 0x40)] * 1000)

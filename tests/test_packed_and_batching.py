@@ -1,13 +1,14 @@
-"""Packed-line bit-field round-trips and batch-emission equivalence.
+"""Packed-line bit-field round-trips and emission equivalence.
 
 Two contracts of the array-native engine are pinned here:
 
 * the packed line word (see :mod:`repro.cache.line`) round-trips every
   field at its boundaries, with full-width tags (the dict key) never
   colliding with any field;
-* every workload class emits the *identical* record stream through its
-  generator, its chunked batch producer and (for the synthetic
-  archetypes) the C run loop's emitter — and the filter's batched
+* every synthetic workload class, SPEC wrappers included, emits the
+  *identical* record stream through its generator and through the C
+  run loop's emitter, and a system of it runs to the identical result
+  on the C loop and on the Python loop — and the filter's batched
   entry point leaves identical table state.
 """
 
@@ -15,7 +16,6 @@ import itertools
 
 import pytest
 
-from repro.cache.hierarchy import OP_IFETCH, OP_READ, OP_WRITE
 from repro.cache.line import (
     SHARERS_BITS,
     VERSION_SHIFT,
@@ -26,9 +26,11 @@ from repro.cache.line import (
     unpack_line,
 )
 from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
+from repro.cpu.core import Core
+from repro.cpu.system import run_workloads
 from repro.engine import available_engines, c_cache
+from repro.experiments.common import scaled_system_config
 from repro.filters.auto_cuckoo import AutoCuckooFilter
-from repro.workloads.base import REC_COMPUTE_MAX, ScriptedWorkload
 from repro.workloads.spec import spec_workload
 from repro.workloads.synthetic import (
     HotColdWorkload,
@@ -150,18 +152,6 @@ WORKLOADS = [
 
 class TestBatchEmissionEquivalence:
     @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
-    def test_record_chunks_match_generator(self, workload):
-        n = 3000
-        expected = _first_records(workload, n)
-        chunks = workload.record_chunks(1, 99, chunk=257)  # odd chunk size
-        streamed = []
-        for chunk in chunks:
-            streamed.extend(chunk)
-            if len(streamed) >= n:
-                break
-        assert streamed[:n] == expected
-
-    @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
     def test_c_emitter_matches_generator(self, workload):
         # The C run loop's emitter (PERFORMANCE.md rule 19), SpecWorkload
         # wrappers included, against the generator.
@@ -170,36 +160,31 @@ class TestBatchEmissionEquivalence:
         n = 1500
         assert c_cache.emit_records(workload, 1, 99, n) == _first_records(workload, n)
 
-    def test_scripted_workload_batches(self):
-        records = [(2, OP_READ, 0x1000), (0, None, 0), (5, OP_WRITE, 0x2040),
-                   (1, OP_IFETCH, 0x380000)]
-        workload = ScriptedWorkload(records * 10)
-        assert workload.batchable
-        assert list(
-            itertools.chain.from_iterable(workload.record_chunks(0, 0, chunk=7))
-        ) == records * 10
+    @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+    def test_c_loop_matches_python_loop(self, workload, monkeypatch):
+        # Every core runs this stream: bound with its source, the run
+        # never steps a Python core; under REPRO_BATCH=0 (no source) it
+        # keeps the Python loop.  Both give the same result.
+        if "c" not in available_engines():
+            pytest.skip("C backend unavailable (no cffi/toolchain)")
+        monkeypatch.setenv("REPRO_ENGINE", "c")
+        config = scaled_system_config(False)
+        workloads = [workload] * config.num_cores
 
-    def test_scripted_unpackable_records_disable_batching(self):
-        # Unaligned address
-        assert not ScriptedWorkload([(1, OP_READ, 0x1001)]).batchable
-        # Oversized compute gap
-        assert not ScriptedWorkload(
-            [(REC_COMPUTE_MAX + 1, OP_READ, 0x40)]
-        ).batchable
-        # Pure-compute record carrying an address: batch paths carry
-        # no address for op=None, so trace capture would lose it
-        assert not ScriptedWorkload([(1, None, 4096)]).batchable
-        with pytest.raises(ValueError):
-            next(ScriptedWorkload([(1, OP_READ, 0x1001)]).record_chunks(0, 0))
+        def run(with_source):
+            monkeypatch.setenv("REPRO_BATCH", "1" if with_source else "0")
+            return run_workloads(config, workloads, 20_000, seed=4)
 
-    def test_non_batchable_workload_refuses(self):
-        class Feedback(StreamWorkload):
-            batchable = False
+        def refuse(self, budget):
+            raise AssertionError("the Python loop stepped a core")
 
-        workload = Feedback(64 * 1024)
-        workload.batchable = False
-        with pytest.raises(ValueError):
-            next(workload.record_chunks(0, 0))
+        with monkeypatch.context() as patched:
+            patched.setattr(Core, "step", refuse)
+            native = run(True)
+        reference = run(False)
+        assert min(reference.core_memory_ops) > 0
+        assert native == reference
+        assert native.extra == reference.extra
 
 
 def _lcg_keys(n, mod, seed=0xABCDE):

@@ -128,16 +128,17 @@ class TestAccessManyEquivalence:
 
 @pytest.mark.usefixtures("repro_engine")
 class TestBatchPrefetchEquivalence:
-    """The chunked per-core batch prefetch must be semantically
-    invisible: identical SimulationResult whether cores consume their
-    workload through the generator protocol or through record chunks
-    (under ``c``, the C-resident run loop), with or without a monitor
-    on the path."""
+    """Binding each core's source must be semantically invisible:
+    identical SimulationResult whether the run may move into the
+    C-resident run loop (under ``c``) or stays on the Python loop
+    (``REPRO_BATCH=0``), with or without a monitor on the path."""
 
-    def _run(self, batch, monitor_enabled, seed=11):
+    def _run(self, native, monitor_enabled, seed=11):
         config = scaled_system_config(False, monitor_enabled=monitor_enabled)
         workloads = scaled_mix_workloads("mix1", False)
-        return run_workloads(config, workloads, 25_000, seed=seed, batch=batch)
+        with pytest.MonkeyPatch.context() as env:
+            env.setenv("REPRO_BATCH", "1" if native else "0")
+            return run_workloads(config, workloads, 25_000, seed=seed)
 
     def test_batched_matches_generator_baseline(self):
         assert self._run(True, False) == self._run(False, False)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cache.hierarchy import OP_IFETCH, OP_READ, OP_WRITE
+from repro.attacks.flush_reload import FlushFlushAttacker
+from repro.cache.hierarchy import OP_FLUSH, OP_IFETCH, OP_READ, OP_WRITE
 from repro.workloads.base import (
     ScriptedWorkload,
     compute_gap,
@@ -211,6 +212,32 @@ class TestTraces:
         path = tmp_path / "trace.csv"
         write_trace_csv(records, path)
         assert read_trace_csv(path) == records
+
+    def test_flush_trace_csv_round_trip(self, tmp_path):
+        attacker = FlushFlushAttacker(3)
+        attacker.targets = [0x1000, 0x2040]
+        records = record_trace(attacker, max_ops=50)
+        assert sum(r.op == OP_FLUSH for r in records) == 8
+        path = tmp_path / "flush.csv"
+        write_trace_csv(records, path)
+        assert read_trace_csv(path) == records
+
+    def test_unknown_op_letter_rejected(self, tmp_path):
+        path = tmp_path / "bad_op.csv"
+        path.write_text("compute,op,address\n1,R,0x40\n2,X,0x80\n")
+        with pytest.raises(ValueError, match="line 3: unknown op 'X'"):
+            read_trace_csv(path)
+
+    def test_trace_keeps_records_of_any_shape(self, tmp_path):
+        # Unaligned addresses, wide compute gaps and pure-compute
+        # records carrying an address are captured and saved verbatim.
+        records = [(1, OP_READ, 0x1001), (1 << 40, OP_WRITE, 0x40),
+                   (3, None, 4096), (0, OP_IFETCH, 0x380000)]
+        trace = record_trace(ScriptedWorkload(records), max_ops=10)
+        assert [r.as_tuple() for r in trace] == records
+        path = tmp_path / "shapes.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
