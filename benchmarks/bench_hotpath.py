@@ -6,8 +6,6 @@ tracked, not asserted:
 * ``CacheHierarchy.access`` on its three service tiers — L1 hit,
   LLC hit (L1/L2 miss), and full miss to memory with the monitor's
   filter on the path;
-* ``CacheHierarchy.access_many`` on the same L1-hit stream (the
-  batched entry point trace replay uses);
 * three dedicated cache-walk mixes (``test_walk_*``) — L1-hit
   dominated, cold miss+fill, and monitored evict-heavy — so the C
   walk's effect is measured per-path, not only end-to-end;
@@ -100,18 +98,6 @@ def test_access_l1_hit(benchmark):
             access(0, OP_READ, a)
 
     _bench_ops(benchmark, run, _l1_hit_state, N_OPS)
-
-
-def test_access_many_l1_hit(benchmark):
-    def setup():
-        h, seq = _l1_hit_state()
-        return h, [(0, OP_READ, a) for a in seq]
-
-    def run(state):
-        h, requests = state
-        h.access_many(requests)
-
-    _bench_ops(benchmark, run, setup, N_OPS)
 
 
 def test_access_llc_hit(benchmark):

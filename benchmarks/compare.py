@@ -42,7 +42,6 @@ TRAJECTORY_PATH = Path(__file__).resolve().parent / "results" / "BENCH_trajector
 CELL_GROUPS = {
     "access": (
         "test_access_l1_hit",
-        "test_access_many_l1_hit",
         "test_access_llc_hit",
         "test_access_miss",
     ),

@@ -18,7 +18,7 @@ from repro.cache.coherence import (
     state_name,
 )
 from repro.cache.hierarchy import AccessStats, CacheHierarchy
-from repro.cache.line import CacheLine, CacheLineView, pack_line, unpack_line
+from repro.cache.line import CacheLine, pack_line, unpack_line
 from repro.cache.llc import SlicedLLC
 from repro.cache.replacement import (
     FifoPolicy,
@@ -35,7 +35,6 @@ __all__ = [
     "CacheGeometry",
     "CacheHierarchy",
     "CacheLine",
-    "CacheLineView",
     "EXCLUSIVE",
     "FifoPolicy",
     "INVALID",

@@ -18,8 +18,8 @@ int in its array's flat ``_map`` (see :mod:`repro.cache.line` for the
 bit layout) plus a stamp int in its per-set dict, and this module
 mutates those words in place.  Fills, evictions, and coherence actions
 therefore allocate no objects; :class:`~repro.cache.line.CacheLine`
-objects are materialised only at the monitor boundary (eviction hooks)
-and on introspection APIs.
+snapshots are materialised only at the monitor boundary (eviction
+hooks) and on introspection APIs, and nothing is read back from them.
 
 PiPoMonitor (or any baseline defense) plugs in as ``monitor`` with two
 hooks:
@@ -27,10 +27,11 @@ hooks:
 * ``on_access(line_addr, now) -> bool`` — called for every *demand*
   fetch that reaches memory; the return value tags the filled LLC line
   as Ping-Pong (the paper's capture path).
-* ``on_llc_eviction(line, now)``       — called when a tagged line is
-  evicted from the LLC (the paper's pEvict message).  Monitors that
-  only react to tagged lines declare ``needs_all_evictions = False``
-  and the hierarchy then skips materialising untagged victims — the
+* ``on_llc_eviction(line, now)``       — called with a snapshot of the
+  victim when a tagged line is evicted from the LLC (the paper's
+  pEvict message; the monitor only reads it).  Monitors that only
+  react to tagged lines declare ``needs_all_evictions = False`` and
+  the hierarchy then skips materialising untagged victims — the
   common case on the miss path.
 
 The monitor prefetches by calling :meth:`CacheHierarchy.prefetch_fill`.
@@ -64,7 +65,6 @@ from repro.cache.line import (
     VERSION_BELOW,
     VERSION_SHIFT,
     CacheLine,
-    CacheLineView,
     decode_sharers,
 )
 from repro.cache.llc import SLICE_MULT, U64_MASK, SlicedLLC
@@ -263,12 +263,12 @@ class CacheHierarchy:
         generic :meth:`access` bound method for the ``python`` engine
         and for configurations the C walk refuses.
 
-        Callers that loop over memory operations (cores, batch replay)
-        bind this once — after the monitor is attached — instead of
-        :meth:`access`; both entry points mutate the same state (once
-        the C walk is installed, :meth:`access`, :meth:`clflush` and
-        :meth:`prefetch_fill` route into it too), so they interleave
-        freely.
+        Callers that loop over memory operations (cores, trace replay)
+        bind this once — after the monitor is attached — and call it
+        per operation; there is no batch entry point.  Both entry
+        points mutate the same state (once the C walk is installed,
+        :meth:`access`, :meth:`clflush` and :meth:`prefetch_fill` route
+        into it too), so they interleave freely.
         """
         from repro.engine import hierarchy_access
 
@@ -310,8 +310,6 @@ class CacheHierarchy:
                 l1._stamp = stamp
                 if l1._touch_stamps:
                     l1._sets[line_addr & l1._set_mask][line_addr] = stamp
-                else:
-                    l1.policy.on_touch(CacheLineView(l1, line_addr), stamp)
                 stats = self.stats
                 stats.l1_hits += 1
                 stats.total_latency += latency
@@ -350,8 +348,6 @@ class CacheHierarchy:
                 l1._stamp = stamp
                 if l1._touch_stamps:
                     l1._sets[line_addr & l1._set_mask][line_addr] = stamp
-                else:
-                    l1.policy.on_touch(CacheLineView(l1, line_addr), stamp)
                 stats.total_latency += latency
                 stats.per_core_accesses[core] += 1
                 return latency
@@ -382,8 +378,6 @@ class CacheHierarchy:
             l2._stamp = stamp
             if l2._touch_stamps:
                 l2._sets[line_addr & l2._set_mask][line_addr] = stamp
-            else:
-                l2.policy.on_touch(CacheLineView(l2, line_addr), stamp)
             stats.total_latency += latency
             if op == 1:  # OP_WRITE
                 stats.writes += 1
@@ -425,66 +419,6 @@ class CacheHierarchy:
         stats.total_latency += latency
         stats.per_core_accesses[core] += 1
         return latency
-
-    def access_many(
-        self,
-        requests: "list[tuple[int, int, int]]",
-        now: int = 0,
-    ) -> list[int]:
-        """Perform a batch of ``(core, op, addr)`` operations.
-
-        Semantically identical to calling :meth:`access` once per
-        request (same stats, same replacement decisions, same monitor
-        interactions) but with the loop overhead amortised: attribute
-        chains are hoisted out of the loop and the dominant case — an
-        L1 read hit — is handled entirely inline.  Trace replay and
-        synthetic warmups are built on this; the cycle-interleaved
-        multicore scheduler still consumes one record per core per
-        step (:meth:`repro.cpu.core.Core.step`) because it must
-        interleave cores between operations.
-
-        Returns the per-request latencies.
-        """
-        cs = self._c_state
-        if cs is not None:
-            return cs.access_many(requests, now)
-        # Non-inline requests go through the engine-selected kernel
-        # (the generic ``access`` under REPRO_ENGINE=python).  Resolved
-        # *before* the locals are hoisted: under REPRO_ENGINE=c this
-        # very call may install the C walk, after which the dicts are
-        # a mirror and the whole batch must route through C.
-        access = self.engine_access()
-        cs = self._c_state
-        if cs is not None:
-            return cs.access_many(requests, now)
-        stats = self.stats
-        l1d = self.l1d
-        line_bits = self._line_bits
-        l1_latency = self.l1_latency
-        per_core = stats.per_core_accesses
-        latencies = []
-        append = latencies.append
-        for core, op, addr in requests:
-            if op == 0:  # OP_READ
-                l1 = l1d[core]
-                line_addr = addr >> line_bits
-                if line_addr in l1._map:
-                    # Inline L1 read hit (the overwhelmingly common
-                    # case): identical effect to ``access``.
-                    l1.hits += 1
-                    stats.l1_hits += 1
-                    stamp = l1._stamp + 1
-                    l1._stamp = stamp
-                    if l1._touch_stamps:
-                        l1._sets[line_addr & l1._set_mask][line_addr] = stamp
-                    else:
-                        l1.policy.on_touch(CacheLineView(l1, line_addr), stamp)
-                    stats.total_latency += l1_latency
-                    per_core[core] += 1
-                    append(l1_latency)
-                    continue
-            append(access(core, op, addr, now))
-        return latencies
 
     # ------------------------------------------------------------------
     # Flush (clflush/invalidate) — the Flush+Reload / Flush+Flush
@@ -544,9 +478,7 @@ class CacheHierarchy:
         if monitor is not None and (
             word & PINGPONG or getattr(monitor, "needs_all_evictions", True)
         ):
-            victim = CacheLine.from_packed(line_addr, word, stamp)
-            monitor.on_llc_eviction(victim, now)
-            word = victim.to_word()
+            monitor.on_llc_eviction(CacheLine(line_addr, word, stamp), now)
         sharers = (word >> _SS) & _SMASK
         dirty = word & DIRTY
         version = word >> _VS
@@ -647,8 +579,6 @@ class CacheHierarchy:
         sl._stamp = stamp
         if sl._touch_stamps:
             sl._sets[line_addr & sl._set_mask][line_addr] = stamp
-        else:
-            sl.policy.on_touch(CacheLineView(sl, line_addr), stamp)
         return penalty
 
     def _flush_core_line(
@@ -747,10 +677,10 @@ class CacheHierarchy:
         llc_word = smap[line_addr]
         base = ((llc_word >> _VS) << _VS) | (state << STATE_SHIFT)
         l2 = self.l2[core]
-        # Both fills below inline the ``_fill`` fast path (stamp-on-
-        # insert, min-stamp victim) — this method runs once per miss
-        # that reaches the LLC or memory.
-        if l2._insert_stamps and l2._victim_is_min_stamp:
+        # Both fills below inline the ``_fill`` fast path (min-stamp
+        # victim) — this method runs once per miss that reaches the
+        # LLC or memory.
+        if l2._victim_is_min_stamp:
             cache_set = l2._sets[line_addr & l2._set_mask]
             if line_addr in cache_set:
                 raise ValueError(
@@ -800,7 +730,7 @@ class CacheHierarchy:
                 lw |= DIRTY
             lmap[vaddr] = lw & ~(1 << (core + _SS))
         l1 = (self.l1i if op == OP_IFETCH else self.l1d)[core]
-        if l1._insert_stamps and l1._victim_is_min_stamp:
+        if l1._victim_is_min_stamp:
             cache_set = l1._sets[line_addr & l1._set_mask]
             if line_addr in cache_set:
                 raise ValueError(
@@ -892,33 +822,27 @@ class CacheHierarchy:
             # Prefetch fill: stays tagged, access bit cleared (the
             # no-endless-prefetch rule, Section IV).
             base = (version << _VS) | PINGPONG
-        # Inlined ``_fill`` fast path for stamp-on-insert policies
-        # (LRU: min-stamp victim; lru_rand & friends: the policy's
-        # array-native ``victim_addr``); identical bookkeeping, no
+        # Inlined ``_fill`` (LRU: min-stamp victim; lru_rand & friends:
+        # the policy's ``victim_addr``); identical bookkeeping, no
         # per-fill method dispatch on the miss path.
-        if sl._insert_stamps and (
-            sl._victim_is_min_stamp or sl._victim_addr is not None
-        ):
-            cache_set = sl._sets[line_addr & sl._set_mask]
-            if line_addr in cache_set:
-                raise ValueError(
-                    f"{sl.name}: duplicate insert of line {line_addr:#x}"
-                )
-            vaddr = None
-            if len(cache_set) >= sl.ways:
-                if sl._victim_is_min_stamp:
-                    vaddr = min(cache_set, key=cache_set.__getitem__)
-                else:
-                    vaddr = sl._victim_addr(cache_set)
-                vstamp = cache_set.pop(vaddr)
-                vword = sl._map.pop(vaddr)
-                sl.evictions += 1
-            stamp = sl._stamp + 1
-            sl._stamp = stamp
-            cache_set[line_addr] = stamp
-            sl._map[line_addr] = base
-        else:
-            vaddr, vword, vstamp = sl._fill(line_addr, base)
+        cache_set = sl._sets[line_addr & sl._set_mask]
+        if line_addr in cache_set:
+            raise ValueError(
+                f"{sl.name}: duplicate insert of line {line_addr:#x}"
+            )
+        vaddr = None
+        if len(cache_set) >= sl.ways:
+            if sl._victim_is_min_stamp:
+                vaddr = min(cache_set, key=cache_set.__getitem__)
+            else:
+                vaddr = sl._victim_addr(cache_set)
+            vstamp = cache_set.pop(vaddr)
+            vword = sl._map.pop(vaddr)
+            sl.evictions += 1
+        stamp = sl._stamp + 1
+        sl._stamp = stamp
+        cache_set[line_addr] = stamp
+        sl._map[line_addr] = base
         if vaddr is not None:
             self._handle_llc_eviction(vaddr, vword, vstamp, now)
         return latency
@@ -938,9 +862,7 @@ class CacheHierarchy:
         if monitor is not None and (
             vword & PINGPONG or getattr(monitor, "needs_all_evictions", True)
         ):
-            victim = CacheLine.from_packed(vaddr, vword, vstamp)
-            monitor.on_llc_eviction(victim, now)
-            vword = victim.to_word()
+            monitor.on_llc_eviction(CacheLine(vaddr, vword, vstamp), now)
         sharers = (vword >> _SS) & _SMASK
         if sharers:
             dirty = vword & DIRTY

@@ -30,11 +30,10 @@ Line-word layout (low bit first)::
 The tag itself is the dict key (full line address, implicit and
 exact), so no field in the word bounds the address width.
 
-:class:`CacheLine` remains as the **compatibility object** — tests,
-attacks, and monitor hooks that introspect or build standalone lines
-keep the attribute API; :class:`CacheLineView` is the live proxy
-``lookup``/``lines`` return, reading and writing the packed word in
-place.
+:class:`CacheLine` is the one object form of a line: a detached
+snapshot of a word and its stamp.  The introspection APIs
+(``lookup``/``lines``/``set_lines``) and the monitor's eviction hook
+receive one; writing to its attributes never reaches a cache.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ STATE_MASK = 0b11 << STATE_SHIFT
 #: Directory presence bitmask (one bit per core).
 SHARERS_SHIFT = 5
 SHARERS_BITS = 16
-SHARERS_MASK = ((1 << SHARERS_BITS) - 1) << SHARERS_SHIFT
 
 #: Write-version stamp (open-ended top field).
 VERSION_SHIFT = SHARERS_SHIFT + SHARERS_BITS
@@ -114,12 +112,36 @@ def decode_sharers(mask: int) -> list[int]:
     return cores
 
 
-class _LineFields:
-    """Shared attribute surface of :class:`CacheLine` and
-    :class:`CacheLineView` (repr and derived helpers only — storage is
-    defined by the concrete classes)."""
+class CacheLine:
+    """Detached snapshot of one line: its address, the fields of its
+    packed word, and its replacement stamp.
 
-    __slots__ = ()
+    Built from ``(addr, word, stamp)`` wherever a line leaves the
+    arrays as an object — introspection results and eviction victims
+    handed to monitor hooks.  The snapshot does not follow later
+    changes to the cache, and changes to it do not reach the cache.
+    """
+
+    __slots__ = (
+        "addr",
+        "state",
+        "dirty",
+        "stamp",
+        "sharers",
+        "pingpong",
+        "accessed",
+        "version",
+    )
+
+    def __init__(self, addr: int, word: int, stamp: int):
+        self.addr = addr
+        self.state = (word >> STATE_SHIFT) & 0b11
+        self.dirty = bool(word & DIRTY)
+        self.stamp = stamp
+        self.sharers = (word >> SHARERS_SHIFT) & ((1 << SHARERS_BITS) - 1)
+        self.pingpong = bool(word & PINGPONG)
+        self.accessed = bool(word & ACCESSED)
+        self.version = word >> VERSION_SHIFT
 
     def sharer_list(self) -> list[int]:
         """Decode the sharers bitmask into a sorted list of core ids."""
@@ -134,159 +156,7 @@ class _LineFields:
         if self.accessed:
             flags.append("accessed")
         return (
-            f"{type(self).__name__}(addr={self.addr:#x}, "
+            f"CacheLine(addr={self.addr:#x}, "
             f"state={state_name(self.state)}, "
             f"sharers={self.sharer_list()}, {' '.join(flags) or 'clean'})"
         )
-
-
-class CacheLine(_LineFields):
-    """Standalone line object (compatibility / detached form).
-
-    Resident lines are packed words; a ``CacheLine`` materialises one
-    as a plain object — for policy unit tests that build synthetic
-    lines, and for *detached* lines (eviction victims handed to
-    monitor hooks, ``remove()`` returns) whose word has already left
-    the arrays.
-    """
-
-    __slots__ = (
-        "addr",
-        "state",
-        "dirty",
-        "stamp",
-        "sharers",
-        "pingpong",
-        "accessed",
-        "version",
-    )
-
-    def __init__(self, addr: int, state: int = 0, version: int = 0):
-        self.addr = addr
-        self.state = state
-        self.dirty = False
-        self.stamp = 0
-        self.sharers = 0
-        self.pingpong = False
-        self.accessed = False
-        self.version = version
-
-    @classmethod
-    def from_packed(cls, addr: int, word: int, stamp: int = 0) -> "CacheLine":
-        """Materialise a detached line from its packed word + stamp."""
-        line = cls.__new__(cls)
-        line.addr = addr
-        line.state = (word >> STATE_SHIFT) & 0b11
-        line.dirty = bool(word & DIRTY)
-        line.stamp = stamp
-        line.sharers = (word >> SHARERS_SHIFT) & ((1 << SHARERS_BITS) - 1)
-        line.pingpong = bool(word & PINGPONG)
-        line.accessed = bool(word & ACCESSED)
-        line.version = word >> VERSION_SHIFT
-        return line
-
-    def to_word(self) -> int:
-        """Re-pack the object's fields into a line word."""
-        return pack_line(
-            state=self.state,
-            version=self.version,
-            dirty=self.dirty,
-            pingpong=self.pingpong,
-            accessed=self.accessed,
-            sharers=self.sharers,
-        )
-
-
-class CacheLineView(_LineFields):
-    """Live proxy over one *resident* packed line.
-
-    Reads and writes go straight to the owning array's flat word dict
-    (and, for ``stamp``, its per-set stamp dict), so a mutation through
-    the view is indistinguishable from the hierarchy's own in-place
-    word updates.  Views are created only on introspection paths
-    (``lookup``/``lines``/``set_lines``, policy callbacks of
-    non-stamping policies) — the hot paths mutate words directly.
-    """
-
-    __slots__ = ("_cache", "addr")
-
-    def __init__(self, cache, addr: int):
-        self._cache = cache
-        self.addr = addr
-
-    # -- packed-word plumbing ------------------------------------------
-
-    @property
-    def word(self) -> int:
-        return self._cache._map[self.addr]
-
-    def _update(self, clear: int, set_bits: int) -> None:
-        m = self._cache._map
-        m[self.addr] = (m[self.addr] & ~clear) | set_bits
-
-    # -- fields --------------------------------------------------------
-
-    @property
-    def state(self) -> int:
-        return (self._cache._map[self.addr] >> STATE_SHIFT) & 0b11
-
-    @state.setter
-    def state(self, value: int) -> None:
-        self._update(STATE_MASK, value << STATE_SHIFT)
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._cache._map[self.addr] & DIRTY)
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._update(DIRTY, DIRTY if value else 0)
-
-    @property
-    def pingpong(self) -> bool:
-        return bool(self._cache._map[self.addr] & PINGPONG)
-
-    @pingpong.setter
-    def pingpong(self, value: bool) -> None:
-        self._update(PINGPONG, PINGPONG if value else 0)
-
-    @property
-    def accessed(self) -> bool:
-        return bool(self._cache._map[self.addr] & ACCESSED)
-
-    @accessed.setter
-    def accessed(self, value: bool) -> None:
-        self._update(ACCESSED, ACCESSED if value else 0)
-
-    @property
-    def sharers(self) -> int:
-        return (self._cache._map[self.addr] >> SHARERS_SHIFT) & (
-            (1 << SHARERS_BITS) - 1
-        )
-
-    @sharers.setter
-    def sharers(self, value: int) -> None:
-        self._update(SHARERS_MASK, value << SHARERS_SHIFT)
-
-    @property
-    def version(self) -> int:
-        return self._cache._map[self.addr] >> VERSION_SHIFT
-
-    @version.setter
-    def version(self, value: int) -> None:
-        m = self._cache._map
-        m[self.addr] = (m[self.addr] & VERSION_BELOW) | (value << VERSION_SHIFT)
-
-    @property
-    def stamp(self) -> int:
-        cache = self._cache
-        return cache._sets[self.addr & cache._set_mask][self.addr]
-
-    @stamp.setter
-    def stamp(self, value: int) -> None:
-        cache = self._cache
-        cache._sets[self.addr & cache._set_mask][self.addr] = value
-
-    def detach(self) -> CacheLine:
-        """Snapshot the current fields into a standalone line."""
-        return CacheLine.from_packed(self.addr, self.word, self.stamp)

@@ -100,8 +100,8 @@ class SlicedLLC:
     def lookup(self, line_addr: int) -> CacheLine | None:
         return self.slices[self.slice_of(line_addr)].lookup(line_addr)
 
-    def touch(self, line: CacheLine) -> None:
-        self.slices[self.slice_of(line.addr)].touch(line)
+    def touch(self, line_addr: int) -> None:
+        self.slices[self.slice_of(line_addr)].touch(line_addr)
 
     def insert(self, line_addr: int, version: int = 0) -> tuple[CacheLine, CacheLine | None]:
         return self.slices[self.slice_of(line_addr)].insert(line_addr, version=version)
@@ -128,7 +128,7 @@ class SlicedLLC:
         return sum(sl.evictions for sl in self.slices)
 
     def __contains__(self, line_addr: int) -> bool:
-        return self.lookup(line_addr) is not None
+        return line_addr in self.slices[self.slice_of(line_addr)]
 
     def __len__(self) -> int:
         return sum(sl.resident for sl in self.slices)

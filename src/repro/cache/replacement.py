@@ -1,8 +1,11 @@
 """Replacement policies.
 
-Each policy operates on the line objects of one set.  Policies are
-stateless across sets except for the RNG (random) and the per-cache
-monotonic stamp counter the cache supplies on ``touch``/``insert``.
+A policy chooses the victim of one full set from that set's
+``{line_addr: stamp}`` dict (iteration order = fill order).  The cache
+owns the stamps: every fill and, for policies with ``touch_stamps``,
+every hit writes a fresh per-cache monotonic stamp.  Policies are
+stateless across sets except for the RNG (random and the randomised
+variants).
 
 ``LruPolicy`` is the default everywhere (gem5's classic caches default
 to LRU); the others exist for sensitivity studies and because SHARP-
@@ -12,56 +15,33 @@ style defenses modify the LLC policy.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
-from operator import attrgetter
 
-from repro.cache.line import CacheLine
 from repro.utils.rng import derive_rng
-
-#: Shared key function for stamp-ordered victim scans (a C-level
-#: attrgetter beats a Python lambda on the eviction path).
-_line_stamp = attrgetter("stamp")
 
 
 class ReplacementPolicy:
     """Interface: pick a victim among the resident lines of a set.
 
-    ``touch_stamps`` is the hot-path contract with
-    :class:`~repro.cache.set_assoc.SetAssociativeCache`: policies whose
-    ``on_touch`` does exactly ``line.stamp = stamp`` (LRU and the
-    stamp-quantising variants) set it True, and the cache then writes
-    the stamp inline on hits instead of paying a virtual dispatch —
-    the single hottest call site in the simulator.  ``victim`` (and
-    ``on_touch`` for policies that leave the flag False) stays fully
-    pluggable.
+    Besides ``name``, the whole protocol is two flags read by
+    :class:`~repro.cache.set_assoc.SetAssociativeCache` (and the
+    hierarchy's inlined fills) and one method:
+
+    * ``touch_stamps`` — a hit refreshes the line's stamp (LRU and its
+      variants); when False, hits leave the stamps alone (FIFO,
+      random).
+    * ``victim_is_min_stamp`` — the victim is the smallest stamp, so
+      the cache runs the C-level ``min`` without a dispatch per
+      eviction (LRU, FIFO).
+    * ``victim_addr(cache_set)`` — the victim's line address, picked
+      from a full set's ``{line_addr: stamp}`` dict.
     """
 
     name = "abstract"
     touch_stamps = False
-    #: Same contract for fills: policies whose ``on_insert`` is exactly
-    #: ``line.stamp = stamp`` (everything but the random policy) set
-    #: this so the cache stamps inline on insertion too.
-    insert_stamps = False
-    #: And for evictions: policies whose ``victim`` is exactly
-    #: ``min(lines, key=stamp)`` (LRU, FIFO) set this so the cache
-    #: runs the C-level ``min`` without a dispatch per eviction.
     victim_is_min_stamp = False
-    #: Array-native victim selection: ``victim_addr(cache_set)`` picks
-    #: straight from a set's ``{line_addr: stamp}`` dict (iteration
-    #: order = fill order, matching the line order ``victim`` sees).
-    #: The built-in policies all provide it; a policy that leaves it
-    #: None falls back to ``victim`` over materialised line views —
-    #: correct, but with per-eviction allocation.
-    victim_addr = None
 
-    def victim(self, lines: Iterable[CacheLine]) -> CacheLine:
+    def victim_addr(self, cache_set: dict) -> int:
         raise NotImplementedError
-
-    def on_touch(self, line: CacheLine, stamp: int) -> None:
-        """Called on every hit with a fresh monotonic stamp."""
-
-    def on_insert(self, line: CacheLine, stamp: int) -> None:
-        """Called when a line is filled with a fresh monotonic stamp."""
 
 
 class LruPolicy(ReplacementPolicy):
@@ -69,37 +49,20 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
     touch_stamps = True
-    insert_stamps = True
     victim_is_min_stamp = True
-
-    def victim(self, lines: Iterable[CacheLine]) -> CacheLine:
-        return min(lines, key=_line_stamp)
 
     def victim_addr(self, cache_set: dict) -> int:
         return min(cache_set, key=cache_set.__getitem__)
-
-    def on_touch(self, line: CacheLine, stamp: int) -> None:
-        line.stamp = stamp
-
-    def on_insert(self, line: CacheLine, stamp: int) -> None:
-        line.stamp = stamp
 
 
 class FifoPolicy(ReplacementPolicy):
     """Evict the oldest-inserted line; hits do not refresh."""
 
     name = "fifo"
-    insert_stamps = True
     victim_is_min_stamp = True
-
-    def victim(self, lines: Iterable[CacheLine]) -> CacheLine:
-        return min(lines, key=_line_stamp)
 
     def victim_addr(self, cache_set: dict) -> int:
         return min(cache_set, key=cache_set.__getitem__)
-
-    def on_insert(self, line: CacheLine, stamp: int) -> None:
-        line.stamp = stamp
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -109,10 +72,6 @@ class RandomPolicy(ReplacementPolicy):
 
     def __init__(self, seed: int = 0):
         self._rng: random.Random = derive_rng(seed, "random-replacement")
-
-    def victim(self, lines: Iterable[CacheLine]) -> CacheLine:
-        candidates = list(lines)
-        return candidates[self._rng.randrange(len(candidates))]
 
     def victim_addr(self, cache_set: dict) -> int:
         candidates = list(cache_set)
@@ -132,22 +91,12 @@ class TreePlruPolicy(ReplacementPolicy):
 
     name = "plru"
     touch_stamps = True
-    insert_stamps = True
 
     def __init__(self, quantum: int = 4, seed: int = 0):
         if quantum < 1:
             raise ValueError("quantum must be >= 1")
         self.quantum = quantum
         self._rng: random.Random = derive_rng(seed, "plru-ties")
-
-    def victim(self, lines: Iterable[CacheLine]) -> CacheLine:
-        candidates = list(lines)
-        oldest = min(line.stamp // self.quantum for line in candidates)
-        pool = [
-            line for line in candidates
-            if line.stamp // self.quantum == oldest
-        ]
-        return pool[self._rng.randrange(len(pool))]
 
     def victim_addr(self, cache_set: dict) -> int:
         quantum = self.quantum
@@ -157,12 +106,6 @@ class TreePlruPolicy(ReplacementPolicy):
             if stamp // quantum == oldest
         ]
         return pool[self._rng.randrange(len(pool))]
-
-    def on_touch(self, line: CacheLine, stamp: int) -> None:
-        line.stamp = stamp
-
-    def on_insert(self, line: CacheLine, stamp: int) -> None:
-        line.stamp = stamp
 
 
 class LruRandomPolicy(ReplacementPolicy):
@@ -178,7 +121,6 @@ class LruRandomPolicy(ReplacementPolicy):
 
     name = "lru_rand"
     touch_stamps = True
-    insert_stamps = True
 
     def __init__(self, pool_size: int = 4, seed: int = 0):
         if pool_size < 1:
@@ -186,22 +128,11 @@ class LruRandomPolicy(ReplacementPolicy):
         self.pool_size = pool_size
         self._rng: random.Random = derive_rng(seed, "lru-rand")
 
-    def victim(self, lines: Iterable[CacheLine]) -> CacheLine:
-        candidates = sorted(lines, key=_line_stamp)
-        pool = candidates[: self.pool_size]
-        return pool[self._rng.randrange(len(pool))]
-
     def victim_addr(self, cache_set: dict) -> int:
-        # Stable sort over the same iteration order as ``victim`` sees,
-        # so ties (and therefore the RNG draw) resolve identically.
+        # Stamps are unique per cache, so the pool is exactly the
+        # ``pool_size`` smallest stamps whatever the dict order.
         pool = sorted(cache_set, key=cache_set.__getitem__)[: self.pool_size]
         return pool[self._rng.randrange(len(pool))]
-
-    def on_touch(self, line: CacheLine, stamp: int) -> None:
-        line.stamp = stamp
-
-    def on_insert(self, line: CacheLine, stamp: int) -> None:
-        line.stamp = stamp
 
 
 _POLICIES = {

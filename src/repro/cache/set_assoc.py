@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.cache.line import VERSION_SHIFT, CacheLine, CacheLineView
+from repro.cache.line import VERSION_SHIFT, CacheLine
 from repro.cache.replacement import ReplacementPolicy, make_policy
 from repro.utils.bitops import is_power_of_two, log2_exact
 
@@ -66,12 +66,16 @@ class SetAssociativeCache:
     ``_map`` and stamps through ``_sets`` (so ``_map``, ``_sets``,
     ``_set_mask``, ``_stamp``, and ``_touch_stamps`` are a stable
     internal interface), and fills through :meth:`_fill` / removes
-    through :meth:`_remove_word`.  The
-    :class:`ReplacementPolicy` object stays authoritative for victim
-    selection of non-min-stamp policies and for the ``on_touch`` /
-    ``on_insert`` of non-stamping policies, receiving
-    :class:`CacheLineView` proxies.  Both indices are mutated only by
-    the fill/remove pair, which keeps them consistent by construction.
+    through :meth:`_remove_word`.  Every fill stamps; the
+    :class:`ReplacementPolicy` decides only whether hits stamp and,
+    for non-min-stamp policies, which address of a full set goes
+    (``victim_addr``).  Both indices are mutated only by the
+    fill/remove pair, which keeps them consistent by construction.
+
+    The object-level API (``lookup``/``lines``/``set_lines`` and the
+    victims of ``insert``/``remove``) returns detached
+    :class:`CacheLine` snapshots: writing to one never changes the
+    array.
     """
 
     __slots__ = (
@@ -83,11 +87,9 @@ class SetAssociativeCache:
         "_sets",
         "_map",
         "policy",
-        "_victim",
         "_victim_addr",
         "_victim_is_min_stamp",
         "_touch_stamps",
-        "_insert_stamps",
         "_stamp",
         "hits",
         "misses",
@@ -118,11 +120,9 @@ class SetAssociativeCache:
         if isinstance(policy, str):
             policy = make_policy(policy, seed=seed)
         self.policy = policy
-        self._victim = policy.victim
         self._victim_addr = policy.victim_addr
         self._victim_is_min_stamp = policy.victim_is_min_stamp
         self._touch_stamps = policy.touch_stamps
-        self._insert_stamps = policy.insert_stamps
         self._stamp = 0
         self.hits = 0
         self.misses = 0
@@ -130,9 +130,12 @@ class SetAssociativeCache:
         #: Set by the C cache walk (repro.engine.c_cache) to the
         #: hierarchy-wide batch sync.  While installed, ``_map`` /
         #: ``_sets`` are a mirror of the C arrays: the read APIs below
-        #: call this first so they always observe current state.  The
-        #: packed mutators (``_fill``/``_remove_word``) are *not*
-        #: guarded — with the walk in C, nothing routes to them.
+        #: call this first so they always observe current state, and
+        #: the object-level mutators (``insert``/``remove``/``touch``/
+        #: ``probe``) refuse, since a write to the mirror would never
+        #: reach C.  The packed mutators (``_fill``/``_remove_word``)
+        #: are *not* guarded — with the walk in C, nothing routes to
+        #: them.
         self._c_sync = None
 
     # ------------------------------------------------------------------
@@ -141,36 +144,51 @@ class SetAssociativeCache:
         """Set selected by the low line-address bits."""
         return line_addr & self._set_mask
 
-    def lookup(self, line_addr: int) -> CacheLineView | None:
-        """Return a live view of the resident line or None.  Does not
+    def _refuse_mirror_write(self) -> None:
+        """Raise when the C walk owns this array (see ``_c_sync``)."""
+        if self._c_sync is not None:
+            raise RuntimeError(
+                f"{self.name}: the C cache walk owns this array; its "
+                "Python dicts are a read-only mirror"
+            )
+
+    def _snapshot(self, line_addr: int) -> CacheLine:
+        return CacheLine(
+            line_addr,
+            self._map[line_addr],
+            self._sets[line_addr & self._set_mask][line_addr],
+        )
+
+    def lookup(self, line_addr: int) -> CacheLine | None:
+        """Return a snapshot of the resident line or None.  Does not
         update recency (callers decide whether an operation counts as a
-        use).  The view is a fresh proxy per call — compare by
-        ``addr``/fields, not identity."""
+        use)."""
         if self._c_sync is not None:
             self._c_sync()
         if line_addr in self._map:
-            return CacheLineView(self, line_addr)
+            return self._snapshot(line_addr)
         return None
 
     def probe(self, line_addr: int) -> bool:
         """Presence check with hit/miss accounting."""
-        if self._c_sync is not None:
-            self._c_sync()
+        self._refuse_mirror_write()
         if line_addr in self._map:
             self.hits += 1
             return True
         self.misses += 1
         return False
 
-    def touch(self, line) -> None:
-        """Record a use of ``line`` (a view or standalone line) for the
-        replacement policy."""
+    def touch(self, line_addr: int) -> None:
+        """Record a use of resident ``line_addr`` for the replacement
+        policy."""
+        self._refuse_mirror_write()
+        cache_set = self._sets[line_addr & self._set_mask]
+        if line_addr not in cache_set:
+            raise KeyError(f"{self.name}: touch of absent line {line_addr:#x}")
         stamp = self._stamp + 1
         self._stamp = stamp
         if self._touch_stamps:
-            line.stamp = stamp
-        else:
-            self.policy.on_touch(line, stamp)
+            cache_set[line_addr] = stamp
 
     # ------------------------------------------------------------------
     # Packed fill/remove (the hierarchy's interface)
@@ -199,25 +217,15 @@ class SetAssociativeCache:
         if len(cache_set) >= self.ways:
             if self._victim_is_min_stamp:
                 victim_addr = min(cache_set, key=cache_set.__getitem__)
-            elif self._victim_addr is not None:
-                victim_addr = self._victim_addr(cache_set)
             else:
-                # Custom policy without the array-native protocol:
-                # materialise views (allocates; correctness fallback).
-                victim_addr = self._victim(
-                    [CacheLineView(self, addr) for addr in cache_set]
-                ).addr
+                victim_addr = self._victim_addr(cache_set)
             victim_stamp = cache_set.pop(victim_addr)
             victim_word = self._map.pop(victim_addr)
             self.evictions += 1
         stamp = self._stamp + 1
         self._stamp = stamp
         self._map[line_addr] = word
-        if self._insert_stamps:
-            cache_set[line_addr] = stamp
-        else:
-            cache_set[line_addr] = 0
-            self.policy.on_insert(CacheLineView(self, line_addr), stamp)
+        cache_set[line_addr] = stamp
         return victim_addr, victim_word, victim_stamp
 
     def _remove_word(self, line_addr: int) -> int | None:
@@ -235,40 +243,42 @@ class SetAssociativeCache:
 
     def insert(
         self, line_addr: int, version: int = 0
-    ) -> tuple[CacheLineView, CacheLine | None]:
-        """Fill ``line_addr``; return ``(new_line_view, evicted_line)``
-        (victim None when the set had space, detached otherwise)."""
+    ) -> tuple[CacheLine, CacheLine | None]:
+        """Fill ``line_addr``; return snapshots ``(new_line,
+        evicted_line)`` (victim None when the set had space)."""
+        self._refuse_mirror_write()
         victim_addr, victim_word, victim_stamp = self._fill(
             line_addr, version << VERSION_SHIFT
         )
         victim = (
-            CacheLine.from_packed(victim_addr, victim_word, victim_stamp)
+            CacheLine(victim_addr, victim_word, victim_stamp)
             if victim_addr is not None
             else None
         )
-        return CacheLineView(self, line_addr), victim
+        return self._snapshot(line_addr), victim
 
     def remove(self, line_addr: int) -> CacheLine | None:
         """Remove and return a detached line (None when absent)."""
+        self._refuse_mirror_write()
         word = self._map.pop(line_addr, None)
         if word is None:
             return None
         stamp = self._sets[line_addr & self._set_mask].pop(line_addr)
-        return CacheLine.from_packed(line_addr, word, stamp)
+        return CacheLine(line_addr, word, stamp)
 
-    def lines(self) -> Iterator[CacheLineView]:
-        """Iterate live views over every resident line."""
+    def lines(self) -> Iterator[CacheLine]:
+        """Iterate snapshots of every resident line."""
         if self._c_sync is not None:
             self._c_sync()
         for cache_set in self._sets:
             for addr in cache_set:
-                yield CacheLineView(self, addr)
+                yield self._snapshot(addr)
 
-    def set_lines(self, index: int) -> list[CacheLineView]:
-        """Live views of one set's resident lines (snapshot list)."""
+    def set_lines(self, index: int) -> list[CacheLine]:
+        """Snapshots of one set's resident lines."""
         if self._c_sync is not None:
             self._c_sync()
-        return [CacheLineView(self, addr) for addr in self._sets[index]]
+        return [self._snapshot(addr) for addr in self._sets[index]]
 
     @property
     def resident(self) -> int:

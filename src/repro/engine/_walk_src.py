@@ -184,9 +184,6 @@ typedef struct {
 int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now);
 int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now);
 int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag);
-int64_t cw_access_many(cw_hier *h, const int32_t *cores, const int32_t *ops,
-                       const uint64_t *addrs, int64_t n, int64_t now,
-                       int64_t *lat_out);
 int cw_schedule(cw_hier *h, cw_sched *s);
 void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
              uint64_t *addrs);
@@ -197,8 +194,7 @@ void cw_hier_free(cw_hier *h);
 extern "Python" int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
 extern "Python" int cw_cb_capture(void *ctx, uint64_t line_addr, int64_t now);
 extern "Python" int cw_cb_evict(void *ctx, uint64_t vaddr, uint64_t vword,
-                                uint64_t vstamp, int64_t now,
-                                uint64_t *vword_out);
+                                uint64_t vstamp, int64_t now);
 """
 
 WALK_SOURCE = """
@@ -305,7 +301,7 @@ typedef struct {
 static int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
 static int cw_cb_capture(void *ctx, uint64_t line_addr, int64_t now);
 static int cw_cb_evict(void *ctx, uint64_t vaddr, uint64_t vword,
-                       uint64_t vstamp, int64_t now, uint64_t *vword_out);
+                       uint64_t vstamp, int64_t now);
 
 /* Error codes stored in cw_hier.err (Python re-raises). */
 #define CW_ERR_DUP       1   /* duplicate insert (ValueError) */
@@ -825,13 +821,11 @@ static int cw_handle_llc_evict(cw_hier *h, uint64_t vaddr, uint64_t vword,
     uint64_t sharers;
     h->s_llc_evictions++;
     if (h->mon_kind && ((vword & 2) || h->needs_all)) {
-        uint64_t out;
         h->callbacks++;
-        if (cw_cb_evict(h->ctx, vaddr, vword, vstamp, now, &out) != 0) {
+        if (cw_cb_evict(h->ctx, vaddr, vword, vstamp, now) != 0) {
             h->err = CW_ERR_CALLBACK;
             return -1;
         }
-        vword = out;
     }
     sharers = (vword >> 5) & CW_SMASK;
     if (sharers) {
@@ -992,8 +986,8 @@ static int64_t cw_serve_llc_hit(cw_hier *h, int core, int op,
     sl->stamp++;
     if (h->llc_touch)
         sl->stamps[ls] = sl->stamp;
-    /* else: the policy's on_touch is the base-class no-op (FIFO) —
-     * install refuses anything else. */
+    /* else: the policy's touch_stamps is False (FIFO): a hit bumps the
+     * counter but leaves the line's stamp. */
     return penalty;
 }
 
@@ -1019,13 +1013,11 @@ int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now)
     h->s_flush_hits++;
     latency += h->llc_lat;
     if (h->mon_kind && ((word & 2) || h->needs_all)) {
-        uint64_t out;
         h->callbacks++;
-        if (cw_cb_evict(h->ctx, line_addr, word, stamp, now, &out) != 0) {
+        if (cw_cb_evict(h->ctx, line_addr, word, stamp, now) != 0) {
             h->err = CW_ERR_CALLBACK;
             return -1;
         }
-        word = out;
     }
     sharers = (word >> 5) & CW_SMASK;
     dirty = word & 1;
@@ -1211,20 +1203,6 @@ int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now)
     h->s_total_latency += (uint64_t)latency;
     h->per_core[core]++;
     return latency;
-}
-
-int64_t cw_access_many(cw_hier *h, const int32_t *cores, const int32_t *ops,
-                       const uint64_t *addrs, int64_t n, int64_t now,
-                       int64_t *lat_out)
-{
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        int64_t lat = cw_access(h, cores[i], ops[i], addrs[i], now);
-        if (lat < 0)
-            return i;  /* error at request i (err already set) */
-        lat_out[i] = lat;
-    }
-    return -1;  /* all served */
 }
 
 /* ------------------------------------------------------------------ */

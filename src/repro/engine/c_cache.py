@@ -22,14 +22,17 @@ introspection entry point — ``SetAssociativeCache``'s read APIs via
 ``engine_sync`` — resyncs first.  Sync is a snapshot refresh, never a
 hand-back: mutating the Python dicts afterwards does not reach the C
 arrays, which is why every mutator of an installed hierarchy routes
-into C.
+into C, and the object-level mutators of ``SetAssociativeCache``
+(``insert``/``remove``/``touch``/``probe``) raise ``RuntimeError``
+instead of writing the mirror.  Introspection hands out detached
+``CacheLine`` snapshots, so nothing can write through them either.
 
 Eligibility is *exact-semantics* eligibility: every refusal below is a
 configuration whose generic-engine behaviour the C port does not
 reproduce bit-for-bit (open-page DRAM, subclassed writeback arithmetic,
-replacement policies without the stamp protocol, non-MT RNGs).  The
-refusal is a documented config-local fallback to the generic
-``CacheHierarchy.access``, not an approximation.
+replacement policies whose victim the port does not compute, non-MT
+RNGs).  The refusal is a documented config-local fallback to the
+generic ``CacheHierarchy.access``, not an approximation.
 
 Monitor side effects stay in Python.  The walk classifies the attached
 monitor once at install time:
@@ -40,7 +43,8 @@ monitor once at install time:
   against the *shared* ``acf_state`` (same struct the filter's own C
   kernel uses), and Python is called back only for captures that must
   publish alarms or record captured lines, and for tagged evictions
-  (the pEvict/prefetch tail);
+  (the pEvict/prefetch tail, handed a ``CacheLine`` snapshot it only
+  reads);
 * **kind 2** — any other monitor: ``on_access``/``on_llc_eviction``
   come back through callbacks per event (bit-exact, slower).
 
@@ -60,16 +64,14 @@ import weakref
 
 from repro.cache.coherence import CoherenceViolation
 from repro.cache.line import CacheLine
-from repro.cache.replacement import ReplacementPolicy
 from repro.engine import c_backend
 from repro.memory.controller import MemoryController
 from repro.memory.dram import DramModel
 from repro.obs.telemetry import current_telemetry
 
 #: Aggregate counters the C walk exports to an attached telemetry sink
-#: — read off the ``cw_hier`` struct as deltas in **one** boundary
-#: crossing per batch / sync (PERFORMANCE.md rules 16/17), never per
-#: event.
+#: — read off the ``cw_hier`` struct as deltas at each sync
+#: (PERFORMANCE.md rules 16/17), never per event.
 _TELE_EXPORTS = (
     "engine.llc_fills",
     "engine.llc_evictions",
@@ -126,12 +128,10 @@ def _register_callbacks(ffi) -> None:
             return -1
 
     @ffi.def_extern()
-    def cw_cb_evict(ctx, vaddr, vword, vstamp, now, vword_out):
+    def cw_cb_evict(ctx, vaddr, vword, vstamp, now):
         state = ffi.from_handle(ctx)
         try:
-            victim = CacheLine.from_packed(vaddr, vword, vstamp)
-            state.monitor.on_llc_eviction(victim, now)
-            vword_out[0] = victim.to_word()
+            state.monitor.on_llc_eviction(CacheLine(vaddr, vword, vstamp), now)
             return 0
         except BaseException as exc:  # noqa: BLE001
             state.exc = exc
@@ -141,13 +141,11 @@ def _register_callbacks(ffi) -> None:
 def _eligible(h) -> bool:
     """Structural preconditions for the exact C port (see module
     docstring: every check guards a behaviour the C code inlines)."""
-    # Private levels: the LRU stamp protocol, and one geometry per
-    # level (the walk shares set masks and ways across cores).
+    # Private levels: LRU (hits stamp, min-stamp victim), and one
+    # geometry per level (the walk shares set masks and ways across
+    # cores).
     private = [*h.l1d, *h.l1i, *h.l2]
-    if not all(
-        c._touch_stamps and c._insert_stamps and c._victim_is_min_stamp
-        for c in private
-    ):
+    if not all(c._touch_stamps and c._victim_is_min_stamp for c in private):
         return False
     l1ref, l2ref = h.l1d[0], h.l2[0]
     if not all(
@@ -159,13 +157,12 @@ def _eligible(h) -> bool:
         c._set_mask == l2ref._set_mask and c.ways == l2ref.ways for c in h.l2
     ):
         return False
-    # LLC slices: insert stamps, one victim protocol and one geometry.
+    # LLC slices: one victim protocol and one geometry.  Hits stamp or
+    # not as ``touch_stamps`` says (FIFO does not), which C ports.
     slices = h._llc_slices
     slref = slices[0]
     if not all(
-        sl._insert_stamps
-        and (sl._victim_is_min_stamp or sl._victim_addr is not None)
-        and sl._victim_is_min_stamp == slref._victim_is_min_stamp
+        sl._victim_is_min_stamp == slref._victim_is_min_stamp
         and sl._touch_stamps == slref._touch_stamps
         and sl._set_mask == slref._set_mask
         and sl.ways == slref.ways
@@ -196,12 +193,6 @@ def _eligible(h) -> bool:
                 return False
             rng_state = policy._rng.getstate()
             if rng_state[0] != 3 or len(rng_state[1]) != 625:
-                return False
-    if not slref._touch_stamps:
-        # Non-stamping policies must have a no-op on_touch (FIFO);
-        # anything overriding it observes hits the C walk won't report.
-        for sl in slices:
-            if type(sl.policy).on_touch is not ReplacementPolicy.on_touch:
                 return False
     return True
 
@@ -415,13 +406,11 @@ class CWalkState:
         return 2, 0, 0, None
 
     def _build_wrappers(self):
-        ffi = self.ffi
         lib = self.lib
         st = self.st
         c_access = lib.cw_access
         c_flush = lib.cw_clflush
         c_prefetch = lib.cw_prefetch_fill
-        c_many = lib.cw_access_many
 
         def kernel(core, op, addr, now=0, _c=c_access, _st=st, _self=self):
             latency = _c(_st, core, op, addr & _U64, now)
@@ -445,36 +434,9 @@ class CWalkState:
                 _self._raise()
             return bool(r)
 
-        def access_many(requests, now=0, _c=c_many, _st=st, _self=self):
-            n = len(requests)
-            cores = ffi.new("int32_t[]", n)
-            ops = ffi.new("int32_t[]", n)
-            addrs = ffi.new("uint64_t[]", n)
-            for i, (core, op, addr) in enumerate(requests):
-                cores[i] = core
-                ops[i] = op
-                addrs[i] = addr & _U64
-            lat_out = ffi.new("int64_t[]", n)
-            bad = _c(_st, cores, ops, addrs, n, now, lat_out)
-            _self.dirty = True
-            if bad >= 0:
-                _self._raise()
-            return list(ffi.unpack(lat_out, n))
-
-        if self.telemetry is not None:
-            # One extra Python-side fold per *batch* — the C call
-            # count is unchanged, honouring the one-crossing rule.
-            base_many = access_many
-
-            def access_many(requests, now=0, _base=base_many, _self=self):
-                out = _base(requests, now)
-                _self._export_telemetry()
-                return out
-
         self.kernel = kernel
         self.clflush = clflush
         self.prefetch_fill = prefetch_fill
-        self.access_many = access_many
 
     def _tele_values(self) -> tuple[int, int, int, int, int]:
         """Current struct-side values of the exported counters (one
@@ -687,8 +649,8 @@ class CWalkState:
             flt.autonomic_deletions = acf.autonomic_deletions
             flt.total_relocations = acf.total_relocations
             flt._lcg = acf.lcg
-        # Scalar-kernel runs reach the sink here: sync is the batch
-        # boundary the introspection paths already pay for.
+        # Kernel runs reach the sink here: sync is the boundary the
+        # introspection paths already pay for.
         self._export_telemetry()
 
 

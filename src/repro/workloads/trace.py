@@ -9,8 +9,9 @@ Two replay forms:
 * :func:`scripted_from_trace` + a :class:`repro.cpu.core.Core` — the
   cycle-accurate form (compute gaps advance time, latencies feed back).
 * :func:`replay_trace` — the order-insensitive form: the records go
-  straight through ``CacheHierarchy.access_many``, which is the right
-  tool for warming hierarchies and cache-state studies where only the
+  straight through the hierarchy's engine kernel
+  (``CacheHierarchy.engine_access``), which is the right tool for
+  warming hierarchies and cache-state studies where only the
   *sequence* of operations matters.
 """
 
@@ -119,13 +120,16 @@ def replay_trace(
     core_id: int = 0,
 ) -> list[int]:
     """Replay a trace's memory operations through the hierarchy's
-    batched entry point; returns the per-operation latencies.
+    engine kernel; returns the per-operation latencies.
 
     Order-insensitive: compute gaps are skipped and every operation
-    runs at ``now=0``, which leaves the cache/filter state identical to
-    a per-op walk (``access_many``'s contract) — use the scripted-
-    workload path when the timeline itself matters.
+    runs at ``now=0``, so the cache/filter state ends identical to
+    calling :meth:`CacheHierarchy.access` per operation — use the
+    scripted-workload path when the timeline itself matters.
     """
-    return hierarchy.access_many(
-        [(core_id, r.op, r.address) for r in records if r.op is not None]
-    )
+    access = hierarchy.engine_access()
+    return [
+        access(core_id, r.op, r.address, 0)
+        for r in records
+        if r.op is not None
+    ]

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache.addr import AddressMapper
-from repro.cache.line import CacheLine
 from repro.cache.replacement import (
     FifoPolicy,
     LruPolicy,
@@ -77,49 +76,50 @@ class TestCacheGeometry:
             CacheGeometry(0, 4)
 
 
-def lines_with_stamps(stamps):
-    lines = []
-    for i, stamp in enumerate(stamps):
-        line = CacheLine(i)
-        line.stamp = stamp
-        lines.append(line)
-    return lines
+def set_with_stamps(stamps):
+    """A set's ``{line_addr: stamp}`` dict, line ``i`` holding
+    ``stamps[i]`` (fill order = index order)."""
+    return dict(enumerate(stamps))
 
 
 class TestPolicies:
     def test_lru_picks_smallest_stamp(self):
-        lines = lines_with_stamps([5, 2, 9])
-        assert LruPolicy().victim(lines).addr == 1
+        cache_set = set_with_stamps([5, 2, 9])
+        assert LruPolicy().victim_addr(cache_set) == 1
 
     def test_lru_touch_refreshes(self):
-        policy = LruPolicy()
-        lines = lines_with_stamps([1, 2, 3])
-        policy.on_touch(lines[0], 10)
-        assert policy.victim(lines).addr == 1
+        cache_set = set_with_stamps([1, 2, 3])
+        cache_set[0] = 10  # a hit stores a fresh stamp
+        assert LruPolicy().victim_addr(cache_set) == 1
 
     def test_fifo_ignores_touch(self):
-        policy = FifoPolicy()
-        lines = lines_with_stamps([1, 2, 3])
-        policy.on_touch(lines[0], 10)  # no effect
-        assert policy.victim(lines).addr == 0
+        cache = SetAssociativeCache(
+            CacheGeometry(4 * 1024, 4), policy="fifo", name="fifo"
+        )
+        sets = cache.num_sets
+        for way in range(4):
+            cache.insert(way * sets)
+        cache.touch(0)  # no effect on a FIFO stamp
+        _, victim = cache.insert(4 * sets)
+        assert victim.addr == 0
 
     def test_random_victim_is_member(self):
         policy = RandomPolicy(seed=1)
-        lines = lines_with_stamps([1, 2, 3])
+        cache_set = set_with_stamps([1, 2, 3])
         for _ in range(20):
-            assert policy.victim(lines) in lines
+            assert policy.victim_addr(cache_set) in cache_set
 
     def test_random_covers_all_lines(self):
         policy = RandomPolicy(seed=1)
-        lines = lines_with_stamps([1, 2, 3, 4])
-        chosen = {policy.victim(lines).addr for _ in range(200)}
+        cache_set = set_with_stamps([1, 2, 3, 4])
+        chosen = {policy.victim_addr(cache_set) for _ in range(200)}
         assert chosen == {0, 1, 2, 3}
 
     def test_plru_prefers_old_quantum(self):
         policy = TreePlruPolicy(quantum=4, seed=0)
-        lines = lines_with_stamps([0, 1, 100, 101])
+        cache_set = set_with_stamps([0, 1, 100, 101])
         for _ in range(20):
-            assert policy.victim(lines).addr in (0, 1)
+            assert policy.victim_addr(cache_set) in (0, 1)
 
     def test_make_policy(self):
         assert isinstance(make_policy("lru"), LruPolicy)
@@ -138,10 +138,10 @@ class TestPolicies:
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1,
                     max_size=16))
     def test_property_victims_are_members(self, stamps):
-        lines = lines_with_stamps(stamps)
+        cache_set = set_with_stamps(stamps)
         for policy in (LruPolicy(), FifoPolicy(), RandomPolicy(seed=2),
                        TreePlruPolicy(seed=2)):
-            assert policy.victim(lines) in lines
+            assert policy.victim_addr(cache_set) in cache_set
 
 
 class TestSetAssociativeCache:
@@ -177,8 +177,9 @@ class TestSetAssociativeCache:
     def test_touch_changes_victim(self):
         cache = self.make()
         sets = cache.num_sets
-        lines = [cache.insert(way * sets)[0] for way in range(4)]
-        cache.touch(lines[0])  # 0 becomes MRU; victim should be way 1
+        for way in range(4):
+            cache.insert(way * sets)
+        cache.touch(0)  # 0 becomes MRU; victim should be way 1
         _, victim = cache.insert(4 * sets)
         assert victim.addr == sets
 

@@ -128,7 +128,7 @@ class TestFlushDispatch:
         line_addr = addr >> hierarchy.mapper.line_bits
         assert hierarchy.llc.lookup(line_addr) is None
 
-    def test_access_many_matches_serial_flush_stream(self):
+    def test_engine_kernel_matches_serial_flush_stream(self):
         requests = []
         for i in range(400):
             addr = (i % 37) * LINE * 64
@@ -139,12 +139,13 @@ class TestFlushDispatch:
                 requests.append((i % 2, OP_WRITE, addr))
                 requests.append(((i + 1) % 2, OP_FLUSH, addr))
         serial = CacheHierarchy(num_cores=2, seed=3)
-        batched = CacheHierarchy(num_cores=2, seed=3)
+        kernel_h = CacheHierarchy(num_cores=2, seed=3)
         expected = [serial.access(c, op, a) for c, op, a in requests]
-        got = batched.access_many(requests)
+        kernel = kernel_h.engine_access()
+        got = [kernel(c, op, a, 0) for c, op, a in requests]
         assert got == expected
         # Under the C cache walk the stats are a batch-synced mirror
         # (PERFORMANCE.md rule 16); a no-op for the python engine.
-        batched.engine_sync()
-        assert serial.stats == batched.stats
-        batched.check_invariants()
+        kernel_h.engine_sync()
+        assert serial.stats == kernel_h.stats
+        kernel_h.check_invariants()

@@ -189,8 +189,9 @@ class TestEngineSelection:
         monkeypatch.setenv("REPRO_ENGINE", "c")
         config = dataclasses.replace(SystemConfig(), llc_policy="random")
         h = config.build_hierarchy(seed=0)
-        # random policy has no insert stamps: the C walk refuses and
-        # the seam degrades to the generic bound method.
+        # The C walk does not port the random policy's victim draw:
+        # install refuses and the seam degrades to the generic bound
+        # method.
         assert h.engine_access() == h.access
         assert h._c_state is None
 
@@ -296,17 +297,6 @@ class TestCCacheWalk:
             )
         _assert_hierarchies_equal(hg, hc)
 
-    def test_access_many_batches(self):
-        hg = TABLE_II.build_hierarchy(seed=6)
-        hc = TABLE_II.build_hierarchy(seed=6)
-        self._install(hc)
-        requests = [
-            ((i * 5) & 3, (0, 2, 1, 0)[i & 3], ((i * 389) % 30_000) * 64)
-            for i in range(8_000)
-        ]
-        assert hg.access_many(requests) == hc.access_many(requests)
-        _assert_hierarchies_equal(hg, hc)
-
     def test_plru_llc_refuses_and_falls_back(self, monkeypatch):
         # PLRU has no stamp-deterministic victim protocol the C port
         # reproduces: install must refuse, and the engine seam must
@@ -360,3 +350,29 @@ class TestCCacheWalk:
         assert h.read_version(1, 0x4440) == h.read_version(0, 0x4440)
         assert any(line in sl for sl in h.llc.slices)
         h.check_invariants()
+
+    def test_mirror_refuses_writes(self):
+        # While the C walk owns the arrays, the object-level mutators
+        # could change only the mirror (the next sync would silently
+        # undo them), so each refuses, naming the cache.
+        h = TABLE_II.build_hierarchy(seed=0)
+        kernel = self._install(h)
+        kernel(0, 0, 0x40, 0)
+        l1 = h.l1d[0]
+        llc = h.llc
+        calls = [
+            (l1, l1.insert, 12345),
+            (l1, l1.remove, 1),
+            (l1, l1.touch, 1),
+            (l1, l1.probe, 1),
+            (llc.slice_for(12345), llc.insert, 12345),
+            (llc.slice_for(1), llc.remove, 1),
+            (llc.slice_for(1), llc.touch, 1),
+        ]
+        for owner, call, line_addr in calls:
+            with pytest.raises(RuntimeError, match=f"^{owner.name}: "):
+                call(line_addr)
+        assert 12345 not in llc and 12345 not in l1
+        assert 1 in llc and 1 in l1
+        assert (l1.hits, l1.misses) == (0, 1)
+        assert kernel(0, 0, 0x40, 1) == h.l1_latency

@@ -136,7 +136,8 @@ def _drive(h, kernel):
 
     for i in range(512):
         kernel(0, OP_READ, (1 << 22 | i) * 64)
-    h.access_many([(1, OP_READ, (1 << 23 | i) * 64) for i in range(64)])
+    for i in range(64):
+        kernel(1, OP_READ, (1 << 23 | i) * 64)
     h.engine_sync()
 
 

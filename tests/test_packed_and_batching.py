@@ -4,7 +4,8 @@ Two contracts of the array-native engine are pinned here:
 
 * the packed line word (see :mod:`repro.cache.line`) round-trips every
   field at its boundaries, with full-width tags (the dict key) never
-  colliding with any field;
+  colliding with any field, and lines leave the arrays only as
+  detached snapshots;
 * every synthetic workload class, SPEC wrappers included, emits the
   *identical* record stream through its generator and through the C
   run loop's emitter, and a system of it runs to the identical result
@@ -18,14 +19,13 @@ import pytest
 
 from repro.cache.line import (
     SHARERS_BITS,
-    VERSION_SHIFT,
     CacheLine,
-    CacheLineView,
     decode_sharers,
     pack_line,
     unpack_line,
 )
 from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
+from repro.core.config import TABLE_II
 from repro.cpu.core import Core
 from repro.cpu.system import run_workloads
 from repro.engine import available_engines, c_cache
@@ -78,15 +78,13 @@ class TestPackedLineRoundTrip:
             pack_line(version=-1)
 
     def test_cacheline_object_round_trip(self):
-        line = CacheLine(0xDEAD, state=2, version=7)
-        line.dirty = True
-        line.pingpong = True
-        line.sharers = 0b1010
-        clone = CacheLine.from_packed(line.addr, line.to_word(), stamp=9)
-        for field in ("addr", "state", "dirty", "sharers", "pingpong",
-                      "accessed", "version"):
-            assert getattr(clone, field) == getattr(line, field)
-        assert clone.stamp == 9
+        fields = {"state": 2, "version": 7, "dirty": True, "pingpong": True,
+                  "accessed": False, "sharers": 0b1010}
+        line = CacheLine(0xDEAD, pack_line(**fields), 9)
+        for field, value in fields.items():
+            assert getattr(line, field) == value
+        assert (line.addr, line.stamp) == (0xDEAD, 9)
+        assert line.sharer_list() == [1, 3]
 
     def test_decode_sharers(self):
         assert decode_sharers(0) == []
@@ -100,9 +98,9 @@ class TestPackedLineRoundTrip:
         sets = cache.num_sets
         wide = (1 << 58) + 5  # same set as the addresses below
         cache.insert(wide, version=3)
-        view = cache.lookup(wide)
-        assert isinstance(view, CacheLineView)
-        assert view.addr == wide and view.version == 3
+        line = cache.lookup(wide)
+        assert isinstance(line, CacheLine)
+        assert line.addr == wide and line.version == 3
         victims = []
         for way in range(4):
             _, victim = cache.insert(wide + (way + 1) * sets)
@@ -110,20 +108,37 @@ class TestPackedLineRoundTrip:
                 victims.append(victim.addr)
         assert wide in victims  # LRU evicts the oldest, full width intact
 
-    def test_view_writes_mutate_the_packed_word(self):
-        cache = SetAssociativeCache(CacheGeometry(1024, 2), name="mut")
-        cache.insert(7)
-        view = cache.lookup(7)
-        view.state = 3
-        view.dirty = True
-        view.version = 41
-        view.sharers = 0b11
-        again = cache.lookup(7)
-        assert (again.state, again.dirty, again.version, again.sharers) == (
-            3, True, 41, 0b11
-        )
-        detached = cache.remove(7)
-        assert detached.version == 41 and detached.sharers == 0b11
+    def test_introspection_returns_snapshots(self, repro_engine):
+        # Lines leave the arrays only as detached snapshots: writing to
+        # one changes neither the word nor the stamp (nor, under c, the
+        # mirror of the C arrays).
+        h = TABLE_II.build_hierarchy(seed=0)
+        h.engine_access()(0, 1, 0x40, 0)  # line 1, written: on every level
+        l1 = h.l1d[0]
+        sl = h.llc.slice_for(1)
+        taken = [
+            l1.lookup(1),
+            h.llc.lookup(1),
+            *[line for line in sl.lines() if line.addr == 1],
+            *[line for line in h.llc.set_lines(1) if line.addr == 1],
+        ]
+        assert len(taken) == 4
+        before = [
+            (cache._map[1], cache._sets[1 & cache._set_mask][1])
+            for cache in (l1, sl)
+        ]
+        for line in taken:
+            line.state ^= 0b11
+            line.dirty = not line.dirty
+            line.pingpong = not line.pingpong
+            line.sharers ^= 0b1111
+            line.version += 1
+            line.stamp = 0
+        h.engine_sync()
+        assert [
+            (cache._map[1], cache._sets[1 & cache._set_mask][1])
+            for cache in (l1, sl)
+        ] == before
 
 
 def _first_records(workload, n, core_id=1, seed=99):

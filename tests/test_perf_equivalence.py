@@ -1,7 +1,7 @@
 """Golden-equivalence guards for the hot-path overhaul.
 
-The fast paths (``access_many``, the inlined hit paths, the parallel
-experiment fan-out) must be *semantically invisible*: same stats, same
+The fast paths (the engine kernels, the inlined hit paths, the
+parallel experiment fan-out) must be *semantically invisible*: same stats, same
 filter state, same simulation results as the plain serial code, for
 the same seed.  These tests pin that, so a future optimisation that
 quietly changes replacement decisions, stat accounting, or RNG
@@ -10,8 +10,8 @@ derivation fails loudly.
 The suites are parametrized over every available engine
 (``REPRO_ENGINE`` — python, and c when buildable, via the
 shared ``repro_engine`` fixture): the serial reference side always
-runs the generic paths, so each case simultaneously pins batched-vs-
-serial *and* kernel-vs-generic equivalence.
+runs the generic paths, so under ``c`` each case pins the compiled
+kernel against the generic reference.
 """
 
 import dataclasses
@@ -75,33 +75,39 @@ def _filter_state(fltr):
     return fltr.snapshot()
 
 
+def _drive_kernel(h, requests):
+    """Run ``requests`` through ``h``'s engine kernel, one call each."""
+    access = h.engine_access()
+    return [access(core, op, addr, 0) for core, op, addr in requests]
+
+
 @pytest.mark.usefixtures("repro_engine")
-class TestAccessManyEquivalence:
-    def test_batched_matches_serial(self):
+class TestKernelEquivalence:
+    def test_kernel_matches_serial(self):
         requests = _request_stream()
         serial_h, serial_m = _monitored_hierarchy()
-        batched_h, batched_m = _monitored_hierarchy()
+        kernel_h, kernel_m = _monitored_hierarchy()
 
         serial_latencies = [
             serial_h.access(core, op, addr) for core, op, addr in requests
         ]
-        batched_latencies = batched_h.access_many(requests)
+        kernel_latencies = _drive_kernel(kernel_h, requests)
 
-        assert serial_latencies == batched_latencies
+        assert serial_latencies == kernel_latencies
         # Under the C cache walk the Python-side stats/dicts are a
         # batch-synced mirror (design rule 16); the serial side never
         # bound an engine kernel, so it is already current.
-        batched_h.engine_sync()
-        assert serial_h.stats == batched_h.stats
-        assert _filter_state(serial_m.filter) == _filter_state(batched_m.filter)
+        kernel_h.engine_sync()
+        assert serial_h.stats == kernel_h.stats
+        assert _filter_state(serial_m.filter) == _filter_state(kernel_m.filter)
         assert dataclasses.asdict(serial_m.stats) == dataclasses.asdict(
-            batched_m.stats
+            kernel_m.stats
         )
         for a, b in (
-            (serial_h.l1d, batched_h.l1d),
-            (serial_h.l1i, batched_h.l1i),
-            (serial_h.l2, batched_h.l2),
-            (serial_h.llc.slices, batched_h.llc.slices),
+            (serial_h.l1d, kernel_h.l1d),
+            (serial_h.l1i, kernel_h.l1i),
+            (serial_h.l2, kernel_h.l2),
+            (serial_h.llc.slices, kernel_h.llc.slices),
         ):
             for ca, cb in zip(a, b):
                 assert (ca.hits, ca.misses, ca.evictions) == (
@@ -110,12 +116,12 @@ class TestAccessManyEquivalence:
                 assert sorted(line.addr for line in ca.lines()) == sorted(
                     line.addr for line in cb.lines()
                 )
-        batched_h.check_invariants()
+        kernel_h.check_invariants()
 
     def test_per_core_and_resident_counters(self):
         requests = _request_stream(count=2000)
         h, _ = _monitored_hierarchy()
-        h.access_many(requests)
+        _drive_kernel(h, requests)
         h.engine_sync()
         assert sum(h.stats.per_core_accesses) == h.stats.accesses
         # O(1) resident counters agree with a full walk of the sets.

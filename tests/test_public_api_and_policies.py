@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
-from repro.cache.line import CacheLine
 from repro.cache.replacement import LruRandomPolicy, make_policy
 
 
@@ -33,13 +32,10 @@ class TestPublicApi:
             repro.TABLE_II_FILTER.num_buckets = 1
 
 
-def lines_with_stamps(stamps):
-    lines = []
-    for i, stamp in enumerate(stamps):
-        line = CacheLine(i)
-        line.stamp = stamp
-        lines.append(line)
-    return lines
+def set_with_stamps(stamps):
+    """A set's ``{line_addr: stamp}`` dict, line ``i`` holding
+    ``stamps[i]``."""
+    return dict(enumerate(stamps))
 
 
 class TestLruRandomPolicy:
@@ -51,8 +47,8 @@ class TestLruRandomPolicy:
         deterministically evicted — why priming still works."""
         policy = LruRandomPolicy(pool_size=4, seed=1)
         # Victim pool = 4 oldest; stamps 0 and then 3 near-ties + rest new.
-        lines = lines_with_stamps([0, 100, 101, 102, 200, 201, 202, 203])
-        chosen = {policy.victim(lines).addr for _ in range(50)}
+        cache_set = set_with_stamps([0, 100, 101, 102, 200, 201, 202, 203])
+        chosen = {policy.victim_addr(cache_set) for _ in range(50)}
         assert chosen <= {0, 1, 2, 3}
         assert 0 in chosen
 
@@ -60,21 +56,21 @@ class TestLruRandomPolicy:
         """Lines inside the pool are picked unpredictably — why a
         freshly prefetched line is not deterministically re-victimised."""
         policy = LruRandomPolicy(pool_size=4, seed=2)
-        lines = lines_with_stamps([10, 11, 12, 13, 100, 101])
-        chosen = {policy.victim(lines).addr for _ in range(200)}
+        cache_set = set_with_stamps([10, 11, 12, 13, 100, 101])
+        chosen = {policy.victim_addr(cache_set) for _ in range(200)}
         assert chosen == {0, 1, 2, 3}
 
     def test_pool_larger_than_set_degenerates_to_random(self):
         policy = LruRandomPolicy(pool_size=16, seed=3)
-        lines = lines_with_stamps([1, 2, 3])
-        chosen = {policy.victim(lines).addr for _ in range(100)}
+        cache_set = set_with_stamps([1, 2, 3])
+        chosen = {policy.victim_addr(cache_set) for _ in range(100)}
         assert chosen == {0, 1, 2}
 
     def test_touch_refreshes_stamp(self):
         policy = LruRandomPolicy(pool_size=1, seed=4)
-        lines = lines_with_stamps([1, 2, 3])
-        policy.on_touch(lines[0], 10)
-        assert policy.victim(lines).addr == 1  # pool of 1 → strict LRU
+        cache_set = set_with_stamps([1, 2, 3])
+        cache_set[0] = 10  # a hit stores a fresh stamp
+        assert policy.victim_addr(cache_set) == 1  # pool of 1 → strict LRU
 
     def test_rejects_bad_pool(self):
         with pytest.raises(ValueError):
@@ -84,14 +80,14 @@ class TestLruRandomPolicy:
                     min_size=1, max_size=20))
     def test_victim_is_member(self, stamps):
         policy = LruRandomPolicy(pool_size=4, seed=5)
-        lines = lines_with_stamps(stamps)
-        assert policy.victim(lines) in lines
+        cache_set = set_with_stamps(stamps)
+        assert policy.victim_addr(cache_set) in cache_set
 
     def test_deterministic_per_seed(self):
-        lines_a = lines_with_stamps(list(range(8)))
-        lines_b = lines_with_stamps(list(range(8)))
-        picks_a = [LruRandomPolicy(4, seed=7).victim(lines_a).addr
+        set_a = set_with_stamps(list(range(8)))
+        set_b = set_with_stamps(list(range(8)))
+        picks_a = [LruRandomPolicy(4, seed=7).victim_addr(set_a)
                    for _ in range(1)]
-        picks_b = [LruRandomPolicy(4, seed=7).victim(lines_b).addr
+        picks_b = [LruRandomPolicy(4, seed=7).victim_addr(set_b)
                    for _ in range(1)]
         assert picks_a == picks_b
