@@ -21,7 +21,7 @@ work; every stream is seeded — run-to-run variance is the machine's,
 not the workload's.
 
 The measured entry points go through the **engine seam**
-(``hierarchy.engine_access()`` / ``filter.engine_access()``), so the
+(``hierarchy.engine_access()`` / ``filter.engine_batch()``), so the
 same benchmark file measures whichever ``REPRO_ENGINE`` selects —
 ``benchmarks/run_perf.sh`` stamps the engine into every record, and
 interleaved before/after comparisons are just two runs with the
@@ -299,7 +299,7 @@ def test_filter_access_hits(benchmark):
 
     def run(state):
         fltr, keys = state
-        access = fltr.engine_access()
+        access = fltr.engine_batch().access
         for k in keys:
             access(k)
 
@@ -315,7 +315,7 @@ def test_filter_access_mixed(benchmark):
 
     def run(state):
         fltr, keys = state
-        access = fltr.engine_access()
+        access = fltr.engine_batch().access
         for k in keys:
             access(k)
 

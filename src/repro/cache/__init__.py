@@ -21,10 +21,8 @@ from repro.cache.hierarchy import AccessStats, CacheHierarchy
 from repro.cache.line import CacheLine, pack_line, unpack_line
 from repro.cache.llc import SlicedLLC
 from repro.cache.replacement import (
-    FifoPolicy,
     LruPolicy,
     RandomPolicy,
-    TreePlruPolicy,
     make_policy,
 )
 from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
@@ -36,7 +34,6 @@ __all__ = [
     "CacheHierarchy",
     "CacheLine",
     "EXCLUSIVE",
-    "FifoPolicy",
     "INVALID",
     "LruPolicy",
     "MODIFIED",
@@ -44,7 +41,6 @@ __all__ = [
     "SHARED",
     "SlicedLLC",
     "SetAssociativeCache",
-    "TreePlruPolicy",
     "make_policy",
     "pack_line",
     "state_name",

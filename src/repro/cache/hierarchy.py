@@ -215,16 +215,19 @@ class CacheHierarchy:
         self.mapper = AddressMapper()
         l1_geometry = l1_geometry or CacheGeometry(64 * 1024, 4)
         l2_geometry = l2_geometry or CacheGeometry(256 * 1024, 8)
+        # The private levels are always LRU: the hit paths below (and
+        # the C walk) store a fresh stamp on every hit, and their fills
+        # evict the smallest stamp.
         self.l1d = [
-            SetAssociativeCache(l1_geometry, seed=seed + c, name=f"l1d{c}")
+            SetAssociativeCache(l1_geometry, name=f"l1d{c}")
             for c in range(num_cores)
         ]
         self.l1i = [
-            SetAssociativeCache(l1_geometry, seed=seed + 64 + c, name=f"l1i{c}")
+            SetAssociativeCache(l1_geometry, name=f"l1i{c}")
             for c in range(num_cores)
         ]
         self.l2 = [
-            SetAssociativeCache(l2_geometry, seed=seed + 128 + c, name=f"l2_{c}")
+            SetAssociativeCache(l2_geometry, name=f"l2_{c}")
             for c in range(num_cores)
         ]
         self.llc = llc if llc is not None else SlicedLLC(seed=seed)
@@ -261,7 +264,7 @@ class CacheHierarchy:
         """The per-event access entry point under the selected engine
         (``REPRO_ENGINE``): the C cache-walk kernel under ``c``, the
         generic :meth:`access` bound method for the ``python`` engine
-        and for configurations the C walk refuses.
+        (and for ``c`` on a host where the extension cannot build).
 
         Callers that loop over memory operations (cores, trace replay)
         bind this once — after the monitor is attached — and call it
@@ -308,8 +311,7 @@ class CacheHierarchy:
                 l1.hits += 1
                 stamp = l1._stamp + 1
                 l1._stamp = stamp
-                if l1._touch_stamps:
-                    l1._sets[line_addr & l1._set_mask][line_addr] = stamp
+                l1._sets[line_addr & l1._set_mask][line_addr] = stamp
                 stats = self.stats
                 stats.l1_hits += 1
                 stats.total_latency += latency
@@ -346,8 +348,7 @@ class CacheHierarchy:
                     stats.ifetches += 1
                 stamp = l1._stamp + 1
                 l1._stamp = stamp
-                if l1._touch_stamps:
-                    l1._sets[line_addr & l1._set_mask][line_addr] = stamp
+                l1._sets[line_addr & l1._set_mask][line_addr] = stamp
                 stats.total_latency += latency
                 stats.per_core_accesses[core] += 1
                 return latency
@@ -376,8 +377,7 @@ class CacheHierarchy:
                 self._mark_written(core, op, line_addr)
             stamp = l2._stamp + 1
             l2._stamp = stamp
-            if l2._touch_stamps:
-                l2._sets[line_addr & l2._set_mask][line_addr] = stamp
+            l2._sets[line_addr & l2._set_mask][line_addr] = stamp
             stats.total_latency += latency
             if op == 1:  # OP_WRITE
                 stats.writes += 1
@@ -490,12 +490,12 @@ class CacheHierarchy:
                 if v > version:
                     version = v
         if dirty:
-            self.mc.writeback(line_addr << self._line_bits, now)
+            self.mc.writeback(now)
             self._memory_versions[line_addr] = version
             stats.writebacks_to_memory += 1
             stats.flush_writebacks += 1
             # A flush of dirty data stalls until the drain completes.
-            latency += self.mc.dram.latency
+            latency += self.mc.dram_latency
         return latency
 
     # ------------------------------------------------------------------
@@ -677,27 +677,24 @@ class CacheHierarchy:
         llc_word = smap[line_addr]
         base = ((llc_word >> _VS) << _VS) | (state << STATE_SHIFT)
         l2 = self.l2[core]
-        # Both fills below inline the ``_fill`` fast path (min-stamp
-        # victim) — this method runs once per miss that reaches the
-        # LLC or memory.
-        if l2._victim_is_min_stamp:
-            cache_set = l2._sets[line_addr & l2._set_mask]
-            if line_addr in cache_set:
-                raise ValueError(
-                    f"{l2.name}: duplicate insert of line {line_addr:#x}"
-                )
-            vaddr = None
-            if len(cache_set) >= l2.ways:
-                vaddr = min(cache_set, key=cache_set.__getitem__)
-                del cache_set[vaddr]
-                vword = l2._map.pop(vaddr)
-                l2.evictions += 1
-            stamp = l2._stamp + 1
-            l2._stamp = stamp
-            cache_set[line_addr] = stamp
-            l2._map[line_addr] = base
-        else:
-            vaddr, vword, _ = l2._fill(line_addr, base)
+        # Both fills below inline the LRU ``_fill`` (min-stamp victim)
+        # — this method runs once per miss that reaches the LLC or
+        # memory.
+        cache_set = l2._sets[line_addr & l2._set_mask]
+        if line_addr in cache_set:
+            raise ValueError(
+                f"{l2.name}: duplicate insert of line {line_addr:#x}"
+            )
+        vaddr = None
+        if len(cache_set) >= l2.ways:
+            vaddr = min(cache_set, key=cache_set.__getitem__)
+            del cache_set[vaddr]
+            vword = l2._map.pop(vaddr)
+            l2.evictions += 1
+        stamp = l2._stamp + 1
+        l2._stamp = stamp
+        cache_set[line_addr] = stamp
+        l2._map[line_addr] = base
         if vaddr is not None:
             # Inlined ``_handle_l2_eviction`` (the L2 set is full at
             # steady state, so this runs on nearly every miss): purge
@@ -730,24 +727,21 @@ class CacheHierarchy:
                 lw |= DIRTY
             lmap[vaddr] = lw & ~(1 << (core + _SS))
         l1 = (self.l1i if op == OP_IFETCH else self.l1d)[core]
-        if l1._victim_is_min_stamp:
-            cache_set = l1._sets[line_addr & l1._set_mask]
-            if line_addr in cache_set:
-                raise ValueError(
-                    f"{l1.name}: duplicate insert of line {line_addr:#x}"
-                )
-            vaddr = None
-            if len(cache_set) >= l1.ways:
-                vaddr = min(cache_set, key=cache_set.__getitem__)
-                del cache_set[vaddr]
-                vword = l1._map.pop(vaddr)
-                l1.evictions += 1
-            stamp = l1._stamp + 1
-            l1._stamp = stamp
-            cache_set[line_addr] = stamp
-            l1._map[line_addr] = base
-        else:
-            vaddr, vword, _ = l1._fill(line_addr, base)
+        cache_set = l1._sets[line_addr & l1._set_mask]
+        if line_addr in cache_set:
+            raise ValueError(
+                f"{l1.name}: duplicate insert of line {line_addr:#x}"
+            )
+        vaddr = None
+        if len(cache_set) >= l1.ways:
+            vaddr = min(cache_set, key=cache_set.__getitem__)
+            del cache_set[vaddr]
+            vword = l1._map.pop(vaddr)
+            l1.evictions += 1
+        stamp = l1._stamp + 1
+        l1._stamp = stamp
+        cache_set[line_addr] = stamp
+        l1._map[line_addr] = base
         if vaddr is not None and vword & DIRTY:
             # Writeback into the L2 copy (present by inclusion).
             l2map = l2._map
@@ -794,25 +788,7 @@ class CacheHierarchy:
         captured = False
         if demand and self.monitor is not None:
             captured = self.monitor.on_access(line_addr, now)
-        # Inlined ``MemoryController.fetch`` for the flat-latency DRAM
-        # mode (bit-identical accounting; the row-buffer model keeps
-        # the method call).
-        mc = self.mc
-        dram = mc.dram
-        if not dram.open_page:
-            free_at = mc._channel_free_at
-            start = now if now > free_at else free_at
-            mc._channel_free_at = start + mc.burst_cycles
-            mc.total_queue_wait += start - now
-            if demand:
-                mc.demand_fetches += 1
-            else:
-                mc.prefetch_fetches += 1
-            latency = start - now + dram.latency
-        else:
-            latency = mc.fetch(
-                line_addr << self._line_bits, now, prefetch=not demand
-            )
+        latency = self.mc.fetch(now, not demand)
         version = self._memory_versions.get(line_addr, 0)
         if demand:
             # A captured demand fill is tagged and, by definition,
@@ -822,9 +798,9 @@ class CacheHierarchy:
             # Prefetch fill: stays tagged, access bit cleared (the
             # no-endless-prefetch rule, Section IV).
             base = (version << _VS) | PINGPONG
-        # Inlined ``_fill`` (LRU: min-stamp victim; lru_rand & friends:
-        # the policy's ``victim_addr``); identical bookkeeping, no
-        # per-fill method dispatch on the miss path.
+        # Inlined ``_fill`` (LRU: min-stamp victim; lru_rand and
+        # random: the policy's ``victim_addr``); identical bookkeeping,
+        # no per-fill method dispatch on the miss path.
         cache_set = sl._sets[line_addr & sl._set_mask]
         if line_addr in cache_set:
             raise ValueError(
@@ -880,7 +856,7 @@ class CacheHierarchy:
                 | (version << _VS)
             )
         if vword & DIRTY:
-            self.mc.writeback(vaddr << self._line_bits, now)
+            self.mc.writeback(now)
             self._memory_versions[vaddr] = vword >> _VS
             self.stats.writebacks_to_memory += 1
 

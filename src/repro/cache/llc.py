@@ -125,6 +125,11 @@ class SlicedLLC:
 
     @property
     def evictions(self) -> int:
+        # The counter is a plain attribute, so resync the C walk's
+        # mirror first, as ``resident`` does for the other readers.
+        sync = self.slices[0]._c_sync
+        if sync is not None:
+            sync()
         return sum(sl.evictions for sl in self.slices)
 
     def __contains__(self, line_addr: int) -> bool:

@@ -4,12 +4,18 @@ A policy chooses the victim of one full set from that set's
 ``{line_addr: stamp}`` dict (iteration order = fill order).  The cache
 owns the stamps: every fill and, for policies with ``touch_stamps``,
 every hit writes a fresh per-cache monotonic stamp.  Policies are
-stateless across sets except for the RNG (random and the randomised
-variants).
+stateless across sets except for the RNG (``random`` and
+``lru_rand``).
 
-``LruPolicy`` is the default everywhere (gem5's classic caches default
-to LRU); the others exist for sensitivity studies and because SHARP-
-style defenses modify the LLC policy.
+``LruPolicy`` is the default everywhere and the only policy of the
+private levels (gem5's classic caches default to LRU).  The paper
+leaves the LLC policy open, so the LLC also takes the two policies the
+ablation (``experiments/defense_ablation.py``) sweeps: ``lru_rand``
+and ``random``, the ARM-style policy ARMageddon had to defeat.  Both
+are one protocol, a uniform draw from the ``pool_size`` smallest
+stamps: ``random`` draws from the whole set (``pool_size`` None), and
+since its hits never restamp, ascending stamp order is its fill order.
+The C cache walk ports exactly that protocol.
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ class ReplacementPolicy:
     :class:`~repro.cache.set_assoc.SetAssociativeCache` (and the
     hierarchy's inlined fills) and one method:
 
-    * ``touch_stamps`` — a hit refreshes the line's stamp (LRU and its
-      variants); when False, hits leave the stamps alone (FIFO,
-      random).
+    * ``touch_stamps`` — a hit refreshes the line's stamp (LRU and
+      ``lru_rand``); when False, hits leave the stamps alone
+      (random).
     * ``victim_is_min_stamp`` — the victim is the smallest stamp, so
       the cache runs the C-level ``min`` without a dispatch per
-      eviction (LRU, FIFO).
+      eviction (LRU).
     * ``victim_addr(cache_set)`` — the victim's line address, picked
       from a full set's ``{line_addr: stamp}`` dict.
     """
@@ -55,20 +61,15 @@ class LruPolicy(ReplacementPolicy):
         return min(cache_set, key=cache_set.__getitem__)
 
 
-class FifoPolicy(ReplacementPolicy):
-    """Evict the oldest-inserted line; hits do not refresh."""
-
-    name = "fifo"
-    victim_is_min_stamp = True
-
-    def victim_addr(self, cache_set: dict) -> int:
-        return min(cache_set, key=cache_set.__getitem__)
-
-
 class RandomPolicy(ReplacementPolicy):
-    """Evict a uniformly random resident line."""
+    """Evict a uniformly random resident line; hits do not restamp.
+
+    ``pool_size`` None tells the C walk to draw over the whole set
+    (see the module docstring).
+    """
 
     name = "random"
+    pool_size = None
 
     def __init__(self, seed: int = 0):
         self._rng: random.Random = derive_rng(seed, "random-replacement")
@@ -76,36 +77,6 @@ class RandomPolicy(ReplacementPolicy):
     def victim_addr(self, cache_set: dict) -> int:
         candidates = list(cache_set)
         return candidates[self._rng.randrange(len(candidates))]
-
-
-class TreePlruPolicy(ReplacementPolicy):
-    """Tree pseudo-LRU approximated with recency stamps plus a decaying
-    promotion granularity.
-
-    A faithful bit-tree PLRU needs a fixed way ordering; our sets are
-    dictionaries, so we approximate by quantising stamps — lines touched
-    within the same quantum are equally old, which reproduces PLRU's
-    characteristic imprecision (it may evict a recently-used line that
-    shares a subtree with the MRU line) without per-set tree state.
-    """
-
-    name = "plru"
-    touch_stamps = True
-
-    def __init__(self, quantum: int = 4, seed: int = 0):
-        if quantum < 1:
-            raise ValueError("quantum must be >= 1")
-        self.quantum = quantum
-        self._rng: random.Random = derive_rng(seed, "plru-ties")
-
-    def victim_addr(self, cache_set: dict) -> int:
-        quantum = self.quantum
-        oldest = min(stamp // quantum for stamp in cache_set.values())
-        pool = [
-            addr for addr, stamp in cache_set.items()
-            if stamp // quantum == oldest
-        ]
-        return pool[self._rng.randrange(len(pool))]
 
 
 class LruRandomPolicy(ReplacementPolicy):
@@ -137,15 +108,13 @@ class LruRandomPolicy(ReplacementPolicy):
 
 _POLICIES = {
     "lru": LruPolicy,
-    "fifo": FifoPolicy,
     "random": RandomPolicy,
-    "plru": TreePlruPolicy,
     "lru_rand": LruRandomPolicy,
 }
 
 
 def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
-    """Instantiate a policy by name (``lru``/``fifo``/``random``/``plru``)."""
+    """Instantiate a policy by name (``lru``/``lru_rand``/``random``)."""
     try:
         cls = _POLICIES[name]
     except KeyError:
@@ -153,6 +122,6 @@ def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
             f"unknown replacement policy {name!r}; "
             f"choose from {sorted(_POLICIES)}"
         ) from None
-    if cls in (RandomPolicy, TreePlruPolicy, LruRandomPolicy):
-        return cls(seed=seed)
-    return cls()
+    if cls is LruPolicy:
+        return cls()
+    return cls(seed=seed)

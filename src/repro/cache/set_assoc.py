@@ -112,8 +112,7 @@ class SetAssociativeCache:
         #: Per-set dicts: line address -> replacement stamp.  Ground
         #: truth for victim selection (the scan stays inside one small,
         #: CPU-cache-hot dict); key order mirrors fill order, which
-        #: non-deterministic policies (random, PLRU ties) rely on for
-        #: reproducibility.
+        #: the random policy's draw relies on for reproducibility.
         self._sets: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
         #: Flat index: line address -> packed line word.
         self._map: dict[int, int] = {}

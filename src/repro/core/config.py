@@ -15,7 +15,6 @@ from repro.cache.llc import SlicedLLC
 from repro.cache.set_assoc import CacheGeometry
 from repro.filters.auto_cuckoo import AutoCuckooFilter, FilterGeometry
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class SystemConfig:
             policy=self.llc_policy,
             seed=seed,
         )
-        mc = MemoryController(DramModel(latency=self.dram_latency))
+        mc = MemoryController(dram_latency=self.dram_latency)
         return CacheHierarchy(
             num_cores=self.num_cores,
             l1_geometry=self.l1.geometry,

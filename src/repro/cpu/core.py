@@ -9,13 +9,12 @@ Timing model: non-memory instructions retire at CPI = 1; a memory
 operation blocks the core for the hierarchy-reported latency.  ``op``
 may be ``None`` for a pure-compute record.
 
-The core advances in two phases so the multicore scheduler can
-interleave shared-state mutations in global time order:
-
-* :meth:`advance`  — consume the next record and add its compute time;
-  after it returns, ``time`` is the cycle at which the pending memory
-  operation will reach the hierarchy.
-* :meth:`execute_pending` — perform that operation and add its latency.
+The core keeps one memory operation pending so the multicore
+scheduler can interleave shared-state mutations in global time order:
+:meth:`advance` consumes the next record and adds its compute time, so
+``time`` is then the cycle at which the pending operation will reach
+the hierarchy; :meth:`step` performs that operation, adds its latency,
+and advances to the next record.
 
 A core bound by :func:`repro.cpu.system.bind_cores` also records its
 ``source`` — the workload and seed its generator comes from — so
@@ -206,27 +205,14 @@ class Core:
             self._pending_addr = addr
         return True
 
-    def execute_pending(self) -> None:
-        """Perform the memory operation scheduled by :meth:`advance`."""
-        op = self._pending_op
-        if op is None:
-            return
-        latency = self._access(self.core_id, op, self._pending_addr, self.time)
-        self.time += latency
-        self.instructions += 1
-        self.memory_ops += 1
-        self._last_latency = latency
-        self._pending_op = None
-
     def step(self, budget: int | float) -> bool:
         """Execute the pending operation, then advance one record.
 
         The scheduler's per-operation unit of work as a single call
-        (``execute_pending`` + budget check + ``advance``), saving two
-        method dispatches per memory operation.  ``budget`` is the
-        per-core instruction budget (``float('inf')`` for unbounded).
-        Returns False — with the core marked finished — when the
-        budget is exhausted or the workload ends.
+        (the pending access + budget check + ``advance``).  ``budget``
+        is the per-core instruction budget (``float('inf')`` for
+        unbounded).  Returns False — with the core marked finished —
+        when the budget is exhausted or the workload ends.
         """
         op = self._pending_op
         if op is not None:
@@ -236,7 +222,7 @@ class Core:
                 # dominant case pays no call, no attribute chase.
                 l1 = self._l1d
                 line_addr = self._pending_addr >> self._line_bits
-                if l1 is not None and line_addr in l1._map and l1._touch_stamps:
+                if l1 is not None and line_addr in l1._map:
                     stamp = l1._stamp + 1
                     l1._stamp = stamp
                     l1._sets[line_addr & l1._set_mask][line_addr] = stamp

@@ -16,8 +16,9 @@ through monitor callbacks, its responses through the event queue, and
 the one core state a response changes mid-run, the throttle penalty,
 is copied into C before every re-entry.  Every other system — one with
 an attacker or a scripted core, cores bound without a source
-(``REPRO_BATCH=0``), a configuration the walk refuses, the ``python``
-engine — runs the Python loop below.
+(``REPRO_BATCH=0``), the ``python`` engine — runs the Python loop
+below.  The cache configuration never decides it: every hierarchy
+takes the C walk.
 """
 
 from __future__ import annotations

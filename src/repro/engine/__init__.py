@@ -3,8 +3,8 @@
 The simulator has one semantic model and two executions of it:
 
 =================  ====================================================
-``python``         the generic ``CacheHierarchy.access`` /
-                   ``AutoCuckooFilter.access`` methods — the reference
+``python``         the generic ``CacheHierarchy.access`` and
+                   ``AutoCuckooFilter`` methods — the reference
                    implementation the compiled engine must match
                    bit-for-bit
 ``c`` (default)    the fused cache walk (L1 → L2 → LLC fill/evict →
@@ -22,10 +22,9 @@ binds its access entry point when it is constructed, after the monitor
 is attached.  The ``c`` engine is admissible only because the
 golden-trace conformance harness (``tests/conformance/``) replays the
 full attack × defence scenario matrix bit-identically under both
-engines; a configuration the C port does not support (custom
-replacement policy, open-page DRAM, instrumented filter, wide
-fingerprints) silently falls back to the generic engine rather than
-approximating.
+engines.  Every hierarchy takes the C walk; only a filter the C
+kernels do not support (instrumented, wide fingerprints) stays on its
+generic methods, rather than approximating.
 """
 
 from __future__ import annotations
@@ -117,9 +116,8 @@ def effective_engine() -> str:
     process.  Provenance stamps (benchmark records, artefact headers,
     ``result.extra["engine"]``) must use this, never the request, so a
     toolchain-less host cannot label python-engine numbers as C
-    numbers.  (Per-object fallbacks — instrumented filters,
-    unsupported policies — remain config-local and are not reflected
-    here.)
+    numbers.  (The per-filter fallback — instrumented or wide-
+    fingerprint filters — is config-local and not reflected here.)
     """
     name = engine_name()
     if name == "c" and _c_unavailable():
@@ -169,8 +167,8 @@ def hierarchy_access(h):
     engine: the generic bound method for ``python``, the installed C
     cache-walk kernel for ``c``.
 
-    Configurations the C walk refuses (unsupported policies, open-page
-    DRAM) and hosts without a toolchain get the generic method back.
+    Every configuration takes the C walk; only a host without a
+    toolchain gets the generic method back under ``c``.
     """
     from repro.obs.telemetry import current_telemetry
 
@@ -197,50 +195,30 @@ def hierarchy_access(h):
 
         if c_cache.install(h):
             return h._c_state.kernel
-        # Toolchain/cffi missing is a host-level degradation and
-        # warrants the once-per-process warning; per-config
-        # ineligibility is a documented config-local fallback and
-        # stays quiet.
+        # Install fails only when the toolchain/cffi is missing: a
+        # host-level degradation with the once-per-process warning.
         _c_unavailable()
     return h.access
-
-
-def _route_filter_through_c(flt) -> None:
-    """Under ``c``, install the C kernels on ``flt``.  The install is
-    one-way: a filter already routed through C keeps its C entry points
-    (its arrays are authoritative) whatever engine is now selected."""
-    if flt._c_state is not None or engine_name() != "c":
-        return
-    from repro.engine import c_backend
-
-    if not c_backend.install(flt):
-        # Toolchain/cffi missing warns once; per-filter ineligibility
-        # (instrumented, wide fingerprints) is config-local and quiet.
-        _c_unavailable()
-
-
-def filter_access(flt):
-    """The per-Access filter entry point under the selected engine.
-
-    Returns a callable ``access(key) -> Response`` operating on
-    ``flt``'s state: the cffi kernel for ``c``, the generic method for
-    ``python`` or any filter the C backend refuses.
-    """
-    _route_filter_through_c(flt)
-    return flt.access
 
 
 def filter_batch(flt):
     """The batched filter entry points under the selected engine.
 
-    Returns ``flt`` itself, exposing ``access_many`` / ``insert_many``
-    / ``query_many`` / ``delete_many`` (plus the scalar storage ops):
-    under ``c`` after :func:`c_backend.install` rebinds every entry
-    point to the batched C kernels (one boundary crossing per
-    ``array('Q')`` buffer), otherwise with the reference batch
-    methods, which are already inlined loops.  Both are bit-identical
-    over the table state; the fallback semantics mirror
-    :func:`filter_access`.
+    Returns ``flt`` itself, exposing ``access`` / ``access_many`` /
+    ``insert_many`` / ``query_many`` / ``delete_many`` (plus the scalar
+    storage ops): under ``c`` after :func:`c_backend.install` rebinds
+    every entry point to the C kernels (one boundary crossing per
+    ``array('Q')`` buffer), otherwise with the reference methods.  Both
+    are bit-identical over the table state.  The install is one-way: a
+    filter already routed through C keeps its C entry points (its
+    arrays are authoritative) whatever engine is now selected.
     """
-    _route_filter_through_c(flt)
+    if flt._c_state is None and engine_name() == "c":
+        from repro.engine import c_backend
+
+        if not c_backend.install(flt):
+            # Toolchain/cffi missing warns once; per-filter
+            # ineligibility (instrumented, wide fingerprints) is
+            # config-local and quiet.
+            _c_unavailable()
     return flt

@@ -1,7 +1,7 @@
 """C source for the batched storage-mode filter kernels.
 
 Concatenated into :mod:`repro.engine.c_backend`'s translation unit
-*after* ``_CSOURCE``, so the helpers defined there (``acf_mix``,
+*after* ``_CSOURCE``, so the helpers defined there (``acf_candidates``,
 ``acf_insert_new``) are called directly.  Each function is a
 line-for-line exact-uint64 port of the reference implementation in
 :class:`repro.filters.auto_cuckoo.AutoCuckooFilter`:
@@ -38,22 +38,6 @@ uint64_t acf_delete_many(acf_state *st, const uint64_t *keys, uint64_t n);
 """
 
 BATCH_SOURCE = """
-/* fp/i1/i2 derivation shared by the storage ops — identical
- * arithmetic to the head of acf_access. */
-static inline void acf_candidates(const acf_state *st, uint64_t key,
-                                  uint32_t *fp_out, uint32_t *i1_out,
-                                  uint32_t *i2_out)
-{
-    uint64_t z = acf_mix(key + st->fp_add);
-    uint32_t fp = (uint32_t)(z & st->fp_mask);
-    if (!fp)
-        fp = st->fp_mask;
-    uint32_t i1 = (uint32_t)(acf_mix(key + st->index_add) & st->index_mask);
-    *fp_out = fp;
-    *i1_out = i1;
-    *i2_out = i1 ^ st->alt_xor[fp];
-}
-
 int acf_insert(acf_state *st, uint64_t key)
 {
     const uint32_t b = st->entries_per_bucket;

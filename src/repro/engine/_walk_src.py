@@ -6,7 +6,7 @@ L1 probe → miss walk → LLC fill/evict → monitor chain;
 :mod:`repro.engine.c_backend` compiles them into the shared extension
 (one translation unit with the Auto-Cuckoo kernel, so the inline
 monitor path calls ``acf_access`` directly), and
-:mod:`repro.engine.c_cache` owns install/eligibility/sync.  Keeping
+:mod:`repro.engine.c_cache` owns install and sync.  Keeping
 the strings in a leaf module with no repro imports lets c_backend hash
 them into the build-cache tag without import cycles.
 
@@ -16,15 +16,16 @@ the helpers it fuses (``_write_hit``, ``_mark_written``,
 ``_scrub_core_copies``, ``_set_core_state``, ``_fill_private``,
 ``_fill_l1``, ``_fetch_into_llc``, ``_handle_llc_eviction``,
 ``clflush``, ``prefetch_fill``) — same packed-word bit layout
-(``cache/line.py``), same statistics ordering, same flat-DRAM channel
-arithmetic, and the same Mersenne-Twister ``_randbelow`` draw sequence
-for ``lru_rand`` victims.  Storage is C-owned: per-cache flat
-tag/word/stamp arrays (admissible because every supported policy's
-victim choice depends only on stamps, which are unique per cache, so
-dict iteration order is unobservable), plus one open-addressed u64 map
-for ``_memory_versions``.  Monitor side effects that live in Python
-(alarm publication, captured-line tracking, the pEvict/prefetch tail)
-come back through ``extern "Python"`` callbacks.
+(``cache/line.py``), same statistics ordering, same channel arithmetic
+(``MemoryController.fetch``/``writeback``), and the same
+Mersenne-Twister ``_randbelow`` draw sequence for ``lru_rand`` and
+``random`` victims.  Storage is C-owned: per-cache flat tag/word/stamp
+arrays (admissible because every policy's victim is a function of the
+stamps, which are unique per cache, and a random set's fill order is
+its stamp order, so dict iteration order is unobservable), plus one
+open-addressed u64 map for ``_memory_versions``.  Monitor side effects
+that live in Python (alarm publication, captured-line tracking, the
+pEvict/prefetch tail) come back through ``extern "Python"`` callbacks.
 
 Error protocol: walk entry points return a negative latency (or the
 prefetch helper -1) after setting ``err``/``err_addr``/``err_cache``
@@ -46,7 +47,9 @@ when an event is due, after a step that made a callback (counted in
 # Entry addressing within one cw_cache: slot = (line & set_mask)*ways + way,
 # with CW_EMPTY (all-ones) tagging a free way.
 
-WALK_CDEF = """
+#: Every struct Python and C share, written once and spliced into both
+#: the cdef (cffi drops the comments) and the source.
+_TYPES = """
 typedef struct {
     uint64_t *tags;
     uint64_t *words;
@@ -83,176 +86,11 @@ typedef struct {
     int64_t dfp;
     int llc_set_bits;
     int llc_slice_shift;
-    int llc_touch;
-    int llc_victim_rand;
-    int pool_size;
-    int rbits;
-    cw_mt *rng;
-    uint64_t write_counter;
-    int64_t channel_free_at;
-    int64_t burst_cycles;
-    int64_t dram_latency;
-    uint64_t total_queue_wait;
-    uint64_t demand_fetches;
-    uint64_t prefetch_fetches;
-    uint64_t writebacks;
-    cw_map memver;
-    uint64_t s_writes;
-    uint64_t s_ifetches;
-    uint64_t s_l1_hits;
-    uint64_t s_l1_misses;
-    uint64_t s_l2_hits;
-    uint64_t s_l2_misses;
-    uint64_t s_llc_hits;
-    uint64_t s_llc_misses;
-    uint64_t s_llc_evictions;
-    uint64_t s_l2_evictions;
-    uint64_t s_back_invalidations;
-    uint64_t s_writebacks_to_memory;
-    uint64_t s_upgrades;
-    uint64_t s_dirty_forwards;
-    uint64_t s_prefetch_fills;
-    uint64_t s_prefetch_skipped;
-    uint64_t s_flushes;
-    uint64_t s_flush_hits;
-    uint64_t s_flush_writebacks;
-    uint64_t s_flush_back_invalidations;
-    uint64_t s_total_latency;
-    uint64_t *per_core;
-    int mon_kind;
-    int needs_all;
-    int capture_cb;
-    uint32_t thresh;
-    acf_state *acf;
-    uint64_t m_accesses;
-    uint64_t m_captures;
-    void *ctx;
-    int err;
-    int err_cache;
-    uint64_t err_addr;
-    uint64_t callbacks;
-} cw_hier;
-
-typedef struct {
-    cw_mt rng;
-    const uint64_t *chain;
-    double gap_frac;
-    double write_fraction;
-    double ifetch_limit;
-    double conflict_limit;
-    double hot_probability;
-    int64_t gap_base;
-    int64_t visits_per_line;
-    uint64_t data_base;
-    uint64_t code_base;
-    uint64_t num_lines;
-    uint64_t hot_lines;
-    uint64_t code_lines;
-    uint64_t conflict_lines;
-    uint64_t conflict_base;
-    uint64_t conflict_stride;
-    int64_t side;
-    int kind;
-    int num_shift;
-    int hot_shift;
-    int64_t position;
-    uint64_t code_line;
-    uint64_t conflict_index;
-    uint64_t current_line;
-    int64_t visits_left;
-    int64_t st_i;
-    int64_t st_j;
-    int64_t st_k;
-    int64_t time;
-    int64_t instructions;
-    int64_t memory_ops;
-    int64_t penalty;
-    uint64_t pending_addr;
-    int pending_op;
-    int finished;
-} cw_core;
-
-typedef struct {
-    cw_core *cores;
-    int num_cores;
-    int started;
-    int64_t budget;
-    int64_t event_at;
-    int64_t due;
-} cw_sched;
-
-int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now);
-int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now);
-int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag);
-int cw_schedule(cw_hier *h, cw_sched *s);
-void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
-             uint64_t *addrs);
-int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
-void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
-void cw_hier_free(cw_hier *h);
-
-extern "Python" int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
-extern "Python" int cw_cb_capture(void *ctx, uint64_t line_addr, int64_t now);
-extern "Python" int cw_cb_evict(void *ctx, uint64_t vaddr, uint64_t vword,
-                                uint64_t vstamp, int64_t now);
-"""
-
-WALK_SOURCE = """
-#include <stdlib.h>
-#include <string.h>
-
-#define CW_EMPTY 0xFFFFFFFFFFFFFFFFULL
-
-/* Packed-word bit layout (cache/line.py): DIRTY=1, PINGPONG=2,
- * ACCESSED=4, state at bits 3..4, sharers at bits 5..20, version from
- * bit 21.  Masks below mirror hierarchy.py's aliases exactly. */
-#define CW_VB        0x1FFFFFULL   /* VERSION_BELOW */
-#define CW_KEEPFLUSH 0x1FFFE6ULL   /* (VB ^ DIRTY) & ~STATE_MASK */
-#define CW_VBNSF     0x1EULL       /* VB & ~sharers_field & ~DIRTY */
-#define CW_SMASK     0xFFFFULL
-#define CW_SMULT     0x9E3779B97F4A7C15ULL
-
-typedef struct {
-    uint64_t *tags;
-    uint64_t *words;
-    uint64_t *stamps;
-    uint16_t *counts;
-    uint64_t stamp;
-    uint64_t hits;
-    uint64_t misses;
-    uint64_t evictions;
-    uint64_t set_mask;
-    uint32_t ways;
-} cw_cache;
-
-typedef struct {
-    uint32_t mt[624];
-    uint32_t mti;
-} cw_mt;
-
-typedef struct {
-    uint64_t *keys;
-    uint64_t *vals;
-    uint64_t cap;
-    uint64_t count;
-} cw_map;
-
-typedef struct {
-    cw_cache *caches;
-    int num_cores;
-    int num_slices;
-    int line_bits;
-    int64_t l1_lat;
-    int64_t l2_lat;
-    int64_t llc_lat;
-    int64_t dfp;
-    int llc_set_bits;
-    int llc_slice_shift;
-    int llc_touch;
-    int llc_victim_rand;
-    int pool_size;
-    int rbits;
-    cw_mt *rng;
+    int llc_touch;            /* LLC hits restamp (not under random) */
+    int llc_victim_rand;      /* 0: min stamp; 1: the pool draw */
+    int pool_size;            /* draw size, at most ways (random: ways) */
+    int rbits;                /* pool_size.bit_length() */
+    cw_mt *rng;               /* per slice: the policy's random.Random */
     uint64_t write_counter;
     int64_t channel_free_at;
     int64_t burst_cycles;
@@ -298,6 +136,90 @@ typedef struct {
     uint64_t callbacks;  /* Python callbacks made; cw_schedule returns on a change */
 } cw_hier;
 
+typedef struct {
+    cw_mt rng;                /* the stream's random.Random, via getstate() */
+    const uint64_t *chain;    /* pointer chase: the permutation cycle */
+    double gap_frac;
+    double write_fraction;
+    double ifetch_limit;
+    double conflict_limit;
+    double hot_probability;
+    int64_t gap_base;
+    int64_t visits_per_line;
+    uint64_t data_base;
+    uint64_t code_base;
+    uint64_t num_lines;
+    uint64_t hot_lines;
+    uint64_t code_lines;
+    uint64_t conflict_lines;
+    uint64_t conflict_base;
+    uint64_t conflict_stride;
+    int64_t side;             /* stencil grid side */
+    int kind;                 /* 0 stream, 1 random, 2 pointer, 3 stencil, 4 hotcold */
+    int num_shift;            /* 32 - num_lines.bit_length() */
+    int hot_shift;            /* 32 - hot_lines.bit_length() */
+    /* Emission state (the locals of _SyntheticWorkload.generator). */
+    int64_t position;
+    uint64_t code_line;
+    uint64_t conflict_index;
+    uint64_t current_line;
+    int64_t visits_left;
+    int64_t st_i;
+    int64_t st_j;
+    int64_t st_k;
+    /* Core state (Core.time / instructions / memory_ops / pending op). */
+    int64_t time;
+    int64_t instructions;
+    int64_t memory_ops;
+    int64_t penalty;          /* Core.penalty, refreshed before every entry */
+    uint64_t pending_addr;
+    int pending_op;
+    int finished;
+} cw_core;
+
+typedef struct {
+    cw_core *cores;
+    int num_cores;
+    int started;
+    int64_t budget;
+    int64_t event_at;         /* earliest pending event (INT64_MAX: none) */
+    int64_t due;              /* out: the next core's time on CW_SCHED_EVENT */
+} cw_sched;
+"""
+
+WALK_CDEF = _TYPES + """
+int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now);
+int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now);
+int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag);
+int cw_schedule(cw_hier *h, cw_sched *s);
+void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
+             uint64_t *addrs);
+int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
+void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
+void cw_hier_free(cw_hier *h);
+
+extern "Python" int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
+extern "Python" int cw_cb_capture(void *ctx, uint64_t line_addr, int64_t now);
+extern "Python" int cw_cb_evict(void *ctx, uint64_t vaddr, uint64_t vword,
+                                uint64_t vstamp, int64_t now);
+"""
+
+WALK_SOURCE = """
+#include <stdlib.h>
+#include <string.h>
+
+#define CW_EMPTY 0xFFFFFFFFFFFFFFFFULL
+
+/* Packed-word bit layout (cache/line.py): DIRTY=1, PINGPONG=2,
+ * ACCESSED=4, state at bits 3..4, sharers at bits 5..20, version from
+ * bit 21.  Masks below mirror hierarchy.py's aliases exactly. */
+#define CW_VB        0x1FFFFFULL   /* VERSION_BELOW */
+#define CW_KEEPFLUSH 0x1FFFE6ULL   /* (VB ^ DIRTY) & ~STATE_MASK */
+#define CW_VBNSF     0x1EULL       /* VB & ~sharers_field & ~DIRTY */
+#define CW_SMASK     0xFFFFULL
+#define CW_SMULT     0x9E3779B97F4A7C15ULL
+
+""" + _TYPES + """
 static int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
 static int cw_cb_capture(void *ctx, uint64_t line_addr, int64_t now);
 static int cw_cb_evict(void *ctx, uint64_t vaddr, uint64_t vword,
@@ -447,6 +369,23 @@ static uint32_t cw_genrand(cw_mt *r)
     return y;
 }
 
+/* random.Random.random(): CPython's genrand_res53. */
+static double cw_random(cw_mt *r)
+{
+    uint32_t a = cw_genrand(r) >> 5, b = cw_genrand(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.Random.randrange(n) for 0 < n < 2**32: getrandbits(k)
+ * rejection with k = n.bit_length() (shift = 32 - k). */
+static uint64_t cw_randbelow(cw_mt *r, uint64_t n, int shift)
+{
+    uint64_t v = cw_genrand(r) >> shift;
+    while (v >= n)
+        v = cw_genrand(r) >> shift;
+    return v;
+}
+
 /* ------------------------------------------------------------------ */
 /* Cache-array primitives. */
 
@@ -526,54 +465,35 @@ static int cw_fill_small(cw_hier *h, cw_cache *c, int cidx,
     return have;
 }
 
-/* LLC victim: min-stamp, or the lru_rand pool draw (pool_size
- * smallest stamps in ascending order — stamps are unique per cache,
- * so repeated min-extraction reproduces Python's stable sort — then
- * the exact _randbelow_with_getrandbits redraw loop). */
+/* LLC victim of a full set: the smallest stamp, or the pool draw of
+ * lru_rand and random.  The draw comes first (the exact
+ * _randbelow_with_getrandbits redraw loop over pool_size), then a walk
+ * to the v-th smallest stamp: stamps are unique per cache and start at
+ * 1, so each scan takes the smallest stamp above the last one, which
+ * is Python's sorted pool (and, for random, its fill order). */
 static uint64_t cw_llc_victim(cw_hier *h, cw_cache *sl, int si, uint64_t set)
 {
     uint64_t base = set * sl->ways;
     const uint64_t *tags = sl->tags + base;
     const uint64_t *stamps = sl->stamps + base;
-    uint32_t i;
-    if (!h->llc_victim_rand) {
-        int bi = -1;
+    uint64_t v = 0, above = 0;
+    if (h->llc_victim_rand)
+        v = cw_randbelow(&h->rng[si], (uint64_t)h->pool_size, 32 - h->rbits);
+    for (;;) {
         uint64_t bs = 0;
+        int bi = -1;
+        uint32_t i;
         for (i = 0; i < sl->ways; i++) {
-            if (tags[i] == CW_EMPTY)
+            if (tags[i] == CW_EMPTY || stamps[i] <= above)
                 continue;
             if (bi < 0 || stamps[i] < bs) {
                 bs = stamps[i];
                 bi = (int)i;
             }
         }
-        return tags[bi];
-    }
-    {
-        uint64_t pool_addr[64];
-        uint64_t used = 0;
-        int p, n = h->pool_size;
-        uint32_t shift = 32 - (uint32_t)h->rbits;
-        uint32_t v;
-        cw_mt *r = &h->rng[si];
-        for (p = 0; p < n; p++) {
-            int bi = -1;
-            uint64_t bs = 0;
-            for (i = 0; i < sl->ways; i++) {
-                if (tags[i] == CW_EMPTY || ((used >> i) & 1))
-                    continue;
-                if (bi < 0 || stamps[i] < bs) {
-                    bs = stamps[i];
-                    bi = (int)i;
-                }
-            }
-            pool_addr[p] = tags[bi];
-            used |= 1ULL << bi;
-        }
-        v = cw_genrand(r) >> shift;
-        while (v >= (uint32_t)n)
-            v = cw_genrand(r) >> shift;
-        return pool_addr[v];
+        if (v-- == 0)
+            return tags[bi];
+        above = bs;
     }
 }
 
@@ -859,8 +779,8 @@ static int cw_handle_llc_evict(cw_hier *h, uint64_t vaddr, uint64_t vword,
     return 0;
 }
 
-/* _fetch_into_llc (flat-DRAM only — install refuses open-page mode);
- * returns the memory latency or -1. */
+/* _fetch_into_llc, with MemoryController.fetch inlined; returns the
+ * memory latency or -1. */
 static int64_t cw_fetch_into_llc(cw_hier *h, uint64_t line_addr, int64_t now,
                                  int demand, cw_cache *sl, int si)
 {
@@ -986,8 +906,8 @@ static int64_t cw_serve_llc_hit(cw_hier *h, int core, int op,
     sl->stamp++;
     if (h->llc_touch)
         sl->stamps[ls] = sl->stamp;
-    /* else: the policy's touch_stamps is False (FIFO): a hit bumps the
-     * counter but leaves the line's stamp. */
+    /* else: the policy's touch_stamps is False (random): a hit bumps
+     * the counter but leaves the line's stamp. */
     return penalty;
 }
 
@@ -1210,77 +1130,10 @@ int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now)
  * emission of workloads/synthetic.py and the earliest-core-first loop
  * of MulticoreSystem.run / Core.step around cw_access. */
 
-typedef struct {
-    cw_mt rng;                /* the stream's random.Random, via getstate() */
-    const uint64_t *chain;    /* pointer chase: the permutation cycle */
-    double gap_frac;
-    double write_fraction;
-    double ifetch_limit;
-    double conflict_limit;
-    double hot_probability;
-    int64_t gap_base;
-    int64_t visits_per_line;
-    uint64_t data_base;
-    uint64_t code_base;
-    uint64_t num_lines;
-    uint64_t hot_lines;
-    uint64_t code_lines;
-    uint64_t conflict_lines;
-    uint64_t conflict_base;
-    uint64_t conflict_stride;
-    int64_t side;             /* stencil grid side */
-    int kind;                 /* 0 stream, 1 random, 2 pointer, 3 stencil, 4 hotcold */
-    int num_shift;            /* 32 - num_lines.bit_length() */
-    int hot_shift;            /* 32 - hot_lines.bit_length() */
-    /* Emission state (the locals of _SyntheticWorkload.generator). */
-    int64_t position;
-    uint64_t code_line;
-    uint64_t conflict_index;
-    uint64_t current_line;
-    int64_t visits_left;
-    int64_t st_i;
-    int64_t st_j;
-    int64_t st_k;
-    /* Core state (Core.time / instructions / memory_ops / pending op). */
-    int64_t time;
-    int64_t instructions;
-    int64_t memory_ops;
-    int64_t penalty;          /* Core.penalty, refreshed before every entry */
-    uint64_t pending_addr;
-    int pending_op;
-    int finished;
-} cw_core;
-
-typedef struct {
-    cw_core *cores;
-    int num_cores;
-    int started;
-    int64_t budget;
-    int64_t event_at;         /* earliest pending event (INT64_MAX: none) */
-    int64_t due;              /* out: the next core's time on CW_SCHED_EVENT */
-} cw_sched;
-
 #define CW_SCHED_DONE     0
 #define CW_SCHED_EVENT    1
 #define CW_SCHED_CALLBACK 2
 #define CW_SCHED_ERROR    3
-
-/* random.Random.random(): CPython's genrand_res53. */
-static double cw_random(cw_mt *r)
-{
-    uint32_t a = cw_genrand(r) >> 5, b = cw_genrand(r) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
-}
-
-/* random.Random.randrange(n) for 0 < n < 2**32: getrandbits(k)
- * rejection with k = n.bit_length() (shift = 32 - k). */
-static uint64_t cw_randbelow(cw_mt *r, uint64_t n, int shift)
-{
-    uint64_t v = cw_genrand(r) >> shift;
-    while (v >= n)
-        v = cw_genrand(r) >> shift;
-    return v;
-}
 
 /* The archetype's _line_picker closure. */
 static uint64_t cw_next_line(cw_core *c)

@@ -33,12 +33,13 @@ fork/spawn pool reuse the on-disk artefact, so kernels rebuild cleanly
 across process boundaries.
 
 State-consistency contract with the Python object: once
-:func:`install` succeeds, *all* accesses go through C (``access`` and
-``access_many`` are rebound on the instance).  The scalar counters
-(``valid_count``, ``autonomic_deletions``, ``total_relocations``,
-``_lcg``) only change on insertions, so they are synced back exactly
-when an Access returns 0 (a Response of 0 *is* a fresh insertion);
-``total_accesses`` is kept on the Python side.  The tables are born
+:func:`install` succeeds, *all* accesses go through C (``access``,
+``access_many`` and the storage ops are rebound on the instance).  The
+scalar counters (``valid_count``, ``autonomic_deletions``,
+``total_relocations``, ``_lcg``) only change on insertions, so they
+are synced back exactly when an Access returns 0 (a Response of 0
+*is* a fresh insertion); ``total_accesses`` is kept on the Python
+side.  The tables are born
 in C: a filter whose Python rows were never read gets zeroed C rows,
 and the ``_alt_xor`` table is always computed in C
 (``acf_fill_alt_xor``); only rows that already exist (``from_bytes``,
@@ -70,7 +71,9 @@ from repro.obs.telemetry import current_telemetry
 
 _U64 = (1 << 64) - 1
 
-_CDEF = """
+#: The filter state Python and C share, written once and spliced into
+#: both the cdef and the source.
+_ACF_STATE = """
 typedef struct {
     uint16_t *fps;
     uint8_t *security;
@@ -89,7 +92,9 @@ typedef struct {
     uint64_t autonomic_deletions;
     uint64_t total_relocations;
 } acf_state;
+"""
 
+_CDEF = _ACF_STATE + """
 int acf_access(acf_state *st, uint64_t key);
 uint64_t acf_access_many(acf_state *st, const uint64_t *keys, uint64_t n);
 void acf_fill_alt_xor(uint32_t *out, uint64_t n, uint64_t alt_add,
@@ -99,26 +104,7 @@ void acf_fill_alt_xor(uint32_t *out, uint64_t n, uint64_t alt_add,
 _CSOURCE = """
 #include <stdint.h>
 #include <stddef.h>
-
-typedef struct {
-    uint16_t *fps;
-    uint8_t *security;
-    uint32_t *alt_xor;
-    uint64_t lcg;
-    uint64_t fp_add;
-    uint64_t index_add;
-    uint32_t index_mask;
-    uint32_t fp_mask;
-    uint32_t entries_per_bucket;
-    uint32_t slot_mask;
-    uint32_t has_slot_mask;
-    uint32_t max_kicks;
-    uint32_t threshold;
-    uint64_t valid_count;
-    uint64_t autonomic_deletions;
-    uint64_t total_relocations;
-} acf_state;
-
+""" + _ACF_STATE + """
 /* splitmix64 finisher — identical constants to repro.utils.bitops. */
 static inline uint64_t acf_mix(uint64_t z)
 {
@@ -134,6 +120,21 @@ void acf_fill_alt_xor(uint32_t *out, uint64_t n, uint64_t alt_add,
 {
     for (uint64_t fp = 0; fp < n; fp++)
         out[fp] = (uint32_t)(acf_mix(fp + alt_add) & index_mask);
+}
+
+/* fp/i1/i2 derivation shared by the Query and the storage ops. */
+static inline void acf_candidates(const acf_state *st, uint64_t key,
+                                  uint32_t *fp_out, uint32_t *i1_out,
+                                  uint32_t *i2_out)
+{
+    uint64_t z = acf_mix(key + st->fp_add);
+    uint32_t fp = (uint32_t)(z & st->fp_mask);
+    if (!fp)
+        fp = st->fp_mask;
+    uint32_t i1 = (uint32_t)(acf_mix(key + st->index_add) & st->index_mask);
+    *fp_out = fp;
+    *i1_out = i1;
+    *i2_out = i1 ^ st->alt_xor[fp];
 }
 
 /* _insert_new: vacancy scan then the LCG kick walk with autonomic
@@ -206,17 +207,13 @@ static void acf_insert_new(acf_state *st, uint32_t fp, uint32_t i1,
 int acf_access(acf_state *st, uint64_t key)
 {
     const uint32_t b = st->entries_per_bucket;
-    uint64_t z = acf_mix(key + st->fp_add);
-    uint32_t fp = (uint32_t)(z & st->fp_mask);
-    if (!fp)
-        fp = st->fp_mask;
-    uint32_t i1 = (uint32_t)(acf_mix(key + st->index_add) & st->index_mask);
+    uint32_t fp, i1, i2;
+    acf_candidates(st, key, &fp, &i1, &i2);
     uint32_t index = i1;
     uint16_t *row = st->fps + (size_t)i1 * b;
     int slot = -1;
     for (uint32_t s = 0; s < b; s++)
         if (row[s] == fp) { slot = (int)s; break; }
-    uint32_t i2 = i1 ^ st->alt_xor[fp];
     if (slot < 0) {
         index = i2;
         row = st->fps + (size_t)i2 * b;

@@ -1,17 +1,16 @@
-"""Install/eligibility/sync for the C cache walk (the ``c`` engine's
-second half).
+"""Install and sync for the C cache walk (the ``c`` engine's second
+half).
 
 :mod:`repro.engine._walk_src` holds the C source,
-:mod:`repro.engine.c_backend` builds it; this module decides when a
-hierarchy may take the C walk, mirrors its storage into C-owned
-arrays, and syncs the mirror back.
+:mod:`repro.engine.c_backend` builds it; this module mirrors a
+hierarchy's storage into C-owned arrays and syncs the mirror back.
 
 Storage-mirror contract (PERFORMANCE.md design rule 16)
 -------------------------------------------------------
 Installation is **one-way**: :func:`install` copies the current
 packed-word state — every ``_map``/``_sets`` dict, per-cache and
 AccessStats counters, the memory-controller channel clock,
-``_memory_versions``, and the ``lru_rand`` Mersenne-Twister states —
+``_memory_versions``, and the LLC policies' Mersenne-Twister states —
 into flat C arrays, and from then on the C side is authoritative.
 The Python dicts become a *mirror* that is refreshed only at batch
 boundaries: :meth:`CWalkState.sync` (reached through
@@ -27,12 +26,12 @@ into C, and the object-level mutators of ``SetAssociativeCache``
 instead of writing the mirror.  Introspection hands out detached
 ``CacheLine`` snapshots, so nothing can write through them either.
 
-Eligibility is *exact-semantics* eligibility: every refusal below is a
-configuration whose generic-engine behaviour the C port does not
-reproduce bit-for-bit (open-page DRAM, subclassed writeback arithmetic,
-replacement policies whose victim the port does not compute, non-MT
-RNGs).  The refusal is a documented config-local fallback to the
-generic ``CacheHierarchy.access``, not an approximation.
+Every hierarchy takes the walk: the C port covers each configuration
+the hierarchy can be built in (private LRU levels, one geometry per
+level, an LLC of ``lru``, ``lru_rand`` with any pool size, or
+``random``, any number of ways and slices, the flat-latency memory
+controller).  :func:`install` fails only when the extension cannot be
+built, so there is no per-configuration fallback.
 
 Monitor side effects stay in Python.  The walk classifies the attached
 monitor once at install time:
@@ -60,13 +59,13 @@ comes back after every step that made a callback.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 
 from repro.cache.coherence import CoherenceViolation
+from repro.cache.hierarchy import AccessStats
 from repro.cache.line import CacheLine
 from repro.engine import c_backend
-from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 from repro.obs.telemetry import current_telemetry
 
 #: Aggregate counters the C walk exports to an attached telemetry sink
@@ -138,76 +137,15 @@ def _register_callbacks(ffi) -> None:
             return -1
 
 
-def _eligible(h) -> bool:
-    """Structural preconditions for the exact C port (see module
-    docstring: every check guards a behaviour the C code inlines)."""
-    # Private levels: LRU (hits stamp, min-stamp victim), and one
-    # geometry per level (the walk shares set masks and ways across
-    # cores).
-    private = [*h.l1d, *h.l1i, *h.l2]
-    if not all(c._touch_stamps and c._victim_is_min_stamp for c in private):
-        return False
-    l1ref, l2ref = h.l1d[0], h.l2[0]
-    if not all(
-        c._set_mask == l1ref._set_mask and c.ways == l1ref.ways
-        for c in (*h.l1d, *h.l1i)
-    ):
-        return False
-    if not all(
-        c._set_mask == l2ref._set_mask and c.ways == l2ref.ways for c in h.l2
-    ):
-        return False
-    # LLC slices: one victim protocol and one geometry.  Hits stamp or
-    # not as ``touch_stamps`` says (FIFO does not), which C ports.
-    slices = h._llc_slices
-    slref = slices[0]
-    if not all(
-        sl._victim_is_min_stamp == slref._victim_is_min_stamp
-        and sl._touch_stamps == slref._touch_stamps
-        and sl._set_mask == slref._set_mask
-        and sl.ways == slref.ways
-        for sl in slices
-    ):
-        return False
-    mc = h.mc
-    # The channel arithmetic (max(now, free) + burst, posted
-    # writebacks) is inlined; a subclassed writeback or an open-page
-    # model would silently diverge.
-    if type(mc).writeback is not MemoryController.writeback:
-        return False
-    if type(mc.dram) is not DramModel or mc.dram.open_page:
-        return False
-    if not slref._victim_is_min_stamp:
-        # Only the lru_rand protocol is ported: pool_size smallest
-        # stamps, one MT19937 _randbelow draw per eviction.  The u64
-        # victim-selection bitmask bounds ways at 64.
-        pool = getattr(slref.policy, "pool_size", None)
-        if pool is None or slref.ways < pool or slref.ways > 64:
-            return False
-        for sl in slices:
-            policy = sl.policy
-            if (
-                type(policy).__name__ != "LruRandomPolicy"
-                or getattr(policy, "pool_size", None) != pool
-            ):
-                return False
-            rng_state = policy._rng.getstate()
-            if rng_state[0] != 3 or len(rng_state[1]) != 625:
-                return False
-    return True
-
-
 def install(h) -> bool:
     """Route the full cache walk of ``h`` through C.
 
-    Returns False — leaving the hierarchy untouched — when the
-    configuration is ineligible or the extension cannot be built.
-    Idempotent (True when already installed).
+    Returns False — leaving the hierarchy untouched — only when the
+    extension cannot be built.  Idempotent (True when already
+    installed).
     """
     if h._c_state is not None:
         return True
-    if not _eligible(h):
-        return False
     pair = c_backend._load_lib()
     if pair is None:
         return False
@@ -319,7 +257,11 @@ class CWalkState:
             st.rbits = 0
             st.rng = ffi.NULL
         else:
+            # lru_rand draws from its pool_size smallest stamps, random
+            # (pool_size None) from the whole set; a pool larger than
+            # the set clamps to it, as Python's slice does.
             pool = slref.policy.pool_size
+            pool = slref.ways if pool is None else min(pool, slref.ways)
             st.llc_victim_rand = 1
             st.pool_size = pool
             st.rbits = pool.bit_length()
@@ -335,7 +277,7 @@ class CWalkState:
         mc = h.mc
         st.channel_free_at = mc._channel_free_at
         st.burst_cycles = mc.burst_cycles
-        st.dram_latency = mc.dram.latency
+        st.dram_latency = mc.dram_latency
         st.total_queue_wait = mc.total_queue_wait
         st.demand_fetches = mc.demand_fetches
         st.prefetch_fetches = mc.prefetch_fetches
@@ -687,26 +629,7 @@ def emit_records(workload, core_id: int, seed: int, n: int) -> list[tuple]:
 
 #: AccessStats counter fields mirrored into ``cw_hier.s_*`` (order
 #: matches the struct; ``per_core_accesses`` is the separate array).
-_STAT_FIELDS = (
-    "writes",
-    "ifetches",
-    "l1_hits",
-    "l1_misses",
-    "l2_hits",
-    "l2_misses",
-    "llc_hits",
-    "llc_misses",
-    "llc_evictions",
-    "l2_evictions",
-    "back_invalidations",
-    "writebacks_to_memory",
-    "upgrades",
-    "dirty_forwards",
-    "prefetch_fills",
-    "prefetch_skipped",
-    "flushes",
-    "flush_hits",
-    "flush_writebacks",
-    "flush_back_invalidations",
-    "total_latency",
+_STAT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(AccessStats)
+    if f.name != "per_core_accesses"
 )

@@ -780,40 +780,20 @@ class AutoCuckooFilter:
     # Engine seam
     # ------------------------------------------------------------------
 
-    def engine_access(self):
-        """The per-Access entry point under the selected engine
-        (``REPRO_ENGINE``): the generic :meth:`access` for ``python``,
-        the cffi kernel for ``c`` — both bit-identical over this
-        filter's state."""
-        from repro.engine import filter_access
-
-        return filter_access(self)
-
     def engine_batch(self):
-        """The batched entry points under the selected engine.
+        """The entry points under the selected engine
+        (``REPRO_ENGINE``), the only route into the C kernels.
 
-        Returns an object exposing ``access_many`` / ``insert_many`` /
-        ``query_many`` / ``delete_many`` (plus the scalar storage ops):
-        this filter itself, under ``c`` with the C batch kernels
-        installed (one boundary crossing per batch), otherwise with
-        its own reference implementations.  Both are bit-identical
-        over the table state.
+        Returns an object exposing ``access`` / ``access_many`` /
+        ``insert_many`` / ``query_many`` / ``delete_many`` (plus the
+        scalar storage ops): this filter itself, under ``c`` with the C
+        kernels installed (one boundary crossing per batch), otherwise
+        with its own reference implementations.  Both are
+        bit-identical over the table state.
         """
         from repro.engine import filter_batch
 
         return filter_batch(self)
-
-    def use_c_backend(self) -> bool:
-        """Route this filter's accesses through the compiled C kernel.
-
-        Returns False (leaving the filter untouched) when the filter is
-        ineligible or no toolchain is available.  One-way and
-        idempotent: once installed, the C arrays are authoritative and
-        every entry point stays consistent with them.
-        """
-        from repro.engine import c_backend
-
-        return c_backend.install(self)
 
     def _sync_rows_from_c(self) -> None:
         """Refresh ``_fps``/``_security`` from the C arrays (no-op when

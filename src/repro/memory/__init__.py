@@ -1,8 +1,8 @@
-"""Memory-side substrate: DRAM timing and the on-chip memory controller
-that hosts PiPoMonitor (Fig. 2 of the paper places the monitor inside
-the MC, observing the memory fetch queue)."""
+"""Memory-side substrate: the on-chip memory controller that hosts
+PiPoMonitor (Fig. 2 of the paper places the monitor inside the MC,
+observing the memory fetch queue) in front of Table II's flat
+200-cycle DRAM."""
 
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 
-__all__ = ["DramModel", "MemoryController"]
+__all__ = ["MemoryController"]

@@ -8,7 +8,8 @@ Models the structures of Fig. 2 that matter to PiPoMonitor:
   is added to its latency).  This is what makes the paper's prefetch
   *delay* meaningful: an immediate prefetch would contend with the
   writeback of the same evicted line.
-* the **DRAM access** itself, delegated to :class:`DramModel`.
+* the **DRAM access** itself: Table II's flat latency
+  (``dram_latency``, 200 cycles), paid by every fetch.
 
 The controller is shared by demand fetches, writebacks, and
 PiPoMonitor prefetches, and it keeps the traffic counters the
@@ -17,7 +18,8 @@ experiments report.
 
 from __future__ import annotations
 
-from repro.memory.dram import DramModel
+#: Table II: "200-cycle latency" DRAM.
+DEFAULT_DRAM_LATENCY = 200
 
 #: Cycles one 64-byte burst occupies the channel.  A 2 GHz core with a
 #: ~16 GB/s channel moves 64 B in roughly 8 core cycles.
@@ -25,16 +27,18 @@ DEFAULT_BURST_CYCLES = 8
 
 
 class MemoryController:
-    """Serialising memory channel + DRAM latency."""
+    """Serialising memory channel + flat DRAM latency."""
 
     def __init__(
         self,
-        dram: DramModel | None = None,
+        dram_latency: int = DEFAULT_DRAM_LATENCY,
         burst_cycles: int = DEFAULT_BURST_CYCLES,
     ):
+        if dram_latency <= 0:
+            raise ValueError("dram_latency must be positive")
         if burst_cycles < 1:
             raise ValueError("burst_cycles must be >= 1")
-        self.dram = dram if dram is not None else DramModel()
+        self.dram_latency = dram_latency
         self.burst_cycles = burst_cycles
         self._channel_free_at = 0
         self.demand_fetches = 0
@@ -44,14 +48,11 @@ class MemoryController:
 
     # ------------------------------------------------------------------
 
-    def fetch(self, byte_address: int, now: int, prefetch: bool = False) -> int:
+    def fetch(self, now: int, prefetch: bool = False) -> int:
         """Fetch one line; return total latency (queue wait + DRAM).
 
-        ``now`` is the cycle the request reaches the controller.
-        The channel-occupancy arithmetic is inlined here (one call per
-        LLC miss — keep it in sync with :meth:`_occupy_channel`, which
-        stays the canonical form for the posted-writeback path), and
-        the flat-latency DRAM mode skips the row-buffer model.
+        ``now`` is the cycle the request reaches the controller.  The
+        C cache walk ports this arithmetic (``cw_fetch_into_llc``).
         """
         free_at = self._channel_free_at
         start = now if now > free_at else free_at
@@ -62,18 +63,18 @@ class MemoryController:
             self.prefetch_fetches += 1
         else:
             self.demand_fetches += 1
-        dram = self.dram
-        if not dram.open_page:
-            return wait + dram.latency
-        return wait + dram.access_latency(byte_address)
+        return wait + self.dram_latency
 
-    def writeback(self, byte_address: int, now: int) -> int:
+    def writeback(self, now: int) -> int:
         """Write one line back to memory; returns the queue wait.
 
         Writebacks are posted (they do not stall the evicting access)
         but they occupy the channel and therefore delay later fetches.
         """
-        wait = self._occupy_channel(now)
+        start = max(now, self._channel_free_at)
+        wait = start - now
+        self._channel_free_at = start + self.burst_cycles
+        self.total_queue_wait += wait
         self.writebacks += 1
         return wait
 
@@ -87,15 +88,9 @@ class MemoryController:
         """Cycle at which the channel next becomes idle."""
         return self._channel_free_at
 
-    def _occupy_channel(self, now: int) -> int:
-        start = max(now, self._channel_free_at)
-        wait = start - now
-        self._channel_free_at = start + self.burst_cycles
-        self.total_queue_wait += wait
-        return wait
-
     def __repr__(self) -> str:
         return (
             f"MemoryController(fetches={self.total_fetches}, "
-            f"writebacks={self.writebacks}, dram={self.dram!r})"
+            f"writebacks={self.writebacks}, "
+            f"dram={self.dram_latency} cycles)"
         )

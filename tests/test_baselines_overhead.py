@@ -9,7 +9,6 @@ from repro.cache.llc import SlicedLLC
 from repro.cache.set_assoc import CacheGeometry
 from repro.core.config import TABLE_II, TABLE_II_FILTER, FilterConfig
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 from repro.overhead.cacti import SramMacro, area_of_bits
 from repro.overhead.storage import (
     llc_storage_bits,
@@ -25,7 +24,7 @@ def small_hierarchy(monitor):
         l1_geometry=CacheGeometry(2 * 1024, 2),
         l2_geometry=CacheGeometry(8 * 1024, 4),
         llc=SlicedLLC(size_bytes=32 * 1024, ways=4, num_slices=2, seed=8),
-        mc=MemoryController(DramModel(latency=200)),
+        mc=MemoryController(dram_latency=200),
         seed=8,
     )
     monitor.attach(hierarchy)

@@ -12,8 +12,8 @@ references.
   the cores, and streams as sparse as one memory op per 10**5
   instructions;
 * the C loop is taken exactly when it should be: a fig8 cell never
-  steps a Python core, while the python engine, a scripted core and a
-  plru LLC each keep the Python loop; a generator the C loop runs
+  steps a Python core, while the python engine and a scripted core
+  each keep the Python loop; a generator the C loop runs
   never builds its line picker, so a pointer-chase chain is shuffled
   once per core;
 * a defended system (``run_defended_workloads`` with a detection unit
@@ -264,11 +264,9 @@ def test_fig8_cell_never_steps_a_python_core(c_engine, monkeypatch):
     assert result.data["normalized"]
 
 
-def _mix_run(engine="c", scripted=False, llc_policy=None):
+def _mix_run(engine="c", scripted=False):
     def run(native):
         config = scaled_system_config(False)
-        if llc_policy is not None:
-            config = replace(config, llc_policy=llc_policy)
         workloads = scaled_mix_workloads("mix1", False)
         if scripted:
             workloads[0] = ScriptedWorkload(
@@ -282,8 +280,7 @@ def _mix_run(engine="c", scripted=False, llc_policy=None):
 @pytest.mark.parametrize("case", [
     _mix_run(engine="python"),
     _mix_run(scripted=True),
-    _mix_run(llc_policy="plru"),
-], ids=["python-engine", "scripted-core", "plru-llc"])
+], ids=["python-engine", "scripted-core"])
 def test_other_systems_keep_the_python_loop(monkeypatch, case):
     engine, run = case
     if engine not in available_engines():

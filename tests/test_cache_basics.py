@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from repro.cache.addr import AddressMapper
 from repro.cache.replacement import (
-    FifoPolicy,
     LruPolicy,
+    LruRandomPolicy,
     RandomPolicy,
-    TreePlruPolicy,
     make_policy,
 )
 from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
@@ -92,17 +91,6 @@ class TestPolicies:
         cache_set[0] = 10  # a hit stores a fresh stamp
         assert LruPolicy().victim_addr(cache_set) == 1
 
-    def test_fifo_ignores_touch(self):
-        cache = SetAssociativeCache(
-            CacheGeometry(4 * 1024, 4), policy="fifo", name="fifo"
-        )
-        sets = cache.num_sets
-        for way in range(4):
-            cache.insert(way * sets)
-        cache.touch(0)  # no effect on a FIFO stamp
-        _, victim = cache.insert(4 * sets)
-        assert victim.addr == 0
-
     def test_random_victim_is_member(self):
         policy = RandomPolicy(seed=1)
         cache_set = set_with_stamps([1, 2, 3])
@@ -115,32 +103,27 @@ class TestPolicies:
         chosen = {policy.victim_addr(cache_set) for _ in range(200)}
         assert chosen == {0, 1, 2, 3}
 
-    def test_plru_prefers_old_quantum(self):
-        policy = TreePlruPolicy(quantum=4, seed=0)
-        cache_set = set_with_stamps([0, 1, 100, 101])
-        for _ in range(20):
-            assert policy.victim_addr(cache_set) in (0, 1)
+    def test_lru_rand_pool_above_set_size_draws_whole_set(self):
+        # A pool larger than the set clamps to the set (the C walk
+        # clamps ``pool_size`` to ``ways`` the same way).
+        policy = LruRandomPolicy(pool_size=6, seed=1)
+        cache_set = set_with_stamps([1, 2, 3, 4])
+        chosen = {policy.victim_addr(cache_set) for _ in range(200)}
+        assert chosen == {0, 1, 2, 3}
 
     def test_make_policy(self):
         assert isinstance(make_policy("lru"), LruPolicy)
-        assert isinstance(make_policy("fifo"), FifoPolicy)
         assert isinstance(make_policy("random"), RandomPolicy)
-        assert isinstance(make_policy("plru"), TreePlruPolicy)
 
     def test_make_policy_unknown(self):
         with pytest.raises(ValueError):
             make_policy("belady")
 
-    def test_plru_rejects_bad_quantum(self):
-        with pytest.raises(ValueError):
-            TreePlruPolicy(quantum=0)
-
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1,
                     max_size=16))
     def test_property_victims_are_members(self, stamps):
         cache_set = set_with_stamps(stamps)
-        for policy in (LruPolicy(), FifoPolicy(), RandomPolicy(seed=2),
-                       TreePlruPolicy(seed=2)):
+        for policy in (LruPolicy(), RandomPolicy(seed=2)):
             assert policy.victim_addr(cache_set) in cache_set
 
 
@@ -182,6 +165,26 @@ class TestSetAssociativeCache:
         cache.touch(0)  # 0 becomes MRU; victim should be way 1
         _, victim = cache.insert(4 * sets)
         assert victim.addr == sets
+
+    def test_random_hits_keep_fill_order(self):
+        # Random hits never restamp, so a set's fill order stays its
+        # ascending stamp order and touches cannot move the draw.
+        touched = self.make(policy="random")
+        untouched = self.make(policy="random")
+        sets = touched.num_sets
+        for cache in (touched, untouched):
+            for way in range(4):
+                cache.insert(way * sets)
+        before = dict(touched._sets[0])
+        for line in (2 * sets, 0, 3 * sets, 0):
+            touched.touch(line)
+        cache_set = touched._sets[0]
+        assert cache_set == before
+        assert list(cache_set) == sorted(cache_set, key=cache_set.__getitem__)
+        for way in range(4, 12):
+            _, victim = touched.insert(way * sets)
+            _, expected = untouched.insert(way * sets)
+            assert victim.addr == expected.addr
 
     def test_duplicate_insert_rejected(self):
         cache = self.make()

@@ -20,7 +20,6 @@ from repro.cache.hierarchy import OP_READ, OP_WRITE, CacheHierarchy
 from repro.cache.llc import SlicedLLC
 from repro.cache.set_assoc import CacheGeometry
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 
 import pytest
 
@@ -32,7 +31,7 @@ def tiny_hierarchy(num_cores=3):
         l1_geometry=CacheGeometry(512, 2),        # 4 sets
         l2_geometry=CacheGeometry(2 * 1024, 2),   # 16 sets
         llc=SlicedLLC(size_bytes=8 * 1024, ways=2, num_slices=2, seed=7),
-        mc=MemoryController(DramModel(latency=50)),
+        mc=MemoryController(dram_latency=50),
         seed=7,
     )
 

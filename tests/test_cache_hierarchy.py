@@ -10,9 +10,9 @@ from repro.cache.hierarchy import (
     CacheHierarchy,
 )
 from repro.cache.llc import SlicedLLC
+from repro.cache.replacement import LruPolicy, RandomPolicy
 from repro.cache.set_assoc import CacheGeometry
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 
 
 def tiny_hierarchy(num_cores=2, monitor=None, **overrides):
@@ -22,7 +22,7 @@ def tiny_hierarchy(num_cores=2, monitor=None, **overrides):
         l1_geometry=CacheGeometry(2 * 1024, 2),    # 16 sets
         l2_geometry=CacheGeometry(8 * 1024, 4),    # 32 sets
         llc=SlicedLLC(size_bytes=32 * 1024, ways=4, num_slices=2, seed=1),
-        mc=MemoryController(DramModel(latency=200)),
+        mc=MemoryController(dram_latency=200),
         monitor=monitor,
         seed=1,
     )
@@ -344,8 +344,35 @@ class TestMemoryChannel:
         lat_b = h.access(1, OP_READ, 0x2000, now=10_000)
         assert lat_a == lat_b
 
+    def test_memory_fetches_go_through_the_controller(self, monkeypatch):
+        # ``MemoryController.fetch`` is the hierarchy's only copy of the
+        # channel arithmetic: each LLC miss and prefetch fill calls it
+        # once (a demand miss reaches it after the L1, L2 and LLC
+        # lookups), and its latency is what the access pays past the LLC.
+        calls = []
+        real_fetch = MemoryController.fetch
+
+        def spy(mc, now, prefetch=False):
+            calls.append((now, prefetch))
+            return real_fetch(mc, now, prefetch) + 1000
+
+        monkeypatch.setattr(MemoryController, "fetch", spy)
+        h = tiny_hierarchy()
+        assert h.access(0, OP_READ, 0x1000, now=5) == 2 + 18 + 35 + 1200
+        assert h.access(0, OP_READ, 0x1000, now=6) == 2
+        h.prefetch_fill(0x2000 >> 6, now=7)
+        assert calls == [(5 + 2 + 18 + 35, False), (7, True)]
+
 
 class TestParameterValidation:
+    def test_private_levels_are_lru_whatever_the_llc_policy(self):
+        llc = SlicedLLC(size_bytes=32 * 1024, ways=4, num_slices=2,
+                        policy="random", seed=1)
+        h = tiny_hierarchy(llc=llc)
+        for level in (h.l1d, h.l1i, h.l2):
+            assert all(isinstance(c.policy, LruPolicy) for c in level)
+        assert all(isinstance(sl.policy, RandomPolicy) for sl in h.llc.slices)
+
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
             CacheHierarchy(num_cores=0)

@@ -14,7 +14,6 @@ from repro.core.config import (
 )
 from repro.core.pipomonitor import MonitorStats, PiPoMonitor
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 from repro.utils.events import EventQueue
 
 
@@ -29,7 +28,7 @@ def monitored_hierarchy(prefetch_delay=10, secthr=3, filter_buckets=64):
         l1_geometry=CacheGeometry(2 * 1024, 2),
         l2_geometry=CacheGeometry(8 * 1024, 4),
         llc=SlicedLLC(size_bytes=32 * 1024, ways=4, num_slices=2, seed=4),
-        mc=MemoryController(DramModel(latency=200)),
+        mc=MemoryController(dram_latency=200),
         seed=4,
     )
     monitor.attach(hierarchy)

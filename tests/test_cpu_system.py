@@ -34,14 +34,14 @@ class TestCore:
         core = system.cores[0]
         assert core.advance()
         assert core.time == 10 and core.instructions == 10
-        core.execute_pending()  # no-op
+        assert not core.step(float("inf"))  # no memory op; stream ends
         assert core.time == 10
 
     def test_memory_op_adds_latency(self):
         system, _ = build_small([ScriptedWorkload([(0, OP_READ, 0x40)])])
         core = system.cores[0]
         core.advance()
-        core.execute_pending()
+        core.step(float("inf"))
         assert core.time == 2 + 18 + 35 + 200
         assert core.instructions == 1
         assert core.memory_ops == 1

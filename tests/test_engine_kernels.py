@@ -5,8 +5,10 @@ this suite attacks the same contract from the other side — the C
 filter kernel and the C cache walk must agree with the generic
 reference implementation on **arbitrary** access streams
 (Hypothesis-driven), on every service tier (L1/L2/LLC hits, misses,
-writes, ifetches, flushes), with and without a monitor, plus the
-engine-selection plumbing itself.
+writes, ifetches, flushes, prefetch fills), with and without a
+monitor, over every hierarchy configuration the engines accept (LLC
+policy, pool size, ways, slices), plus the engine-selection plumbing
+itself.
 """
 
 import dataclasses
@@ -17,9 +19,19 @@ from hypothesis import strategies as st
 
 import repro.engine as engine_mod
 from repro.cache.hierarchy import CacheHierarchy
-from repro.core.config import TABLE_II, SystemConfig
+from repro.cache.llc import SlicedLLC
+from repro.core.config import (
+    TABLE_II,
+    CacheLevelConfig,
+    FilterConfig,
+    SystemConfig,
+)
 from repro.core.pipomonitor import PiPoMonitor
-from repro.engine import available_engines, engine_name, set_engine
+from repro.cpu.core import Core
+from repro.cpu.system import run_workloads
+from repro.engine import available_engines, c_backend, engine_name, set_engine
+from repro.experiments import defense_ablation
+from repro.experiments.common import scaled_mix_workloads, scaled_system_config
 from repro.filters.auto_cuckoo import AutoCuckooFilter
 from repro.obs.telemetry import Telemetry, attached
 from repro.utils.events import EventQueue
@@ -75,8 +87,8 @@ def _assert_hierarchies_equal(ha, hb):
             assert (ca.hits, ca.misses, ca.evictions) == (
                 cb.hits, cb.misses, cb.evictions
             )
-    # The fused lru_rand victim draw must consume the exact same
-    # Mersenne-Twister stream as the generic randrange path.
+    # The fused lru_rand/random victim draw must consume the exact
+    # same Mersenne-Twister stream as the generic randrange path.
     for ca, cb in zip(ha.llc.slices, hb.llc.slices):
         rng_a = getattr(ca.policy, "_rng", None)
         rng_b = getattr(cb.policy, "_rng", None)
@@ -103,7 +115,7 @@ class TestCBackend:
     def test_c_filter_random_keys(self, keys):
         ref = AutoCuckooFilter(seed=13)
         cfl = AutoCuckooFilter(seed=13)
-        assert cfl.use_c_backend()
+        assert c_backend.install(cfl)
         assert [ref.access(k) for k in keys] == [cfl.access(k) for k in keys]
         assert ref.snapshot() == cfl.snapshot()
 
@@ -116,7 +128,7 @@ class TestCBackend:
         for k in keys[:7_000]:
             ref.access(k)
             cfl.access(k)
-        assert cfl.use_c_backend()
+        assert c_backend.install(cfl)
         for k in keys[7_000:]:
             assert ref.access(k) == cfl.access(k)
         assert ref.snapshot() == cfl.snapshot()
@@ -127,10 +139,10 @@ class TestCBackend:
         assert sorted(ref.entries()) == sorted(cfl.entries())
 
     def test_ineligible_filters_refuse(self):
-        assert not AutoCuckooFilter(seed=1, instrument=True).use_c_backend()
-        assert not AutoCuckooFilter(
-            seed=1, fingerprint_bits=20
-        ).use_c_backend()
+        assert not c_backend.install(AutoCuckooFilter(seed=1, instrument=True))
+        assert not c_backend.install(
+            AutoCuckooFilter(seed=1, fingerprint_bits=20)
+        )
 
     def test_c_routed_filter_survives_engine_switch(self, monkeypatch):
         # Once a filter's state moved into C arrays, later kernels
@@ -183,17 +195,19 @@ class TestEngineSelection:
         h = TABLE_II.build_hierarchy(seed=0)
         assert h.engine_access() == h.access
         fltr = AutoCuckooFilter(seed=0)
-        assert fltr.engine_access().__func__ is AutoCuckooFilter.access
+        assert fltr.engine_batch().access.__func__ is AutoCuckooFilter.access
 
-    def test_unsupported_policy_falls_back_to_generic(self, monkeypatch):
+    def test_random_policy_takes_the_c_kernel(self, monkeypatch):
+        if "c" not in available_engines():
+            pytest.skip("C backend unavailable (no cffi/toolchain)")
         monkeypatch.setenv("REPRO_ENGINE", "c")
         config = dataclasses.replace(SystemConfig(), llc_policy="random")
         h = config.build_hierarchy(seed=0)
-        # The C walk does not port the random policy's victim draw:
-        # install refuses and the seam degrades to the generic bound
-        # method.
-        assert h.engine_access() == h.access
-        assert h._c_state is None
+        # The C walk runs the random policy as the whole-set draw: the
+        # seam installs it and hands back the C kernel.
+        kernel = h.engine_access()
+        assert h._c_state is not None
+        assert kernel is h._c_state.kernel
 
     def test_kernel_and_generic_interleave_on_shared_state(
         self, monkeypatch
@@ -216,6 +230,26 @@ class TestEngineSelection:
                 got = h2.access(core, op, addr, now=i)
             assert expected == got
         _assert_hierarchies_equal(h1, h2)
+
+
+def _refuse_step(self, *args):
+    raise AssertionError("the Python loop stepped a core")
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_llc_evictions_read_current_counters(monkeypatch, engine):
+    # Under the C walk the slice counters are a mirror; reading the
+    # LLC's eviction total must resync it first, like len(llc) does.
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    h = CacheHierarchy(
+        num_cores=1, llc=SlicedLLC(64 * 1024, ways=4, num_slices=2), seed=1
+    )
+    kernel = h.engine_access()
+    for i in range(20_000):
+        kernel(0, i & 1, ((i * 7919) % 6_000) * 64, i)
+    evictions = h.llc.evictions
+    h.engine_sync()
+    assert evictions == h.stats.llc_evictions > 10_000
 
 
 class TestCCacheWalk:
@@ -297,27 +331,148 @@ class TestCCacheWalk:
             )
         _assert_hierarchies_equal(hg, hc)
 
-    def test_plru_llc_refuses_and_falls_back(self, monkeypatch):
-        # PLRU has no stamp-deterministic victim protocol the C port
-        # reproduces: install must refuse, and the engine seam must
-        # degrade to the (bit-exact) generic method, not approximate.
+    def test_random_llc_takes_the_c_walk(self, monkeypatch):
+        # The random LLC runs in C as the whole-set draw (pool_size
+        # None): install accepts it, the engine seam hands back the C
+        # kernel, and the draws consume the same MT stream as Python.
         from repro.engine import c_cache
 
-        config = dataclasses.replace(SystemConfig(), llc_policy="plru")
+        config = dataclasses.replace(SystemConfig(), llc_policy="random")
         hc = config.build_hierarchy(seed=0)
-        assert not c_cache.install(hc)
-        assert hc._c_state is None
+        assert c_cache.install(hc)
         monkeypatch.setenv("REPRO_ENGINE", "c")
         kernel = hc.engine_access()
-        assert kernel == hc.access
+        assert kernel is hc._c_state.kernel
         hg = config.build_hierarchy(seed=0)
+        # 97 lines congruent in LLC set 0 (1024 sets per slice) over 4
+        # slices of 16 ways: hits mixed with draws.
         for i in range(6_000):
             core, op = i & 3, (0, 0, 1, 2)[i & 3]
-            addr = ((i * 271) % 40_000) * 64
+            addr = ((i * 271) % 97) * 1024 * 64
             assert hg.access(core, op, addr, now=i) == kernel(
                 core, op, addr, now=i
             )
         _assert_hierarchies_equal(hg, hc)
+        assert hc.stats.llc_evictions > 1_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_configuration_takes_the_c_walk(self, data):
+        # Every hierarchy SystemConfig.build_hierarchy can make installs,
+        # and the kernel replays a stream of reads, writes, ifetches,
+        # flushes and prefetch fills bit-exactly against the generic
+        # walk: latencies, stats, every cache's lines and the MT states.
+        from repro.engine import c_cache
+
+        policy = data.draw(st.sampled_from(["lru", "lru_rand", "random"]))
+        ways = data.draw(st.integers(1, 128))
+        slices = data.draw(st.sampled_from([1, 2, 4]))
+        sets = data.draw(st.sampled_from([1, 2, 8]))
+        pool = data.draw(st.integers(1, ways + 2))
+        monitor = data.draw(st.booleans())
+        cores = data.draw(st.integers(1, 4))
+        config = SystemConfig(
+            num_cores=cores,
+            l1=CacheLevelConfig(2 * 1024, 2, 2),
+            l2=CacheLevelConfig(8 * 1024, 4, 18),
+            llc=CacheLevelConfig(slices * sets * ways * 64, ways, 35),
+            llc_slices=slices,
+            llc_policy=policy,
+            filter=FilterConfig(num_buckets=64, security_threshold=1),
+            prefetch_delay=5,
+        )
+
+        def build():
+            h = config.build_hierarchy(seed=11)
+            if policy == "lru_rand":
+                for sl in h.llc.slices:
+                    sl.policy.pool_size = pool
+            mon = None
+            if monitor:
+                mon = PiPoMonitor(
+                    config.filter.build(seed=12), EventQueue(),
+                    prefetch_delay=config.prefetch_delay,
+                    track_captured_lines=True,
+                )
+                mon.attach(h)
+            return h, mon
+
+        (hg, mg), (hc, mc) = build(), build()
+        assert c_cache.install(hc)
+        kernel = hc._c_state.kernel
+        lines = 3 * slices * sets * ways + 8
+        records = data.draw(st.lists(
+            st.tuples(
+                st.integers(0, cores - 1),
+                st.sampled_from((0, 0, 1, 2, 3, 4)),  # 4: prefetch fill
+                st.integers(0, lines),
+                st.booleans(),
+            ),
+            min_size=1, max_size=300,
+        ))
+        for now, (core, op, line, tag) in enumerate(records):
+            for mon in (mg, mc):
+                if mon is not None:
+                    mon.events.run_until(now)
+            if op == 4:
+                assert hg.prefetch_fill(line, now, tag) == hc.prefetch_fill(
+                    line, now, tag
+                )
+            else:
+                assert hg.access(core, op, line * 64, now) == kernel(
+                    core, op, line * 64, now
+                )
+        _assert_hierarchies_equal(hg, hc)
+        assert hg.mc.__dict__ == hc.mc.__dict__
+        assert hg._memory_versions == hc._memory_versions
+        if monitor:
+            assert dataclasses.asdict(mg.stats) == dataclasses.asdict(mc.stats)
+            assert mg.filter.snapshot() == mc.filter.snapshot()
+            assert mg.captured_lines == mc.captured_lines
+        hc.check_invariants()
+
+    def test_random_llc_cells_equal_under_both_engines(self, monkeypatch):
+        # The ablation's random Prime+Probe cell and a random-LLC mix1
+        # cell: the C walk (and, for the mix, the C run loop) gives
+        # the python engine's results.
+        installed = []
+        engine_access = CacheHierarchy.engine_access
+
+        def recording(h):
+            installed.append(h)
+            return engine_access(h)
+
+        monkeypatch.setattr(CacheHierarchy, "engine_access", recording)
+        cell = ("random", 1500, 30, 4)
+        config = dataclasses.replace(
+            scaled_system_config(False), llc_policy="random"
+        )
+
+        def mix(native):
+            with monkeypatch.context() as env:
+                env.setenv("REPRO_BATCH", "1" if native else "0")
+                return run_workloads(
+                    config, scaled_mix_workloads("mix1", False), 20_000, seed=3
+                )
+
+        monkeypatch.setenv("REPRO_ENGINE", "python")
+        reference_cell = defense_ablation._run_cell(cell)
+        reference_mix = mix(True)
+        assert all(h._c_state is None for h in installed)
+        installed.clear()
+        monkeypatch.setenv("REPRO_ENGINE", "c")
+        assert defense_ablation._run_cell(cell) == reference_cell
+        assert installed and all(h._c_state is not None for h in installed)
+        installed.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(Core, "step", _refuse_step)
+            native = mix(True)
+        assert installed and all(h._c_state is not None for h in installed)
+        python_loop = mix(False)
+        for result in (native, python_loop, reference_mix):
+            result.extra.pop("engine")  # provenance, not semantics
+        assert native == python_loop == reference_mix
+        assert native.stats.llc_evictions > 0
 
     def test_kernel_pinned_to_its_install_time_sinks(self, monkeypatch):
         # engine_access installs the walk once and keeps handing back

@@ -17,7 +17,7 @@ Three families:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import available_engines
+from repro.engine import available_engines, c_backend
 from repro.filters.auto_cuckoo import AutoCuckooFilter
 from repro.filters.cuckoo import CuckooFilter
 from repro.filters.hashing import PartialKeyHasher
@@ -79,7 +79,7 @@ class TestAltIndexInvolution:
                 seed=derive_seed(fingerprint_bits, "alt-xor", log_buckets),
             )
             if engine == "c":
-                assert fltr.use_c_backend()
+                assert c_backend.install(fltr)
             alt_index = fltr.hasher.alt_index
             assert fltr._alt_xor == [
                 alt_index(0, fp) for fp in range(1 << fingerprint_bits)

@@ -370,7 +370,7 @@ class TestEngineBatchSeam:
             blob = twin.to_bytes()
             restored = AutoCuckooFilter.from_bytes(blob)
             for flt in (driven, restored):
-                assert flt.use_c_backend()
+                assert c_backend.install(flt)
                 assert flt.snapshot() == twin.snapshot()
             threshold = twin.security_threshold
             captures = sum(1 for key in tail if twin.access(key) >= threshold)

@@ -14,7 +14,6 @@ from repro.cache.hierarchy import (
 from repro.cache.llc import SlicedLLC
 from repro.cache.set_assoc import CacheGeometry
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
 
 
 def tiny_hierarchy(num_cores=2, **overrides):
@@ -23,7 +22,7 @@ def tiny_hierarchy(num_cores=2, **overrides):
         l1_geometry=CacheGeometry(2 * 1024, 2),
         l2_geometry=CacheGeometry(8 * 1024, 4),
         llc=SlicedLLC(size_bytes=32 * 1024, ways=4, num_slices=2, seed=21),
-        mc=MemoryController(DramModel(latency=200)),
+        mc=MemoryController(dram_latency=200),
         seed=21,
     )
     params.update(overrides)

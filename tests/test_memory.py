@@ -1,67 +1,38 @@
-"""Unit tests for the DRAM model and memory controller."""
+"""Unit tests for the memory controller."""
 
 import pytest
 
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DramModel
-
-
-class TestDramModel:
-    def test_flat_latency(self):
-        dram = DramModel(latency=200)
-        assert dram.access_latency(0) == 200
-        assert dram.access_latency(123456) == 200
-
-    def test_open_page_row_hit_faster(self):
-        dram = DramModel(latency=200, open_page=True)
-        first = dram.access_latency(0)
-        second = dram.access_latency(64)  # same 8 KiB row
-        assert second < first
-        assert dram.row_hits == 1
-
-    def test_open_page_row_miss_penalised(self):
-        dram = DramModel(latency=200, open_page=True)
-        dram.access_latency(0)
-        conflict = dram.access_latency(dram.row_bytes * dram.num_banks)
-        assert conflict > 200
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            DramModel(latency=0)
-        with pytest.raises(ValueError):
-            DramModel(num_banks=3)
-        with pytest.raises(ValueError):
-            DramModel(row_bytes=1000)
 
 
 class TestMemoryController:
     def test_fetch_latency_includes_dram(self):
-        mc = MemoryController(DramModel(latency=200), burst_cycles=8)
-        assert mc.fetch(0, now=0) == 200
+        mc = MemoryController(dram_latency=200, burst_cycles=8)
+        assert mc.fetch(now=0) == 200
 
     def test_back_to_back_fetches_queue(self):
-        mc = MemoryController(DramModel(latency=200), burst_cycles=8)
-        first = mc.fetch(0, now=0)
-        second = mc.fetch(64, now=0)
+        mc = MemoryController(dram_latency=200, burst_cycles=8)
+        first = mc.fetch(now=0)
+        second = mc.fetch(now=0)
         assert first == 200
         assert second == 200 + 8  # waited one burst
         assert mc.total_queue_wait == 8
 
     def test_spaced_fetches_do_not_queue(self):
-        mc = MemoryController(DramModel(latency=200), burst_cycles=8)
-        mc.fetch(0, now=0)
-        assert mc.fetch(64, now=100) == 200
+        mc = MemoryController(dram_latency=200, burst_cycles=8)
+        mc.fetch(now=0)
+        assert mc.fetch(now=100) == 200
 
     def test_writeback_occupies_channel(self):
-        mc = MemoryController(DramModel(latency=200), burst_cycles=8)
-        mc.writeback(0, now=0)
-        assert mc.fetch(64, now=0) == 208
+        mc = MemoryController(dram_latency=200, burst_cycles=8)
+        mc.writeback(now=0)
+        assert mc.fetch(now=0) == 208
         assert mc.writebacks == 1
 
     def test_fetch_kind_counters(self):
         mc = MemoryController()
-        mc.fetch(0, now=0)
-        mc.fetch(64, now=0, prefetch=True)
+        mc.fetch(now=0)
+        mc.fetch(now=0, prefetch=True)
         assert mc.demand_fetches == 1
         assert mc.prefetch_fetches == 1
         assert mc.total_fetches == 2
@@ -69,8 +40,12 @@ class TestMemoryController:
     def test_channel_free_at_advances(self):
         mc = MemoryController(burst_cycles=8)
         assert mc.channel_free_at() == 0
-        mc.fetch(0, now=10)
+        mc.fetch(now=10)
         assert mc.channel_free_at() == 18
+
+    def test_rejects_bad_dram_latency(self):
+        with pytest.raises(ValueError):
+            MemoryController(dram_latency=0)
 
     def test_rejects_bad_burst(self):
         with pytest.raises(ValueError):

@@ -258,7 +258,7 @@ class TestEngineBatchedFilterEquivalence:
         reference = AutoCuckooFilter(seed=5)
         engined = AutoCuckooFilter(seed=5)
         threshold = reference.security_threshold
-        access = engined.engine_access()
+        access = engined.engine_batch().access
         expected = [reference.access(k) for k in keys]
         assert [access(k) for k in keys] == expected
         assert reference.snapshot() == engined.snapshot()
@@ -266,7 +266,7 @@ class TestEngineBatchedFilterEquivalence:
         # And the batched entry point on a third twin: same captures,
         # same state (under the c engine this is the C batch kernel).
         batched = AutoCuckooFilter(seed=5)
-        batched.engine_access()  # bind the engine before batching
+        batched.engine_batch()  # bind the engine before batching
         captures = sum(1 for r in expected if r >= threshold)
         assert batched.access_many(keys) == captures
         assert reference.snapshot() == batched.snapshot()
