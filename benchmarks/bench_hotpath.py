@@ -12,6 +12,7 @@ tracked, not asserted:
 * ``AutoCuckooFilter.access`` hit-heavy and mixed (insert-heavy);
 * the batched storage-mode filter ops, and filter construction plus
   install at the LSM level shapes;
+* a pointer chase's per-core chain, built in Python and in C;
 * one end-to-end Fig. 8 cell (mix1, Table II filter, scaled system).
 
 Run through ``benchmarks/run_perf.sh``, which writes the ops/sec
@@ -419,6 +420,49 @@ def test_filter_build_install(benchmark):
                 batch.insert_many(keys)
 
     _bench_ops(benchmark, run, setup, BUILD_PASSES * len(BUILD_SHAPES))
+
+
+# ----------------------------------------------------------------------
+# Per-core set-up: a pointer chase's chain
+# ----------------------------------------------------------------------
+
+#: Chains built per measured round.
+CHAIN_BUILDS = 10
+
+
+@pytest.mark.parametrize("leg", ["python", "c"])
+def test_pointer_chain_build(benchmark, leg):
+    """Pointer-chase set-up (chains/sec) for one scaled-mcf core, a
+    32,768-line chain.  The python leg times ``_chain``, the shuffle a
+    generator runs on its first ``next``; the c leg times
+    ``emitter_state`` plus ``_load_emitter``, where ``cw_chain``
+    builds the same chain for the C run loop."""
+    from repro.experiments.common import scaled_mix_workloads
+
+    (mcf,) = [w for w in scaled_mix_workloads("mix1", False)
+              if w.name == "mcf"]
+    workload = mcf._inner
+    assert workload.num_lines == 32_768
+    if leg == "python":
+        def run(_state):
+            for core_id in range(CHAIN_BUILDS):
+                workload._chain(core_id, 0)
+    else:
+        from repro.engine import c_backend, c_cache
+
+        pair = c_backend._load_lib()
+        if pair is None:
+            pytest.skip("C backend unavailable (no cffi/toolchain)")
+        ffi, lib = pair
+
+        def run(_state):
+            for core_id in range(CHAIN_BUILDS):
+                c = ffi.new("cw_core *")
+                c_cache._load_emitter(
+                    ffi, lib, c, workload.emitter_state(core_id, 0), []
+                )
+
+    _bench_ops(benchmark, run, lambda: None, CHAIN_BUILDS)
 
 
 # ----------------------------------------------------------------------

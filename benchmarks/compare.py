@@ -38,7 +38,8 @@ TRAJECTORY_PATH = Path(__file__).resolve().parent / "results" / "BENCH_trajector
 #: The bench_hotpath.py cells by subsystem, so a diff can focus on the
 #: layer a PR touched (``--group filter_batch`` after a batch-kernel
 #: change, ``--group walk`` after a cache-walk change).  Kept in sync
-#: with bench_hotpath.py by tests/test_compare_tool.py.
+#: with bench_hotpath.py by tests/test_compare_tool.py.  A
+#: parametrized cell is grouped by its function name.
 CELL_GROUPS = {
     "access": (
         "test_access_l1_hit",
@@ -59,6 +60,9 @@ CELL_GROUPS = {
         "test_filter_batch_query_hits",
         "test_filter_batch_mixed_deletes",
         "test_filter_build_install",
+    ),
+    "setup": (
+        "test_pointer_chain_build",
     ),
     "end_to_end": (
         "test_fig8_single_cell",
@@ -183,7 +187,9 @@ def compare(
     shared = sorted(set(base) & set(cand))
     if group is not None:
         wanted = set(CELL_GROUPS[group])
-        shared = [name for name in shared if name in wanted]
+        shared = [
+            name for name in shared if name.partition("[")[0] in wanted
+        ]
         if not shared:
             raise SystemExit(
                 f"error: the records share no benchmarks in group "

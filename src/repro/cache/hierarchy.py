@@ -256,8 +256,8 @@ class CacheHierarchy:
         self._llc_slice_shift = self.llc._slice_shift
         # C cache-walk seam (repro.engine.c_cache): once installed,
         # ``_c_state`` owns the authoritative C-side storage and every
-        # mutator below routes through it; the dicts become a mirror
-        # refreshed by :meth:`engine_sync`.
+        # mutator below routes through it; the counters are refreshed
+        # by :meth:`engine_sync`, the line dicts on their first read.
         self._c_state = None
 
     def engine_access(self):
@@ -891,26 +891,36 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
 
     def engine_sync(self) -> None:
-        """Flush engine-owned state back into the Python objects.
+        """Flush engine-owned counters back into the Python objects.
 
         A no-op for the ``python`` engine (the dicts *are* the
         state).  Under the C cache walk this performs the batch sync:
-        every ``_map``/``_sets`` dict, the per-cache and AccessStats
-        counters, the monitor/filter counters, the memory-controller
-        channel state, and ``_memory_versions`` are refreshed from the
-        C arrays (in place — object identity is preserved for held
-        references).  Cheap when nothing ran since the last sync.
-        The C side stays authoritative afterwards; this is a read-only
-        snapshot refresh, never a hand-back.
+        the per-cache and AccessStats counters, the monitor/filter
+        counters, the memory-controller channel state, the LLC
+        policies' random state and ``_memory_versions`` are refreshed
+        from the C arrays (in place — object identity is preserved for
+        held references).  The ``_map``/``_sets`` line dicts are only
+        marked stale: the first line reader (``lookup``, ``lines``,
+        ``in``, :meth:`holders_of`, …) rebuilds them.  Cheap when
+        nothing ran since the last sync.  The C side stays
+        authoritative afterwards; this is a read-only snapshot
+        refresh, never a hand-back.
         """
         cs = self._c_state
         if cs is not None:
             cs.sync()
 
+    def _sync_lines(self) -> None:
+        """:meth:`engine_sync` plus the line dicts, for the readers
+        below that walk ``_map`` directly."""
+        cs = self._c_state
+        if cs is not None:
+            cs.sync_lines()
+
     def read_version(self, core: int, addr: int) -> int:
         """The data version a read by ``core`` would observe, *without*
         perturbing any state.  Test helper mirroring the serve path."""
-        self.engine_sync()
+        self._sync_lines()
         line_addr = addr >> self.mapper.line_bits
         for cache in (self.l1d[core], self.l1i[core], self.l2[core]):
             w = cache._map.get(line_addr)
@@ -932,7 +942,7 @@ class CacheHierarchy:
 
     def holders_of(self, line_addr: int) -> dict[int, int]:
         """Map core → private MESI state for a line (test helper)."""
-        self.engine_sync()
+        self._sync_lines()
         holders: dict[int, int] = {}
         for core in range(self.num_cores):
             state = None
@@ -951,7 +961,7 @@ class CacheHierarchy:
         Raises :class:`CoherenceViolation` on the first failure.  Meant
         for tests — it walks every resident line.
         """
-        self.engine_sync()
+        self._sync_lines()
         private_addrs: set[int] = set()
         for core in range(self.num_cores):
             l2_lines = set(self.l2[core]._map)

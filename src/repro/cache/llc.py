@@ -126,7 +126,8 @@ class SlicedLLC:
     @property
     def evictions(self) -> int:
         # The counter is a plain attribute, so resync the C walk's
-        # mirror first, as ``resident`` does for the other readers.
+        # mirror first, as ``resident`` does for the other readers
+        # (that rebuilds the line dicts too; no run path reads this).
         sync = self.slices[0]._c_sync
         if sync is not None:
             sync()

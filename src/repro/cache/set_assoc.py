@@ -127,10 +127,12 @@ class SetAssociativeCache:
         self.misses = 0
         self.evictions = 0
         #: Set by the C cache walk (repro.engine.c_cache) to the
-        #: hierarchy-wide batch sync.  While installed, ``_map`` /
-        #: ``_sets`` are a mirror of the C arrays: the read APIs below
-        #: call this first so they always observe current state, and
-        #: the object-level mutators (``insert``/``remove``/``touch``/
+        #: hierarchy-wide line rebuild (``CWalkState.sync_lines``).
+        #: While installed, ``_map`` / ``_sets`` are a mirror of the C
+        #: arrays that a sync only marks stale: the read APIs below
+        #: call this first so they always observe current state (the
+        #: first read after a run rebuilds the dicts), and the
+        #: object-level mutators (``insert``/``remove``/``touch``/
         #: ``probe``) refuse, since a write to the mirror would never
         #: reach C.  The packed mutators (``_fill``/``_remove_word``)
         #: are *not* guarded — with the walk in C, nothing routes to

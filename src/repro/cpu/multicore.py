@@ -110,10 +110,12 @@ class MulticoreSystem:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        # Under the C cache walk, the Python-side mirrors (cache dicts,
-        # AccessStats, monitor/filter counters, _memory_versions) are
-        # stale until a batch sync; resync here so the result below —
-        # and any post-run introspection — reads consistent state.
+        # Under the C cache walk, the Python-side counters (AccessStats,
+        # per-cache and monitor/filter counters, _memory_versions) are
+        # stale until a batch sync; resync here so the result below
+        # reads consistent state.  The sync copies counters only: the
+        # cache line dicts are rebuilt by the first introspection call
+        # that reads them, which a tenant never makes.
         self.hierarchy.engine_sync()
         monitor = self.hierarchy.monitor
         result = SimulationResult(

@@ -36,7 +36,8 @@ violations, or a stored callback exception).
 The same translation unit carries the C-resident run loop
 (``cw_schedule``, PERFORMANCE.md rule 19): a port of the five
 synthetic archetypes' record emission (``workloads/synthetic.py``,
-MT19937 draw for draw) and of ``MulticoreSystem.run``'s
+MT19937 draw for draw), of the pointer chase's chain (``cw_chain``,
+``Random.shuffle`` draw for draw) and of ``MulticoreSystem.run``'s
 earliest-core-first loop around ``cw_access``.  It returns to Python
 when an event is due, after a step that made a callback (counted in
 ``cw_hier.callbacks``), on a walk error, and when every core is done.
@@ -138,7 +139,7 @@ typedef struct {
 
 typedef struct {
     cw_mt rng;                /* the stream's random.Random, via getstate() */
-    const uint64_t *chain;    /* pointer chase: the permutation cycle */
+    const uint64_t *chain;    /* pointer chase: the cycle cw_chain built */
     double gap_frac;
     double write_fraction;
     double ifetch_limit;
@@ -194,6 +195,7 @@ int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag);
 int cw_schedule(cw_hier *h, cw_sched *s);
 void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
              uint64_t *addrs);
+int cw_chain(cw_mt *r, uint64_t n, uint64_t *chain);
 int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
 void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
 void cw_hier_free(cw_hier *h);
@@ -1212,6 +1214,42 @@ void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
         cw_emit_one(c, &gaps[i], &op, &addrs[i]);
         ops[i] = op;
     }
+}
+
+/* PointerChaseWorkload._chain for 0 < n < 2**32 from its random.Random:
+ * Random.shuffle of range(n), draw for draw (for i from n - 1 down to
+ * 1, swap i with _randbelow(i + 1), a getrandbits(k) rejection with
+ * k = (i + 1).bit_length()), then chain[order[i]] = order[i + 1]
+ * around the cycle.  Returns -1 when the order cannot be allocated. */
+int cw_chain(cw_mt *r, uint64_t n, uint64_t *chain)
+{
+    uint32_t *order = malloc(n * sizeof *order);
+    uint64_t i, j, low = 1;   /* 2**(k - 1) for k = (i + 1).bit_length() */
+    uint32_t t;
+    int shift = 31;           /* 32 - k */
+    if (order == NULL)
+        return -1;
+    for (i = 0; i < n; i++)
+        order[i] = (uint32_t)i;
+    while (low << 1 <= n) {
+        low <<= 1;
+        shift--;
+    }
+    for (i = n - 1; i > 0; i--) {
+        if (i + 1 < low) {
+            low >>= 1;
+            shift++;
+        }
+        j = cw_randbelow(r, i + 1, shift);
+        t = order[i];
+        order[i] = order[j];
+        order[j] = t;
+    }
+    for (i = 0; i + 1 < n; i++)
+        chain[order[i]] = order[i + 1];
+    chain[order[n - 1]] = order[0];
+    free(order);
+    return 0;
 }
 
 /* Core.advance: take the next record's compute gap, park its op. */

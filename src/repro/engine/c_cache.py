@@ -12,13 +12,23 @@ packed-word state — every ``_map``/``_sets`` dict, per-cache and
 AccessStats counters, the memory-controller channel clock,
 ``_memory_versions``, and the LLC policies' Mersenne-Twister states —
 into flat C arrays, and from then on the C side is authoritative.
-The Python dicts become a *mirror* that is refreshed only at batch
-boundaries: :meth:`CWalkState.sync` (reached through
-``CacheHierarchy.engine_sync``) rebuilds them **in place** (object
-identity preserved, so held references stay valid), and every
-introspection entry point — ``SetAssociativeCache``'s read APIs via
-``_c_sync``, ``read_version``/``holders_of``/``check_invariants`` via
-``engine_sync`` — resyncs first.  Sync is a snapshot refresh, never a
+The Python objects become a *mirror* that is refreshed only at batch
+boundaries, in two steps:
+
+* :meth:`CWalkState.sync` (reached through
+  ``CacheHierarchy.engine_sync``, which ``MulticoreSystem.run`` calls
+  after every run) copies the scalars — per-cache stamp and counters,
+  ``AccessStats``, the controller state, ``_memory_versions``, the
+  LLC MT states, the monitor/filter counters and telemetry — and marks
+  the line dicts stale;
+* :meth:`CWalkState.sync_lines` rebuilds every ``_map``/``_sets``
+  dict **in place** (object identity preserved, so held references
+  stay valid), only when stale, on the first read: the line readers
+  of ``SetAssociativeCache`` call it through ``_c_sync``, and
+  ``read_version``/``holders_of``/``check_invariants`` directly.
+
+A run whose caller reads only counters (a campaign tenant) never
+pays for the per-line rebuild.  Sync is a snapshot refresh, never a
 hand-back: mutating the Python dicts afterwards does not reach the C
 arrays, which is why every mutator of an installed hierarchy routes
 into C, and the object-level mutators of ``SetAssociativeCache``
@@ -53,8 +63,10 @@ suite), so they never re-enter the walk synchronously.
 
 :meth:`CWalkState.run_cores` runs a whole ``MulticoreSystem.run`` of
 synthetic streams inside the walk (PERFORMANCE.md rule 19), detection
-unit or not; the event queue stays in Python, which is why the C loop
-comes back after every step that made a callback.
+unit or not, with each pointer chase's chain built in C
+(``cw_chain``, from the MT state ``emitter_state`` hands over); the
+event queue stays in Python, which is why the C loop comes back after
+every step that made a callback.
 """
 
 from __future__ import annotations
@@ -154,7 +166,7 @@ def install(h) -> bool:
     state = CWalkState(ffi, lib, h)
     h._c_state = state
     for cobj in state.cache_objs:
-        cobj._c_sync = state.sync
+        cobj._c_sync = state.sync_lines
     return True
 
 
@@ -169,8 +181,11 @@ class CWalkState:
         self.ffi = ffi
         self.lib = lib
         self.hier = h
-        #: True when C state may be ahead of the Python mirror.
+        #: True when C state may be ahead of the Python scalars.
         self.dirty = False
+        #: True when the line dicts lag the C arrays: :meth:`sync`
+        #: leaves them to the first reader (:meth:`sync_lines`).
+        self.lines_stale = False
         #: Exception raised inside a callback, re-raised by the wrapper.
         self.exc = None
 
@@ -268,9 +283,7 @@ class CWalkState:
             rng = ffi.new("cw_mt[]", S)
             bufs.append(rng)
             for i, sl in enumerate(slices):
-                mt_state = sl.policy._rng.getstate()[1]
-                rng[i].mt = list(mt_state[:624])
-                rng[i].mti = mt_state[624]
+                _load_mt(rng[i], sl.policy._rng.getstate()[1])
             st.rng = rng
         st.write_counter = h._write_counter
 
@@ -440,7 +453,7 @@ class CWalkState:
         carr = ffi.new("cw_core[]", len(cores))
         chains = []
         for c, state in zip(carr, states):
-            _load_emitter(ffi, c, state, chains)
+            _load_emitter(ffi, self.lib, c, state, chains)
         sched = ffi.new("cw_sched *")
         sched.cores = carr
         sched.num_cores = len(cores)
@@ -512,7 +525,8 @@ class CWalkState:
     # ------------------------------------------------------------------
 
     def sync(self) -> None:
-        """Refresh the Python mirror from the C arrays (in place).
+        """Copy the C side's scalars into the Python objects and mark
+        the line dicts stale (:meth:`sync_lines` rebuilds them).
 
         Cheap when nothing ran since the last sync.  Read-only from
         the C side's perspective: C stays authoritative afterwards.
@@ -520,28 +534,13 @@ class CWalkState:
         if not self.dirty:
             return
         self.dirty = False
+        self.lines_stale = True
         ffi = self.ffi
         st = self.st
         unpack = ffi.unpack
         carr = st.caches
         for i, cobj in enumerate(self.cache_objs):
             cc = carr[i]
-            ways = cc.ways
-            n = (cc.set_mask + 1) * ways
-            tags = unpack(cc.tags, n)
-            words = unpack(cc.words, n)
-            stamps = unpack(cc.stamps, n)
-            cmap = cobj._map
-            cmap.clear()
-            sets = cobj._sets
-            for sdict in sets:
-                sdict.clear()
-            for j in range(n):
-                tag = tags[j]
-                if tag == _EMPTY:
-                    continue
-                cmap[tag] = words[j]
-                sets[j // ways][tag] = stamps[j]
             cobj._stamp = cc.stamp
             cobj.hits = cc.hits
             cobj.misses = cc.misses
@@ -595,17 +594,60 @@ class CWalkState:
         # introspection paths already pay for.
         self._export_telemetry()
 
+    def sync_lines(self) -> None:
+        """:meth:`sync`, then refill every cache's ``_map``/``_sets``
+        from the C arrays (in place) when they are stale.  The line
+        readers reach it: ``SetAssociativeCache._c_sync`` and the
+        hierarchy's ``read_version``/``holders_of``/``check_invariants``.
+        """
+        self.sync()
+        if not self.lines_stale:
+            return
+        self.lines_stale = False
+        unpack = self.ffi.unpack
+        carr = self.st.caches
+        for i, cobj in enumerate(self.cache_objs):
+            cc = carr[i]
+            ways = cc.ways
+            n = (cc.set_mask + 1) * ways
+            tags = unpack(cc.tags, n)
+            words = unpack(cc.words, n)
+            stamps = unpack(cc.stamps, n)
+            cmap = cobj._map
+            cmap.clear()
+            sets = cobj._sets
+            for sdict in sets:
+                sdict.clear()
+            for j in range(n):
+                tag = tags[j]
+                if tag == _EMPTY:
+                    continue
+                cmap[tag] = words[j]
+                sets[j // ways][tag] = stamps[j]
 
-def _load_emitter(ffi, c, state: dict, keep: list) -> None:
+
+def _load_mt(rng, state: tuple) -> None:
+    """Fill the ``cw_mt`` ``rng`` from ``Random.getstate()[1]``."""
+    rng.mt = list(state[:624])
+    rng.mti = state[624]
+
+
+def _load_emitter(ffi, lib, c, state: dict, keep: list) -> None:
     """Fill the ``cw_core`` ``c`` from an ``emitter_state`` dict; the
-    buffers ``c`` points into are appended to ``keep``."""
+    buffers ``c`` points into are appended to ``keep``.  A pointer
+    chase's chain is built here, by ``cw_chain`` from ``chain_mt``."""
     for name, value in state.items():
         if name == "mt":
-            c.rng.mt = list(value[:624])
-            c.rng.mti = value[624]
-        elif name == "chain":
-            keep.append(ffi.new("uint64_t[]", value))
-            c.chain = keep[-1]
+            _load_mt(c.rng, value)
+        elif name == "chain_mt":
+            rng = ffi.new("cw_mt *")
+            _load_mt(rng, value)
+            n = state["num_lines"]
+            chain = ffi.new("uint64_t[]", n)
+            if lib.cw_chain(rng, n, chain) < 0:
+                raise MemoryError("pointer-chase chain allocation failed")
+            keep.append(chain)
+            c.chain = chain
         else:
             setattr(c, name, value)
 
@@ -618,7 +660,7 @@ def emit_records(workload, core_id: int, seed: int, n: int) -> list[tuple]:
     ffi, lib = c_backend._load_lib()
     c = ffi.new("cw_core *")
     keep: list = []
-    _load_emitter(ffi, c, workload.emitter_state(core_id, seed), keep)
+    _load_emitter(ffi, lib, c, workload.emitter_state(core_id, seed), keep)
     gaps = ffi.new("int64_t[]", n)
     ops = ffi.new("int32_t[]", n)
     addrs = ffi.new("uint64_t[]", n)

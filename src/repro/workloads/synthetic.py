@@ -123,7 +123,9 @@ class _SyntheticWorkload(Workload):
 
     def _picker_state(self, core_id: int, seed: int) -> dict:
         """The same picker as :meth:`_line_picker`, as the C port's
-        ``cw_core`` fields (``kind`` plus its parameters)."""
+        ``cw_core`` fields (``kind`` plus its parameters).  Cheap: the
+        pointer chase hands over the MT state its chain is shuffled
+        with (``chain_mt``), and ``c_cache`` builds the chain in C."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -137,7 +139,8 @@ class _SyntheticWorkload(Workload):
         The picker is built in the body, on the first ``next``: a core
         whose stream runs in the compiled loop never advances its
         generator, and a pointer-chase picker shuffles its whole
-        working set."""
+        working set in Python (the compiled loop builds the same chain
+        in C)."""
         next_data_line = self._line_picker(core_id, seed)
         rng = derive_rng(seed, self.name, core_id)
         data_base = core_data_base(core_id)
@@ -198,7 +201,9 @@ class _SyntheticWorkload(Workload):
         """The :meth:`generator` stream for ``(core_id, seed)`` as the
         compiled run loop's ``cw_core`` fields: the loop constants
         derived exactly as above, the stream's ``random.Random`` state
-        (``mt``, from ``getstate()``) and the picker's parameters.
+        (``mt``, from ``getstate()``) and the picker's parameters
+        (:meth:`_picker_state`; for the pointer chase, the chain's MT
+        state ``chain_mt``, not the chain).
 
         None when the C port does not reproduce the stream: a subclass
         (it may change the stream), a working set of 2**32 lines or
@@ -275,9 +280,14 @@ class PointerChaseWorkload(_SyntheticWorkload):
 
     name = "pointer"
 
+    @staticmethod
+    def _chain_rng(core_id: int, seed: int):
+        """The ``random.Random`` the chain is shuffled with."""
+        return derive_rng(seed, "pointer-permutation", core_id)
+
     def _chain(self, core_id: int, seed: int) -> list[int]:
         """``chain[line]`` is the line visited after ``line``."""
-        rng = derive_rng(seed, "pointer-permutation", core_id)
+        rng = self._chain_rng(core_id, seed)
         # A single Hamiltonian cycle over the working set (not a plain
         # shuffled permutation, whose cycle through the start line has
         # wildly seed-dependent length — a short cycle would turn the
@@ -302,7 +312,11 @@ class PointerChaseWorkload(_SyntheticWorkload):
         return next_line
 
     def _picker_state(self, core_id: int, seed: int) -> dict:
-        return {"kind": 2, "chain": self._chain(core_id, seed), "position": 0}
+        return {
+            "kind": 2,
+            "chain_mt": self._chain_rng(core_id, seed).getstate()[1],
+            "position": 0,
+        }
 
 
 class StencilWorkload(_SyntheticWorkload):

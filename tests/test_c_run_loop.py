@@ -13,9 +13,13 @@ references.
   instructions;
 * the C loop is taken exactly when it should be: a fig8 cell never
   steps a Python core, while the python engine and a scripted core
-  each keep the Python loop; a generator the C loop runs
-  never builds its line picker, so a pointer-chase chain is shuffled
-  once per core;
+  each keep the Python loop; a generator the C loop runs never builds
+  its line picker, and the C loop builds a pointer chase's chain in C
+  (``cw_chain``, pinned element for element against ``_chain`` over
+  sizes and seeds), so no Python shuffle runs;
+* the sync after a C run copies counters only: the line dicts stay
+  untouched until the first reader, and every reader then equals the
+  ``REPRO_BATCH=0`` run;
 * a defended system (``run_defended_workloads`` with a detection unit
   online) takes the C loop and equals its ``REPRO_BATCH=0`` run field
   for field, the detection report included, under every response
@@ -40,7 +44,7 @@ from repro.cpu.multicore import MulticoreSystem
 from repro.cpu.system import build_system, run_defended_workloads, run_workloads
 from repro.detection import DetectionSpec
 from repro.detection.responses import RESPONSES
-from repro.engine import available_engines, c_cache
+from repro.engine import available_engines, c_backend, c_cache
 from repro.experiments import fig8_performance
 from repro.experiments.common import scaled_mix_workloads, scaled_system_config
 from repro.utils.events import EventQueue
@@ -156,15 +160,52 @@ def test_generator_builds_its_picker_on_first_next(monkeypatch):
     assert chains[0] == 1
 
 
-def test_c_loop_builds_each_chain_once(c_engine, monkeypatch):
+def test_c_loop_builds_no_python_chain(c_engine, monkeypatch):
+    # The C loop builds each pointer chase's chain in C (cw_chain); the
+    # Python loop shuffles it once per pointer core, to the same result.
     workloads = scaled_mix_workloads("mix1", False)
     pointer_cores = sum(w.profile.pattern == "pointer" for w in workloads)
     assert pointer_cores
-    monkeypatch.setattr(Core, "step", _refuse)
+    config = scaled_system_config(False)
     chains = _count_calls(monkeypatch, PointerChaseWorkload, "_chain")
-    _bound(True, run_workloads, scaled_system_config(False), workloads,
-           5_000, seed=2)
+    with monkeypatch.context() as patched:
+        patched.setattr(Core, "step", _refuse)
+        native = _bound(True, run_workloads, config, workloads, 5_000, seed=2)
+    assert chains[0] == 0
+    reference = _bound(False, run_workloads, config, workloads, 5_000, seed=2)
     assert chains[0] == pointer_cores
+    assert native == reference
+    assert native.extra == reference.extra
+
+
+#: 1, 2, 3 and every power of two +-1 up to 2**17.
+_CHAIN_SIZES = sorted({1, 2, 3, *(
+    (1 << k) + d for k in range(2, 18) for d in (-1, 0, 1)
+)})
+
+
+def _c_chain(workload, core_id, seed) -> list[int]:
+    """The chain ``cw_chain`` builds into the C loop's ``cw_core``."""
+    ffi, lib = c_backend._load_lib()
+    c = ffi.new("cw_core *")
+    keep: list = []
+    c_cache._load_emitter(
+        ffi, lib, c, workload.emitter_state(core_id, seed), keep
+    )
+    return ffi.unpack(c.chain, workload.num_lines)
+
+
+def test_c_chain_matches_python_shuffle(c_engine):
+    @settings(max_examples=6, deadline=None)
+    @given(core_id=st.integers(0, 15), seed=st.integers(0, 2**64 - 1),
+           size=st.integers(1, 1 << 17))
+    def check(core_id, seed, size):
+        for n in (*_CHAIN_SIZES, size):
+            workload = PointerChaseWorkload(n * 64)
+            expected = workload._chain(core_id, seed)
+            assert _c_chain(workload, core_id, seed) == expected, n
+
+    check()
 
 
 # ----------------------------------------------------------------------
@@ -375,3 +416,114 @@ def test_throttle_costs_the_same_under_both_engines(monkeypatch):
     for engine in available_engines():
         for native in (True, False):
             assert run(engine, native) == reference, (engine, native)
+
+
+# ----------------------------------------------------------------------
+# The lazy line mirror (PERFORMANCE.md rule 16)
+# ----------------------------------------------------------------------
+
+def _mix5_cell(monkeypatch, native: bool):
+    """A monitored mix5 cell under the C walk, taking the C loop
+    (``native``) or the Python loop (``REPRO_BATCH=0``).  Returns its
+    result, its hierarchy and, per installed cache, the cache with the
+    ``_map`` it had at install."""
+    installed = []
+    install = c_cache.install
+
+    def recording(h):
+        fresh = h._c_state is None
+        done = install(h)
+        if fresh:
+            installed.append(
+                (h, [(cache, cache._map) for cache in h._c_state.cache_objs])
+            )
+        return done
+
+    with monkeypatch.context() as patched:
+        patched.setattr(c_cache, "install", recording)
+        result = _bound(
+            native, run_workloads,
+            scaled_system_config(False, monitor_enabled=True),
+            scaled_mix_workloads("mix5", False), 20_000, seed=3,
+        )
+    ((h, maps),) = installed
+    return result, h, maps
+
+
+def _caches(h):
+    return [*h.l1d, *h.l1i, *h.l2, *h.llc.slices]
+
+
+def _line(line):
+    """A snapshot's fields (``CacheLine`` compares by identity)."""
+    if line is None:
+        return None
+    return (line.addr, line.state, line.dirty, line.stamp, line.sharers,
+            line.pingpong, line.accessed, line.version)
+
+
+#: Every reader of the line dicts, as ``read(h, addrs)``.
+_LINE_READERS = {
+    "lookup": lambda h, addrs: [
+        _line(c.lookup(a)) for c in _caches(h) for a in addrs],
+    "lines": lambda h, addrs: [
+        [_line(line) for line in c.lines()] for c in _caches(h)],
+    "set_lines": lambda h, addrs: [
+        [_line(line) for line in c.set_lines(i)]
+        for c in _caches(h) for i in range(c.num_sets)],
+    "resident": lambda h, addrs: [c.resident for c in _caches(h)],
+    "occupancy": lambda h, addrs: [c.occupancy() for c in _caches(h)],
+    "in": lambda h, addrs: [a in c for c in _caches(h) for a in addrs],
+    "len": lambda h, addrs: [len(c) for c in _caches(h)],
+    "llc.lookup": lambda h, addrs: [_line(h.llc.lookup(a)) for a in addrs],
+    "llc.lines": lambda h, addrs: [_line(line) for line in h.llc.lines()],
+    "llc.set_lines": lambda h, addrs: [
+        [_line(line) for line in h.llc.set_lines(a)] for a in addrs],
+    "llc.occupancy": lambda h, addrs: h.llc.occupancy(),
+    "llc.in": lambda h, addrs: [a in h.llc for a in addrs],
+    "llc.len": lambda h, addrs: len(h.llc),
+    "read_version": lambda h, addrs: [
+        h.read_version(core, a << 6)
+        for core in range(h.num_cores) for a in addrs],
+    "holders_of": lambda h, addrs: [h.holders_of(a) for a in addrs],
+    "check_invariants": lambda h, addrs: h.check_invariants(),
+}
+
+
+def test_sync_copies_counters_and_leaves_lines_stale(c_engine, monkeypatch):
+    native, h, maps = _mix5_cell(monkeypatch, native=True)
+    reference, ref, _ = _mix5_cell(monkeypatch, native=False)
+    # The run's sync rebuilt no line dict ...
+    assert all(cache._map is m and not m for cache, m in maps)
+    assert not any(any(cache._sets) for cache, _ in maps)
+    # ... yet every counter is current.
+    assert native == reference
+    assert h.stats is native.stats
+    assert h.stats == ref.stats
+    assert [(c._stamp, c.hits, c.misses, c.evictions) for c in _caches(h)] == [
+        (c._stamp, c.hits, c.misses, c.evictions) for c in _caches(ref)
+    ]
+    assert h._memory_versions == ref._memory_versions
+    assert h.llc.evictions == ref.llc.evictions == h.stats.llc_evictions > 0
+    # With no C work in between, neither a second sync nor a reader
+    # rebuilds: a planted entry survives both.
+    l1 = h.l1d[0]
+    l1._map[1 << 40] = 0
+    h.engine_sync()
+    assert (1 << 40) in l1
+    del l1._map[1 << 40]
+
+
+@pytest.mark.parametrize("reader", list(_LINE_READERS))
+def test_first_line_reader_rebuilds_the_mirror(c_engine, monkeypatch, reader):
+    read = _LINE_READERS[reader]
+    _, ref, _ = _mix5_cell(monkeypatch, native=False)
+    addrs = sorted({line.addr for c in _caches(ref) for line in c.lines()})
+    assert len(addrs) > 1000
+    addrs.append(1 << 40)  # resident nowhere
+    _, h, maps = _mix5_cell(monkeypatch, native=True)
+    assert not any(m for _, m in maps)
+    assert read(h, addrs) == read(ref, addrs)
+    # The reader rebuilt the dicts, in place.
+    assert all(cache._map is m for cache, m in maps)
+    assert any(m for _, m in maps)

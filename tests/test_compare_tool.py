@@ -141,6 +141,24 @@ def test_group_flag_filters_the_diff(tmp_path, capsys):
     assert "test_access_l1_hit" not in out
 
 
+def test_group_flag_matches_parametrized_cells(tmp_path, capsys):
+    base = _record(tmp_path / "a.json", {
+        "test_pointer_chain_build[python]": 100.0,
+        "test_pointer_chain_build[c]": 2000.0,
+        "test_access_l1_hit": 100.0,
+    })
+    cand = _record(tmp_path / "b.json", {
+        "test_pointer_chain_build[python]": 100.0,
+        "test_pointer_chain_build[c]": 1000.0,
+        "test_access_l1_hit": 100.0,
+    })
+    assert compare_mod.main([base, cand, "--group", "setup"]) == 1
+    out = capsys.readouterr().out
+    assert "test_pointer_chain_build[c]" in out
+    assert "test_pointer_chain_build[python]" in out
+    assert "test_access_l1_hit" not in out
+
+
 def test_group_with_no_shared_cells_errors(tmp_path):
     base = _record(tmp_path / "a.json", {"test_access_l1_hit": 1.0})
     cand = _record(tmp_path / "b.json", {"test_access_l1_hit": 1.0})

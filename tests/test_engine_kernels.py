@@ -71,8 +71,9 @@ def _monitored_pair(seed=7):
 
 
 def _assert_hierarchies_equal(ha, hb):
-    # Under the C cache walk the dicts/stats are a batch-synced
-    # mirror; a no-op for the pure-Python engines.
+    # Under the C cache walk the counters are a batch-synced mirror and
+    # the line dicts are rebuilt by their first public reader (``len``
+    # below); both are no-ops for the python engine.
     ha.engine_sync()
     hb.engine_sync()
     assert ha.stats == hb.stats
@@ -81,6 +82,7 @@ def _assert_hierarchies_equal(ha, hb):
         (ha.llc.slices, hb.llc.slices),
     ):
         for ca, cb in zip(group_a, group_b):
+            assert len(ca) == len(cb)
             assert ca._map == cb._map
             assert ca._sets == cb._sets
             assert ca._stamp == cb._stamp
