@@ -12,7 +12,7 @@ Run:  python examples/performance_study.py [mix] [instructions]
 import sys
 import time
 
-from repro.cpu.system import run_workloads
+from repro.cpu.system import build_system, run_system, run_workloads
 from repro.experiments.common import (
     scaled_mix_workloads,
     scaled_system_config,
@@ -34,9 +34,8 @@ def main() -> None:
         scaled_system_config(monitor_enabled=False),
         workloads, instructions, seed=0,
     )
-    defended = run_workloads(
-        scaled_system_config(), workloads, instructions, seed=0,
-    )
+    system, monitor = build_system(scaled_system_config(), workloads, seed=0)
+    defended = run_system(system, instructions)
     elapsed = time.time() - started
 
     stats = defended.monitor_stats
@@ -60,7 +59,7 @@ def main() -> None:
     print(f"prefetches issued      : {stats.prefetches_issued} "
           f"({stats.suppressed_unaccessed} suppressed by the "
           "accessed-bit rule)")
-    print(f"filter occupancy       : {defended.extra['filter_occupancy']:.1%}")
+    print(f"filter occupancy       : {monitor.filter.occupancy():.1%}")
     print(f"\n[simulated in {elapsed:.1f}s wall time]")
 
 

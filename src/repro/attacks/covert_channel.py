@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.cache.hierarchy import OP_FLUSH, OP_READ
 from repro.core.config import SystemConfig, TABLE_II
 from repro.cpu.multicore import SimulationResult
-from repro.cpu.system import run_defended_workloads
+from repro.cpu.system import run_workloads
 from repro.utils.rng import derive_rng
 from repro.workloads.base import Workload, core_data_base
 
@@ -216,9 +216,9 @@ def run_covert_channel(
     workloads: list[Workload] = [None, None]
     workloads[RECEIVER_CORE] = receiver
     workloads[SENDER_CORE] = sender
-    simulation, monitor, hierarchy = run_defended_workloads(
-        config, workloads, defence, seed=seed, seed_label="covert",
-        pad_idle=True, detection=detection,
+    simulation = run_workloads(
+        config, workloads, None, seed=seed, defence=defence,
+        seed_label="covert", pad_idle=True, detection=detection,
     )
 
     return CovertChannelResult(
@@ -226,10 +226,10 @@ def run_covert_channel(
         window=window,
         sent_bits=list(bits),
         received_bits=list(receiver.received),
-        monitor_stats=getattr(monitor, "stats", None),
+        monitor_stats=simulation.monitor_stats,
         simulation=simulation,
         extra={
-            "flushes": hierarchy.stats.flushes,
-            "flush_hits": hierarchy.stats.flush_hits,
+            "flushes": simulation.stats.flushes,
+            "flush_hits": simulation.stats.flush_hits,
         },
     )

@@ -34,7 +34,7 @@ from repro.attacks.victim import SquareMultiplyVictim, random_key
 from repro.cache.hierarchy import OP_FLUSH, OP_READ
 from repro.core.config import SystemConfig, TABLE_II
 from repro.cpu.multicore import SimulationResult
-from repro.cpu.system import run_defended_workloads
+from repro.cpu.system import run_workloads
 from repro.workloads.base import Workload
 
 #: Reload-latency threshold separating an LLC hit (55 cycles in the
@@ -309,15 +309,15 @@ def run_flush_attack(
     ]
 
     workloads: list[Workload] = [attacker, victim]
-    simulation, monitor, hierarchy = run_defended_workloads(
-        config, workloads, defence, seed=seed, seed_label="flush",
-        pad_idle=True, detection=detection,
+    simulation = run_workloads(
+        config, workloads, None, seed=seed, defence=defence,
+        seed_label="flush", pad_idle=True, detection=detection,
     )
 
     matrix = attacker.observed_matrix()
     extra = {
-        "flushes": hierarchy.stats.flushes,
-        "flush_hits": hierarchy.stats.flush_hits,
+        "flushes": simulation.stats.flushes,
+        "flush_hits": simulation.stats.flush_hits,
     }
     if isinstance(attacker, AdaptiveFlushReloadAttacker):
         extra["probe_rate"] = attacker.probe_rate
@@ -332,7 +332,7 @@ def run_flush_attack(
         square_observed=matrix[0],
         multiply_observed=matrix[1],
         observations=attacker.observations,
-        monitor_stats=getattr(monitor, "stats", None),
+        monitor_stats=simulation.monitor_stats,
         simulation=simulation,
         extra=extra,
     )

@@ -20,13 +20,9 @@ from repro.attacks.evictionset import build_eviction_set
 from repro.attacks.victim import SquareMultiplyVictim, random_key
 from repro.cache.hierarchy import OP_READ
 from repro.core.config import SystemConfig, TABLE_II
-from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import WorkloadGenerator
-from repro.cpu.multicore import MulticoreSystem
-from repro.cpu.system import bind_cores
-from repro.utils.events import EventQueue
-from repro.utils.rng import derive_seed
-from repro.workloads.base import ScriptedWorkload, Workload, core_data_base
+from repro.cpu.system import build_system, run_system
+from repro.workloads.base import Workload, core_data_base
 
 #: Latency separating an LLC hit (2+18+35 = 55) from a memory access
 #: (≥ 255) in the Table II configuration.
@@ -152,6 +148,12 @@ def run_prime_probe_attack(
     :class:`repro.detection.DetectionSpec`, requires the monitor)
     deploys the online detection-and-response subsystem; its report
     lands in ``extra["simulation"].extra["detection"]``.
+
+    The system is assembled by :func:`repro.cpu.system.build_system`
+    and run by :func:`repro.cpu.system.run_system`, so the simulation
+    carries the same engine stamp as every other run.  The eviction
+    sets are computed from the built LLC between the two steps; the
+    attacker's generator reads them on its first record.
     """
     base_config = config if config is not None else TABLE_II
     system_config = replace(base_config, monitor_enabled=monitor_enabled)
@@ -163,55 +165,34 @@ def run_prime_probe_attack(
     )
     attacker = PrimeProbeAttacker(iterations, probe_period=probe_period)
 
-    events = EventQueue()
-    hierarchy = system_config.build_hierarchy(seed=seed)
-    monitor = None
-    if system_config.monitor_enabled:
-        fltr = system_config.filter.build(seed=derive_seed(seed, "filter"))
-        monitor = PiPoMonitor(
-            fltr, events, prefetch_delay=system_config.prefetch_delay
-        )
-        monitor.attach(hierarchy)
-    bus = None
-    if detection is not None:
-        if monitor is None:
-            raise ValueError(
-                "detection requires the monitor (monitor_enabled=True)"
-            )
-        bus = detection.attach_bus(monitor)
-
+    system, _ = build_system(
+        system_config, [attacker, victim], seed, seed_label="attack",
+        pad_idle=True, detection=detection,
+    )
     targets = [
         victim.square_address(VICTIM_CORE),
         victim.multiply_address(VICTIM_CORE),
     ]
     attacker.eviction_sets = [
         build_eviction_set(
-            hierarchy.llc, target, core_data_base(ATTACKER_CORE)
+            system.hierarchy.llc, target, core_data_base(ATTACKER_CORE)
         )
         for target in targets
     ]
-
-    workloads: list[Workload] = [attacker, victim]
-    while len(workloads) < system_config.num_cores:
-        workloads.append(ScriptedWorkload([(0, None, 0)], name="idle"))
-    cores = bind_cores(hierarchy, workloads, seed, "attack")
-    unit = None
-    if detection is not None:
-        unit = detection.deploy(bus, events, hierarchy, cores)
-    simulation = MulticoreSystem(hierarchy, cores, events, detection=unit).run()
+    simulation = run_system(system, None)
 
     matrix = attacker.observed_matrix()
     return AttackResult(
-        monitor_enabled=system_config.monitor_enabled,
+        monitor_enabled=monitor_enabled,
         iterations=iterations,
         key_bits=victim.ground_truth(iterations),
         square_observed=matrix[0],
         multiply_observed=matrix[1],
         observations=attacker.observations,
-        monitor_stats=monitor.stats if monitor is not None else None,
+        monitor_stats=simulation.monitor_stats,
         extra={
             "eviction_set_sizes": [len(s) for s in attacker.eviction_sets],
-            "llc_evictions": hierarchy.stats.llc_evictions,
+            "llc_evictions": simulation.stats.llc_evictions,
             # Full engine-level outcome, for the conformance harness's
             # bit-identical digests.
             "simulation": simulation,

@@ -11,10 +11,10 @@ configurations:
 ``table``   full-tag stateful recorder (prior stateful schemes)
 ==========  ======================================================
 
-``build_defence`` centralises the construction idiom the experiments
-previously repeated (filter seed derivation, table sizing to the
-filter's reach, BITP's short delay), so a new scenario gets the whole
-defence matrix by iterating :data:`DEFENCES`.
+``build_defence`` holds the construction idiom (filter seed derivation,
+table sizing to the filter's reach, BITP's short delay), and
+:func:`repro.cpu.system.build_system` is its one caller, so a new
+scenario gets the whole defence matrix by iterating :data:`DEFENCES`.
 """
 
 from __future__ import annotations
@@ -47,12 +47,15 @@ def build_defence(
     config: SystemConfig,
     events: EventQueue,
     seed: int = 0,
+    track_captured_lines: bool = False,
 ):
     """Build (not attach) the defence ``name`` describes.
 
     Returns the monitor object, or None for ``"none"``.  The caller
     attaches it to a hierarchy via ``monitor.attach(hierarchy)``; the
     shared ``events`` queue must be the one the simulation drains.
+    ``track_captured_lines`` makes a PiPoMonitor record every line it
+    captures (``monitor.captured_lines``).
     """
     if name == "none":
         return None
@@ -60,6 +63,7 @@ def build_defence(
         fltr = config.filter.build(seed=derive_seed(seed, "filter"))
         return PiPoMonitor(
             fltr, events, prefetch_delay=config.prefetch_delay,
+            track_captured_lines=track_captured_lines,
             respond=(name == "pipo"),
         )
     if name == "bitp":

@@ -94,12 +94,10 @@ class SystemConfig:
     prefetch_delay: int = 1500
     monitor_enabled: bool = True
 
-    def build_hierarchy(self, monitor=None, seed: int = 0) -> CacheHierarchy:
-        """Construct the cache hierarchy this config describes.
-
-        ``monitor`` (a PiPoMonitor or baseline defense) may be attached
-        later via ``hierarchy.monitor = ...`` as well.
-        """
+    def build_hierarchy(self, seed: int = 0) -> CacheHierarchy:
+        """Construct the cache hierarchy this config describes, with no
+        defence attached (:func:`repro.cpu.system.build_system` attaches
+        one)."""
         llc = SlicedLLC(
             size_bytes=self.llc.size_bytes,
             ways=self.llc.ways,
@@ -117,7 +115,6 @@ class SystemConfig:
             l1_latency=self.l1.latency,
             l2_latency=self.l2.latency,
             llc_latency=self.llc.latency,
-            monitor=monitor,
             seed=seed,
         )
 

@@ -1,28 +1,30 @@
 """Full-system assembly: config + workloads → runnable multicore system.
 
-``run_workloads`` is the one-call entry point the performance
-experiments (Fig. 8, secThr sensitivity) are built on: it constructs the
-Table II hierarchy, optionally deploys PiPoMonitor, binds one workload
-per core, and runs to an instruction budget.
+:func:`build_system` is the one assembly body: the Table II hierarchy
+a config describes, a defence from
+:data:`repro.baselines.registry.DEFENCES`, one core per workload and an
+optional detection unit.  :func:`run_workloads` adds one run step,
+:func:`run_system`, and every experiment, attack runner and tenant
+goes through it; the Prime+Probe runner calls the two steps itself,
+because its eviction sets depend on the built LLC.
 
-Both assembly helpers bind their cores through :func:`bind_cores`:
-every core runs its workload's generator and carries the workload and
-seed it comes from.  Under the C cache walk, ``MulticoreSystem.run``
-uses that source to run a system of synthetic streams entirely in C,
-detection unit included (PERFORMANCE.md rule 19); a system with any
-other stream (an attacker, a scripted trace) runs the Python loop.
-Results are bit-identical either way — ``REPRO_BATCH=0`` binds no
-sources, forcing the Python loop, which the golden-equivalence tests
-compare against.
+Cores are bound by :func:`bind_cores`: every core runs its workload's
+generator and carries the workload and seed it comes from.  Under the
+C cache walk, ``MulticoreSystem.run`` uses that source to run a system
+of synthetic streams entirely in C, detection unit included
+(PERFORMANCE.md rule 19); a system with any other stream (an attacker,
+a scripted trace) runs the Python loop.  Results are bit-identical
+either way — ``REPRO_BATCH=0`` binds no sources, forcing the Python
+loop, which the golden-equivalence tests compare against.
 
-Engine binding happens here implicitly: both assembly helpers attach
-the monitor *before* constructing cores, and each core resolves its
-access entry point through ``hierarchy.engine_access()`` at
-construction — so under ``REPRO_ENGINE=c`` the C cache walk is
-installed once per system, outside the simulated region, with the
-final monitor configuration baked in.  Results are
-bit-identical across engines (the conformance harness replays the
-full scenario matrix under each).
+Engine binding happens here implicitly: :func:`build_system` attaches
+the defence and the detection unit's alarm bus *before* constructing
+cores, and each core resolves its access entry point through
+``hierarchy.engine_access()`` at construction — so under
+``REPRO_ENGINE=c`` the C cache walk is installed once per system,
+outside the simulated region, with the final monitor configuration
+baked in.  Results are bit-identical across engines (the conformance
+harness replays the full scenario matrix under each).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.baselines.registry import build_defence
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import SystemConfig
 from repro.engine import engine_provenance
-from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import Core
 from repro.cpu.multicore import MulticoreSystem, SimulationResult
 from repro.obs.trace import span as _span
@@ -74,85 +75,29 @@ def build_system(
     workloads: list[Workload],
     seed: int = 0,
     track_captured_lines: bool = False,
-) -> tuple[MulticoreSystem, PiPoMonitor | None]:
-    """Construct the system a config describes.
-
-    One workload per core is required.  Returns the system and the
-    deployed monitor (None when ``config.monitor_enabled`` is False —
-    the paper's baseline).
-    """
-    if len(workloads) != config.num_cores:
-        raise ValueError(
-            f"need exactly {config.num_cores} workloads, "
-            f"got {len(workloads)}"
-        )
-    events = EventQueue()
-    hierarchy = config.build_hierarchy(seed=seed)
-    monitor = None
-    if config.monitor_enabled:
-        fltr = config.filter.build(seed=derive_seed(seed, "filter"))
-        monitor = PiPoMonitor(
-            fltr,
-            events,
-            prefetch_delay=config.prefetch_delay,
-            track_captured_lines=track_captured_lines,
-        )
-        monitor.attach(hierarchy)
-    cores = bind_cores(hierarchy, workloads, seed)
-    return MulticoreSystem(hierarchy, cores, events), monitor
-
-
-def run_workloads(
-    config: SystemConfig,
-    workloads: list[Workload],
-    instructions_per_core: int,
-    seed: int = 0,
-) -> SimulationResult:
-    """Build and run in one call; returns the simulation result."""
-    with _span("assemble", "engine", seed=seed):
-        system, monitor = build_system(config, workloads, seed=seed)
-    with _span("simulate", "engine", seed=seed):
-        result = system.run(max_instructions_per_core=instructions_per_core)
-    if monitor is not None:
-        result.extra["filter_occupancy"] = monitor.filter.occupancy()
-        result.extra["prefetch_delay"] = monitor.prefetch_delay
-    result.extra["engine"] = engine_provenance()
-    return result
-
-
-def run_defended_workloads(
-    config: SystemConfig,
-    workloads: list[Workload],
-    defence: str,
-    seed: int = 0,
+    *,
+    defence: str | None = None,
     seed_label: str = "workload",
-    instructions_per_core: int | None = None,
     pad_idle: bool = False,
     detection=None,
-):
-    """Assemble and run a system with a registry defence attached.
+) -> tuple[MulticoreSystem, object | None]:
+    """Construct the system a config describes.
 
-    The generalisation of :func:`run_workloads` the attack scenarios
-    and the conformance harness share: ``defence`` is any name from
-    :data:`repro.baselines.registry.DEFENCES` (so BITP and the table
-    recorder plug in where ``config.monitor_enabled`` only covers
-    PiPoMonitor), ``pad_idle`` fills the remaining cores with idle
-    workloads, and ``seed_label`` is the per-core seed-derivation
+    ``defence`` is any name :func:`repro.baselines.registry.build_defence`
+    accepts; None deploys ``pipo`` when ``config.monitor_enabled`` and
+    ``none`` otherwise (the paper's baseline).  ``pad_idle`` fills the
+    remaining cores with idle workloads; otherwise one workload per
+    core is required.  ``seed_label`` is the per-core seed-derivation
     namespace (kept caller-chosen so existing streams stay
-    bit-identical).  Cores are bound by :func:`bind_cores`: a system
-    of synthetic streams (a benign tenant) takes the C run loop with
-    its detection unit online, one with a timing-sensitive attacker
-    the Python loop.  ``REPRO_BATCH=0`` forces the Python loop, with
-    identical results.
+    bit-identical).
 
     ``detection`` (a :class:`repro.detection.DetectionSpec`) deploys
     the online detection-and-response subsystem: the defence's alarm
-    bus is attached *before* core construction — each core resolves
-    its access kernel at construction, so the C walk binds the bus at
-    install time — and the built unit's report lands in
+    bus is attached before core construction, so the C walk binds it
+    at install time, and the built unit's report lands in the run's
     ``result.extra["detection"]``.
 
-    Returns ``(simulation_result, monitor, hierarchy)``.
+    Returns the system and the deployed defence (None for ``none``).
     """
     workloads = list(workloads)
     if pad_idle:
@@ -163,35 +108,58 @@ def run_defended_workloads(
             f"need exactly {config.num_cores} workloads, "
             f"got {len(workloads)}"
         )
-    # Engine-phase spans: assembly (hierarchy build + kernel
-    # compilation at core construction) vs. the simulated run.  The
-    # span() helper is a shared no-op unless a recorder is attached —
-    # one global load per call, twice per simulation, never per event.
+    if defence is None:
+        defence = "pipo" if config.monitor_enabled else "none"
+    # Assembly includes the C walk install, which every core triggers
+    # at construction; the span() helper is a shared no-op unless a
+    # recorder is attached.
     with _span("assemble", "engine", defence=defence, seed=seed):
         events = EventQueue()
         hierarchy = config.build_hierarchy(seed=seed)
-        monitor = build_defence(defence, config, events, seed=seed)
+        monitor = build_defence(
+            defence, config, events, seed=seed,
+            track_captured_lines=track_captured_lines,
+        )
         if monitor is not None:
             monitor.attach(hierarchy)
-        bus = None
-        if detection is not None:
-            if monitor is None:
-                raise ValueError(
-                    "detection requires a defence that publishes alarms "
-                    "(defence='none' has no monitor on the hierarchy)"
-                )
-            bus = detection.attach_bus(monitor)
+        bus = detection.attach_bus(monitor) if detection is not None else None
         cores = bind_cores(hierarchy, workloads, seed, seed_label)
         unit = None
         if detection is not None:
             unit = detection.deploy(bus, events, hierarchy, cores)
-    with _span("simulate", "engine", defence=defence, seed=seed):
-        result = MulticoreSystem(hierarchy, cores, events, detection=unit).run(
-            max_instructions_per_core=instructions_per_core
-        )
-    # Engine provenance rides on every assembled run so fleet-level
-    # aggregation can prove it never mixed engines (or see exactly
-    # where a toolchain-less worker degraded c -> python).
-    # Conformance digests scrub this key — provenance, not semantics.
+        return MulticoreSystem(hierarchy, cores, events, detection=unit), monitor
+
+
+def run_system(
+    system: MulticoreSystem, instructions_per_core: int | None
+) -> SimulationResult:
+    """Run an assembled system; ``instructions_per_core`` None runs
+    every stream to its end.
+
+    The ``simulate`` span stays outside ``MulticoreSystem.run``, which
+    the benchmark's tracer wraps in a span of its own.  Engine
+    provenance rides on every run, so fleet-level aggregation can prove
+    it never mixed engines (or see exactly where a toolchain-less
+    worker degraded c -> python); conformance digests scrub this key.
+    """
+    with _span("simulate", "engine"):
+        result = system.run(max_instructions_per_core=instructions_per_core)
     result.extra["engine"] = engine_provenance()
-    return result, monitor, hierarchy
+    return result
+
+
+def run_workloads(
+    config: SystemConfig,
+    workloads: list[Workload],
+    instructions_per_core: int | None,
+    seed: int = 0,
+    **assembly,
+) -> SimulationResult:
+    """Build and run in one call; returns the simulation result.
+
+    ``assembly`` takes :func:`build_system`'s keywords (``defence``,
+    ``seed_label``, ``pad_idle``, ``detection``,
+    ``track_captured_lines``).
+    """
+    system, _ = build_system(config, workloads, seed, **assembly)
+    return run_system(system, instructions_per_core)

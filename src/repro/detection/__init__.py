@@ -13,10 +13,11 @@ package is that step, layered on the simulator:
 * :mod:`~repro.detection.unit` wires one system's bus, detectors, and
   policy, and reports through ``SimulationResult.extra["detection"]``.
 
-Entry point for experiments: pass a :class:`DetectionSpec` to
-``repro.cpu.system.run_defended_workloads`` (or the attack runners'
-``detection=`` parameter).  ``repro-experiment fig10`` sweeps the
-resulting ROC surface.
+Entry point for experiments: pass a :class:`DetectionSpec` as the
+``detection=`` keyword of ``repro.cpu.system.build_system`` (through
+``run_workloads`` or any attack runner), which attaches the bus before
+the cores bind their access kernels and deploys the unit after.
+``repro-experiment fig10`` sweeps the resulting ROC surface.
 """
 
 from repro.detection.detectors import (

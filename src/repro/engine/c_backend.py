@@ -22,11 +22,12 @@ scenario must replay bit-identically under the C engine and under the
 The extension is **built lazily at first use** and cached under
 ``~/.cache/repro-engine`` (override with ``REPRO_ENGINE_CACHE``); the
 cache key hashes the full generated source plus the interpreter/cffi/
-compiler identity, so any edit to the C code (or a toolchain change)
-lands in a fresh directory and a stale ``.so`` can never satisfy a
-newer source.  When cffi or a C toolchain is missing the build fails
-quietly and callers fall back to the generic ``python`` paths — the
-``c`` engine degrades, it never breaks — but the failure is recorded
+compiler identity and the compile flags in the environment, so any
+edit to the C code (or a toolchain or flag change) lands in a fresh
+directory and a stale ``.so`` can never satisfy a newer source.  When
+cffi or a C toolchain is missing the build fails quietly and callers
+fall back to the generic ``python`` paths — the ``c`` engine degrades,
+it never breaks — but the failure is recorded
 (:func:`unavailable_reason`, including the captured compiler error
 chain) and surfaced through ``EngineFallbackWarning``.  Workers in a
 fork/spawn pool reuse the on-disk artefact, so kernels rebuild cleanly
@@ -291,6 +292,30 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-engine"
 
 
+#: Environment variables the compile honours over sysconfig's values.
+_BUILD_ENV = ("CC", "CFLAGS", "CPPFLAGS", "LDFLAGS")
+
+
+def _build_tag() -> str:
+    """The build cache key: a hash of everything that can change the
+    built artefact — the full generated source (cdef + C), the module
+    name, the interpreter ABI, the cffi version, the compiler identity
+    and the :data:`_BUILD_ENV` flags.  A source edit — even within one
+    repo version — therefore always lands in a fresh directory, and a
+    ``-fsanitize`` build never shares one with a plain build."""
+    import cffi
+
+    return hashlib.sha256("\0".join((
+        _MODULE_NAME,
+        _FULL_CDEF,
+        _FULL_CSOURCE,
+        sys.version,
+        getattr(cffi, "__version__", "?"),
+        str(sysconfig.get_config_var("CC") or ""),
+        *(f"{name}={os.environ.get(name, '')}" for name in _BUILD_ENV),
+    )).encode()).hexdigest()[:20]
+
+
 def _load_lib():
     """Build (or load the cached build of) the extension; returns the
     ``(ffi, lib)`` pair or None when cffi/toolchain are unavailable."""
@@ -302,23 +327,7 @@ def _load_lib():
 
         from cffi import FFI
 
-        # The cache key covers everything that can change the built
-        # artefact: the full generated source (cdef + C), the module
-        # name, the interpreter ABI, the cffi version, and the
-        # compiler identity.  A source edit — even within one repo
-        # version — therefore always lands in a fresh directory; a
-        # stale cached .so can never be loaded against newer source.
-        import cffi as _cffi_mod
-
-        tag = hashlib.sha256("\\x00".join((
-            _MODULE_NAME,
-            _FULL_CDEF,
-            _FULL_CSOURCE,
-            sys.version,
-            getattr(_cffi_mod, "__version__", "?"),
-            str(sysconfig.get_config_var("CC") or ""),
-        )).encode()).hexdigest()[:20]
-        cache = _cache_dir() / tag
+        cache = _cache_dir() / _build_tag()
         sofile = next(cache.glob(f"{_MODULE_NAME}*.so"), None)
         if sofile is None:
             # Parsing the cdef costs tens of milliseconds per process

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.attacks.filter_attacks import analytic_eviction_set_size
 from repro.baselines.table_recorder import TableRecorder, table_eviction_attack
 from repro.core.config import TABLE_II_FILTER
-from repro.cpu.system import run_defended_workloads, run_workloads
+from repro.cpu.system import run_workloads
 from repro.experiments.common import (
     ExperimentResult,
     instructions_per_core,
@@ -33,30 +33,22 @@ DEFAULT_MIX = "mix1"
 
 def _run_benign_cell(cell):
     """One benign-mix simulation per scheme (module-level so the
-    parallel runner can fan the four schemes out across processes)."""
+    parallel runner can fan the four schemes out across processes).
+
+    table/bitp come from the defence registry (table sized to the
+    filter's reach, BITP's short delay — the same configurations fig9
+    and the conformance harness run against)."""
     scheme, mix, full, instructions, seed = cell
-    workloads = scaled_mix_workloads(mix, full)
-    if scheme == "base":
-        config = scaled_system_config(full, monitor_enabled=False)
-        outcome = run_workloads(config, workloads, instructions, seed=seed)
-        return scheme, outcome.mean_time, None
-    if scheme == "pipo":
-        config = scaled_system_config(full)
-        outcome = run_workloads(config, workloads, instructions, seed=seed)
-        fp = outcome.monitor_stats.false_positives_per_million_instructions(
+    outcome = run_workloads(
+        scaled_system_config(full), scaled_mix_workloads(mix, full),
+        instructions, seed=seed,
+        defence="none" if scheme == "base" else scheme,
+    )
+    stats = outcome.monitor_stats
+    fp = None if stats is None else (
+        stats.false_positives_per_million_instructions(
             outcome.total_instructions
         )
-        return scheme, outcome.mean_time, fp
-    # table/bitp come from the defence registry (table sized to the
-    # filter's reach, BITP's short delay — the same configurations
-    # fig9 and the conformance harness run against).
-    config = scaled_system_config(full, monitor_enabled=False)
-    outcome, monitor, _ = run_defended_workloads(
-        config, workloads, scheme, seed=seed,
-        instructions_per_core=instructions,
-    )
-    fp = monitor.stats.false_positives_per_million_instructions(
-        outcome.total_instructions
     )
     return scheme, outcome.mean_time, fp
 

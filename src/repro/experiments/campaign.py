@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from repro.attacks.covert_channel import run_covert_channel
 from repro.attacks.flush_reload import run_flush_attack
 from repro.attacks.primeprobe import run_prime_probe_attack
-from repro.cpu.system import run_defended_workloads
+from repro.cpu.system import run_workloads
 from repro.detection import DetectionSpec, FleetDetectionStats, detector_desc
 from repro.detection.fleet import QUANTILES
 from repro.experiments.common import (
@@ -170,7 +170,6 @@ def _run_tenant(profile: TenantProfile) -> dict:
         profile.full,
         filter_size=profile.filter_size,
         security_threshold=profile.secthr,
-        monitor_enabled=True,
     )
     record = {
         "kind": profile.kind,
@@ -180,16 +179,10 @@ def _run_tenant(profile: TenantProfile) -> dict:
         ),
     }
     if profile.kind == "benign":
-        config = scaled_system_config(
-            profile.full,
-            filter_size=profile.filter_size,
-            security_threshold=profile.secthr,
-            monitor_enabled=False,
-        )
-        workloads = scaled_mix_workloads(profile.mix, profile.full)
-        simulation, _, _ = run_defended_workloads(
-            config, workloads, "pipo", seed=profile.seed,
-            instructions_per_core=profile.instructions, detection=spec,
+        simulation = run_workloads(
+            config, scaled_mix_workloads(profile.mix, profile.full),
+            profile.instructions, seed=profile.seed, defence="pipo",
+            detection=spec,
         )
     elif profile.kind == "prime_probe":
         outcome = run_prime_probe_attack(

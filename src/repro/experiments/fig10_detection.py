@@ -40,7 +40,7 @@ from repro.attacks.covert_channel import run_covert_channel
 from repro.attacks.flush_reload import run_flush_attack
 from repro.attacks.primeprobe import run_prime_probe_attack
 from repro.core.config import TABLE_II
-from repro.cpu.system import run_defended_workloads
+from repro.cpu.system import run_workloads
 from repro.detection import DetectionSpec, build_detector, replay
 from repro.experiments.common import (
     ExperimentResult,
@@ -131,13 +131,10 @@ def _run_alarm_cell(cell):
         simulation = outcome.simulation
     elif what.startswith("benign:"):
         mix = what.split(":", 1)[1]
-        config = scaled_system_config(
-            False, security_threshold=secthr, monitor_enabled=False
-        )
-        workloads = scaled_mix_workloads(mix, False)
-        simulation, _, _ = run_defended_workloads(
-            config, workloads, "pipo", seed=seed,
-            instructions_per_core=benign_insns, detection=spec,
+        simulation = run_workloads(
+            scaled_system_config(False, security_threshold=secthr),
+            scaled_mix_workloads(mix, False), benign_insns, seed=seed,
+            defence="pipo", detection=spec,
         )
     else:
         raise ValueError(f"unknown cell kind {what!r}")

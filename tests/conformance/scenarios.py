@@ -38,7 +38,7 @@ from repro.attacks.covert_channel import run_covert_channel  # noqa: E402
 from repro.attacks.flush_reload import run_flush_attack  # noqa: E402
 from repro.attacks.primeprobe import run_prime_probe_attack  # noqa: E402
 from repro.baselines.registry import DEFENCES  # noqa: E402
-from repro.cpu.system import run_defended_workloads  # noqa: E402
+from repro.cpu.system import run_workloads  # noqa: E402
 from repro.detection import DetectionSpec  # noqa: E402
 from repro.experiments.common import (  # noqa: E402
     scaled_mix_workloads,
@@ -121,11 +121,9 @@ def benign(defence: str):
     one, keeping the Python loop, and the fixture is the same either
     way (CI replays every fixture under both).
     """
-    config = scaled_system_config(False, monitor_enabled=False)
-    workloads = scaled_mix_workloads("mix1", False)
-    simulation, _, _ = run_defended_workloads(
-        config, workloads, defence, seed=SEED,
-        instructions_per_core=BENIGN_INSTRUCTIONS,
+    simulation = run_workloads(
+        scaled_system_config(False), scaled_mix_workloads("mix1", False),
+        BENIGN_INSTRUCTIONS, seed=SEED, defence=defence,
     )
     return canonical({"simulation": simulation})
 
@@ -221,17 +219,15 @@ def detect_benign_rate_log():
     """The false-positive path: a Table III mix under the monitor with
     an aggressive rate detector, log-only (alarm stream unlogged — the
     verdict counters pin the behaviour without a bulky fixture)."""
-    config = scaled_system_config(False, monitor_enabled=False)
-    workloads = scaled_mix_workloads("mix1", False)
-    simulation, monitor, _ = run_defended_workloads(
-        config, workloads, "pipo", seed=SEED,
-        instructions_per_core=BENIGN_INSTRUCTIONS,
+    simulation = run_workloads(
+        scaled_system_config(False), scaled_mix_workloads("mix1", False),
+        BENIGN_INSTRUCTIONS, seed=SEED, defence="pipo",
         detection=DetectionSpec(
             detectors=(("rate", {"window": 24000, "threshold": 2}),),
             log_alarms=False,
         ),
     )
-    return _detection_payload(simulation, monitor.stats, {})
+    return _detection_payload(simulation, simulation.monitor_stats, {})
 
 
 DETECTION_SCENARIOS = {

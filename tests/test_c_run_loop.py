@@ -20,11 +20,12 @@ references.
 * the sync after a C run copies counters only: the line dicts stay
   untouched until the first reader, and every reader then equals the
   ``REPRO_BATCH=0`` run;
-* a defended system (``run_defended_workloads`` with a detection unit
-  online) takes the C loop and equals its ``REPRO_BATCH=0`` run field
-  for field, the detection report included, under every response
-  policy and alarm-publishing defence; a throttle response costs the
-  same under both engines and both loops.
+* a defended system (``run_workloads`` with a registry defence and a
+  detection unit online) takes the C loop and equals its
+  ``REPRO_BATCH=0`` run field for field, the detection report
+  included, under every response policy and alarm-publishing defence;
+  a throttle response costs the same under both engines and both
+  loops.
 """
 
 from dataclasses import replace
@@ -41,7 +42,7 @@ from repro.attacks.victim import SquareMultiplyVictim
 from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import Core
 from repro.cpu.multicore import MulticoreSystem
-from repro.cpu.system import build_system, run_defended_workloads, run_workloads
+from repro.cpu.system import build_system, run_workloads
 from repro.detection import DetectionSpec
 from repro.detection.responses import RESPONSES
 from repro.engine import available_engines, c_backend, c_cache
@@ -361,17 +362,15 @@ def _defended_run(defence: str, response: str):
     """A benign mix1 tenant under ``defence`` with a rate detector that
     fires (12 verdicts and one throttle window under ``pipo``)."""
     def run(native):
-        config = scaled_system_config(
-            False, security_threshold=2, monitor_enabled=False
-        )
+        config = scaled_system_config(False, security_threshold=2)
         spec = DetectionSpec(
             detectors=(("rate", {"threshold": 2, "window": 24_000}),),
             response=response,
         )
-        simulation, _, _ = _bound(
-            native, run_defended_workloads,
-            config, scaled_mix_workloads("mix1", False), defence,
-            seed=7, instructions_per_core=60_000, detection=spec,
+        simulation = _bound(
+            native, run_workloads,
+            config, scaled_mix_workloads("mix1", False), 60_000,
+            seed=7, defence=defence, detection=spec,
         )
         assert simulation.extra["detection"]["verdicts"] > 0
         return simulation

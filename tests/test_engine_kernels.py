@@ -178,6 +178,24 @@ class TestCBackend:
         assert mon.filter.snapshot() == mref.filter.snapshot()
 
 
+def test_build_tag_hashes_the_compile_environment(monkeypatch):
+    """Every environment variable the compile honours moves the build
+    cache directory, so a ``-fsanitize`` build never serves a plain
+    one; with none of them changed, the directory stays put."""
+    pytest.importorskip("cffi")
+    names = ("CC", "CFLAGS", "CPPFLAGS", "LDFLAGS")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    plain = c_backend._build_tag()
+    monkeypatch.setenv("REPRO_JOBS", "3")
+    assert c_backend._build_tag() == plain
+    for name in names:
+        monkeypatch.setenv(name, "-fsanitize=address")
+        assert c_backend._build_tag() != plain, name
+        monkeypatch.delenv(name)
+    assert c_backend._build_tag() == plain
+
+
 class TestEngineSelection:
     def test_engine_name_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)

@@ -747,7 +747,7 @@ def test_engine_provenance_stamped_in_result_extra(repro_engine):
         scaled_mix_workloads,
         scaled_system_config,
     )
-    from repro.cpu.system import run_defended_workloads, run_workloads
+    from repro.cpu.system import run_workloads
 
     config = scaled_system_config(False)
     workloads = scaled_mix_workloads("mix1", False)
@@ -756,8 +756,8 @@ def test_engine_provenance_stamped_in_result_extra(repro_engine):
     assert stamp["requested"] == repro_engine
     assert stamp["effective"] in available_engines()
     assert stamp["fallback"] == (stamp["requested"] != stamp["effective"])
-    defended, _, _ = run_defended_workloads(
-        config, workloads, "pipo", seed=1, instructions_per_core=2000
+    defended = run_workloads(
+        config, workloads, 2000, seed=1, defence="pipo"
     )
     assert defended.extra["engine"] == stamp
 
@@ -786,6 +786,46 @@ def test_c_fallback_warns_once_and_stamps(monkeypatch):
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
         assert engine_provenance()["effective"] == "python"
+
+
+def test_prime_probe_runs_record_the_fallback(monkeypatch):
+    """Without the C backend, a Prime+Probe run and a Prime+Probe
+    campaign tenant stamp the fallback like every other run, so a
+    toolchain-less campaign counts all of its tenants."""
+    import repro.engine as engine_mod
+    from repro.attacks.primeprobe import run_prime_probe_attack
+    from repro.engine import c_backend
+    from repro.experiments.campaign import _run_tenant, sample_profile
+
+    monkeypatch.setattr(c_backend, "_LIB", False)
+    monkeypatch.setattr(
+        c_backend, "_LIB_ERROR", "RuntimeError: no toolchain (test)"
+    )
+    monkeypatch.setattr(engine_mod, "_FALLBACK_WARNED", set())
+    monkeypatch.setenv("REPRO_ENGINE", "c")
+    with pytest.warns(EngineFallbackWarning):
+        outcome = run_prime_probe_attack(True, iterations=4, seed=1)
+    assert outcome.extra["simulation"].extra["engine"]["fallback"] is True
+    profile = sample_profile(7, 38)
+    assert profile.kind == "prime_probe"
+    record = _run_tenant(profile)
+    assert record["fallback"] == "RuntimeError: no toolchain (test)"
+
+
+def test_prime_probe_stamp_equals_run_workloads_stamp(repro_engine):
+    from repro.attacks.primeprobe import run_prime_probe_attack
+    from repro.cpu.system import run_workloads
+    from repro.experiments.common import (
+        scaled_mix_workloads,
+        scaled_system_config,
+    )
+
+    stamp = run_workloads(
+        scaled_system_config(False), scaled_mix_workloads("mix1", False),
+        2000, seed=1,
+    ).extra["engine"]
+    outcome = run_prime_probe_attack(True, iterations=4, seed=1)
+    assert outcome.extra["simulation"].extra["engine"] == stamp
 
 
 def test_provenance_scrubbed_from_conformance_digests():
