@@ -224,12 +224,12 @@ def test_walk_evict_heavy_monitored(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Telemetry overhead: the observability layer's zero/near-zero claims.
+# Counter-export overhead: the observability layer's zero/near-zero claims.
 # Same monitored evict-heavy stream as ``test_walk_evict_heavy_monitored``
 # (the worst case for counter traffic: fills, evictions, probes,
 # captures, and kick walks all on the measured path), run once with no
-# sink attached (must be *identical* work — detached installs bind no
-# export wrapper) and once with a Telemetry sink attached at kernel
+# recorder attached (must be *identical* work — detached installs bind
+# no export wrapper) and once with a TraceRecorder attached at kernel
 # install time (the <5% attached budget PERFORMANCE.md rule 18
 # documents).  Both go through the engine seam, so the c legs measure
 # the batched counter export instead of per-event callbacks.
@@ -247,12 +247,12 @@ def _telemetry_mix_state(ops):
 
 
 def test_telemetry_detached(benchmark):
-    from repro.obs.telemetry import detach_telemetry
+    from repro.obs.trace import detach_recorder
 
     ops = N_OPS // 8
 
     def setup():
-        detach_telemetry()  # belt-and-braces: measure the true baseline
+        detach_recorder()  # belt-and-braces: measure the true baseline
         return _telemetry_mix_state(ops)
 
     def run(state):
@@ -265,15 +265,15 @@ def test_telemetry_detached(benchmark):
 
 
 def test_telemetry_attached(benchmark):
-    from repro.obs.telemetry import Telemetry, attach_telemetry, detach_telemetry
+    from repro.obs.trace import TraceRecorder, attach_recorder, detach_recorder
 
     ops = N_OPS // 8
 
     def setup():
         # Attach before the run binds its kernel: publish sites are
-        # resolved at install time, so the sink must be live here for
-        # the C walk to export its counters.
-        attach_telemetry(Telemetry())
+        # resolved at install time, so the recorder must be live here
+        # for the C walk to export its counters.
+        attach_recorder(TraceRecorder())
         return _telemetry_mix_state(ops)
 
     def run(state):
@@ -285,7 +285,7 @@ def test_telemetry_attached(benchmark):
     try:
         _bench_ops(benchmark, run, setup, ops)
     finally:
-        detach_telemetry()
+        detach_recorder()
 
 
 # ----------------------------------------------------------------------

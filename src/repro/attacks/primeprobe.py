@@ -21,6 +21,7 @@ from repro.attacks.victim import SquareMultiplyVictim, random_key
 from repro.cache.hierarchy import OP_READ
 from repro.core.config import SystemConfig, TABLE_II
 from repro.cpu.core import WorkloadGenerator
+from repro.cpu.multicore import SimulationResult
 from repro.cpu.system import build_system, run_system
 from repro.workloads.base import Workload, core_data_base
 
@@ -128,6 +129,7 @@ class AttackResult:
     multiply_observed: list[bool]
     observations: list[ProbeObservation]
     monitor_stats: object | None
+    simulation: SimulationResult
     extra: dict = field(default_factory=dict)
 
 
@@ -147,7 +149,7 @@ def run_prime_probe_attack(
     observation timeline plus ground truth.  ``detection`` (a
     :class:`repro.detection.DetectionSpec`, requires the monitor)
     deploys the online detection-and-response subsystem; its report
-    lands in ``extra["simulation"].extra["detection"]``.
+    lands in ``simulation.extra["detection"]``.
 
     The system is assembled by :func:`repro.cpu.system.build_system`
     and run by :func:`repro.cpu.system.run_system`, so the simulation
@@ -190,11 +192,9 @@ def run_prime_probe_attack(
         multiply_observed=matrix[1],
         observations=attacker.observations,
         monitor_stats=simulation.monitor_stats,
+        simulation=simulation,
         extra={
             "eviction_set_sizes": [len(s) for s in attacker.eviction_sets],
             "llc_evictions": simulation.stats.llc_evictions,
-            # Full engine-level outcome, for the conformance harness's
-            # bit-identical digests.
-            "simulation": simulation,
         },
     )

@@ -30,11 +30,6 @@ def state_name(state: int) -> str:
         raise ValueError(f"unknown MESI state {state}") from None
 
 
-def can_silently_upgrade(state: int) -> bool:
-    """E→M happens without a directory transaction; S→M does not."""
-    return state in (EXCLUSIVE, MODIFIED)
-
-
 class CoherenceViolation(AssertionError):
     """Raised by the invariant checker when MESI rules are broken."""
 

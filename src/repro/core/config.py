@@ -122,9 +122,6 @@ class SystemConfig:
         """The paper's baseline: same hierarchy, no PiPoMonitor."""
         return replace(self, monitor_enabled=False)
 
-    def with_filter(self, filter_config: FilterConfig) -> "SystemConfig":
-        return replace(self, filter=filter_config)
-
 
 #: The paper's configurations, ready to use.
 TABLE_II_FILTER = FilterConfig()

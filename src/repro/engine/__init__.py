@@ -170,24 +170,26 @@ def hierarchy_access(h):
     Every configuration takes the C walk; only a host without a
     toolchain gets the generic method back under ``c``.
     """
-    from repro.obs.telemetry import current_telemetry
+    from repro.obs.trace import current_recorder
 
     cs = h._c_state
     if cs is not None:
         # The C cache walk owns the storage (one-way install): its
         # kernel is the only consistent entry point whatever engine is
-        # now selected.  The monitor/bus/telemetry configuration was
+        # now selected.  The monitor, alarm bus and trace recorder were
         # baked in at install time and cannot be swapped under a live
         # C state.
         if (
             id(h.monitor),
             id(getattr(h.monitor, "alarms", None)),
-            id(current_telemetry()),
+            id(current_recorder()),
         ) != cs.monitor_key:
             raise RuntimeError(
-                "monitor/alarm-bus/telemetry changed after the C cache "
-                "walk was installed; attach monitors, buses, and "
-                "telemetry sinks before any core binds its access kernel"
+                "monitor/alarm-bus/trace recorder changed after the C "
+                "cache walk was installed; attach monitors, buses and "
+                "the trace recorder before any core binds its access "
+                "kernel, and use the hierarchy inside the recording() "
+                "block it was installed in"
             )
         return cs.kernel
     if engine_name() == "c":

@@ -68,7 +68,7 @@ from pathlib import Path
 from array import array
 
 from repro.engine import _filter_batch_src, _walk_src
-from repro.obs.telemetry import current_telemetry
+from repro.obs.trace import current_recorder
 
 _U64 = (1 << 64) - 1
 
@@ -524,25 +524,25 @@ def install(flt) -> bool:
             _sync_insert_counters()
         return r
 
-    # Telemetry export (rule 17 shape): the sink attached at install
-    # time receives aggregate counters folded once per batch — the C
-    # call count is unchanged, and a detached install pays one dead
-    # ``is None`` branch per *batch*, nothing per key.
-    tele = current_telemetry()
+    # Counter export (rules 17/18): the trace recorder attached at
+    # install time receives aggregate counters folded once per batch —
+    # the C call count is unchanged, and an install with no recorder
+    # pays one dead ``is None`` branch per *batch*, nothing per key.
+    rec = current_recorder()
 
-    def access_many(keys, _c=c_access_many, _st=st, _flt=flt, _tele=tele):
+    def access_many(keys, _c=c_access_many, _st=st, _flt=flt, _rec=rec):
         buf, n = _key_buffer(keys)
-        rel0 = _st.total_relocations if _tele is not None else 0
+        rel0 = _st.total_relocations if _rec is not None else 0
         captures = _c(_st, buf, n)
         _flt.total_accesses += n
         _sync_insert_counters()
-        if _tele is not None:
-            _tele.count("filter.probes", n)
+        if _rec is not None:
+            _rec.count("filter.probes", n)
             if captures:
-                _tele.count("filter.captures", captures)
+                _rec.count("filter.captures", captures)
             kicks = _st.total_relocations - rel0
             if kicks:
-                _tele.count("filter.kick_steps", kicks)
+                _rec.count("filter.kick_steps", kicks)
         return captures
 
     def insert(key, _c=c_insert, _st=st, _u64=_U64):
@@ -551,18 +551,18 @@ def install(flt) -> bool:
             _sync_insert_counters()
         return bool(r)
 
-    def insert_many(keys, _c=c_insert_many, _st=st, _tele=tele):
+    def insert_many(keys, _c=c_insert_many, _st=st, _rec=rec):
         buf, n = _key_buffer(keys)
-        rel0 = _st.total_relocations if _tele is not None else 0
+        rel0 = _st.total_relocations if _rec is not None else 0
         fresh = _c(_st, buf, n)
         _sync_insert_counters()
-        if _tele is not None:
-            _tele.count("filter.inserts", n)
+        if _rec is not None:
+            _rec.count("filter.inserts", n)
             if fresh:
-                _tele.count("filter.fresh_inserts", fresh)
+                _rec.count("filter.fresh_inserts", fresh)
             kicks = _st.total_relocations - rel0
             if kicks:
-                _tele.count("filter.kick_steps", kicks)
+                _rec.count("filter.kick_steps", kicks)
         return fresh
 
     def query(key, _c=c_query, _st=st, _u64=_U64):

@@ -19,8 +19,8 @@ boundaries, in two steps:
   ``CacheHierarchy.engine_sync``, which ``MulticoreSystem.run`` calls
   after every run) copies the scalars — per-cache stamp and counters,
   ``AccessStats``, the controller state, ``_memory_versions``, the
-  LLC MT states, the monitor/filter counters and telemetry — and marks
-  the line dicts stale;
+  LLC MT states, the monitor/filter counters and the counter export
+  to the trace recorder — and marks the line dicts stale;
 * :meth:`CWalkState.sync_lines` rebuilds every ``_map``/``_sets``
   dict **in place** (object identity preserved, so held references
   stay valid), only when stale, on the first read: the line readers
@@ -78,12 +78,12 @@ from repro.cache.coherence import CoherenceViolation
 from repro.cache.hierarchy import AccessStats
 from repro.cache.line import CacheLine
 from repro.engine import c_backend
-from repro.obs.telemetry import current_telemetry
+from repro.obs.trace import current_recorder
 
-#: Aggregate counters the C walk exports to an attached telemetry sink
-#: — read off the ``cw_hier`` struct as deltas at each sync
-#: (PERFORMANCE.md rules 16/17), never per event.
-_TELE_EXPORTS = (
+#: Aggregate counters the C walk exports to the trace recorder attached
+#: at install time — read off the ``cw_hier`` struct as deltas at each
+#: sync (PERFORMANCE.md rules 16-18), never per event.
+_COUNTER_EXPORTS = (
     "engine.llc_fills",
     "engine.llc_evictions",
     "engine.monitor_probes",
@@ -191,15 +191,16 @@ class CWalkState:
 
         monitor = h.monitor
         self.monitor = monitor
-        # Telemetry follows the alarm-bus contract: the sink attached
-        # *now* (install time) is the one this walk exports to, its
-        # identity joins the install key, and attaching a different
-        # sink under a live C state is refused by ``hierarchy_access``.
-        self.telemetry = current_telemetry()
+        # The counter export follows the alarm-bus contract: the
+        # recorder attached *now* (install time) is the one this walk
+        # exports to, its identity joins the install key, and
+        # attaching a different recorder under a live C state is
+        # refused by ``hierarchy_access``.
+        self.recorder = current_recorder()
         self.monitor_key = (
             id(monitor),
             id(getattr(monitor, "alarms", None)),
-            id(self.telemetry),
+            id(self.recorder),
         )
         kind, capture_cb, thresh, flt = self._classify(monitor)
         self.flt = flt
@@ -330,10 +331,10 @@ class CWalkState:
         # over a run); everything else is ffi-owned via _bufs.
         self._finalizer = weakref.finalize(self, lib.cw_hier_free, st)
 
-        # Telemetry baseline: the struct was seeded with the Python
+        # Export baseline: the struct was seeded with the Python
         # counters' current values, and only *deltas* from here on are
         # this walk's contribution.
-        self._tele_last = self._tele_values()
+        self._counters_last = self._counter_values()
 
         self._build_wrappers()
 
@@ -393,7 +394,7 @@ class CWalkState:
         self.clflush = clflush
         self.prefetch_fill = prefetch_fill
 
-    def _tele_values(self) -> tuple[int, int, int, int, int]:
+    def _counter_values(self) -> tuple[int, int, int, int, int]:
         """Current struct-side values of the exported counters (one
         cheap cffi read each; no C call)."""
         st = self.st
@@ -408,18 +409,19 @@ class CWalkState:
             kicks,
         )
 
-    def _export_telemetry(self) -> None:
-        """Fold counter deltas since the last export into the sink."""
-        tele = self.telemetry
-        if tele is None:
+    def _export_counters(self) -> None:
+        """Fold counter deltas since the last export into the
+        recorder attached at install time."""
+        recorder = self.recorder
+        if recorder is None:
             return
-        current = self._tele_values()
+        current = self._counter_values()
         for name, now_v, last_v in zip(
-            _TELE_EXPORTS, current, self._tele_last
+            _COUNTER_EXPORTS, current, self._counters_last
         ):
             if now_v != last_v:
-                tele.count(name, now_v - last_v)
-        self._tele_last = current
+                recorder.count(name, now_v - last_v)
+        self._counters_last = current
 
     def run_cores(self, cores, budget: int, events) -> list[int] | None:
         """Run ``MulticoreSystem.run``'s loop for ``cores`` in C
@@ -590,9 +592,9 @@ class CWalkState:
             flt.autonomic_deletions = acf.autonomic_deletions
             flt.total_relocations = acf.total_relocations
             flt._lcg = acf.lcg
-        # Kernel runs reach the sink here: sync is the boundary the
-        # introspection paths already pay for.
-        self._export_telemetry()
+        # Kernel runs reach the recorder here: sync is the boundary
+        # the introspection paths already pay for.
+        self._export_counters()
 
     def sync_lines(self) -> None:
         """:meth:`sync`, then refill every cache's ``_map``/``_sets``

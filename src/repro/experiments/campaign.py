@@ -56,7 +56,7 @@ from repro.experiments.parallel import (
     summarize_failures,
 )
 from repro.obs.progress import current_progress
-from repro.obs.telemetry import current_telemetry
+from repro.obs.trace import current_recorder
 from repro.obs.trace import span as _span
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.stats import QuantileSketch, RunningStat
@@ -189,7 +189,7 @@ def _run_tenant(profile: TenantProfile) -> dict:
             True, iterations=profile.iterations, seed=profile.seed,
             config=config, detection=spec,
         )
-        simulation = outcome.extra["simulation"]
+        simulation = outcome.simulation
     elif profile.kind == "covert":
         outcome = run_covert_channel(
             "pipo", n_bits=profile.covert_bits, window=COVERT_WINDOW,
@@ -433,12 +433,12 @@ def run(
             f"throughput {stats.computed / elapsed:.2f} tenants/sec "
             f"({elapsed:.1f} s wall)"
         )
-        telemetry = current_telemetry()
-        if telemetry is not None:
-            telemetry.gauge(
+        recorder = current_recorder()
+        if recorder is not None:
+            recorder.gauge(
                 "campaign.tenants_per_sec", stats.computed / elapsed
             )
-            telemetry.gauge("campaign.wall_seconds", elapsed)
+            recorder.gauge("campaign.wall_seconds", elapsed)
     result.add_note(f"aggregate digest {aggregate.digest()}")
 
     result.data["aggregate"] = aggregate.state()

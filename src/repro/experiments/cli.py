@@ -28,15 +28,16 @@ tune the supervisor; ``--checkpoint-dir`` streams completed cells to a
 digest-keyed shard and ``--resume`` replays only the missing ones
 after a kill.  See PERFORMANCE.md ("Fault-tolerance contract").
 
-Observability (:mod:`repro.obs`): ``--trace FILE`` attaches the run
-telemetry sink and the span recorder — workers ship spans and counter
-snapshots back over their result pipes — and writes a Chrome-trace /
-Perfetto JSON to FILE at the end (load it at https://ui.perfetto.dev).
-Results are bit-identical with and without ``--trace``.  A progress
-line renders on stderr whenever it is a terminal.  ``status
---checkpoint-dir DIR`` reads the manifests and shards of a run — even
-one still in flight — and reports per-shard completion without
-touching the files.
+Observability (:mod:`repro.obs`): ``--trace FILE`` attaches the trace
+recorder, the one sink for spans and counters — workers ship both
+back over their result pipes — and writes a Chrome-trace / Perfetto
+JSON to FILE at the end (load it at https://ui.perfetto.dev), with the
+counters and gauges under its top-level ``"telemetry"`` key and
+printed as the ``[telemetry]`` block.  Results are bit-identical with
+and without ``--trace``.  A progress line renders on stderr whenever
+it is a terminal.  ``status --checkpoint-dir DIR`` reads the manifests
+and shards of a run — even one still in flight — and reports
+per-shard completion without touching the files.
 """
 
 from __future__ import annotations
@@ -196,11 +197,6 @@ def main(argv: list[str] | None = None) -> int:
              "defence x engine matrix), or 'status' (report checkpoint "
              "completion for a running or interrupted sweep)",
     )
-    parser.add_argument(
-        "--list-scenarios", action="store_true",
-        help="print the scenario x defence x engine matrix and exit "
-             "(same output as the 'list' command)",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--full", action="store_true",
@@ -276,10 +272,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", metavar="FILE", default=None,
         help="collect run observability — trace spans (grid -> chunk "
              "-> cell -> attempt -> engine phase, across the worker "
-             "pool) and run telemetry counters — and write Chrome-"
-             "trace/Perfetto JSON to FILE.  Sets REPRO_TRACE/"
-             "REPRO_TELEMETRY for the workers; results are "
-             "bit-identical with and without it.",
+             "pool) and the run's counters — and write Chrome-"
+             "trace/Perfetto JSON to FILE.  Sets REPRO_TRACE for the "
+             "workers; results are bit-identical with and without it.",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 0:
@@ -312,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
                 "--resume needs --checkpoint-dir (or REPRO_CHECKPOINT_DIR)"
             )
         os.environ["REPRO_RESUME"] = "1"
-    if args.list_scenarios or args.experiment == "list":
+    if args.experiment == "list":
         print(scenario_matrix_text())
         return 0
     if args.experiment == "status":
@@ -328,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.experiment is None:
         parser.error(
-            "an experiment id is required (or --list-scenarios / 'list')"
+            "an experiment id is required (or 'list')"
         )
     if args.engine is not None:
         from repro.engine import set_engine
@@ -342,19 +337,17 @@ def main(argv: list[str] | None = None) -> int:
         detach_progress,
     )
 
-    recorder = telemetry = None
+    recorder = None
     if args.trace is not None:
-        from repro.obs.telemetry import TELEMETRY_ENV, Telemetry, attach_telemetry
         from repro.obs.trace import TRACE_ENV, TraceRecorder, attach_recorder
 
-        # The env flags ride the supervisor's pinned REPRO_* contract
-        # into every worker (fork or respawned); the attached sinks
-        # receive the in-process spans plus the worker sidecars.
+        # The env flag rides the supervisor's pinned REPRO_* contract
+        # into every worker (fork or respawned); the attached recorder
+        # receives the in-process spans and counters plus the worker
+        # sidecars.
         os.environ[TRACE_ENV] = "1"
-        os.environ[TELEMETRY_ENV] = "1"
         recorder = attach_recorder(TraceRecorder())
         recorder.process_name("supervisor")
-        telemetry = attach_telemetry(Telemetry())
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     try:
@@ -389,19 +382,20 @@ def main(argv: list[str] | None = None) -> int:
         # Write the trace even when an experiment failed mid-run: a
         # partial timeline is exactly what a post-mortem needs.
         if recorder is not None:
-            recorder.write(
-                args.trace,
-                telemetry.state() if telemetry is not None else None,
-            )
+            recorder.write(args.trace)
             print(
                 f"[trace: {len(recorder.events)} span(s), "
                 f"{recorder.dropped} dropped sidecar(s) -> {args.trace}]"
             )
-            if telemetry is not None:
-                lines = telemetry.summary_lines()
-                if lines:
-                    print("[telemetry]")
-                    print("\n".join(lines))
+            metrics = recorder.metrics()
+            lines = [
+                f"  {name} = {n:,}" for name, n in metrics["counters"].items()
+            ] + [
+                f"  {name} = {v:g}" for name, v in metrics["gauges"].items()
+            ]
+            if lines:
+                print("[telemetry]")
+                print("\n".join(lines))
     return 0
 
 

@@ -110,7 +110,7 @@ def _run_alarm_cell(cell):
             True, iterations=iterations, seed=seed, config=config,
             detection=spec,
         )
-        simulation = outcome.extra["simulation"]
+        simulation = outcome.simulation
     elif what in ("flush_reload", "flush_flush"):
         outcome = run_flush_attack(
             what, "pipo", iterations=iterations, seed=seed, config=config,

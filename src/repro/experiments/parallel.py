@@ -107,7 +107,6 @@ from repro.experiments.checkpoint import (
     resume_enabled,
 )
 from repro.experiments.faults import FaultPlan
-from repro.obs import telemetry as _telemetry
 from repro.obs import trace as _trace
 from repro.obs.progress import current_progress
 from repro.obs.trace import span as _span
@@ -391,36 +390,28 @@ def _run_serial(cell_list, fn, retries, checkpoint):
 _OK_EXIT = 0
 
 
-def _observed_call(fn, cell, index: int, attempt: int, want_tele: bool):
-    """Run one cell under a fresh per-cell recorder (and telemetry
-    sink when ``REPRO_TELEMETRY`` is set), and return
+def _observed_call(fn, cell, index: int, attempt: int):
+    """Run one cell under a fresh per-cell recorder and return
     ``(value, error, sidecar)`` where ``sidecar`` is the CRC-checked
-    ``(crc32, blob)`` obs blob the reply carries next to the payload.
+    ``(crc32, blob)`` of ``{"spans", "metrics"}`` the reply carries
+    next to the payload.
 
-    The recorder/telemetry are created per cell, never inherited: a
-    fork worker shares the parent's module globals at spawn time, and
-    reusing the parent's (or a previous cell's) sinks would double-
-    count.  Spans are collected even when the cell raises — a retried
-    attempt still ships its attempt-tagged span for triage.
+    The recorder is created per cell, never inherited: a fork worker
+    shares the parent's module globals at spawn time, and reusing the
+    parent's (or a previous cell's) recorder would double-count.  The
+    cell's C kernels install under it, so their counters land in the
+    sidecar too.  Spans are collected even when the cell raises — a
+    retried attempt still ships its attempt-tagged span for triage.
     """
     recorder = _trace.TraceRecorder()
-    telemetry = _telemetry.Telemetry() if want_tele else None
     value = error = None
     with _trace.recording(recorder):
-        ctx = (
-            _telemetry.attached(telemetry)
-            if telemetry is not None
-            else _trace.nullcontext()
-        )
-        with ctx:
-            with recorder.span("cell", "cell", index=index, attempt=attempt):
-                try:
-                    value = fn(cell)
-                except BaseException as exc:
-                    error = exc
-    sidecar: dict[str, Any] = {"spans": recorder.events}
-    if telemetry is not None:
-        sidecar["telemetry"] = telemetry.state()
+        with recorder.span("cell", "cell", index=index, attempt=attempt):
+            try:
+                value = fn(cell)
+            except BaseException as exc:
+                error = exc
+    sidecar = {"spans": recorder.events, "metrics": recorder.metrics()}
     blob = pickle.dumps(sidecar, protocol=pickle.HIGHEST_PROTOCOL)
     return value, error, (zlib.crc32(blob), blob)
 
@@ -433,11 +424,12 @@ def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
     check) or ``("err", index, attempt, info, obs)`` for a
     cell-function exception — the wrapper that lets the failing cell's
     identity survive the process boundary.  ``obs`` is ``None`` unless
-    ``REPRO_TRACE``/``REPRO_TELEMETRY`` is pinned, in which case it is
-    a ``(crc32, blob)`` sidecar of span/telemetry records with its own
-    integrity check — the supervisor drops a corrupt sidecar (and
-    counts the drop) without failing the cell.  Injected faults
-    (``REPRO_FAULTS``) fire here, between task receipt and reply.
+    ``REPRO_TRACE`` is pinned, in which case it is the ``(crc32,
+    blob)`` sidecar of the cell's spans and counters
+    (:func:`_observed_call`) with its own integrity check — the
+    supervisor drops a corrupt sidecar (and counts the drop) without
+    failing the cell.  Injected faults (``REPRO_FAULTS``) fire here,
+    between task receipt and reply.
     """
     # A fork child inherits the supervisor's end of its own pipe.  Close
     # it, or a supervisor killed by SIGKILL never reads as EOF here and
@@ -445,9 +437,7 @@ def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
     supervisor_end.close()
     os.environ.update(pinned)
     plan = FaultPlan.from_env()
-    want_spans = _trace.env_enabled()
-    want_tele = _telemetry.env_enabled()
-    observe = want_spans or want_tele
+    observe = _trace.env_enabled()
     while True:
         try:
             task = conn.recv()
@@ -461,9 +451,7 @@ def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
             if plan is not None:
                 plan.inject_execution_faults(index, attempt)
             if observe:
-                value, error, obs = _observed_call(
-                    fn, cell, index, attempt, want_tele
-                )
+                value, error, obs = _observed_call(fn, cell, index, attempt)
                 if error is not None:
                     raise error
             else:
@@ -487,7 +475,7 @@ def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
 
 
 def _absorb_sidecar(obs) -> None:
-    """Fold a worker's obs sidecar into the attached in-process sinks.
+    """Fold a worker's obs sidecar into the attached recorder.
 
     CRC-checked like the result payload, but with the opposite failure
     semantics: a corrupt sidecar is *dropped* (and counted on the
@@ -495,8 +483,7 @@ def _absorb_sidecar(obs) -> None:
     cost a result.
     """
     recorder = _trace.current_recorder()
-    telemetry = _telemetry.current_telemetry()
-    if obs is None or (recorder is None and telemetry is None):
+    if obs is None or recorder is None:
         return
     try:
         crc, blob = obs
@@ -504,15 +491,14 @@ def _absorb_sidecar(obs) -> None:
             raise ValueError("obs sidecar failed its CRC-32 check")
         sidecar = pickle.loads(blob)
         spans = sidecar.get("spans")
-        tele_state = sidecar.get("telemetry")
+        metrics = sidecar.get("metrics")
     except Exception:
-        if recorder is not None:
-            recorder.dropped += 1
+        recorder.dropped += 1
         return
-    if recorder is not None and spans:
+    if spans:
         recorder.extend(spans)
-    if telemetry is not None and tele_state:
-        telemetry.merge_state(tele_state)
+    if metrics:
+        recorder.merge_metrics(metrics)
 
 
 class _Worker:

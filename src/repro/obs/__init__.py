@@ -1,27 +1,23 @@
-"""Zero-overhead observability: telemetry, trace spans, live progress.
+"""Zero-overhead observability: one trace recorder, live progress.
 
 The package follows the AlarmBus discipline (PERFORMANCE.md design
 rules 15 and 18): every instrument is opt-in, resolved at *install
-time*, and costs nothing when detached.  A simulation with no
-telemetry sink attached installs its C kernels without export
-wrappers, and a traced run produces bit-identical result digests to an
-untraced one — observability reads the run, it never participates in
-it.
+time*, and costs nothing when detached.  A simulation with no recorder
+attached installs its C kernels without export wrappers, and a traced
+run produces bit-identical result digests to an untraced one —
+observability reads the run, it never participates in it.
 
 Modules:
 
-``telemetry``
-    A registry of counters / gauges / streaming statistics
-    (:class:`~repro.utils.stats.RunningStat`) and quantile sketches
-    (:class:`~repro.utils.stats.QuantileSketch`).  The C engine
-    exports aggregate counter deltas, to the sink attached at install
-    time, in one boundary crossing per batch (rules 16/17).
-
 ``trace``
-    Wall-clock spans across the execution stack (grid → chunk → cell
-    → attempt → engine phase), serialized as Chrome-trace / Perfetto
-    JSON.  Workers stream span records back over the existing result
-    pipes, CRC-checked like payloads.
+    The one sink, :class:`~repro.obs.trace.TraceRecorder`: wall-clock
+    spans across the execution stack (grid → chunk → cell → attempt →
+    engine phase) plus the run's counters and gauges, serialized as
+    Chrome-trace / Perfetto JSON.  The C engine exports aggregate
+    counter deltas, to the recorder attached at install time, in one
+    boundary crossing per batch (rules 16/17).  Workers stream spans
+    and counter snapshots back over the existing result pipes,
+    CRC-checked like payloads.
 
 ``progress``
     A throttled, single-line live progress renderer fed by the worker
@@ -32,13 +28,6 @@ Modules:
     the ``repro-experiment status`` subcommand.
 """
 
-from repro.obs.telemetry import (  # noqa: F401
-    Telemetry,
-    attach_telemetry,
-    current_telemetry,
-    detach_telemetry,
-    telemetry_attached,
-)
 from repro.obs.trace import (  # noqa: F401
     TraceRecorder,
     attach_recorder,

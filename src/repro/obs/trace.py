@@ -1,10 +1,15 @@
-"""Wall-clock trace spans, serialized as Chrome-trace / Perfetto JSON.
+"""The run's one observability sink: wall-clock spans plus counters,
+serialized as Chrome-trace / Perfetto JSON.
 
 A :class:`TraceRecorder` collects *complete events* (``"ph": "X"`` in
 the Chrome trace format): one record per span with a start timestamp
 in microseconds and a duration.  Spans nest naturally — grid → chunk
 → cell → attempt → engine phase — because Perfetto reconstructs the
-stack from containment on the same ``(pid, tid)`` track.
+stack from containment on the same ``(pid, tid)`` track.  The same
+recorder holds the run's named counters (ints that add) and gauges
+(floats, last write wins): what the monitor saw — captures, kick
+steps, fills, evictions — sits on the timeline that says where the
+wall-clock went.
 
 Recording is opt-in twice over:
 
@@ -14,15 +19,24 @@ Recording is opt-in twice over:
   simulated event);
 * fork workers check the ``REPRO_TRACE`` environment flag (pinned to
   them by the supervisor's existing ``REPRO_*`` propagation), collect
-  their spans locally, and ship them back over the result pipe as a
-  CRC-checked sidecar next to the payload — a corrupt span blob drops
-  the spans and bumps a counter, it never fails the cell.
+  their spans and counters on a per-cell recorder, and ship them back
+  over the result pipe as a CRC-checked sidecar next to the payload —
+  a corrupt sidecar drops and bumps a counter, it never fails the
+  cell.
+
+Counter publish sites follow the AlarmBus pattern of PERFORMANCE.md
+design rule 15: the C kernels resolve :func:`current_recorder` when
+they are *installed*, not when they run (rule 18).  A kernel installed
+with no recorder attached binds no export and publishes nothing, not
+even to a recorder attached later; the recorder's identity joins the
+install key, so swapping it under a live C walk is refused.
 
 Timestamps are wall-clock (``time.time``) so spans from different
 processes land on one coherent timeline; durations use the monotonic
-``perf_counter``.  None of this ever enters a result payload, a
-checkpoint shard, or a digest: tracing a run cannot change its
-output.
+``perf_counter``.  Counters are wall-clock-free and deterministic per
+cell, so a fan-out's merged counts equal the serial run's.  None of
+this ever enters a result payload, a checkpoint shard, or a digest:
+tracing a run cannot change its output.
 """
 
 from __future__ import annotations
@@ -44,14 +58,16 @@ def env_enabled() -> bool:
 
 
 class TraceRecorder:
-    """Accumulates Chrome-trace events; cheap enough to live in a
-    fork worker for the duration of one cell."""
+    """Accumulates Chrome-trace events, counters and gauges; cheap
+    enough to live in a fork worker for the duration of one cell."""
 
-    __slots__ = ("events", "dropped")
+    __slots__ = ("events", "dropped", "counters", "gauges")
 
     def __init__(self) -> None:
         self.events: list[dict] = []
         self.dropped = 0
+        self.counters: dict[str, int] = {}
+        self.gauges: dict[str, float] = {}
 
     def add(
         self,
@@ -103,24 +119,54 @@ class TraceRecorder:
             dur = (time.perf_counter() - start) * 1e6
             self.add(name, cat, ts, dur, args=args or None)
 
-    def chrome_trace(self, telemetry: dict | None = None) -> dict:
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to counter ``name`` (creating it at 0)."""
+        self.counters[name] = self.counters.get(name, 0) + n
+
+    def gauge(self, name: str, value: float) -> None:
+        """Set gauge ``name`` to ``value`` (last write wins)."""
+        self.gauges[name] = value
+
+    def counter(self, name: str) -> int:
+        """Current value of one counter (0 when never published)."""
+        return self.counters.get(name, 0)
+
+    def metrics(self) -> dict:
+        """Key-sorted, JSON-safe ``{"counters", "gauges"}`` snapshot.
+
+        Holds no timestamps, ids or provenance, so the snapshot of a
+        deterministic run diffs cleanly across engines and across
+        serial/parallel executions of the same cells.
+        """
+        return {
+            "counters": {k: self.counters[k] for k in sorted(self.counters)},
+            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
+        }
+
+    def merge_metrics(self, metrics: dict) -> None:
+        """Fold a :meth:`metrics` snapshot (e.g. shipped back from a
+        fork worker) into this recorder: counters add, gauges are
+        last-write-wins."""
+        for name, n in metrics.get("counters", {}).items():
+            self.count(name, n)
+        self.gauges.update(metrics.get("gauges", {}))
+
+    def chrome_trace(self) -> dict:
         """The JSON-object trace container Perfetto and chrome://tracing
-        load directly.  ``telemetry`` (a Telemetry.state() snapshot)
-        rides along as an extra top-level key, which the format
+        load directly.  The :meth:`metrics` snapshot rides along as an
+        extra top-level ``"telemetry"`` key, which the format
         explicitly permits."""
-        trace: dict = {
+        return {
             "traceEvents": self.events,
             "displayTimeUnit": "ms",
             "otherData": {"droppedSidecars": self.dropped},
+            "telemetry": self.metrics(),
         }
-        if telemetry is not None:
-            trace["telemetry"] = telemetry
-        return trace
 
-    def write(self, path: str, telemetry: dict | None = None) -> None:
+    def write(self, path: str) -> None:
         """Serialize the trace to ``path`` as Chrome-trace JSON."""
         with open(path, "w") as fh:
-            json.dump(self.chrome_trace(telemetry), fh)
+            json.dump(self.chrome_trace(), fh)
             fh.write("\n")
 
 
@@ -128,7 +174,7 @@ def validate_chrome_trace(trace: object) -> list[str]:
     """Structural validation against the Chrome-trace JSON schema.
 
     Returns a list of problems (empty == valid).  Used by the CI
-    telemetry smoke step and the obs tests; deliberately strict about
+    campaign smoke step and the obs tests; deliberately strict about
     the fields Perfetto needs (``name``/``ph``/``ts``/``pid``/``tid``,
     a non-negative ``dur`` on complete events) and silent about
     optional extras.
@@ -165,7 +211,7 @@ def validate_chrome_trace(trace: object) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Process-wide recorder (mirrors telemetry's attach point)
+# Process-wide recorder (the AlarmBus-style attach point)
 # ----------------------------------------------------------------------
 
 _recorder: TraceRecorder | None = None
@@ -173,20 +219,27 @@ _NOOP = nullcontext()
 
 
 def attach_recorder(recorder: TraceRecorder) -> TraceRecorder:
-    """Install ``recorder`` as the process-wide span sink."""
+    """Install ``recorder`` as the process-wide sink and return it.
+
+    C kernels installed *after* this point export their counters to
+    it; kernels installed before it stay silent.
+    """
     global _recorder
     _recorder = recorder
     return recorder
 
 
 def detach_recorder() -> TraceRecorder | None:
-    """Remove the process-wide span sink."""
+    """Remove the process-wide sink (kernels installed afterwards
+    export nothing)."""
     global _recorder
     previous, _recorder = _recorder, None
     return previous
 
 
 def current_recorder() -> TraceRecorder | None:
+    """The attached recorder, or None.  Install-time publish sites
+    capture it once; per-cell sites call it directly."""
     return _recorder
 
 

@@ -140,9 +140,9 @@ class RunningStat:
         """Rebuild an accumulator from a :meth:`state` dict.
 
         Round-trips bit-exactly: ``RunningStat.from_state(s.state())``
-        merges and serializes identically to ``s`` — the property the
-        observability layer relies on when worker processes ship their
-        telemetry back to the supervisor as plain dicts.
+        merges and serializes identically to ``s``, so a state shipped
+        between processes as a plain dict rebuilds the same
+        accumulator.
         """
         stat = cls()
         stat.count = int(state["count"])

@@ -12,11 +12,12 @@ tier-1 but still minutes-scale:
    at least one tenant loaded from the shards.
 
 With ``--trace FILE`` an extra leg runs between the reference and the
-faulted sweep: the same campaign with the trace recorder and telemetry
-sink attached (workers streaming span/counter sidecars back over the
-result pipes).  Its aggregate digest must equal the untraced reference
-bit-exactly — observability that changes results is a bug, full stop —
-and the written file must validate as a Chrome-trace JSON object.
+faulted sweep: the same campaign with the trace recorder attached
+(workers streaming span/counter sidecars back over the result pipes).
+Its aggregate digest must equal the untraced reference bit-exactly —
+observability that changes results is a bug, full stop — the written
+file must validate as a Chrome-trace JSON object, and under the ``c``
+engine it must carry the C walk's ``engine.llc_fills`` counter.
 
 Standalone (not a pytest module) so the CI job can run it directly:
 
@@ -61,18 +62,14 @@ print("FAILURES", len(r.data["stream"]["failures"]))
 
 
 def _traced_leg(args, expected: str) -> bool:
-    """Rerun the reference campaign with the full observability stack
-    attached and prove it is invisible: bit-identical digest, valid
-    Chrome-trace file, zero dropped sidecars."""
+    """Rerun the reference campaign with the trace recorder attached
+    and prove it is invisible: bit-identical digest, valid Chrome-trace
+    file, zero dropped sidecars — and alive: under ``c`` the file
+    carries the C walk's counters."""
     import json
 
+    from repro.engine import effective_engine
     from repro.experiments.campaign import run
-    from repro.obs.telemetry import (
-        TELEMETRY_ENV,
-        Telemetry,
-        attach_telemetry,
-        detach_telemetry,
-    )
     from repro.obs.trace import (
         TRACE_ENV,
         TraceRecorder,
@@ -82,10 +79,8 @@ def _traced_leg(args, expected: str) -> bool:
     )
 
     os.environ[TRACE_ENV] = "1"
-    os.environ[TELEMETRY_ENV] = "1"
     recorder = attach_recorder(TraceRecorder())
     recorder.process_name("campaign-smoke")
-    telemetry = attach_telemetry(Telemetry())
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -95,18 +90,21 @@ def _traced_leg(args, expected: str) -> bool:
             )
     finally:
         detach_recorder()
-        detach_telemetry()
         os.environ.pop(TRACE_ENV, None)
-        os.environ.pop(TELEMETRY_ENV, None)
 
-    recorder.write(args.trace, telemetry.state())
+    recorder.write(args.trace)
     with open(args.trace) as fh:
-        problems = validate_chrome_trace(json.load(fh))
+        written = json.load(fh)
+    problems = validate_chrome_trace(written)
+    fills = written.get("telemetry", {}).get("counters", {}).get(
+        "engine.llc_fills", 0
+    )
     digest = traced.data["aggregate_digest"]
     spans = len(recorder.events)
     print(
         f"      traced digest {digest}; {spans} span(s), "
-        f"{recorder.dropped} dropped sidecar(s) -> {args.trace}"
+        f"{recorder.dropped} dropped sidecar(s), engine.llc_fills "
+        f"{fills:,} -> {args.trace}"
     )
     if problems:
         print("FAIL: trace file is not valid Chrome-trace JSON:")
@@ -120,6 +118,11 @@ def _traced_leg(args, expected: str) -> bool:
         return False
     if recorder.dropped:
         print(f"FAIL: {recorder.dropped} sidecar(s) failed integrity checks")
+        return False
+    if effective_engine() == "c" and not fills:
+        # The C walk exports its counters to the recorder attached at
+        # install time; none in the file means that path is dead.
+        print("FAIL: the trace has no engine.llc_fills counter under c")
         return False
     if digest != expected:
         print(
@@ -156,7 +159,7 @@ def main() -> int:
     print(f"      digest {expected}")
 
     if args.trace:
-        print(f"[2/{legs}] traced: spans + telemetry on, digest must not move")
+        print(f"[2/{legs}] traced: spans + counters on, digest must not move")
         if not _traced_leg(args, expected):
             return 1
 

@@ -83,7 +83,7 @@ def prime_probe(defence: str):
         outcome.square_observed,
         outcome.multiply_observed,
         outcome.monitor_stats,
-        outcome.extra["simulation"],
+        outcome.simulation,
     )
 
 

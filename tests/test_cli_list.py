@@ -25,13 +25,6 @@ def test_list_command_prints_matrix(capsys):
     assert "conformance scenario matrix" in out
 
 
-def test_list_scenarios_flag_equivalent(capsys):
-    assert cli.main(["--list-scenarios"]) == 0
-    first = capsys.readouterr().out
-    assert cli.main(["list"]) == 0
-    assert capsys.readouterr().out == first
-
-
 def test_matrix_names_every_scenario_family(listing):
     scenarios = cli._load_conformance_scenarios()
     assert scenarios is not None

@@ -33,7 +33,7 @@ from repro.engine import available_engines, c_backend, engine_name, set_engine
 from repro.experiments import defense_ablation
 from repro.experiments.common import scaled_mix_workloads, scaled_system_config
 from repro.filters.auto_cuckoo import AutoCuckooFilter
-from repro.obs.telemetry import Telemetry, attached
+from repro.obs import trace
 from repro.utils.events import EventQueue
 
 #: op codes: READ, WRITE, IFETCH, FLUSH
@@ -496,7 +496,7 @@ class TestCCacheWalk:
 
     def test_kernel_pinned_to_its_install_time_sinks(self, monkeypatch):
         # engine_access installs the walk once and keeps handing back
-        # its kernel; the monitor and telemetry sink present at install
+        # its kernel; the monitor and trace recorder present at install
         # are baked in, so swapping either afterwards must be refused
         # rather than silently ignored.
         monkeypatch.setenv("REPRO_ENGINE", "c")
@@ -504,7 +504,7 @@ class TestCCacheWalk:
         first = h.engine_access()
         assert first is h._c_state.kernel
         assert first is h.engine_access()
-        with attached(Telemetry()):
+        with trace.recording(trace.TraceRecorder()):
             with pytest.raises(RuntimeError, match="changed after"):
                 h.engine_access()
         monitor = PiPoMonitor(TABLE_II.filter.build(seed=1), EventQueue())

@@ -805,7 +805,7 @@ def test_prime_probe_runs_record_the_fallback(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "c")
     with pytest.warns(EngineFallbackWarning):
         outcome = run_prime_probe_attack(True, iterations=4, seed=1)
-    assert outcome.extra["simulation"].extra["engine"]["fallback"] is True
+    assert outcome.simulation.extra["engine"]["fallback"] is True
     profile = sample_profile(7, 38)
     assert profile.kind == "prime_probe"
     record = _run_tenant(profile)
@@ -825,7 +825,7 @@ def test_prime_probe_stamp_equals_run_workloads_stamp(repro_engine):
         2000, seed=1,
     ).extra["engine"]
     outcome = run_prime_probe_attack(True, iterations=4, seed=1)
-    assert outcome.extra["simulation"].extra["engine"] == stamp
+    assert outcome.simulation.extra["engine"] == stamp
 
 
 def test_provenance_scrubbed_from_conformance_digests():

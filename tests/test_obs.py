@@ -2,15 +2,15 @@
 
 The layer's two load-bearing claims, proven rather than asserted:
 
-* **Detached = absent.**  With no telemetry sink attached, the C
+* **Detached = absent.**  With no trace recorder attached, the C
   engine installs its kernels without export wrappers: nothing is
-  published, not even to a sink attached after the install (publish
-  sites bind at install time).
-* **Attached = invisible to results.**  With sinks attached and the
-  worker-side ``REPRO_TRACE``/``REPRO_TELEMETRY`` flags set, every
-  golden conformance digest and every grid result is bit-identical to
-  the untraced run — serial or fan-out — while spans and counter
-  snapshots stream back over the result pipes.
+  published, not even to a recorder attached after the install
+  (publish sites bind at install time).
+* **Attached = invisible to results.**  With a recorder attached and
+  the worker-side ``REPRO_TRACE`` flag set, every golden conformance
+  digest and every grid result is bit-identical to the untraced run —
+  serial or fan-out — while spans and counter snapshots stream back
+  over the result pipes.
 
 Plus the supporting instruments: sidecar CRC handling (corrupt blobs
 drop, never fail a cell), Chrome-trace structural validity, the live
@@ -41,16 +41,10 @@ from repro.experiments.parallel import (
 )
 from repro.obs.progress import Progress, attach_progress, detach_progress
 from repro.obs.status import checkpoint_status, render_status
-from repro.obs.telemetry import (
-    Telemetry,
-    attached,
-    attach_telemetry,
-    current_telemetry,
-    detach_telemetry,
-)
 from repro.obs.trace import (
     TraceRecorder,
     attach_recorder,
+    current_recorder,
     detach_recorder,
     recording,
     span,
@@ -64,51 +58,44 @@ JOBS = 2
 @pytest.fixture(autouse=True)
 def _clean_sinks():
     """Every test starts and ends with no process-wide sinks attached
-    (a leaked sink would silently change later tests' kernel builds)."""
-    detach_telemetry()
+    (a leaked recorder would silently change later tests' kernel
+    builds)."""
     detach_recorder()
     detach_progress()
     yield
-    detach_telemetry()
     detach_recorder()
     detach_progress()
 
 
 # ----------------------------------------------------------------------
-# Telemetry registry
+# Recorder counters and gauges
 # ----------------------------------------------------------------------
 
-def test_counters_gauges_stats_roundtrip():
-    t = Telemetry()
+def test_counters_gauges_roundtrip():
+    t = TraceRecorder()
     t.count("a")
     t.count("a", 4)
     t.gauge("g", 2.5)
-    t.observe("s", 1.0)
-    t.observe("s", 3.0)
-    t.observe_quantile("q", 10.0)
-    state = t.state()
+    state = t.metrics()
     assert state["counters"] == {"a": 5}
     assert state["gauges"] == {"g": 2.5}
-    assert state["stats"]["s"]["count"] == 2
 
-    merged = Telemetry()
-    merged.merge_state(state)
-    merged.merge_state(state)
+    merged = TraceRecorder()
+    merged.merge_metrics(state)
+    merged.merge_metrics(state)
     assert merged.counter("a") == 10
-    assert merged.stats["s"].count == 4
-    assert merged.sketches["q"].count == 2
     assert merged.gauges["g"] == 2.5
 
 
 def test_attach_detach_and_context_manager():
-    assert current_telemetry() is None
-    t = Telemetry()
-    with attached(t):
-        assert current_telemetry() is t
-    assert current_telemetry() is None
-    attach_telemetry(t)
-    assert detach_telemetry() is t
-    assert current_telemetry() is None
+    assert current_recorder() is None
+    t = TraceRecorder()
+    with recording(t):
+        assert current_recorder() is t
+    assert current_recorder() is None
+    attach_recorder(t)
+    assert detach_recorder() is t
+    assert current_recorder() is None
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +104,8 @@ def test_attach_detach_and_context_manager():
 
 def _installed_walk():
     """A fresh monitored hierarchy with the C cache walk installed
-    under whatever sink is attached now; returns it and its kernel."""
+    under whatever recorder is attached now; returns it and its
+    kernel."""
     from repro.core.config import TABLE_II
     from repro.core.pipomonitor import PiPoMonitor
     from repro.utils.events import EventQueue
@@ -143,13 +131,13 @@ def _drive(h, kernel):
 
 def test_detached_c_walk_publishes_nothing():
     h, kernel = _installed_walk()
-    t = attach_telemetry(Telemetry())
+    t = attach_recorder(TraceRecorder())
     _drive(h, kernel)
-    assert t.state()["counters"] == {}
+    assert t.metrics()["counters"] == {}
 
 
 def test_attached_kernel_publishes_counters():
-    t = attach_telemetry(Telemetry())
+    t = attach_recorder(TraceRecorder())
     h, kernel = _installed_walk()
     _drive(h, kernel)
     assert t.counter("engine.llc_fills") >= 512
@@ -157,25 +145,24 @@ def test_attached_kernel_publishes_counters():
 
 
 # ----------------------------------------------------------------------
-# Tentpole: golden digests are telemetry-blind
+# Tentpole: golden digests are recorder-blind
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["benign_mix1__pipo", "flush_reload__pipo"])
 def test_golden_digests_unchanged_with_telemetry_attached(name, repro_engine):
     from regenerate import check_fixture
 
-    t = attach_telemetry(Telemetry())
     rec = attach_recorder(TraceRecorder())
     with rec.span("conformance", "run", scenario=name):
         problems = check_fixture(name)
     assert not problems, (
-        f"telemetry attached changed a golden digest: {problems}"
+        f"recorder attached changed a golden digest: {problems}"
     )
-    # The run must also have *published*: a silently dead sink would
+    # The run must also have *published*: a silently dead export would
     # make this test vacuous.  Only the C walk exports ``engine.*``
     # counters; the python engine has no per-event publish sites.
     if repro_engine == "c":
-        assert t.counter("engine.llc_fills") > 0
+        assert rec.counter("engine.llc_fills") > 0
 
 
 # ----------------------------------------------------------------------
@@ -183,15 +170,14 @@ def test_golden_digests_unchanged_with_telemetry_attached(name, repro_engine):
 # ----------------------------------------------------------------------
 
 def _observed_cell(cell):
-    """A cheap pure cell that also publishes to whatever telemetry
-    sink is attached in its process (the worker's per-cell sink under
-    REPRO_TELEMETRY, the in-process sink when serial)."""
+    """A cheap pure cell that also publishes to whatever recorder is
+    attached in its process (the worker's per-cell recorder under
+    REPRO_TRACE, the in-process recorder when serial)."""
     index, seed = cell
-    t = current_telemetry()
+    t = current_recorder()
     if t is not None:
         t.count("cell.runs")
         t.count("cell.work", index)
-        t.observe("cell.index", float(index))
     with span("cell.compute", "cell", index=index):
         return mix64(index, salt=seed)
 
@@ -206,28 +192,24 @@ EXPECTED_COUNTERS = {
 
 def _run_observed(monkeypatch, jobs):
     monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    telemetry = attach_telemetry(Telemetry())
     recorder = attach_recorder(TraceRecorder())
     try:
         out = run_cells(CELLS, _observed_cell, jobs=jobs)
     finally:
-        detach_telemetry()
         detach_recorder()
-    return out, telemetry, recorder
+    return out, recorder
 
 
 def test_serial_and_parallel_observed_runs_agree(monkeypatch):
-    out_serial, tele_serial, rec_serial = _run_observed(monkeypatch, 1)
-    out_par, tele_par, rec_par = _run_observed(monkeypatch, JOBS)
+    out_serial, rec_serial = _run_observed(monkeypatch, 1)
+    out_par, rec_par = _run_observed(monkeypatch, JOBS)
     assert out_serial == EXPECTED
     assert out_par == EXPECTED
     # Counters are integers folded commutatively: the fan-out merge
     # must agree exactly with the in-process serial publishes.
     for name, expected in EXPECTED_COUNTERS.items():
-        assert tele_serial.counter(name) == expected
-        assert tele_par.counter(name) == expected
-    assert tele_par.stats["cell.index"].count == len(CELLS)
+        assert rec_serial.counter(name) == expected
+        assert rec_par.counter(name) == expected
     # Both recorders hold a full span set (cell spans + the inner
     # compute spans + the grid span) and validate as Chrome trace.
     for rec in (rec_serial, rec_par):
@@ -244,7 +226,7 @@ def test_serial_and_parallel_observed_runs_agree(monkeypatch):
 
 
 def test_cell_spans_are_attempt_tagged(monkeypatch):
-    _, _, recorder = _run_observed(monkeypatch, JOBS)
+    _, recorder = _run_observed(monkeypatch, JOBS)
     cell_spans = [e for e in recorder.events if e["name"] == "cell"]
     assert cell_spans
     for event in cell_spans:
@@ -252,10 +234,36 @@ def test_cell_spans_are_attempt_tagged(monkeypatch):
         assert isinstance(event["args"]["attempt"], int)
 
 
+def test_fig8_grid_counters_equal_serial_and_fanned(monkeypatch):
+    """With only ``REPRO_TRACE`` set, a fanned-out fig8 grid's C walk
+    counters reach the attached recorder through the worker sidecars,
+    and equal the serial run's: one flag, one sink."""
+    from repro.experiments.fig8_performance import _run_cell
+
+    if "c" not in available_engines():
+        pytest.skip("C backend unavailable (no cffi/toolchain)")
+    monkeypatch.setenv("REPRO_ENGINE", "c")
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    cells = [
+        ("mix3", None, False, 20_000, 0),
+        ("mix3", (1024, 8), False, 20_000, 0),
+    ]
+    counts = []
+    for jobs in (1, JOBS):
+        with recording(TraceRecorder()) as recorder:
+            run_cells(cells, _run_cell, jobs=jobs)
+        counts.append((
+            recorder.counter("engine.llc_fills"),
+            recorder.counter("engine.monitor_probes"),
+        ))
+    serial, fanned = counts
+    assert serial == fanned
+    assert all(serial), serial
+
+
 def test_corrupt_sidecar_drops_without_failing():
     recorder = attach_recorder(TraceRecorder())
-    telemetry = attach_telemetry(Telemetry())
-    blob = pickle.dumps({"spans": [], "telemetry": {}})
+    blob = pickle.dumps({"spans": [], "metrics": {}})
     # Wrong CRC: dropped, counted, nothing raised.
     _absorb_sidecar((zlib.crc32(blob) ^ 1, blob))
     assert recorder.dropped == 1
@@ -267,17 +275,17 @@ def test_corrupt_sidecar_drops_without_failing():
     good = pickle.dumps({
         "spans": [{"name": "x", "cat": "c", "ph": "X", "ts": 0.0,
                    "dur": 1.0, "pid": 1, "tid": 1}],
-        "telemetry": {"counters": {"k": 3}},
+        "metrics": {"counters": {"k": 3}},
     })
     _absorb_sidecar((zlib.crc32(good), good))
     assert recorder.dropped == 2
     assert len(recorder.events) == 1
-    assert telemetry.counter("k") == 3
+    assert recorder.counter("k") == 3
 
 
 def test_absorb_sidecar_noop_when_detached():
     _absorb_sidecar(None)
-    _absorb_sidecar((0, b"whatever"))  # no sinks: nothing to do
+    _absorb_sidecar((0, b"whatever"))  # no recorder: nothing to do
 
 
 # ----------------------------------------------------------------------
@@ -291,13 +299,12 @@ def test_validate_chrome_trace_accepts_recorder_output(tmp_path):
         with span("outer", "run", k=1):
             with span("inner", "run"):
                 pass
-    telemetry = Telemetry()
-    telemetry.count("n", 2)
+    recorder.count("n", 2)
     path = tmp_path / "trace.json"
-    recorder.write(str(path), telemetry.state())
+    recorder.write(str(path))
     trace = json.loads(path.read_text())
     assert validate_chrome_trace(trace) == []
-    assert trace["telemetry"]["counters"] == {"n": 2}
+    assert trace["telemetry"] == {"counters": {"n": 2}, "gauges": {}}
     events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert {e["name"] for e in events} == {"outer", "inner"}
     for event in events:
