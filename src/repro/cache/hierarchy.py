@@ -371,7 +371,7 @@ class CacheHierarchy:
                 )
                 w = l2map[line_addr]  # state rewritten by the upgrade
             self._fill_l1(
-                core, l1, line_addr, (w >> STATE_SHIFT) & 0b11, w >> _VS, now
+                core, l1, line_addr, (w >> STATE_SHIFT) & 0b11, w >> _VS
             )
             if op == 1:
                 self._mark_written(core, op, line_addr)
@@ -396,7 +396,7 @@ class CacheHierarchy:
         ]
         if line_addr in sl._map:
             stats.llc_hits += 1
-            latency += self._serve_llc_hit(core, op, line_addr, now, sl)
+            latency += self._serve_llc_hit(core, op, line_addr, sl)
             if op == 1:
                 stats.writes += 1
             elif op == 2:
@@ -409,7 +409,7 @@ class CacheHierarchy:
         # ---- Memory ----
         latency += self._fetch_into_llc(line_addr, now + latency, True, sl)
         state = MODIFIED if op == 1 else EXCLUSIVE
-        self._fill_private(core, op, line_addr, state, sl, now)
+        self._fill_private(core, op, line_addr, state, sl)
         if op == 1:
             self._mark_written(core, op, line_addr)
             stats.writes += 1
@@ -548,8 +548,7 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
 
     def _serve_llc_hit(
-        self, core: int, op: int, line_addr: int, now: int,
-        sl: SetAssociativeCache,
+        self, core: int, op: int, line_addr: int, sl: SetAssociativeCache,
     ) -> int:
         lmap = sl._map
         penalty = 0
@@ -571,7 +570,7 @@ class CacheHierarchy:
             state = MODIFIED if op == OP_WRITE else EXCLUSIVE
         if lw & PINGPONG:
             lmap[line_addr] = lw | ACCESSED
-        self._fill_private(core, op, line_addr, state, sl, now)
+        self._fill_private(core, op, line_addr, state, sl)
         if op == OP_WRITE:
             self._mark_written(core, op, line_addr)
         # Recency update (inlined ``touch`` on the owning slice).
@@ -667,7 +666,7 @@ class CacheHierarchy:
 
     def _fill_private(
         self, core: int, op: int, line_addr: int, state: int,
-        sl: SetAssociativeCache, now: int,
+        sl: SetAssociativeCache,
     ) -> None:
         # Every caller sits past an L1 *and* L2 miss for this core
         # with no intervening fill, so both levels fill directly —
@@ -757,7 +756,7 @@ class CacheHierarchy:
 
     def _fill_l1(
         self, core: int, l1: SetAssociativeCache, line_addr: int,
-        state: int, version: int, now: int,
+        state: int, version: int,
     ) -> None:
         # Callers sit past an L1 miss with no intervening fill of this
         # address, so fill directly (the duplicate guard backs the

@@ -25,7 +25,7 @@ kernels assume the C alternate table ``st->alt_xor`` exists:
 ``CFilterState`` fills it with ``acf_fill_alt_xor`` at install, whether
 or not the Python ``_alt_xor`` was ever built.  ``install`` refuses
 wide-fingerprint (f > 16) filters, whose fingerprints do not fit the
-``uint16_t`` rows; they stay on the inline-splitmix reference path.
+``uint16_t`` rows; they stay on the Python reference path.
 """
 
 BATCH_CDEF = """

@@ -872,8 +872,8 @@ static int64_t cw_fetch_into_llc(cw_hier *h, uint64_t line_addr, int64_t now,
 
 /* _serve_llc_hit: returns the coherence penalty or -1. */
 static int64_t cw_serve_llc_hit(cw_hier *h, int core, int op,
-                                uint64_t line_addr, int64_t now,
-                                cw_cache *sl, int64_t ls)
+                                uint64_t line_addr, cw_cache *sl,
+                                int64_t ls)
 {
     int64_t penalty = 0;
     uint64_t lw = sl->words[ls];
@@ -925,6 +925,10 @@ int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now)
     int64_t ls;
     uint64_t word, stamp, sharers, dirty, version;
     int c;
+    /* The issuer needs no special case: a flush hits every sharer,
+     * the issuing core included.  The parameter mirrors
+     * clflush(core, addr, now). */
+    (void)core;
     h->s_flushes++;
     ls = cw_slot(sl, line_addr);
     if (ls < 0)
@@ -1093,7 +1097,7 @@ int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now)
     ls = cw_slot(sl, line_addr);
     if (ls >= 0) {
         h->s_llc_hits++;
-        pen = cw_serve_llc_hit(h, core, op, line_addr, now, sl, ls);
+        pen = cw_serve_llc_hit(h, core, op, line_addr, sl, ls);
         if (pen < 0)
             return -1;
         latency += pen;

@@ -29,8 +29,9 @@ digest-keyed shard and ``--resume`` replays only the missing ones
 after a kill.  See PERFORMANCE.md ("Fault-tolerance contract").
 
 Observability (:mod:`repro.obs`): ``--trace FILE`` attaches the trace
-recorder, the one sink for spans and counters — workers ship both
-back over their result pipes — and writes a Chrome-trace / Perfetto
+recorder, the one sink for spans and counters and the only switch —
+the workers of a pool built while it is attached ship both back over
+their result pipes — and writes a Chrome-trace / Perfetto
 JSON to FILE at the end (load it at https://ui.perfetto.dev), with the
 counters and gauges under its top-level ``"telemetry"`` key and
 printed as the ``[telemetry]`` block.  Results are bit-identical with
@@ -273,8 +274,8 @@ def main(argv: list[str] | None = None) -> int:
         help="collect run observability — trace spans (grid -> chunk "
              "-> cell -> attempt -> engine phase, across the worker "
              "pool) and the run's counters — and write Chrome-"
-             "trace/Perfetto JSON to FILE.  Sets REPRO_TRACE for the "
-             "workers; results are bit-identical with and without it.",
+             "trace/Perfetto JSON to FILE.  Results are bit-identical "
+             "with and without it.",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 0:
@@ -339,13 +340,11 @@ def main(argv: list[str] | None = None) -> int:
 
     recorder = None
     if args.trace is not None:
-        from repro.obs.trace import TRACE_ENV, TraceRecorder, attach_recorder
+        from repro.obs.trace import TraceRecorder, attach_recorder
 
-        # The env flag rides the supervisor's pinned REPRO_* contract
-        # into every worker (fork or respawned); the attached recorder
-        # receives the in-process spans and counters plus the worker
-        # sidecars.
-        os.environ[TRACE_ENV] = "1"
+        # The attached recorder receives the in-process spans and
+        # counters, and every worker pool built while it is attached
+        # ships its cells' sidecars back to it.
         recorder = attach_recorder(TraceRecorder())
         recorder.process_name("supervisor")
 

@@ -416,7 +416,9 @@ def _observed_call(fn, cell, index: int, attempt: int):
     return value, error, (zlib.crc32(blob), blob)
 
 
-def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
+def _worker_main(
+    conn, supervisor_end, fn, pinned: dict, observe: bool
+) -> None:
     """Worker loop: receive ``(index, attempt, cell)``, run, reply.
 
     Replies are ``("ok", index, attempt, crc32, payload, obs)`` with
@@ -424,12 +426,12 @@ def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
     check) or ``("err", index, attempt, info, obs)`` for a
     cell-function exception — the wrapper that lets the failing cell's
     identity survive the process boundary.  ``obs`` is ``None`` unless
-    ``REPRO_TRACE`` is pinned, in which case it is the ``(crc32,
-    blob)`` sidecar of the cell's spans and counters
-    (:func:`_observed_call`) with its own integrity check — the
-    supervisor drops a corrupt sidecar (and counts the drop) without
-    failing the cell.  Injected faults (``REPRO_FAULTS``) fire here,
-    between task receipt and reply.
+    ``observe`` (the supervisor had a recorder attached when it built
+    the pool), in which case it is the ``(crc32, blob)`` sidecar of
+    the cell's spans and counters (:func:`_observed_call`) with its
+    own integrity check — the supervisor drops a corrupt sidecar (and
+    counts the drop) without failing the cell.  Injected faults
+    (``REPRO_FAULTS``) fire here, between task receipt and reply.
     """
     # A fork child inherits the supervisor's end of its own pipe.  Close
     # it, or a supervisor killed by SIGKILL never reads as EOF here and
@@ -437,7 +439,6 @@ def _worker_main(conn, supervisor_end, fn, pinned: dict) -> None:
     supervisor_end.close()
     os.environ.update(pinned)
     plan = FaultPlan.from_env()
-    observe = _trace.env_enabled()
     while True:
         try:
             task = conn.recv()
@@ -506,10 +507,10 @@ class _Worker:
 
     __slots__ = ("proc", "conn", "current", "started")
 
-    def __init__(self, ctx, fn, pinned):
+    def __init__(self, ctx, fn, pinned, observe):
         parent, child = ctx.Pipe()
         self.proc = ctx.Process(
-            target=_worker_main, args=(child, parent, fn, pinned),
+            target=_worker_main, args=(child, parent, fn, pinned, observe),
             daemon=True,
         )
         self.proc.start()
@@ -570,7 +571,11 @@ class _WorkerPool:
     workers (``respawn``) — scheduling stays in ``_run_supervised``.
     Workers prefer the ``fork`` start method (cheap, inherits the
     loaded modules) and fall back to the platform default where fork
-    is unavailable.
+    is unavailable.  Whether a trace recorder is attached is read once,
+    here, and handed to every worker spawned or respawned: with one
+    attached, each cell runs under its own recorder and ships a
+    sidecar back (a fork worker's inherited copy of the supervisor's
+    recorder would swallow its spans and counters).
     """
 
     def __init__(self, fn: Callable, size: int):
@@ -584,13 +589,15 @@ class _WorkerPool:
         )
         self.fn = fn
         self.pinned = _pinned_env()
-        self.workers = [
-            _Worker(self.ctx, fn, self.pinned) for _ in range(size)
-        ]
+        self.observe = _trace.current_recorder() is not None
+        self.workers = [self._spawn() for _ in range(size)]
+
+    def _spawn(self) -> "_Worker":
+        return _Worker(self.ctx, self.fn, self.pinned, self.observe)
 
     def respawn(self, slot: int) -> "_Worker":
         self.workers[slot].kill()
-        self.workers[slot] = _Worker(self.ctx, self.fn, self.pinned)
+        self.workers[slot] = self._spawn()
         return self.workers[slot]
 
     def shutdown(self) -> None:

@@ -189,16 +189,16 @@ class AutoCuckooFilter:
                 "security_threshold exceeds the hardware counter range"
             )
         self.hasher = PartialKeyHasher(num_buckets, fingerprint_bits, seed=seed)
-        # Bound-method cache: ``access`` runs once per LLC demand miss,
-        # and the attribute chase to the hasher costs more than the
-        # call itself.
+        # Bound-method cache for ``_locate``'s wide-fingerprint branch,
+        # which runs once per operation: the attribute chase to the
+        # hasher costs more than the call itself.
         self._candidate_buckets = self.hasher.candidate_buckets
         # Precomputed splitmix64 additive term for the kick loop's
         # inlined alt-index mix (the hasher's alt salt folded into the
         # golden-gamma increment once, instead of per relocation).
         self._alt_mix_add = ((self.hasher._alt_salt + 1) * _GOLDEN_GAMMA) & _U64
         # The same folding for the fingerprint and primary-index mixes
-        # (used by the inlined Query below).
+        # (used by ``_locate``).
         self._fp_add = ((self.hasher._fp_salt + 1) * _GOLDEN_GAMMA) & _U64
         self._index_add = ((self.hasher._index_salt + 1) * _GOLDEN_GAMMA) & _U64
         self._index_mask = num_buckets - 1
@@ -207,8 +207,8 @@ class AutoCuckooFilter:
         # Security rows ``_security`` and, for f <= 16, the ``_alt_xor``
         # table.  Under ``c`` the C arrays own the table, so a filter
         # the kernels serve never builds the Python copies at all.
-        # Wide fingerprints have no table; every path takes the inline
-        # mix.
+        # Wide fingerprints have no table: ``_locate`` takes the
+        # hasher's alternate index and the kick walk its inline mix.
         if fingerprint_bits > 16:
             self._alt_xor: list[int] | None = None
         self.geometry = FilterGeometry(
@@ -318,7 +318,7 @@ class AutoCuckooFilter:
         C-computed alternate table and never builds the Python copies.
         Tight targets legitimately derive f > 16 — e.g. fpp = 1e-4
         gives f = 17 — where there is no ``_alt_xor`` table and every
-        path takes the inline-splitmix fallback (the C rows are 16 bits
+        path takes the splitmix alternate index (the C rows are 16 bits
         wide, so the C engine declines the filter and the batch seam
         quietly serves the reference implementation).
         """
@@ -355,6 +355,32 @@ class AutoCuckooFilter:
     # The Query/Response protocol (Section IV)
     # ------------------------------------------------------------------
 
+    def _locate(self, key: int) -> tuple[int, int, int]:
+        """``(ξ_x, µ_x, σ_x)``: the Query's fingerprint and candidate
+        buckets, bit-identical to ``hasher.candidate_buckets(key)``.
+
+        The one copy of the Query arithmetic; every operation calls
+        it.  The two key-dependent splitmix64 mixes are inlined, and
+        for f <= 16 the alternate index is one ``_alt_xor`` lookup
+        instead of a third mix.  Wider fingerprints have no table and
+        take the hasher's.
+        """
+        table = self._alt_xor
+        if table is None:
+            return self._candidate_buckets(key)
+        fp_mask = self.hasher._fp_mask
+        z = (key + self._fp_add) & _U64
+        z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
+        z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
+        fp = (z ^ (z >> 31)) & fp_mask
+        if not fp:
+            fp = fp_mask
+        z = (key + self._index_add) & _U64
+        z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
+        z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
+        i1 = (z ^ (z >> 31)) & self._index_mask
+        return fp, i1, i1 ^ table[fp]
+
     def access(self, key: int) -> int:
         """Record an ``Access`` for ``key``; return the Response.
 
@@ -364,24 +390,7 @@ class AutoCuckooFilter:
         line satisfies the Ping-Pong pattern.
         """
         self.total_accesses += 1
-        table = self._alt_xor
-        if table is None:
-            fp, i1, i2 = self._candidate_buckets(key)
-        else:
-            # Inlined PartialKeyHasher.candidate_buckets (bit-identical
-            # arithmetic): two splitmix64 chains plus the table lookup.
-            fp_mask = self.hasher._fp_mask
-            z = (key + self._fp_add) & _U64
-            z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
-            z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
-            fp = (z ^ (z >> 31)) & fp_mask
-            if not fp:
-                fp = fp_mask
-            z = (key + self._index_add) & _U64
-            z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
-            z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
-            i1 = (z ^ (z >> 31)) & self._index_mask
-            i2 = i1 ^ table[fp]
+        fp, i1, i2 = self._locate(key)
         # --- Query: is a valid entry of ξ_x present in µ_x or σ_x? ---
         # ``in`` guards keep every scan a C-level pass with no
         # exception machinery: the miss path (which dominates — every
@@ -417,82 +426,30 @@ class AutoCuckooFilter:
         """Record an ``Access`` for every key in ``keys``; return how
         many Responses reached ``security_threshold`` (captures).
 
-        Semantically identical to calling :meth:`access` per key —
-        same table state, same counters, same kick walks (the
-        equivalence tests pin this) — with the per-call overhead
-        amortised: the Query arithmetic is inlined once and every
-        attribute is bound outside the loop.  Fig. 3/Fig. 4-style
-        insertion sweeps and the attack pre-fill loops run through
-        this entry point.
+        A loop over :meth:`access`, so the table state, counters and
+        kick walks are those of the per-key calls by construction.
+        Under ``c`` the install rebinds it to one C call per batch
+        (PERFORMANCE.md rule 17).  Fig. 3/Fig. 4-style insertion
+        sweeps and the attack pre-fill loops run through this entry
+        point.
         """
-        table = self._alt_xor
-        if table is None:
-            # Wide-fingerprint fallback: per-key access calls.
-            threshold = self.security_threshold
-            access = self.access
-            return sum(1 for key in keys if access(key) >= threshold)
-        fps = self._fps
-        security = self._security
-        addresses = self._addresses
-        fp_mask = self.hasher._fp_mask
-        index_mask = self._index_mask
-        fp_add = self._fp_add
-        index_add = self._index_add
         threshold = self.security_threshold
-        insert_new = self._insert_new
-        mult1 = _MIX_MULT_1
-        mult2 = _MIX_MULT_2
-        u64 = _U64
-        count = 0
-        captures = 0
-        for key in keys:
-            count += 1
-            # Inlined candidate_buckets (bit-identical to ``access``).
-            z = (key + fp_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            fp = (z ^ (z >> 31)) & fp_mask
-            if not fp:
-                fp = fp_mask
-            z = (key + index_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            i1 = (z ^ (z >> 31)) & index_mask
-            row = fps[i1]
-            if fp in row:
-                index = i1
-            else:
-                index = i1 ^ table[fp]
-                row = fps[index]
-                if fp not in row:
-                    insert_new(key, fp, i1, index)
-                    continue
-            slot = row.index(fp)
-            sec_row = security[index]
-            sec = sec_row[slot]
-            if sec < threshold:
-                sec += 1
-                sec_row[slot] = sec
-            if addresses is not None:
-                entry = addresses[index][slot]
-                if entry is not None:
-                    entry.add(key)
-            if sec >= threshold:
-                captures += 1
-        self.total_accesses += count
-        return captures
+        access = self.access
+        return sum(1 for key in keys if access(key) >= threshold)
 
     def contains(self, key: int) -> bool:
-        """Probabilistic membership (subject to fingerprint collisions)."""
-        fp, i1, i2 = self._candidate_buckets(key)
-        return fp in self._fps[i1] or fp in self._fps[i2]
+        """Probabilistic membership (subject to fingerprint collisions).
+        Read-only; :meth:`query` is the same function."""
+        fp, i1, i2 = self._locate(key)
+        fps = self._fps
+        return fp in fps[i1] or fp in fps[i2]
 
     def security_of(self, key: int) -> int | None:
         """Current Security of ``key``'s entry, or None when absent.
 
         Read-only — does not count as an Access.
         """
-        fp, i1, i2 = self._candidate_buckets(key)
+        fp, i1, i2 = self._locate(key)
         for index in (i1, i2):
             row = self._fps[index]
             if fp in row:
@@ -505,10 +462,12 @@ class AutoCuckooFilter:
     # These are NOT part of the paper's Query/Response protocol — the
     # monitor never calls them.  They are the classic cuckoo-filter
     # surface an LSM-style consumer wants (insert-if-absent, read-only
-    # membership, delete), sharing the table, hash chain, and kick walk
-    # with the protocol ops so one filter serves both roles.  Under
-    # REPRO_ENGINE=c the install rebinds every one of them to the
-    # batched C kernels; these bodies are the bit-exact reference.
+    # membership, delete), sharing the table, ``_locate`` and the kick
+    # walk with the protocol ops so one filter serves both roles.  The
+    # ``*_many`` batch forms are plain loops over the scalar ops.
+    # Under REPRO_ENGINE=c the install rebinds every one of them to the
+    # C kernels, where each batch is one boundary crossing; these
+    # bodies are the bit-exact reference.
 
     def insert(self, key: int) -> bool:
         """Insert ``key`` if no matching fingerprint is present.
@@ -519,33 +478,15 @@ class AutoCuckooFilter:
         means *either* ``key`` or a colliding address is represented.
         Does not touch Security counters or ``total_accesses``.
         """
-        table = self._alt_xor
-        if table is None:
-            fp, i1, i2 = self._candidate_buckets(key)
-        else:
-            fp_mask = self.hasher._fp_mask
-            z = (key + self._fp_add) & _U64
-            z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
-            z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
-            fp = (z ^ (z >> 31)) & fp_mask
-            if not fp:
-                fp = fp_mask
-            z = (key + self._index_add) & _U64
-            z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
-            z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
-            i1 = (z ^ (z >> 31)) & self._index_mask
-            i2 = i1 ^ table[fp]
+        fp, i1, i2 = self._locate(key)
         fps = self._fps
         if fp in fps[i1] or fp in fps[i2]:
             return False
         self._insert_new(key, fp, i1, i2)
         return True
 
-    def query(self, key: int) -> bool:
-        """Read-only membership: :meth:`contains` under its storage-mode
-        name (the batched C install rebinds both to one kernel)."""
-        fp, i1, i2 = self._candidate_buckets(key)
-        return fp in self._fps[i1] or fp in self._fps[i2]
+    #: Read-only membership under its storage-mode name.
+    query = contains
 
     def delete(self, key: int) -> bool:
         """Remove one record matching ``key``'s fingerprint.
@@ -558,7 +499,7 @@ class AutoCuckooFilter:
         deleted — which is exactly the false-deletion surface the paper
         removes from the *monitor* protocol (Section V-A).
         """
-        fp, i1, i2 = self._candidate_buckets(key)
+        fp, i1, i2 = self._locate(key)
         for index in (i1, i2):
             row = self._fps[index]
             if fp in row:
@@ -573,113 +514,20 @@ class AutoCuckooFilter:
 
     def insert_many(self, keys) -> int:
         """:meth:`insert` for every key; returns the fresh-insert count.
-
-        State-identical to the scalar loop (the equivalence suites pin
-        this); the LSM compaction rebuild is this call on an
-        ``array('Q')`` run of resident keys.
-        """
-        table = self._alt_xor
-        if table is None:
-            insert = self.insert
-            return sum(1 for key in keys if insert(key))
-        fps = self._fps
-        fp_mask = self.hasher._fp_mask
-        index_mask = self._index_mask
-        fp_add = self._fp_add
-        index_add = self._index_add
-        insert_new = self._insert_new
-        mult1 = _MIX_MULT_1
-        mult2 = _MIX_MULT_2
-        u64 = _U64
-        fresh = 0
-        for key in keys:
-            z = (key + fp_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            fp = (z ^ (z >> 31)) & fp_mask
-            if not fp:
-                fp = fp_mask
-            z = (key + index_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            i1 = (z ^ (z >> 31)) & index_mask
-            i2 = i1 ^ table[fp]
-            if fp in fps[i1] or fp in fps[i2]:
-                continue
-            insert_new(key, fp, i1, i2)
-            fresh += 1
-        return fresh
+        The LSM compaction rebuild is this call on an ``array('Q')``
+        run of resident keys."""
+        insert = self.insert
+        return sum(1 for key in keys if insert(key))
 
     def query_many(self, keys) -> int:
         """:meth:`query` for every key; returns the maybe-present count."""
-        table = self._alt_xor
-        if table is None:
-            query = self.query
-            return sum(1 for key in keys if query(key))
-        fps = self._fps
-        fp_mask = self.hasher._fp_mask
-        index_mask = self._index_mask
-        fp_add = self._fp_add
-        index_add = self._index_add
-        mult1 = _MIX_MULT_1
-        mult2 = _MIX_MULT_2
-        u64 = _U64
-        present = 0
-        for key in keys:
-            z = (key + fp_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            fp = (z ^ (z >> 31)) & fp_mask
-            if not fp:
-                fp = fp_mask
-            z = (key + index_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            i1 = (z ^ (z >> 31)) & index_mask
-            if fp in fps[i1] or fp in fps[i1 ^ table[fp]]:
-                present += 1
-        return present
+        query = self.query
+        return sum(1 for key in keys if query(key))
 
     def delete_many(self, keys) -> int:
         """:meth:`delete` for every key; returns the removed count."""
-        table = self._alt_xor
-        if table is None:
-            delete = self.delete
-            return sum(1 for key in keys if delete(key))
-        fps = self._fps
-        security = self._security
-        addresses = self._addresses
-        fp_mask = self.hasher._fp_mask
-        index_mask = self._index_mask
-        fp_add = self._fp_add
-        index_add = self._index_add
-        mult1 = _MIX_MULT_1
-        mult2 = _MIX_MULT_2
-        u64 = _U64
-        removed = 0
-        for key in keys:
-            z = (key + fp_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            fp = (z ^ (z >> 31)) & fp_mask
-            if not fp:
-                fp = fp_mask
-            z = (key + index_add) & u64
-            z = ((z ^ (z >> 30)) * mult1) & u64
-            z = ((z ^ (z >> 27)) * mult2) & u64
-            i1 = (z ^ (z >> 31)) & index_mask
-            for index in (i1, i1 ^ table[fp]):
-                row = fps[index]
-                if fp in row:
-                    slot = row.index(fp)
-                    row[slot] = 0
-                    security[index][slot] = 0
-                    if addresses is not None:
-                        addresses[index][slot] = None
-                    removed += 1
-                    break
-        self.valid_count -= removed
-        return removed
+        delete = self.delete
+        return sum(1 for key in keys if delete(key))
 
     # ------------------------------------------------------------------
     # Insertion with autonomic deletion (Section V-A)
@@ -993,7 +841,7 @@ class AutoCuckooFilter:
         """
         if self._addresses is None:
             raise RuntimeError("filter was not created with instrument=True")
-        fp, i1, i2 = self.hasher.candidate_buckets(key)
+        fp, i1, i2 = self._locate(key)
         for index in (i1, i2):
             row = self._fps[index]
             addr_row = self._addresses[index]

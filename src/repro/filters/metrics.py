@@ -57,8 +57,8 @@ def occupancy_curve(
     done = 0
     # Batch between checkpoints: occupancy is only *read* at
     # checkpoints, so driving each span through ``access_many`` (same
-    # RNG stream, same order) produces the identical curve with none
-    # of the per-access call overhead.
+    # RNG stream, same order) produces the identical curve, with one
+    # C call per span under ``c``.
     while done < insertions:
         span = min(checkpoint_every - done % checkpoint_every,
                    insertions - done)

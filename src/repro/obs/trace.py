@@ -11,18 +11,17 @@ recorder holds the run's named counters (ints that add) and gauges
 steps, fills, evictions — sits on the timeline that says where the
 wall-clock went.
 
-Recording is opt-in twice over:
+Recording is opt-in, and an attached recorder is the only switch:
 
 * in-process sites call :func:`span`, which returns a shared no-op
   context manager unless a recorder is attached — one global load and
   an ``is None`` test, at grid/chunk/cell granularity only (never per
   simulated event);
-* fork workers check the ``REPRO_TRACE`` environment flag (pinned to
-  them by the supervisor's existing ``REPRO_*`` propagation), collect
-  their spans and counters on a per-cell recorder, and ship them back
-  over the result pipe as a CRC-checked sidecar next to the payload —
-  a corrupt sidecar drops and bumps a counter, it never fails the
-  cell.
+* fork workers observe when the supervisor had a recorder attached as
+  it built its worker pool: they collect their spans and counters on
+  a per-cell recorder and ship them back over the result pipe as a
+  CRC-checked sidecar next to the payload — a corrupt sidecar drops
+  and bumps a counter, it never fails the cell.
 
 Counter publish sites follow the AlarmBus pattern of PERFORMANCE.md
 design rule 15: the C kernels resolve :func:`current_recorder` when
@@ -45,17 +44,6 @@ import json
 import os
 import time
 from contextlib import contextmanager, nullcontext
-
-#: Env flag telling fork workers to collect spans for each cell and
-#: ship them back.  ``REPRO_*`` so the pinned-environment contract
-#: propagates it to respawned workers too.
-TRACE_ENV = "REPRO_TRACE"
-
-
-def env_enabled() -> bool:
-    """Whether the worker-side span-collection flag is set."""
-    return os.environ.get(TRACE_ENV, "") not in ("", "0")
-
 
 class TraceRecorder:
     """Accumulates Chrome-trace events, counters and gauges; cheap

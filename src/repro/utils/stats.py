@@ -101,25 +101,6 @@ class RunningStat:
         """Population standard deviation."""
         return math.sqrt(self.variance)
 
-    def merge(self, other: "RunningStat") -> None:
-        """Fold another accumulator into this one (parallel merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
     def state(self) -> dict:
         """Canonical (JSON-safe) serialization of the accumulator.
 
@@ -135,24 +116,6 @@ class RunningStat:
             "max": self.maximum if self.count else None,
         }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "RunningStat":
-        """Rebuild an accumulator from a :meth:`state` dict.
-
-        Round-trips bit-exactly: ``RunningStat.from_state(s.state())``
-        merges and serializes identically to ``s``, so a state shipped
-        between processes as a plain dict rebuilds the same
-        accumulator.
-        """
-        stat = cls()
-        stat.count = int(state["count"])
-        stat._mean = float(state["mean"])
-        stat._m2 = float(state["m2"])
-        if stat.count:
-            stat.minimum = float(state["min"])
-            stat.maximum = float(state["max"])
-        return stat
-
     def __repr__(self) -> str:
         return (
             f"RunningStat(count={self.count}, mean={self.mean:.4g}, "
@@ -166,8 +129,8 @@ class QuantileSketch:
     ``bins`` geometrically spaced buckets cover ``[lo, hi]``; a value
     lands in the bucket whose bounds bracket it, so the sketch is a
     pure function of the multiset of samples — independent of arrival
-    order, mergeable, and **fixed-size** no matter how many samples
-    stream through.  A quantile estimate is the geometric midpoint of
+    order and **fixed-size** no matter how many samples stream
+    through.  A quantile estimate is the geometric midpoint of
     the bucket holding the ranked sample, which bounds the relative
     error by ``sqrt(gamma) - 1`` where ``gamma = (hi/lo)**(1/bins)``
     (exposed as :attr:`relative_error`; ~2.7 % at the defaults).
@@ -236,15 +199,6 @@ class QuantileSketch:
                 )
         return self.hi  # unreachable unless counts were mutated
 
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold another sketch with identical geometry into this one."""
-        if (other.lo, other.hi, other.bins) != (self.lo, self.hi, self.bins):
-            raise ValueError("cannot merge sketches with different geometry")
-        self.count += other.count
-        self.underflow += other.underflow
-        for index, n in other._counts.items():
-            self._counts[index] = self._counts.get(index, 0) + n
-
     def state(self) -> dict:
         """Canonical (JSON-safe, bit-reproducible) serialization."""
         return {
@@ -258,15 +212,3 @@ class QuantileSketch:
                 for index in sorted(self._counts)
             },
         }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "QuantileSketch":
-        """Rebuild a sketch from a :meth:`state` dict (bit-exact
-        round-trip, mergeable into sketches of the same geometry)."""
-        sketch = cls(lo=state["lo"], hi=state["hi"], bins=state["bins"])
-        sketch.count = int(state["count"])
-        sketch.underflow = int(state["underflow"])
-        sketch._counts = {
-            int(index): int(n) for index, n in state["counts"].items()
-        }
-        return sketch

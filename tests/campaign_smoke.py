@@ -71,14 +71,12 @@ def _traced_leg(args, expected: str) -> bool:
     from repro.engine import effective_engine
     from repro.experiments.campaign import run
     from repro.obs.trace import (
-        TRACE_ENV,
         TraceRecorder,
         attach_recorder,
         detach_recorder,
         validate_chrome_trace,
     )
 
-    os.environ[TRACE_ENV] = "1"
     recorder = attach_recorder(TraceRecorder())
     recorder.process_name("campaign-smoke")
     try:
@@ -90,7 +88,6 @@ def _traced_leg(args, expected: str) -> bool:
             )
     finally:
         detach_recorder()
-        os.environ.pop(TRACE_ENV, None)
 
     recorder.write(args.trace)
     with open(args.trace) as fh:

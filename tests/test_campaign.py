@@ -97,17 +97,6 @@ def test_sketch_quantile_within_declared_tolerance(samples, q):
         assert abs(estimate - exact) <= (sketch.relative_error + slack) * exact
 
 
-def test_sketch_merge_equals_single_pass():
-    a, b, both = (QuantileSketch(bins=64) for _ in range(3))
-    for i, value in enumerate(v * 17.3 + 1 for v in range(200)):
-        (a if i % 2 else b).add(value)
-        both.add(value)
-    a.merge(b)
-    assert a.state() == both.state()
-    with pytest.raises(ValueError):
-        a.merge(QuantileSketch(bins=32))
-
-
 def test_sketch_validation_and_empty():
     with pytest.raises(ValueError):
         QuantileSketch(lo=0.0)

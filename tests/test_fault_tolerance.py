@@ -855,7 +855,6 @@ def _run_traced_with_faults(monkeypatch, spec, *, seed="5", **kwargs):
 
     monkeypatch.setenv("REPRO_FAULTS", spec)
     monkeypatch.setenv("REPRO_FAULT_SEED", seed)
-    monkeypatch.setenv("REPRO_TRACE", "1")
     recorder = attach_recorder(TraceRecorder())
     try:
         out = run_cells(CELLS, _mix_cell, jobs=JOBS, **kwargs)

@@ -5,7 +5,8 @@ Three families:
 * hashing — the partial-key alternate index is an involution
   (``alt(alt(i, fp), fp) == i``) for any seed, and the Auto-Cuckoo
   filter's precomputed XOR table is bit-identical to the hasher for
-  every f <= 16 and bucket count up to 2**16, built in Python or in C;
+  every f <= 16 and bucket count up to 2**16, built in Python or in C,
+  and so is its Query (``_locate``) for every f in 1..32;
 * classic :class:`CuckooFilter` — insert/query/delete round-trips:
   no false negatives while resident, delete removes exactly one
   matching record, occupancy bookkeeping stays consistent;
@@ -13,6 +14,8 @@ Three families:
   looped ``access`` for any key sequence, responses saturate at
   ``secThr``, occupancy is monotone and never exceeds capacity.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +44,17 @@ def _filter_state(fltr: AutoCuckooFilter):
         fltr._lcg,
         fltr._fps,
         fltr._security,
+    )
+
+
+@functools.cache
+def _locate_filter(fingerprint_bits: int, log_buckets: int) -> AutoCuckooFilter:
+    """One filter per geometry, so the Python ``_alt_xor`` table is
+    built once rather than once per Hypothesis example."""
+    return AutoCuckooFilter(
+        num_buckets=1 << log_buckets, entries_per_bucket=1,
+        fingerprint_bits=fingerprint_bits,
+        seed=derive_seed(fingerprint_bits, "locate", log_buckets),
     )
 
 
@@ -84,6 +98,17 @@ class TestAltIndexInvolution:
             assert fltr._alt_xor == [
                 alt_index(0, fp) for fp in range(1 << fingerprint_bits)
             ]
+
+    @pytest.mark.parametrize("fingerprint_bits", range(1, 33))
+    @given(key=st.integers(min_value=0, max_value=(1 << 64) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_locate_matches_hasher(self, fingerprint_bits, key):
+        # ``_locate`` reads the ``_alt_xor`` table for f <= 16 and the
+        # hasher's alternate index above it; both branches must equal
+        # the reference hasher, whatever the bucket count.
+        for log_buckets in (0, 4, 10):
+            fltr = _locate_filter(fingerprint_bits, log_buckets)
+            assert fltr._locate(key) == fltr.hasher.candidate_buckets(key)
 
 
 class TestClassicCuckooRoundTrips:

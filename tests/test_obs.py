@@ -6,11 +6,10 @@ The layer's two load-bearing claims, proven rather than asserted:
   engine installs its kernels without export wrappers: nothing is
   published, not even to a recorder attached after the install
   (publish sites bind at install time).
-* **Attached = invisible to results.**  With a recorder attached and
-  the worker-side ``REPRO_TRACE`` flag set, every golden conformance
-  digest and every grid result is bit-identical to the untraced run —
-  serial or fan-out — while spans and counter snapshots stream back
-  over the result pipes.
+* **Attached = invisible to results.**  With a recorder attached,
+  every golden conformance digest and every grid result is
+  bit-identical to the untraced run — serial or fan-out — while spans
+  and counter snapshots stream back over the result pipes.
 
 Plus the supporting instruments: sidecar CRC handling (corrupt blobs
 drop, never fail a cell), Chrome-trace structural validity, the live
@@ -171,8 +170,8 @@ def test_golden_digests_unchanged_with_telemetry_attached(name, repro_engine):
 
 def _observed_cell(cell):
     """A cheap pure cell that also publishes to whatever recorder is
-    attached in its process (the worker's per-cell recorder under
-    REPRO_TRACE, the in-process recorder when serial)."""
+    attached in its process (the worker's per-cell recorder when
+    fanned out, the in-process recorder when serial)."""
     index, seed = cell
     t = current_recorder()
     if t is not None:
@@ -190,8 +189,7 @@ EXPECTED_COUNTERS = {
 }
 
 
-def _run_observed(monkeypatch, jobs):
-    monkeypatch.setenv("REPRO_TRACE", "1")
+def _run_observed(jobs):
     recorder = attach_recorder(TraceRecorder())
     try:
         out = run_cells(CELLS, _observed_cell, jobs=jobs)
@@ -200,9 +198,9 @@ def _run_observed(monkeypatch, jobs):
     return out, recorder
 
 
-def test_serial_and_parallel_observed_runs_agree(monkeypatch):
-    out_serial, rec_serial = _run_observed(monkeypatch, 1)
-    out_par, rec_par = _run_observed(monkeypatch, JOBS)
+def test_serial_and_parallel_observed_runs_agree():
+    out_serial, rec_serial = _run_observed(1)
+    out_par, rec_par = _run_observed(JOBS)
     assert out_serial == EXPECTED
     assert out_par == EXPECTED
     # Counters are integers folded commutatively: the fan-out merge
@@ -225,8 +223,8 @@ def test_serial_and_parallel_observed_runs_agree(monkeypatch):
     assert len(pids) >= 2
 
 
-def test_cell_spans_are_attempt_tagged(monkeypatch):
-    _, recorder = _run_observed(monkeypatch, JOBS)
+def test_cell_spans_are_attempt_tagged():
+    _, recorder = _run_observed(JOBS)
     cell_spans = [e for e in recorder.events if e["name"] == "cell"]
     assert cell_spans
     for event in cell_spans:
@@ -235,15 +233,15 @@ def test_cell_spans_are_attempt_tagged(monkeypatch):
 
 
 def test_fig8_grid_counters_equal_serial_and_fanned(monkeypatch):
-    """With only ``REPRO_TRACE`` set, a fanned-out fig8 grid's C walk
-    counters reach the attached recorder through the worker sidecars,
-    and equal the serial run's: one flag, one sink."""
+    """With a recorder attached and no environment flag, a fanned-out
+    fig8 grid's C walk counters reach it through the worker sidecars,
+    and equal the serial run's: the attached recorder is the one
+    switch."""
     from repro.experiments.fig8_performance import _run_cell
 
     if "c" not in available_engines():
         pytest.skip("C backend unavailable (no cffi/toolchain)")
     monkeypatch.setenv("REPRO_ENGINE", "c")
-    monkeypatch.setenv("REPRO_TRACE", "1")
     cells = [
         ("mix3", None, False, 20_000, 0),
         ("mix3", (1024, 8), False, 20_000, 0),

@@ -110,35 +110,3 @@ class TestRunningStat:
     def test_empty(self):
         stat = RunningStat()
         assert stat.mean == 0.0 and stat.variance == 0.0
-
-    @given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
-    )
-    def test_merge_equals_combined(self, left, right):
-        a = RunningStat()
-        for v in left:
-            a.add(v)
-        b = RunningStat()
-        for v in right:
-            b.add(v)
-        a.merge(b)
-        combined = RunningStat()
-        for v in left + right:
-            combined.add(v)
-        assert a.count == combined.count
-        assert a.mean == pytest.approx(combined.mean, rel=1e-9, abs=1e-6)
-        assert a.stdev == pytest.approx(combined.stdev, rel=1e-6, abs=1e-6)
-
-    def test_merge_into_empty(self):
-        a = RunningStat()
-        b = RunningStat()
-        b.add(7.0)
-        a.merge(b)
-        assert a.count == 1 and a.mean == 7.0
-
-    def test_merge_empty_noop(self):
-        a = RunningStat()
-        a.add(1.0)
-        a.merge(RunningStat())
-        assert a.count == 1
