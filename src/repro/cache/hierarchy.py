@@ -21,6 +21,16 @@ therefore allocate no objects; :class:`~repro.cache.line.CacheLine`
 snapshots are materialised only at the monitor boundary (eviction
 hooks) and on introspection APIs, and nothing is read back from them.
 
+This is the reference walk, with one body per operation: every fill
+goes through ``SetAssociativeCache._fill``, every hit's recency update
+through ``touch``, every LLC slice through ``SlicedLLC.slice_for``,
+and every line that leaves the LLC — a capacity victim or a
+``clflush`` — through one hook → scrub → writeback body
+(:meth:`CacheHierarchy._handle_llc_eviction`).  The fused and hoisted
+form of the same walk is the C engine (:mod:`repro.engine._walk_src`),
+which every hierarchy takes under ``c`` and which must stay
+bit-identical to this one.
+
 PiPoMonitor (or any baseline defense) plugs in as ``monitor`` with two
 hooks:
 
@@ -67,7 +77,7 @@ from repro.cache.line import (
     CacheLine,
     decode_sharers,
 )
-from repro.cache.llc import SLICE_MULT, U64_MASK, SlicedLLC
+from repro.cache.llc import SlicedLLC
 from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
 from repro.memory.controller import MemoryController
 
@@ -183,10 +193,6 @@ class CacheHierarchy:
         "_memory_versions",
         "_write_counter",
         "_line_bits",
-        "_llc_slice_of",
-        "_llc_slices",
-        "_llc_set_bits",
-        "_llc_slice_shift",
         "_c_state",
     )
 
@@ -215,9 +221,9 @@ class CacheHierarchy:
         self.mapper = AddressMapper()
         l1_geometry = l1_geometry or CacheGeometry(64 * 1024, 4)
         l2_geometry = l2_geometry or CacheGeometry(256 * 1024, 8)
-        # The private levels are always LRU: the hit paths below (and
-        # the C walk) store a fresh stamp on every hit, and their fills
-        # evict the smallest stamp.
+        # The private levels are always LRU: their hits stamp (here
+        # through ``touch``, and in the C walk), and their fills evict
+        # the smallest stamp.
         self.l1d = [
             SetAssociativeCache(l1_geometry, name=f"l1d{c}")
             for c in range(num_cores)
@@ -244,16 +250,7 @@ class CacheHierarchy:
         self.stats = AccessStats(per_core_accesses=[0] * num_cores)
         self._memory_versions: dict[int, int] = {}
         self._write_counter = 0
-        # Hot-path caches: resolved once so the per-access path never
-        # chases mapper/LLC attribute chains.
         self._line_bits = self.mapper.line_bits
-        self._llc_slice_of = self.llc.slice_of
-        self._llc_slices = self.llc.slices
-        # Slice-hash ingredients for the inlined probe (bit-identical
-        # to SlicedLLC.slice_of; with one slice the shift is 64, so
-        # the expression degenerates to index 0 on its own).
-        self._llc_set_bits = self.llc._set_bits
-        self._llc_slice_shift = self.llc._slice_shift
         # C cache-walk seam (repro.engine.c_cache): once installed,
         # ``_c_state`` owns the authoritative C-side storage and every
         # mutator below routes through it; the counters are refreshed
@@ -284,138 +281,76 @@ class CacheHierarchy:
     def access(self, core: int, op: int, addr: int, now: int = 0) -> int:
         """Perform one memory operation; return its latency in cycles.
 
-        This is the simulator's hottest function (one call per memory
-        op).  The hit paths are written as straight-line code: a single
-        dict probe per level, the LRU stamp written as a plain int into
-        the per-set dict (see the hot-path contract in
-        :mod:`repro.cache.set_assoc`), and the stats update unrolled —
-        no helper calls and no allocation until an actual miss or
-        coherence action needs handling.
+        The walk stops at the first level that holds the line: an L1
+        hit (a write to a non-M copy upgrades it), an L2 hit (which
+        fills the L1), an LLC hit (:meth:`_serve_llc_hit`) or a fetch
+        from memory (:meth:`_fetch_into_llc` + :meth:`_fill_private`);
+        one tail then stamps a write's fresh version into the L1D copy
+        and counts the access.  A flush takes :meth:`clflush`.  Once
+        the C walk is installed, every call routes into it.
         """
         cs = self._c_state
         if cs is not None:
-            # C-side storage is authoritative; the generic path would
+            # C-side storage is authoritative; the Python walk would
             # read a stale mirror.
             return cs.kernel(core, op, addr, now)
+        if op == OP_FLUSH:  # its own service path, not a demand access
+            return self.clflush(core, addr, now)
         line_addr = addr >> self._line_bits
-        # Opcode literals (0/1/2 = OP_READ/OP_WRITE/OP_IFETCH) avoid a
-        # module-global load per comparison on this path.  The read
-        # L1 hit — the single most executed basic block in the whole
-        # simulator — is specialised first: a read needs nothing from
-        # the line word, so it is a pure membership probe plus the
-        # stamp store.
-        if op == 0:  # OP_READ
-            l1 = self.l1d[core]
-            if line_addr in l1._map:
-                latency = self.l1_latency
-                l1.hits += 1
-                stamp = l1._stamp + 1
-                l1._stamp = stamp
-                l1._sets[line_addr & l1._set_mask][line_addr] = stamp
-                stats = self.stats
-                stats.l1_hits += 1
-                stats.total_latency += latency
-                stats.per_core_accesses[core] += 1
-                return latency
-        else:
-            if op == 3:  # OP_FLUSH — its own service path, not a demand
-                return self.clflush(core, addr, now)
-            l1 = (self.l1i if op == 2 else self.l1d)[core]
-            l1map = l1._map
-            w = l1map.get(line_addr)
-            if w is not None:
-                latency = self.l1_latency
-                l1.hits += 1
-                stats = self.stats
-                stats.l1_hits += 1
-                if op == 1:  # OP_WRITE
-                    state = (w >> STATE_SHIFT) & 0b11
-                    if state != 3:  # not MODIFIED yet
-                        latency += self._write_hit(core, line_addr, state)
-                        w = l1map[line_addr]  # upgrade rewrote state
-                    # else: repeat write to an M line — the upgrade
-                    # check and M-broadcast would be no-ops (an M L1
-                    # copy implies M on every private level), so the
-                    # dominant write-hit case skips both.
-                    # Inlined ``_mark_written``: the line is resident
-                    # in this L1, so stamp the fresh write version and
-                    # dirty bit straight into its word.
-                    wc = self._write_counter + 1
-                    self._write_counter = wc
-                    l1map[line_addr] = (w & VERSION_BELOW) | (wc << _VS) | DIRTY
-                    stats.writes += 1
-                else:
-                    stats.ifetches += 1
-                stamp = l1._stamp + 1
-                l1._stamp = stamp
-                l1._sets[line_addr & l1._set_mask][line_addr] = stamp
-                stats.total_latency += latency
-                stats.per_core_accesses[core] += 1
-                return latency
         stats = self.stats
+        l1 = (self.l1i if op == OP_IFETCH else self.l1d)[core]
         latency = self.l1_latency
-        l1.misses += 1
-        stats.l1_misses += 1
-
-        # ---- L2 ----
-        l2 = self.l2[core]
-        latency += self.l2_latency
-        l2map = l2._map
-        w = l2map.get(line_addr)
+        w = l1._map.get(line_addr)
         if w is not None:
-            l2.hits += 1
-            stats.l2_hits += 1
-            if op == 1:  # OP_WRITE
-                latency += self._write_hit(
-                    core, line_addr, (w >> STATE_SHIFT) & 0b11
+            l1.hits += 1
+            stats.l1_hits += 1
+            if op == OP_WRITE:
+                state = (w >> STATE_SHIFT) & 0b11
+                # A repeat write to an M line skips the upgrade: an M
+                # L1 copy implies M on every private level.
+                if state != MODIFIED:
+                    latency += self._write_hit(core, line_addr, state)
+            l1.touch(line_addr)
+        else:
+            l1.misses += 1
+            stats.l1_misses += 1
+            latency += self.l2_latency
+            l2 = self.l2[core]
+            w = l2._map.get(line_addr)
+            if w is not None:
+                l2.hits += 1
+                stats.l2_hits += 1
+                if op == OP_WRITE:
+                    latency += self._write_hit(
+                        core, line_addr, (w >> STATE_SHIFT) & 0b11
+                    )
+                    w = l2._map[line_addr]  # state rewritten by the upgrade
+                # The L1 copy takes the L2 copy's version and state.
+                self._fill_l1(
+                    core, l1, line_addr, (w >> _VS << _VS) | (w & STATE_MASK)
                 )
-                w = l2map[line_addr]  # state rewritten by the upgrade
-            self._fill_l1(
-                core, l1, line_addr, (w >> STATE_SHIFT) & 0b11, w >> _VS
-            )
-            if op == 1:
-                self._mark_written(core, op, line_addr)
-            stamp = l2._stamp + 1
-            l2._stamp = stamp
-            l2._sets[line_addr & l2._set_mask][line_addr] = stamp
-            stats.total_latency += latency
-            if op == 1:  # OP_WRITE
-                stats.writes += 1
-            elif op == 2:  # OP_IFETCH
-                stats.ifetches += 1
-            stats.per_core_accesses[core] += 1
-            return latency
-        l2.misses += 1
-        stats.l2_misses += 1
-
-        # ---- LLC ----
-        latency += self.llc_latency
-        sl = self._llc_slices[
-            ((line_addr >> self._llc_set_bits) * SLICE_MULT & U64_MASK)
-            >> self._llc_slice_shift
-        ]
-        if line_addr in sl._map:
-            stats.llc_hits += 1
-            latency += self._serve_llc_hit(core, op, line_addr, sl)
-            if op == 1:
-                stats.writes += 1
-            elif op == 2:
-                stats.ifetches += 1
-            stats.total_latency += latency
-            stats.per_core_accesses[core] += 1
-            return latency
-        stats.llc_misses += 1
-
-        # ---- Memory ----
-        latency += self._fetch_into_llc(line_addr, now + latency, True, sl)
-        state = MODIFIED if op == 1 else EXCLUSIVE
-        self._fill_private(core, op, line_addr, state, sl)
-        if op == 1:
-            self._mark_written(core, op, line_addr)
+                l2.touch(line_addr)
+            else:
+                l2.misses += 1
+                stats.l2_misses += 1
+                latency += self.llc_latency
+                sl = self.llc.slice_for(line_addr)
+                if line_addr in sl._map:
+                    stats.llc_hits += 1
+                    latency += self._serve_llc_hit(core, op, line_addr, sl)
+                else:
+                    stats.llc_misses += 1
+                    latency += self._fetch_into_llc(
+                        line_addr, now + latency, True, sl
+                    )
+                    state = MODIFIED if op == OP_WRITE else EXCLUSIVE
+                    self._fill_private(core, op, line_addr, state, sl)
+        if op == OP_WRITE:
+            # Every path above leaves the line in this core's L1D.
+            self._mark_written(core, line_addr)
             stats.writes += 1
-        elif op == 2:
+        elif op == OP_IFETCH:
             stats.ifetches += 1
-        # Inlined ``_record`` — one call per full miss adds up.
         stats.total_latency += latency
         stats.per_core_accesses[core] += 1
         return latency
@@ -443,13 +378,14 @@ class CacheHierarchy:
         * dirty        — plus the writeback drain to DRAM.
 
         Monitor contract: a flush-induced LLC invalidation raises the
-        same ``on_llc_eviction`` hook as a capacity eviction, with the
-        same ``needs_all_evictions`` gating and with the directory
-        state intact, **exactly once per flushed line** — so
-        PiPoMonitor sees the pEvict of a tagged line, BITP sees the
-        back-invalidation, and the table recorder behaves like
-        PiPoMonitor.  (The line leaves the LLC here, so the capacity-
-        eviction path can never fire a second hook for it.)
+        same ``on_llc_eviction`` hook as a capacity eviction — it is
+        the same :meth:`_handle_llc_eviction` body, so the gating and
+        the intact directory state are the same — **exactly once per
+        flushed line**: PiPoMonitor sees the pEvict of a tagged line,
+        BITP sees the back-invalidation, and the table recorder
+        behaves like PiPoMonitor.  (The line leaves the LLC here, so
+        the capacity-eviction path can never fire a second hook for
+        it.)
         """
         cs = self._c_state
         if cs is not None:
@@ -458,10 +394,7 @@ class CacheHierarchy:
         stats = self.stats
         stats.flushes += 1
         latency = self.l1_latency + self.llc_latency
-        sl = self._llc_slices[
-            ((line_addr >> self._llc_set_bits) * SLICE_MULT & U64_MASK)
-            >> self._llc_slice_shift
-        ]
+        sl = self.llc.slice_for(line_addr)
         word = sl._map.pop(line_addr, None)
         if word is None:
             # Inclusive hierarchy: absent from the LLC means absent
@@ -470,29 +403,9 @@ class CacheHierarchy:
         stamp = sl._sets[line_addr & sl._set_mask].pop(line_addr)
         stats.flush_hits += 1
         latency += self.llc_latency
-        # Monitor hook after the pop (the victim has left the LLC, as
-        # on the capacity path) but before the sharers scrub, so the
-        # directory state is intact — identical gating and ordering to
-        # ``_handle_llc_eviction``.
-        monitor = self.monitor
-        if monitor is not None and (
-            word & PINGPONG or getattr(monitor, "needs_all_evictions", True)
-        ):
-            monitor.on_llc_eviction(CacheLine(line_addr, word, stamp), now)
-        sharers = (word >> _SS) & _SMASK
-        dirty = word & DIRTY
-        version = word >> _VS
-        for other in decode_sharers(sharers):
-            d, v = self._scrub_core_copies(other, line_addr)
-            stats.flush_back_invalidations += 1
-            if d:
-                dirty = DIRTY
-                if v > version:
-                    version = v
-        if dirty:
-            self.mc.writeback(now)
-            self._memory_versions[line_addr] = version
-            stats.writebacks_to_memory += 1
+        wrote_back = self._handle_llc_eviction(line_addr, word, stamp, now)
+        stats.flush_back_invalidations += ((word >> _SS) & _SMASK).bit_count()
+        if wrote_back:
             stats.flush_writebacks += 1
             # A flush of dirty data stalls until the drain completes.
             latency += self.mc.dram_latency
@@ -506,9 +419,8 @@ class CacheHierarchy:
         """Handle a write hitting a private line in ``state``; return
         extra latency.
 
-        Callers must invoke :meth:`_mark_written` (or its inline form)
-        once the L1 copy is resident (on the L2-hit path the L1 fill
-        happens afterwards).
+        :meth:`access` stamps the write (:meth:`_mark_written`) in its
+        tail, once the L1 copy is resident.
         """
         extra = 0
         if state == SHARED:
@@ -516,10 +428,7 @@ class CacheHierarchy:
             # sharers.
             extra = self.llc_latency
             self.stats.upgrades += 1
-            sl = self._llc_slices[
-                ((line_addr >> self._llc_set_bits) * SLICE_MULT & U64_MASK)
-                >> self._llc_slice_shift
-            ]
+            sl = self.llc.slice_for(line_addr)
             lmap = sl._map
             if line_addr not in lmap:
                 raise CoherenceViolation(
@@ -534,11 +443,11 @@ class CacheHierarchy:
         self._set_core_state(core, line_addr, MODIFIED)
         return extra
 
-    def _mark_written(self, core: int, op: int, line_addr: int) -> None:
-        """Stamp the core's L1 copy with a fresh write version."""
+    def _mark_written(self, core: int, line_addr: int) -> None:
+        """Stamp the core's L1D copy with a fresh write version."""
         wc = self._write_counter + 1
         self._write_counter = wc
-        m = (self.l1i if op == OP_IFETCH else self.l1d)[core]._map
+        m = self.l1d[core]._map
         w = m.get(line_addr)
         if w is not None:
             m[line_addr] = (w & VERSION_BELOW) | (wc << _VS) | DIRTY
@@ -571,13 +480,7 @@ class CacheHierarchy:
         if lw & PINGPONG:
             lmap[line_addr] = lw | ACCESSED
         self._fill_private(core, op, line_addr, state, sl)
-        if op == OP_WRITE:
-            self._mark_written(core, op, line_addr)
-        # Recency update (inlined ``touch`` on the owning slice).
-        stamp = sl._stamp + 1
-        sl._stamp = stamp
-        if sl._touch_stamps:
-            sl._sets[line_addr & sl._set_mask][line_addr] = stamp
+        sl.touch(line_addr)
         return penalty
 
     def _flush_core_line(
@@ -619,18 +522,14 @@ class CacheHierarchy:
     def _invalidate_other_sharers(
         self, core: int, line_addr: int, sl: SetAssociativeCache
     ) -> None:
-        """Remove every other core's private copies of the line."""
+        """Remove every other core's private copies of the line,
+        merging their dirty data into the LLC word."""
         lmap = sl._map
         lw = lmap[line_addr]
         sharers = (lw >> _SS) & _SMASK
-        version = lw >> _VS
-        dirty = lw & DIRTY
-        for other in decode_sharers(sharers & ~(1 << core)):
-            d, v = self._scrub_core_copies(other, line_addr)
-            if d:
-                dirty = DIRTY
-                if v > version:
-                    version = v
+        dirty, version = self._scrub_sharers(
+            line_addr, sharers & ~(1 << core), lw & DIRTY, lw >> _VS
+        )
         lmap[line_addr] = (
             (lw & (VERSION_BELOW & ~_SHARERS_FIELD & ~DIRTY))
             | dirty
@@ -638,18 +537,20 @@ class CacheHierarchy:
             | (version << _VS)
         )
 
-    def _scrub_core_copies(self, core: int, line_addr: int) -> tuple[int, int]:
-        """Drop a line from all private levels of ``core``; return
-        ``(dirty, max_dirty_version)`` for the caller to merge."""
-        dirty = 0
-        version = -1
-        for cache in (self.l1d[core], self.l1i[core], self.l2[core]):
-            w = cache._remove_word(line_addr)
-            if w is not None and w & DIRTY:
-                v = w >> _VS
-                if v > version:
-                    version = v
-                dirty = DIRTY
+    def _scrub_sharers(
+        self, line_addr: int, sharers: int, dirty: int, version: int
+    ) -> tuple[int, int]:
+        """Drop the line from every private level of each core in the
+        ``sharers`` mask; return ``(dirty, version)`` merged with the
+        dropped copies' dirty data (the caller passes its own word's
+        pair to merge into)."""
+        for core in decode_sharers(sharers):
+            for cache in (self.l1d[core], self.l1i[core], self.l2[core]):
+                w = cache._remove_word(line_addr)
+                if w is not None and w & DIRTY:
+                    dirty = DIRTY
+                    if (w >> _VS) > version:
+                        version = w >> _VS
         return dirty, version
 
     def _set_core_state(self, core: int, line_addr: int, state: int) -> None:
@@ -668,104 +569,55 @@ class CacheHierarchy:
         self, core: int, op: int, line_addr: int, state: int,
         sl: SetAssociativeCache,
     ) -> None:
-        # Every caller sits past an L1 *and* L2 miss for this core
-        # with no intervening fill, so both levels fill directly —
-        # the probes would always come back empty (and ``_fill``'s
-        # duplicate guard would catch a violated assumption loudly).
+        """Fill the core's L2 and L1 from the LLC word in ``state``,
+        then set the core's directory presence bit.
+
+        Every caller sits past an L1 *and* L2 miss for this core with
+        no intervening fill, so both levels fill directly (``_fill``'s
+        duplicate guard catches a violated assumption loudly).
+        """
         smap = sl._map
         llc_word = smap[line_addr]
-        base = ((llc_word >> _VS) << _VS) | (state << STATE_SHIFT)
-        l2 = self.l2[core]
-        # Both fills below inline the LRU ``_fill`` (min-stamp victim)
-        # — this method runs once per miss that reaches the LLC or
-        # memory.
-        cache_set = l2._sets[line_addr & l2._set_mask]
-        if line_addr in cache_set:
-            raise ValueError(
-                f"{l2.name}: duplicate insert of line {line_addr:#x}"
-            )
-        vaddr = None
-        if len(cache_set) >= l2.ways:
-            vaddr = min(cache_set, key=cache_set.__getitem__)
-            del cache_set[vaddr]
-            vword = l2._map.pop(vaddr)
-            l2.evictions += 1
-        stamp = l2._stamp + 1
-        l2._stamp = stamp
-        cache_set[line_addr] = stamp
-        l2._map[line_addr] = base
+        word = ((llc_word >> _VS) << _VS) | (state << STATE_SHIFT)
+        vaddr, vword, _ = self.l2[core]._fill(line_addr, word)
         if vaddr is not None:
-            # Inlined ``_handle_l2_eviction`` (the L2 set is full at
-            # steady state, so this runs on nearly every miss): purge
-            # L1 copies, write back to the LLC, release the directory
-            # presence bit.
-            self.stats.l2_evictions += 1
-            dirty = vword & DIRTY
-            version = vword >> _VS
-            for l1c in (self.l1d[core], self.l1i[core]):
-                w = l1c._map.pop(vaddr, None)
-                if w is not None:
-                    del l1c._sets[vaddr & l1c._set_mask][vaddr]
-                    if w & DIRTY:
-                        v = w >> _VS
-                        if v > version:
-                            version = v
-                        dirty = DIRTY
-            lmap = self._llc_slices[
-                ((vaddr >> self._llc_set_bits) * SLICE_MULT & U64_MASK)
-                >> self._llc_slice_shift
-            ]._map
-            lw = lmap.get(vaddr)
-            if lw is None:
-                raise CoherenceViolation(
-                    f"inclusion broken: L2 victim {vaddr:#x} absent from LLC"
-                )
-            if dirty:
-                if version > (lw >> _VS):
-                    lw = (lw & VERSION_BELOW) | (version << _VS)
-                lw |= DIRTY
-            lmap[vaddr] = lw & ~(1 << (core + _SS))
-        l1 = (self.l1i if op == OP_IFETCH else self.l1d)[core]
-        cache_set = l1._sets[line_addr & l1._set_mask]
-        if line_addr in cache_set:
-            raise ValueError(
-                f"{l1.name}: duplicate insert of line {line_addr:#x}"
-            )
-        vaddr = None
-        if len(cache_set) >= l1.ways:
-            vaddr = min(cache_set, key=cache_set.__getitem__)
-            del cache_set[vaddr]
-            vword = l1._map.pop(vaddr)
-            l1.evictions += 1
-        stamp = l1._stamp + 1
-        l1._stamp = stamp
-        cache_set[line_addr] = stamp
-        l1._map[line_addr] = base
-        if vaddr is not None and vword & DIRTY:
-            # Writeback into the L2 copy (present by inclusion).
-            l2map = l2._map
-            w = l2map.get(vaddr)
-            if w is not None:
-                v = vword >> _VS
-                if v > (w >> _VS):
-                    w = (w & VERSION_BELOW) | (v << _VS)
-                l2map[vaddr] = w | DIRTY
-        # ``llc_word`` is still current: the eviction handling above
-        # only rewrites *other* addresses' words.
+            self._handle_l2_eviction(core, vaddr, vword)
+        self._fill_l1(
+            core, (self.l1i if op == OP_IFETCH else self.l1d)[core],
+            line_addr, word,
+        )
+        # ``llc_word`` is still current: the victim handling above only
+        # rewrites *other* addresses' words.
         smap[line_addr] = llc_word | (1 << (core + _SS))
 
-    def _fill_l1(
-        self, core: int, l1: SetAssociativeCache, line_addr: int,
-        state: int, version: int,
-    ) -> None:
-        # Callers sit past an L1 miss with no intervening fill of this
-        # address, so fill directly (the duplicate guard backs the
-        # assumption).
-        vaddr, vword, _ = l1._fill(
-            line_addr, (version << _VS) | (state << STATE_SHIFT)
+    def _handle_l2_eviction(self, core: int, vaddr: int, vword: int) -> None:
+        """An L2 inclusion victim: purge the core's L1 copies, write the
+        merged dirty data back into the LLC word and release the
+        core's directory presence bit."""
+        self.stats.l2_evictions += 1
+        # The L2 copy is already gone, so the scrub drops the L1s only.
+        dirty, version = self._scrub_sharers(
+            vaddr, 1 << core, vword & DIRTY, vword >> _VS
         )
+        lmap = self.llc.slice_for(vaddr)._map
+        lw = lmap.get(vaddr)
+        if lw is None:
+            raise CoherenceViolation(
+                f"inclusion broken: L2 victim {vaddr:#x} absent from LLC"
+            )
+        if dirty:
+            if version > (lw >> _VS):
+                lw = (lw & VERSION_BELOW) | (version << _VS)
+            lw |= DIRTY
+        lmap[vaddr] = lw & ~(1 << (core + _SS))
+
+    def _fill_l1(
+        self, core: int, l1: SetAssociativeCache, line_addr: int, word: int,
+    ) -> None:
+        """Fill one of ``core``'s L1s with ``word``; a dirty victim
+        writes back into the core's L2 copy (present by inclusion)."""
+        vaddr, vword, _ = l1._fill(line_addr, word)
         if vaddr is not None and vword & DIRTY:
-            # Writeback into the L2 copy (present by inclusion).
             l2map = self.l2[core]._map
             w = l2map.get(vaddr)
             if w is not None:
@@ -788,76 +640,53 @@ class CacheHierarchy:
         if demand and self.monitor is not None:
             captured = self.monitor.on_access(line_addr, now)
         latency = self.mc.fetch(now, not demand)
-        version = self._memory_versions.get(line_addr, 0)
         if demand:
             # A captured demand fill is tagged and, by definition,
             # accessed; uncaptured demand fills carry no flags.
-            base = (version << _VS) | (PINGPONG | ACCESSED if captured else 0)
+            flags = PINGPONG | ACCESSED if captured else 0
         else:
             # Prefetch fill: stays tagged, access bit cleared (the
             # no-endless-prefetch rule, Section IV).
-            base = (version << _VS) | PINGPONG
-        # Inlined ``_fill`` (LRU: min-stamp victim; lru_rand and
-        # random: the policy's ``victim_addr``); identical bookkeeping,
-        # no per-fill method dispatch on the miss path.
-        cache_set = sl._sets[line_addr & sl._set_mask]
-        if line_addr in cache_set:
-            raise ValueError(
-                f"{sl.name}: duplicate insert of line {line_addr:#x}"
-            )
-        vaddr = None
-        if len(cache_set) >= sl.ways:
-            if sl._victim_is_min_stamp:
-                vaddr = min(cache_set, key=cache_set.__getitem__)
-            else:
-                vaddr = sl._victim_addr(cache_set)
-            vstamp = cache_set.pop(vaddr)
-            vword = sl._map.pop(vaddr)
-            sl.evictions += 1
-        stamp = sl._stamp + 1
-        sl._stamp = stamp
-        cache_set[line_addr] = stamp
-        sl._map[line_addr] = base
+            flags = PINGPONG
+        version = self._memory_versions.get(line_addr, 0)
+        vaddr, vword, vstamp = sl._fill(line_addr, (version << _VS) | flags)
         if vaddr is not None:
+            stats = self.stats
+            stats.llc_evictions += 1
             self._handle_llc_eviction(vaddr, vword, vstamp, now)
+            stats.back_invalidations += ((vword >> _SS) & _SMASK).bit_count()
         return latency
 
     def _handle_llc_eviction(
         self, vaddr: int, vword: int, vstamp: int, now: int
-    ) -> None:
-        self.stats.llc_evictions += 1
-        # The monitor hook fires first, while the victim's directory
-        # state is intact: PiPoMonitor reads the pingpong/accessed
-        # bits, stateless baselines (BITP) read the sharers mask to
-        # detect back-invalidations.  The hook only schedules events.
-        # Monitors that ignore untagged lines declare
-        # ``needs_all_evictions = False`` so the (dominant) untagged
-        # case skips the detached-line materialisation entirely.
+    ) -> bool:
+        """A line that has left the LLC — a capacity victim or a
+        ``clflush`` — in one body: monitor hook, sharer scrub, then the
+        writeback of the merged dirty data.  Returns whether it wrote
+        back; each caller keeps its own counters.
+
+        The monitor hook fires first, while the victim's directory
+        state is intact: PiPoMonitor reads the pingpong/accessed bits,
+        stateless baselines (BITP) read the sharers mask to detect
+        back-invalidations.  The hook only schedules events.  Monitors
+        that ignore untagged lines declare ``needs_all_evictions =
+        False`` so the (dominant) untagged case skips the
+        detached-line materialisation entirely.
+        """
         monitor = self.monitor
         if monitor is not None and (
             vword & PINGPONG or getattr(monitor, "needs_all_evictions", True)
         ):
             monitor.on_llc_eviction(CacheLine(vaddr, vword, vstamp), now)
-        sharers = (vword >> _SS) & _SMASK
-        if sharers:
-            dirty = vword & DIRTY
-            version = vword >> _VS
-            for core in decode_sharers(sharers):
-                d, v = self._scrub_core_copies(core, vaddr)
-                self.stats.back_invalidations += 1
-                if d:
-                    dirty = DIRTY
-                    if v > version:
-                        version = v
-            vword = (
-                (vword & (VERSION_BELOW & ~_SHARERS_FIELD & ~DIRTY))
-                | dirty
-                | (version << _VS)
-            )
-        if vword & DIRTY:
-            self.mc.writeback(now)
-            self._memory_versions[vaddr] = vword >> _VS
-            self.stats.writebacks_to_memory += 1
+        dirty, version = self._scrub_sharers(
+            vaddr, (vword >> _SS) & _SMASK, vword & DIRTY, vword >> _VS
+        )
+        if not dirty:
+            return False
+        self.mc.writeback(now)
+        self._memory_versions[vaddr] = version
+        self.stats.writebacks_to_memory += 1
+        return True
 
     def prefetch_fill(self, line_addr: int, now: int, tag: bool = True) -> bool:
         """Fill a line into the LLC on behalf of the monitor.
@@ -871,15 +700,12 @@ class CacheHierarchy:
         cs = self._c_state
         if cs is not None:
             return cs.prefetch_fill(line_addr, now, tag)
-        sl = self._llc_slices[
-            ((line_addr >> self._llc_set_bits) * SLICE_MULT & U64_MASK)
-            >> self._llc_slice_shift
-        ]
-        if line_addr in sl._map:
+        sl = self.llc.slice_for(line_addr)
+        lmap = sl._map
+        if line_addr in lmap:
             self.stats.prefetch_skipped += 1
             return False
         self._fetch_into_llc(line_addr, now, False, sl)
-        lmap = sl._map
         w = lmap[line_addr]
         lmap[line_addr] = (w | PINGPONG) if tag else (w & ~PINGPONG)
         self.stats.prefetch_fills += 1
@@ -932,7 +758,7 @@ class CacheHierarchy:
                 w = cache._map.get(line_addr)
                 if w is not None and w & DIRTY and (w >> _VS) > best:
                     best = w >> _VS
-        lw = self._llc_slices[self._llc_slice_of(line_addr)]._map.get(line_addr)
+        lw = self.llc.slice_for(line_addr)._map.get(line_addr)
         if lw is not None and (lw >> _VS) > best:
             best = lw >> _VS
         if best >= 0:

@@ -18,13 +18,9 @@ from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
 from repro.utils.bitops import is_power_of_two, log2_exact
 
 #: Fibonacci multiply-shift constant for the slice hash — one multiply
-#: per mapping, on the hierarchy's hottest path.  Public: the
-#: hierarchy inlines the slice hash on its LLC probe paths (it must
-#: compute bit-identical slices to :meth:`SlicedLLC.slice_of`).
-SLICE_MULT = 0x9E3779B97F4A7C15
-U64_MASK = (1 << 64) - 1
-_SLICE_MULT = SLICE_MULT
-_U64 = U64_MASK
+#: per mapping (the C walk's ``CW_SMULT`` is the same constant).
+_SLICE_MULT = 0x9E3779B97F4A7C15
+_U64 = (1 << 64) - 1
 
 
 class SlicedLLC:
@@ -91,9 +87,9 @@ class SlicedLLC:
 
         For callers that need several operations on one address's
         slice: grab it once instead of re-hashing the address per
-        delegated call.  (The hierarchy's hottest paths go further and
-        inline the slice hash itself — that inline expression must stay
-        bit-identical to :meth:`slice_of`.)
+        delegated call.  Every LLC access of the hierarchy's Python
+        walk resolves its slice here, so :meth:`slice_of` is the one
+        copy of the hash in Python.
         """
         return self.slices[self.slice_of(line_addr)]
 

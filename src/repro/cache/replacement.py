@@ -29,8 +29,8 @@ class ReplacementPolicy:
     """Interface: pick a victim among the resident lines of a set.
 
     Besides ``name``, the whole protocol is two flags read by
-    :class:`~repro.cache.set_assoc.SetAssociativeCache` (and the
-    hierarchy's inlined fills) and one method:
+    :class:`~repro.cache.set_assoc.SetAssociativeCache` (and by the
+    C cache walk's install) and one method:
 
     * ``touch_stamps`` — a hit refreshes the line's stamp (LRU and
       ``lru_rand``); when False, hits leave the stamps alone

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.cache.line import VERSION_SHIFT, CacheLine
 from repro.cache.replacement import ReplacementPolicy, make_policy
-from repro.utils.bitops import is_power_of_two, log2_exact
+from repro.utils.bitops import is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,6 @@ class CacheGeometry:
     def num_sets(self) -> int:
         return self.num_lines // self.ways
 
-    @property
-    def set_bits(self) -> int:
-        return log2_exact(self.num_sets)
-
 
 class SetAssociativeCache:
     """One cache array (an L1, an L2, or one LLC slice).
@@ -63,10 +59,12 @@ class SetAssociativeCache:
     into the (small, CPU-cache-hot) set dict; a fill builds one word
     int — **no objects are allocated on hits, touches, fills, or
     evictions**.  The hierarchy mutates words in place through
-    ``_map`` and stamps through ``_sets`` (so ``_map``, ``_sets``,
-    ``_set_mask``, ``_stamp``, and ``_touch_stamps`` are a stable
-    internal interface), and fills through :meth:`_fill` / removes
-    through :meth:`_remove_word`.  Every fill stamps; the
+    ``_map``, fills through :meth:`_fill`, stamps hits through
+    :meth:`touch` and removes through :meth:`_remove_word` (a
+    ``clflush`` pops the victim's stamp as well); the C walk's install
+    and sync read and rebuild ``_map``, ``_sets``, ``_set_mask``,
+    ``_stamp`` and ``_touch_stamps``, so those are a stable internal
+    interface.  Every fill stamps; the
     :class:`ReplacementPolicy` decides only whether hits stamp and,
     for non-min-stamp policies, which address of a full set goes
     (``victim_addr``).  Both indices are mutated only by the

@@ -14,7 +14,12 @@ scheduler can interleave shared-state mutations in global time order:
 :meth:`advance` consumes the next record and adds its compute time, so
 ``time`` is then the cycle at which the pending operation will reach
 the hierarchy; :meth:`step` performs that operation, adds its latency,
-and advances to the next record.
+and advances to the next record.  Every operation, the L1 read hit
+included, goes through the access binding resolved once from
+``hierarchy.engine_access()``; the core keeps no view of the cache
+arrays, so a ``python``-bound core stays correct when a later
+``engine_access()`` installs the C walk (``access`` then routes into
+it).
 
 A core bound by :func:`repro.cpu.system.bind_cores` also records its
 ``source`` — the workload and seed its generator comes from — so
@@ -49,10 +54,6 @@ class Core:
         "_access",
         "_throttle_base",
         "penalty",
-        "_l1d",
-        "_l1_latency",
-        "_line_bits",
-        "_stats",
         "source",
     )
 
@@ -85,19 +86,6 @@ class Core:
         # configuration.
         self._send = workload.send
         self._access = hierarchy.engine_access()
-        # This core's own L1D plus the shared stats block, resolved
-        # once: ~3/4 of all memory operations are L1 read hits, and
-        # the step loop below serves those without entering ``access``.
-        # Under the C cache walk the Python dicts are a stale mirror
-        # between syncs, so the inline probe is disabled (None) and
-        # every op goes through the kernel — which serves the L1 read
-        # hit in C anyway.
-        self._l1d = (
-            hierarchy.l1d[core_id] if hierarchy._c_state is None else None
-        )
-        self._l1_latency = hierarchy.l1_latency
-        self._line_bits = hierarchy._line_bits
-        self._stats = hierarchy.stats
         #: ``(workload, seed)`` the generator was built from, when the
         #: caller binds it (None: the stream is opaque).
         self.source = source
@@ -120,10 +108,10 @@ class Core:
 
         A read that comes back at exactly the L1 latency is that hit
         and pays nothing; a read that misses L1 costs at least the L1
-        plus L2 latency.  The rule matters wherever the access kernel
-        serves an L1 read hit itself, as the C walk always does; under
-        the ``python`` engine :meth:`step` serves most of them inline,
-        before the wrapper.
+        plus L2 latency.  :meth:`step` sends every operation, the L1
+        read hit included, through the access binding, so on the
+        Python loop this wrapper's latency test is the one place the
+        exemption lives, under either engine.
 
         Re-throttling replaces the previous wrapper (penalties do not
         stack).  Implemented by wrapping the engine access binding, so
@@ -139,7 +127,7 @@ class Core:
         self.penalty = penalty
 
         def throttled(core, op, addr, now=0, _base=base, _penalty=penalty,
-                      _l1=self._l1_latency):
+                      _l1=self.hierarchy.l1_latency):
             latency = _base(core, op, addr, now)
             if op == 0 and latency == _l1:
                 return latency
@@ -190,6 +178,7 @@ class Core:
                 item = next(self.workload)
                 self._primed = True
         except StopIteration:
+            self._pending_op = None
             self.finished = True
             return False
         compute, op, addr = item
@@ -209,37 +198,17 @@ class Core:
         """Execute the pending operation, then advance one record.
 
         The scheduler's per-operation unit of work as a single call
-        (the pending access + budget check + ``advance``).  ``budget``
-        is the per-core instruction budget (``float('inf')`` for
-        unbounded).  Returns False — with the core marked finished —
-        when the budget is exhausted or the workload ends.
+        (the pending access through the engine binding + budget check
+        + :meth:`advance`).  ``budget`` is the per-core instruction
+        budget (``float('inf')`` for unbounded).  Returns False — with
+        the core marked finished — when the budget is exhausted or the
+        workload ends.
         """
         op = self._pending_op
         if op is not None:
-            if op == 0:
-                # Inline L1 read hit (identical effect to ``access``,
-                # which the golden-equivalence suite pins): the
-                # dominant case pays no call, no attribute chase.
-                l1 = self._l1d
-                line_addr = self._pending_addr >> self._line_bits
-                if l1 is not None and line_addr in l1._map:
-                    stamp = l1._stamp + 1
-                    l1._stamp = stamp
-                    l1._sets[line_addr & l1._set_mask][line_addr] = stamp
-                    l1.hits += 1
-                    latency = self._l1_latency
-                    stats = self._stats
-                    stats.l1_hits += 1
-                    stats.total_latency += latency
-                    stats.per_core_accesses[self.core_id] += 1
-                else:
-                    latency = self._access(
-                        self.core_id, 0, self._pending_addr, self.time
-                    )
-            else:
-                latency = self._access(
-                    self.core_id, op, self._pending_addr, self.time
-                )
+            latency = self._access(
+                self.core_id, op, self._pending_addr, self.time
+            )
             self.time += latency
             self.instructions += 1
             self.memory_ops += 1
@@ -248,28 +217,7 @@ class Core:
             self._pending_op = None
             self.finished = True
             return False
-        # Inlined ``advance`` (same semantics; scheduler-only fast
-        # path — the method form remains for direct callers).  The
-        # scheduler only steps cores whose initial ``advance``
-        # succeeded, so the generator is always primed here.
-        try:
-            item = self._send(self._last_latency)
-        except StopIteration:
-            self._pending_op = None
-            self.finished = True
-            return False
-        compute, op, addr = item
-        if compute < 0:
-            raise ValueError("compute instruction count must be >= 0")
-        self.time += compute
-        self.instructions += compute
-        if op is None:
-            self._pending_op = None
-            self._last_latency = 0
-        else:
-            self._pending_op = op
-            self._pending_addr = addr
-        return True
+        return self.advance()
 
     def __repr__(self) -> str:
         return (

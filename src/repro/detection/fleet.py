@@ -95,14 +95,6 @@ class FleetDetectionStats:
 
     # ---- reports -----------------------------------------------------
 
-    @property
-    def attack_count(self) -> int:
-        return sum(s["n"] for s in self._attack.values())
-
-    @property
-    def benign_count(self) -> int:
-        return sum(s["n"] for s in self._benign.values())
-
     def detection_rows(self) -> list[list]:
         """Per-(kind, secThr, detector) detection rate and latency
         quantiles — one table row per attack stratum, sorted by key."""

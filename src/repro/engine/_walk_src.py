@@ -11,11 +11,18 @@ the strings in a leaf module with no repro imports lets c_backend hash
 them into the build-cache tag without import cycles.
 
 The C code is an exact-uint64 port of ``CacheHierarchy.access`` and
-the helpers it fuses (``_write_hit``, ``_mark_written``,
-``_serve_llc_hit``, ``_flush_core_line``, ``_invalidate_other_sharers``,
-``_scrub_core_copies``, ``_set_core_state``, ``_fill_private``,
-``_fill_l1``, ``_fetch_into_llc``, ``_handle_llc_eviction``,
-``clflush``, ``prefetch_fill``) — same packed-word bit layout
+its Python twins, one body per operation there (``_write_hit``,
+``_mark_written``, ``_serve_llc_hit``, ``_flush_core_line``,
+``_invalidate_other_sharers``, ``_scrub_sharers``, ``_set_core_state``,
+``_fill_private``, ``_handle_l2_eviction``, ``_fill_l1``,
+``_fetch_into_llc``, ``_handle_llc_eviction``, ``clflush``,
+``prefetch_fill``), and of the array operations they go through
+(``SetAssociativeCache._fill`` and ``touch``, ``SlicedLLC.slice_of``).
+The C side fuses what Python keeps apart: ``cw_access`` serves the L1
+read hit on its own path, ``cw_fill_private`` inlines the L2 eviction,
+``cw_fetch_into_llc`` the LLC fill and ``cw_clflush`` the eviction
+body, and ``cw_scrub`` is the per-core step of ``_scrub_sharers`` —
+same packed-word bit layout
 (``cache/line.py``), same statistics ordering, same channel arithmetic
 (``MemoryController.fetch``/``writeback``), and the same
 Mersenne-Twister ``_randbelow`` draw sequence for ``lru_rand`` and

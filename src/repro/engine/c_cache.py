@@ -209,7 +209,7 @@ class CWalkState:
         self._flt_state = flt._c_state if flt is not None else None
 
         C = h.num_cores
-        slices = h._llc_slices
+        slices = h.llc.slices
         S = len(slices)
         cache_objs = [*h.l1d, *h.l1i, *h.l2, *slices]
         self.cache_objs = cache_objs
@@ -261,10 +261,10 @@ class CWalkState:
         st.l2_lat = h.l2_latency
         st.llc_lat = h.llc_latency
         st.dfp = h.dirty_forward_penalty
-        st.llc_set_bits = h._llc_set_bits
+        st.llc_set_bits = h.llc._set_bits
         # num_slices == 1 keeps Python's shift-by-64 out of C (UB);
         # the C slice index short-circuits to 0 in that case.
-        st.llc_slice_shift = h._llc_slice_shift if S > 1 else 0
+        st.llc_slice_shift = h.llc._slice_shift if S > 1 else 0
         slref = slices[0]
         st.llc_touch = 1 if slref._touch_stamps else 0
         if slref._victim_is_min_stamp:
@@ -568,7 +568,7 @@ class CWalkState:
             self.lib.cw_map_items(st, keys, vals)
             memver.update(zip(unpack(keys, count), unpack(vals, count)))
         if st.llc_victim_rand:
-            for i, sl in enumerate(h._llc_slices):
+            for i, sl in enumerate(h.llc.slices):
                 mt = unpack(st.rng[i].mt, 624)
                 sl.policy._rng.setstate(
                     (3, tuple(mt) + (st.rng[i].mti,), None)

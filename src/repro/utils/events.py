@@ -62,16 +62,6 @@ class EventQueue:
     def __len__(self) -> int:
         return sum(1 for e in self._heap if not e.cancelled)
 
-    @property
-    def has_pending(self) -> bool:
-        """Cheap emptiness check for scheduler hot loops.
-
-        May report True when only cancelled events remain (it does not
-        scan the heap); callers use it to skip :meth:`run_until`
-        entirely in the common no-events case.
-        """
-        return bool(self._heap)
-
     def schedule(self, time: int, action: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``action`` to fire at ``time``; returns the Event."""
         if time < 0:

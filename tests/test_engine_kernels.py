@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine as engine_mod
+from repro.baselines.registry import build_defence
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.llc import SlicedLLC
 from repro.core.config import (
@@ -251,6 +252,39 @@ class TestEngineSelection:
             assert expected == got
         _assert_hierarchies_equal(h1, h2)
 
+    def test_python_bound_core_follows_a_later_c_install(self, monkeypatch):
+        # A core bound under ``python`` holds ``h.access``; once a later
+        # ``engine_access()`` installs the C walk, that binding routes
+        # into C, so the core's L1 read hits must reach C too — a hit
+        # served from the Python mirror would vanish at the next sync.
+        if "c" not in available_engines():
+            pytest.skip("C backend unavailable (no cffi/toolchain)")
+        addr = 0x4000
+
+        def records():
+            for _ in range(3):
+                yield 1, 0, addr  # one read miss, then two L1 read hits
+
+        def run(switch):
+            monkeypatch.setenv("REPRO_ENGINE", "python")
+            h = CacheHierarchy(num_cores=1, seed=9)
+            core = Core(0, records(), h)
+            assert core.advance()
+            assert core.step(float("inf"))  # the read miss
+            if switch:
+                set_engine("c")
+            access = h.engine_access()
+            assert (h._c_state is not None) == switch
+            core.step(float("inf"))
+            core.step(float("inf"))
+            access(0, 0, addr + (1 << 20), core.time)  # a read miss
+            h.engine_sync()
+            return h.stats, h.l1d[0].hits
+
+        stats, hits = run(switch=True)
+        assert (stats, hits) == run(switch=False)
+        assert (stats.l1_hits, stats.accesses, hits) == (2, 4, 2)
+
 
 def _refuse_step(self, *args):
     raise AssertionError("the Python loop stepped a core")
@@ -382,6 +416,9 @@ class TestCCacheWalk:
         # and the kernel replays a stream of reads, writes, ifetches,
         # flushes and prefetch fills bit-exactly against the generic
         # walk: latencies, stats, every cache's lines and the MT states.
+        # The monitor is any defence, so the inline PiPoMonitor, BITP's
+        # every-eviction hook and the table recorder's callbacks all
+        # meet the shared eviction/flush body.
         from repro.engine import c_cache
 
         policy = data.draw(st.sampled_from(["lru", "lru_rand", "random"]))
@@ -389,7 +426,7 @@ class TestCCacheWalk:
         slices = data.draw(st.sampled_from([1, 2, 4]))
         sets = data.draw(st.sampled_from([1, 2, 8]))
         pool = data.draw(st.integers(1, ways + 2))
-        monitor = data.draw(st.booleans())
+        monitor = data.draw(st.sampled_from([None, "pipo", "bitp", "table"]))
         cores = data.draw(st.integers(1, 4))
         config = SystemConfig(
             num_cores=cores,
@@ -407,13 +444,17 @@ class TestCCacheWalk:
             if policy == "lru_rand":
                 for sl in h.llc.slices:
                     sl.policy.pool_size = pool
-            mon = None
-            if monitor:
+            if monitor == "pipo":
                 mon = PiPoMonitor(
                     config.filter.build(seed=12), EventQueue(),
                     prefetch_delay=config.prefetch_delay,
                     track_captured_lines=True,
                 )
+            else:
+                mon = build_defence(
+                    monitor or "none", config, EventQueue(), seed=12
+                )
+            if mon is not None:
                 mon.attach(h)
             return h, mon
 
@@ -421,6 +462,8 @@ class TestCCacheWalk:
         assert c_cache.install(hc)
         kernel = hc._c_state.kernel
         lines = 3 * slices * sets * ways + 8
+        # At least 100 records, so a typical example evicts lines that
+        # cores still hold and every defence's eviction hook runs.
         records = data.draw(st.lists(
             st.tuples(
                 st.integers(0, cores - 1),
@@ -428,7 +471,7 @@ class TestCCacheWalk:
                 st.integers(0, lines),
                 st.booleans(),
             ),
-            min_size=1, max_size=300,
+            min_size=100, max_size=300,
         ))
         for now, (core, op, line, tag) in enumerate(records):
             for mon in (mg, mc):
@@ -445,8 +488,9 @@ class TestCCacheWalk:
         _assert_hierarchies_equal(hg, hc)
         assert hg.mc.__dict__ == hc.mc.__dict__
         assert hg._memory_versions == hc._memory_versions
-        if monitor:
+        if monitor is not None:
             assert dataclasses.asdict(mg.stats) == dataclasses.asdict(mc.stats)
+        if monitor == "pipo":
             assert mg.filter.snapshot() == mc.filter.snapshot()
             assert mg.captured_lines == mc.captured_lines
         hc.check_invariants()

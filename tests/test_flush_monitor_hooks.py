@@ -37,7 +37,7 @@ class RecordingMonitor:
 
 
 def _tag_line(hierarchy, line_addr):
-    lmap = hierarchy._llc_slices[hierarchy._llc_slice_of(line_addr)]._map
+    lmap = hierarchy.llc.slice_for(line_addr)._map
     lmap[line_addr] |= PINGPONG
 
 
