@@ -8,7 +8,7 @@ about it, and writes the rendered tables to ``benchmarks/results/``
 so the artefacts survive pytest's output capturing.
 
 Scale: laptop-sized by default; set ``REPRO_FULL=1`` for paper-scale
-runs (see EXPERIMENTS.md for the expected budgets).
+runs.
 
 Engine: ``--engine {python,c}`` selects the simulation
 engine for the whole benchmark session (it sets ``REPRO_ENGINE``, so

@@ -5,8 +5,7 @@ that PiPoMonitor guards.
 The hierarchy is the reproduction's stand-in for gem5's memory system:
 it models the same structure (sizes, associativities, latencies,
 inclusion, MESI, back-invalidation) at access granularity rather than
-cycle granularity — see DESIGN.md section 3 for why that preserves the
-paper's measurements.
+cycle granularity.
 """
 
 from repro.cache.addr import AddressMapper

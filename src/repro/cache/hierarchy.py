@@ -26,10 +26,10 @@ goes through ``SetAssociativeCache._fill``, every hit's recency update
 through ``touch``, every LLC slice through ``SlicedLLC.slice_for``,
 and every line that leaves the LLC — a capacity victim or a
 ``clflush`` — through one hook → scrub → writeback body
-(:meth:`CacheHierarchy._handle_llc_eviction`).  The fused and hoisted
-form of the same walk is the C engine (:mod:`repro.engine._walk_src`),
-which every hierarchy takes under ``c`` and which must stay
-bit-identical to this one.
+(:meth:`CacheHierarchy._handle_llc_eviction`).  The C engine
+(:mod:`repro.engine._walk_src`) ports each of these bodies to one C
+function, as the twin table there pairs them; every hierarchy takes it
+under ``c``, and it must stay bit-identical to this one.
 
 PiPoMonitor (or any baseline defense) plugs in as ``monitor`` with two
 hooks:

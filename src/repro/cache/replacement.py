@@ -87,7 +87,8 @@ class LruRandomPolicy(ReplacementPolicy):
     (tree-PLRU imprecision, NRU scans, adaptive insertion): a line that
     is *much* staler than the rest is evicted essentially
     deterministically, but near-ties are broken unpredictably.  The
-    distinction matters for the Fig. 6 experiment — see EXPERIMENTS.md.
+    distinction matters for the Fig. 6 experiment, which
+    ``repro-experiment ablation`` measures per policy.
     """
 
     name = "lru_rand"

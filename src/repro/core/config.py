@@ -86,7 +86,8 @@ class SystemConfig:
     #: victim pool — the bounded imprecision of real tree-PLRU/NRU
     #: LLCs) and a delay of 1500 cycles (past one probe walk, and
     #: comfortably past the evicted line's writeback) reproduce the
-    #: paper's Fig. 6 behaviour; see EXPERIMENTS.md for the analysis.
+    #: paper's Fig. 6 behaviour; ``repro-experiment ablation`` measures
+    #: both choices.
     llc_slices: int = 4
     llc_policy: str = "lru_rand"
     dram_latency: int = 200

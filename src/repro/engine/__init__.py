@@ -7,7 +7,7 @@ The simulator has one semantic model and two executions of it:
                    ``AutoCuckooFilter`` methods — the reference
                    implementation the compiled engine must match
                    bit-for-bit
-``c`` (default)    the fused cache walk (L1 → L2 → LLC fill/evict →
+``c`` (default)    the cache walk (L1 → L2 → LLC fill/evict →
                    monitor) and the Auto-Cuckoo Query/kick-walk
                    compiled to C via cffi
                    (:mod:`repro.engine.c_backend`,

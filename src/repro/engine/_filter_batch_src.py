@@ -2,30 +2,46 @@
 
 Concatenated into :mod:`repro.engine.c_backend`'s translation unit
 *after* ``_CSOURCE``, so the helpers defined there (``acf_candidates``,
-``acf_insert_new``) are called directly.  Each function is a
-line-for-line exact-uint64 port of the reference implementation in
-:class:`repro.filters.auto_cuckoo.AutoCuckooFilter`:
+``acf_find``, ``acf_insert_new``) are called directly.  Every filter
+kernel, of ``_CSOURCE`` or of this module, is an exact-uint64 port of
+one body of the reference
+:class:`repro.filters.auto_cuckoo.AutoCuckooFilter`, as this twin
+table pairs them; one row scan, ``acf_find``, is the C form of
+``value in row`` / ``row.index(value)`` for all of them:
 
-``acf_insert``      — :meth:`insert` (insert-if-absent; never fails,
-                      kick walk with autonomic deletion at MNK; no
-                      Security churn, no access accounting)
-``acf_query``       — :meth:`query` / :meth:`contains` (read-only scan)
-``acf_delete``      — :meth:`delete` (first matching slot of the
-                      primary bucket, then the alternate, is cleared)
-``acf_*_many``      — the batch loops over a caller-owned ``uint64_t``
-                      key buffer: one Python boundary crossing per
-                      batch, zero per key.  ``install`` passes
-                      ``array('Q')`` buffers through
-                      ``ffi.from_buffer`` so large batches are not
-                      even copied.
+===================================  =====================
+Python body                          C function
+===================================  =====================
+``AutoCuckooFilter._locate``         ``acf_candidates``
+``AutoCuckooFilter._build_alt_xor``  ``acf_fill_alt_xor``
+``AutoCuckooFilter.access``          ``acf_access``
+``AutoCuckooFilter.access_many``     ``acf_access_many``
+``AutoCuckooFilter._insert_new``     ``acf_insert_new``
+``AutoCuckooFilter.insert``          ``acf_insert``
+``AutoCuckooFilter.query``           ``acf_query``
+``AutoCuckooFilter.delete``          ``acf_delete``
+``AutoCuckooFilter.insert_many``     ``acf_insert_many``
+``AutoCuckooFilter.query_many``      ``acf_query_many``
+``AutoCuckooFilter.delete_many``     ``acf_delete_many``
+===================================  =====================
+
+``insert`` places only when no matching fingerprint is resident
+(never fails: the kick walk deletes autonomically at MNK; no Security
+churn, no access accounting), ``query`` is ``contains`` and
+``delete`` clears the first matching slot of the primary bucket, then
+the alternate.  The ``*_many`` forms loop over a caller-owned
+``uint64_t`` key buffer: one Python boundary crossing per batch, zero
+per key.  ``install`` passes ``array('Q')`` buffers through
+``ffi.from_buffer`` so large batches are not even copied.
 
 Bit-identical results against the Python reference are gated by the
-conformance matrix and the batched-vs-per-key equivalence suites.  Like ``acf_access``, these
-kernels assume the C alternate table ``st->alt_xor`` exists:
-``CFilterState`` fills it with ``acf_fill_alt_xor`` at install, whether
-or not the Python ``_alt_xor`` was ever built.  ``install`` refuses
-wide-fingerprint (f > 16) filters, whose fingerprints do not fit the
-``uint16_t`` rows; they stay on the Python reference path.
+conformance matrix and the batched-vs-per-key equivalence suites.
+Like ``acf_access``, these kernels assume the C alternate table
+``st->alt_xor`` exists: ``CFilterState`` fills it with
+``acf_fill_alt_xor`` at install, whether or not the Python
+``_alt_xor`` was ever built.  ``install`` refuses wide-fingerprint
+(f > 16) filters, whose fingerprints do not fit the ``uint16_t`` rows;
+they stay on the Python reference path.
 """
 
 BATCH_CDEF = """
@@ -40,56 +56,38 @@ uint64_t acf_delete_many(acf_state *st, const uint64_t *keys, uint64_t n);
 BATCH_SOURCE = """
 int acf_insert(acf_state *st, uint64_t key)
 {
-    const uint32_t b = st->entries_per_bucket;
     uint32_t fp, i1, i2;
     acf_candidates(st, key, &fp, &i1, &i2);
-    const uint16_t *r1 = st->fps + (size_t)i1 * b;
-    for (uint32_t s = 0; s < b; s++)
-        if (r1[s] == fp)
-            return 0;
-    const uint16_t *r2 = st->fps + (size_t)i2 * b;
-    for (uint32_t s = 0; s < b; s++)
-        if (r2[s] == fp)
-            return 0;
+    if (acf_find(st, i1, fp) >= 0 || acf_find(st, i2, fp) >= 0)
+        return 0;
     acf_insert_new(st, fp, i1, i2);
     return 1;
 }
 
 int acf_query(acf_state *st, uint64_t key)
 {
-    const uint32_t b = st->entries_per_bucket;
     uint32_t fp, i1, i2;
     acf_candidates(st, key, &fp, &i1, &i2);
-    const uint16_t *r1 = st->fps + (size_t)i1 * b;
-    for (uint32_t s = 0; s < b; s++)
-        if (r1[s] == fp)
-            return 1;
-    const uint16_t *r2 = st->fps + (size_t)i2 * b;
-    for (uint32_t s = 0; s < b; s++)
-        if (r2[s] == fp)
-            return 1;
-    return 0;
+    return acf_find(st, i1, fp) >= 0 || acf_find(st, i2, fp) >= 0;
 }
 
 int acf_delete(acf_state *st, uint64_t key)
 {
-    const uint32_t b = st->entries_per_bucket;
     uint32_t fp, i1, i2;
     acf_candidates(st, key, &fp, &i1, &i2);
-    uint32_t indices[2];
-    indices[0] = i1;
-    indices[1] = i2;
-    for (int j = 0; j < 2; j++) {
-        uint16_t *row = st->fps + (size_t)indices[j] * b;
-        for (uint32_t s = 0; s < b; s++)
-            if (row[s] == fp) {
-                row[s] = 0;
-                st->security[(size_t)indices[j] * b + s] = 0;
-                st->valid_count--;
-                return 1;
-            }
+    uint32_t index = i1;
+    int slot = acf_find(st, i1, fp);
+    if (slot < 0) {
+        index = i2;
+        slot = acf_find(st, i2, fp);
+        if (slot < 0)
+            return 0;
     }
-    return 0;
+    size_t at = (size_t)index * st->entries_per_bucket + (size_t)slot;
+    st->fps[at] = 0;
+    st->security[at] = 0;
+    st->valid_count--;
+    return 1;
 }
 
 uint64_t acf_insert_many(acf_state *st, const uint64_t *keys, uint64_t n)

@@ -1,7 +1,7 @@
 """C source for the packed-word cache walk (the ``c`` engine's second
 half).
 
-This module holds only the cdef/source strings for the fused
+This module holds only the cdef/source strings for the
 L1 probe → miss walk → LLC fill/evict → monitor chain;
 :mod:`repro.engine.c_backend` compiles them into the shared extension
 (one translation unit with the Auto-Cuckoo kernel, so the inline
@@ -10,29 +10,56 @@ monitor path calls ``acf_access`` directly), and
 the strings in a leaf module with no repro imports lets c_backend hash
 them into the build-cache tag without import cycles.
 
-The C code is an exact-uint64 port of ``CacheHierarchy.access`` and
-its Python twins, one body per operation there (``_write_hit``,
-``_mark_written``, ``_serve_llc_hit``, ``_flush_core_line``,
-``_invalidate_other_sharers``, ``_scrub_sharers``, ``_set_core_state``,
-``_fill_private``, ``_handle_l2_eviction``, ``_fill_l1``,
-``_fetch_into_llc``, ``_handle_llc_eviction``, ``clflush``,
-``prefetch_fill``), and of the array operations they go through
-(``SetAssociativeCache._fill`` and ``touch``, ``SlicedLLC.slice_of``).
-The C side fuses what Python keeps apart: ``cw_access`` serves the L1
-read hit on its own path, ``cw_fill_private`` inlines the L2 eviction,
-``cw_fetch_into_llc`` the LLC fill and ``cw_clflush`` the eviction
-body, and ``cw_scrub`` is the per-core step of ``_scrub_sharers`` —
-same packed-word bit layout
-(``cache/line.py``), same statistics ordering, same channel arithmetic
-(``MemoryController.fetch``/``writeback``), and the same
-Mersenne-Twister ``_randbelow`` draw sequence for ``lru_rand`` and
-``random`` victims.  Storage is C-owned: per-cache flat tag/word/stamp
-arrays (admissible because every policy's victim is a function of the
-stamps, which are unique per cache, and a random set's fill order is
-its stamp order, so dict iteration order is unobservable), plus one
-open-addressed u64 map for ``_memory_versions``.  Monitor side effects
-that live in Python (alarm publication, captured-line tracking, the
-pEvict/prefetch tail) come back through ``extern "Python"`` callbacks.
+The C code is an exact-uint64 port of ``CacheHierarchy.access``, one
+C function per Python body as the table below pairs them, so each
+body has exactly one C twin to keep bit-identical; the compiler
+(``-O3``) does the inlining.  Both sides share the packed-word bit
+layout (``cache/line.py``), the statistics ordering, the channel
+arithmetic and the Mersenne-Twister ``_randbelow`` draw sequence for
+``lru_rand`` and ``random`` victims.  The Python walk probes an array
+through ``_map`` directly; ``lookup`` is that probe's public form.
+
+============================================  ==========================
+Python body                                   C function
+============================================  ==========================
+``CacheHierarchy.access``                     ``cw_access``
+``CacheHierarchy.clflush``                    ``cw_clflush``
+``CacheHierarchy.prefetch_fill``              ``cw_prefetch_fill``
+``CacheHierarchy._write_hit``                 ``cw_write_hit``
+``CacheHierarchy._mark_written``              ``cw_mark_written``
+``CacheHierarchy._serve_llc_hit``             ``cw_serve_llc_hit``
+``CacheHierarchy._flush_core_line``           ``cw_flush_core_line``
+``CacheHierarchy._invalidate_other_sharers``  ``cw_inval_other``
+``CacheHierarchy._scrub_sharers``             ``cw_scrub_sharers``
+``CacheHierarchy._set_core_state``            ``cw_set_state``
+``CacheHierarchy._fill_private``              ``cw_fill_private``
+``CacheHierarchy._handle_l2_eviction``        ``cw_handle_l2_eviction``
+``CacheHierarchy._fill_l1``                   ``cw_fill_l1``
+``CacheHierarchy._fetch_into_llc``            ``cw_fetch_into_llc``
+``CacheHierarchy._handle_llc_eviction``       ``cw_handle_llc_eviction``
+``SetAssociativeCache._fill``                 ``cw_fill``
+``SetAssociativeCache.touch``                 ``cw_touch``
+``SetAssociativeCache.lookup``                ``cw_slot``
+``SetAssociativeCache._remove_word``          ``cw_del``
+``SlicedLLC.slice_of``                        ``cw_slice_idx``
+``MemoryController.fetch``                    ``cw_mc_fetch``
+``MemoryController.writeback``                ``cw_mc_writeback``
+============================================  ==========================
+
+``tests/test_engine_kernels.py`` holds the table to the code: every
+row names a C function the extension defines and a Python function
+that exists, and every ``static`` function of the walk has a row,
+except the ``_memory_versions`` map, the Mersenne Twister, the record
+emitter and the scheduler's helpers.  A change to a body is made in
+both columns of its row.
+
+Storage is C-owned: per-cache flat tag/word/stamp arrays (admissible
+because every policy's victim is a function of the stamps, which are
+unique per cache, and a random set's fill order is its stamp order,
+so dict iteration order is unobservable), plus one open-addressed u64
+map for ``_memory_versions``.  Monitor side effects that live in
+Python (alarm publication, captured-line tracking, the pEvict/prefetch
+tail) come back through ``extern "Python"`` callbacks.
 
 Error protocol: walk entry points return a negative latency (or the
 prefetch helper -1) after setting ``err``/``err_addr``/``err_cache``
@@ -398,6 +425,7 @@ static uint64_t cw_randbelow(cw_mt *r, uint64_t n, int shift)
 /* ------------------------------------------------------------------ */
 /* Cache-array primitives. */
 
+/* The probe (_map.get): line_addr's slot, or -1 when absent. */
 static int64_t cw_slot(const cw_cache *c, uint64_t line_addr)
 {
     uint64_t base = (line_addr & c->set_mask) * c->ways;
@@ -409,6 +437,7 @@ static int64_t cw_slot(const cw_cache *c, uint64_t line_addr)
     return -1;
 }
 
+/* _remove_word, at the slot the probe found. */
 static void cw_del(cw_cache *c, int64_t slot, uint64_t line_addr)
 {
     c->tags[slot] = CW_EMPTY;
@@ -423,18 +452,26 @@ static int cw_slice_idx(const cw_hier *h, uint64_t line_addr)
                  >> h->llc_slice_shift);
 }
 
-/* _fill for the private (LRU: stamp-on-insert, min-stamp victim)
- * caches.  Returns 1 with the victim in *v_addr / *v_word, 0 when the
- * set had space, -1 on duplicate insert. */
-static int cw_fill_small(cw_hier *h, cw_cache *c, int cidx,
-                         uint64_t line_addr, uint64_t word,
-                         uint64_t *v_addr, uint64_t *v_word)
+/* _fill on cache cidx: returns 1 with the victim's tag, word and stamp
+ * in *v_addr, *v_word, *v_stamp when the set was full, 0 when it had a
+ * free way, -1 on a duplicate insert.  The victim is the smallest stamp
+ * or, handed a slice's MT state, the pool draw of lru_rand and random:
+ * the exact _randbelow_with_getrandbits redraw over pool_size, then a
+ * walk to the v-th smallest stamp (stamps are unique per cache and
+ * start at 1, so each scan takes the smallest stamp above the last
+ * one, which is Python's sorted pool and, for random, its fill order).
+ * The new line takes the victim's way, the one free way of a full set. */
+static int cw_fill(cw_hier *h, int cidx, uint64_t line_addr, uint64_t word,
+                   cw_mt *rng, uint64_t *v_addr, uint64_t *v_word,
+                   uint64_t *v_stamp)
 {
+    cw_cache *c = &h->caches[cidx];
     uint64_t set = line_addr & c->set_mask;
     uint64_t base = set * c->ways;
     uint64_t *tags = c->tags + base;
-    uint32_t i;
-    int have = 0;
+    uint64_t *stamps = c->stamps + base;
+    int full = c->counts[set] >= c->ways;
+    uint32_t i, way = 0;
     for (i = 0; i < c->ways; i++) {
         if (tags[i] == line_addr) {
             h->err = CW_ERR_DUP;
@@ -443,96 +480,98 @@ static int cw_fill_small(cw_hier *h, cw_cache *c, int cidx,
             return -1;
         }
     }
-    if (c->counts[set] >= c->ways) {
-        int bi = -1;
-        uint64_t bs = 0;
-        for (i = 0; i < c->ways; i++) {
-            if (tags[i] == CW_EMPTY)
-                continue;
-            if (bi < 0 || c->stamps[base + i] < bs) {
-                bs = c->stamps[base + i];
-                bi = (int)i;
+    if (full) {
+        uint64_t v = 0, above = 0;
+        if (rng)
+            v = cw_randbelow(rng, (uint64_t)h->pool_size, 32 - h->rbits);
+        for (;;) {
+            uint64_t best = CW_EMPTY;
+            for (i = 0; i < c->ways; i++) {
+                if (stamps[i] > above && stamps[i] < best) {
+                    best = stamps[i];
+                    way = i;
+                }
             }
+            if (v-- == 0)
+                break;
+            above = best;
         }
-        *v_addr = tags[bi];
-        *v_word = c->words[base + bi];
-        tags[bi] = CW_EMPTY;
-        c->counts[set]--;
+        *v_addr = tags[way];
+        *v_word = c->words[base + way];
+        *v_stamp = stamps[way];
         c->evictions++;
-        have = 1;
+    } else {
+        while (tags[way] != CW_EMPTY)
+            way++;
+        c->counts[set]++;
     }
     c->stamp++;
-    for (i = 0; i < c->ways; i++) {
-        if (tags[i] == CW_EMPTY) {
-            tags[i] = line_addr;
-            c->words[base + i] = word;
-            c->stamps[base + i] = c->stamp;
-            break;
-        }
-    }
-    c->counts[set]++;
-    return have;
+    tags[way] = line_addr;
+    c->words[base + way] = word;
+    stamps[way] = c->stamp;
+    return full;
 }
 
-/* LLC victim of a full set: the smallest stamp, or the pool draw of
- * lru_rand and random.  The draw comes first (the exact
- * _randbelow_with_getrandbits redraw loop over pool_size), then a walk
- * to the v-th smallest stamp: stamps are unique per cache and start at
- * 1, so each scan takes the smallest stamp above the last one, which
- * is Python's sorted pool (and, for random, its fill order). */
-static uint64_t cw_llc_victim(cw_hier *h, cw_cache *sl, int si, uint64_t set)
+/* touch of the line in slot; restamp is the policy's touch_stamps
+ * (always on the private levels, llc_touch on the LLC). */
+static void cw_touch(cw_cache *c, int64_t slot, int restamp)
 {
-    uint64_t base = set * sl->ways;
-    const uint64_t *tags = sl->tags + base;
-    const uint64_t *stamps = sl->stamps + base;
-    uint64_t v = 0, above = 0;
-    if (h->llc_victim_rand)
-        v = cw_randbelow(&h->rng[si], (uint64_t)h->pool_size, 32 - h->rbits);
-    for (;;) {
-        uint64_t bs = 0;
-        int bi = -1;
-        uint32_t i;
-        for (i = 0; i < sl->ways; i++) {
-            if (tags[i] == CW_EMPTY || stamps[i] <= above)
-                continue;
-            if (bi < 0 || stamps[i] < bs) {
-                bs = stamps[i];
-                bi = (int)i;
-            }
-        }
-        if (v-- == 0)
-            return tags[bi];
-        above = bs;
-    }
+    c->stamp++;
+    if (restamp)
+        c->stamps[slot] = c->stamp;
 }
 
 /* ------------------------------------------------------------------ */
-/* Coherence helpers (exact ports of the hierarchy methods). */
+/* The memory controller. */
 
-/* _scrub_core_copies: drop the line from core's three private levels;
- * returns the dirty flag with the max dirty version in *vout (only
- * meaningful when dirty). */
-static int cw_scrub(cw_hier *h, int core, uint64_t line_addr, uint64_t *vout)
+static int64_t cw_mc_fetch(cw_hier *h, int64_t now, int prefetch)
 {
-    int dirty = 0, i;
-    uint64_t version = 0;
-    for (i = 0; i < 3; i++) {
-        cw_cache *c = &h->caches[i * h->num_cores + core];
-        int64_t s = cw_slot(c, line_addr);
-        uint64_t w;
-        if (s < 0)
+    int64_t start = now > h->channel_free_at ? now : h->channel_free_at;
+    h->channel_free_at = start + h->burst_cycles;
+    h->total_queue_wait += (uint64_t)(start - now);
+    if (prefetch)
+        h->prefetch_fetches++;
+    else
+        h->demand_fetches++;
+    return start - now + h->dram_latency;
+}
+
+static void cw_mc_writeback(cw_hier *h, int64_t now)
+{
+    int64_t start = now > h->channel_free_at ? now : h->channel_free_at;
+    h->channel_free_at = start + h->burst_cycles;
+    h->total_queue_wait += (uint64_t)(start - now);
+    h->writebacks++;
+}
+
+/* ------------------------------------------------------------------ */
+/* The hierarchy's bodies, one C function each (the twin table). */
+
+/* _scrub_sharers: drop the line from every private level of each core
+ * in sharers, merging the dropped copies' dirty data into *dirty and
+ * *version (the caller's own word's pair). */
+static void cw_scrub_sharers(cw_hier *h, uint64_t line_addr, uint64_t sharers,
+                             uint64_t *dirty, uint64_t *version)
+{
+    int core, i;
+    for (core = 0; sharers; core++, sharers >>= 1) {
+        if (!(sharers & 1))
             continue;
-        w = c->words[s];
-        cw_del(c, s, line_addr);
-        if (w & 1) {
-            uint64_t v = w >> 21;
-            if (!dirty || v > version)
-                version = v;
-            dirty = 1;
+        for (i = 0; i < 3; i++) {
+            cw_cache *c = &h->caches[i * h->num_cores + core];
+            int64_t s = cw_slot(c, line_addr);
+            uint64_t w;
+            if (s < 0)
+                continue;
+            w = c->words[s];
+            cw_del(c, s, line_addr);
+            if (w & 1) {
+                *dirty = 1;
+                if ((w >> 21) > *version)
+                    *version = w >> 21;
+            }
         }
     }
-    *vout = version;
-    return dirty;
 }
 
 static void cw_set_state(cw_hier *h, int core, uint64_t line_addr,
@@ -548,14 +587,15 @@ static void cw_set_state(cw_hier *h, int core, uint64_t line_addr,
     }
 }
 
-static void cw_mark_written(cw_hier *h, int core, int op, uint64_t line_addr)
+static void cw_mark_written(cw_hier *h, int core, uint64_t line_addr)
 {
-    cw_cache *m = &h->caches[(op == 2 ? h->num_cores : 0) + core];
+    cw_cache *l1d = &h->caches[core];
     int64_t s;
     h->write_counter++;
-    s = cw_slot(m, line_addr);
+    s = cw_slot(l1d, line_addr);
     if (s >= 0)
-        m->words[s] = (m->words[s] & CW_VB) | (h->write_counter << 21) | 1ULL;
+        l1d->words[s] = (l1d->words[s] & CW_VB) | (h->write_counter << 21)
+            | 1ULL;
 }
 
 /* _flush_core_line: demote core's copies to SHARED, merging dirty
@@ -598,20 +638,10 @@ static void cw_inval_other(cw_hier *h, int core, uint64_t line_addr,
 {
     uint64_t lw = sl->words[ls];
     uint64_t sharers = (lw >> 5) & CW_SMASK;
-    uint64_t version = lw >> 21;
     uint64_t dirty = lw & 1;
-    uint64_t rest = sharers & ~(1ULL << core);
-    int other;
-    for (other = 0; other < h->num_cores; other++) {
-        uint64_t v;
-        if (!((rest >> other) & 1))
-            continue;
-        if (cw_scrub(h, other, line_addr, &v)) {
-            dirty = 1;
-            if (v > version)
-                version = v;
-        }
-    }
+    uint64_t version = lw >> 21;
+    cw_scrub_sharers(h, line_addr, sharers & ~(1ULL << core),
+                     &dirty, &version);
     sl->words[ls] = (lw & CW_VBNSF) | dirty
         | ((sharers & (1ULL << core)) << 5) | (version << 21);
 }
@@ -643,16 +673,47 @@ static int64_t cw_write_hit(cw_hier *h, int core, uint64_t line_addr,
     return extra;
 }
 
-/* _fill_l1 (L2-hit path): fill one L1, victim writeback into L2. */
-static int cw_fill_l1(cw_hier *h, int core, cw_cache *l1, int l1_idx,
-                      uint64_t line_addr, uint64_t state, uint64_t version)
+/* _handle_l2_eviction: an L2 inclusion victim purges the core's L1
+ * copies (the L2 copy is already gone), writes the merged dirty data
+ * back into the LLC word and releases the directory presence bit. */
+static int cw_handle_l2_eviction(cw_hier *h, int core, uint64_t vaddr,
+                                 uint64_t vword)
 {
-    uint64_t vaddr, vword;
-    int r = cw_fill_small(h, l1, l1_idx, line_addr,
-                          (version << 21) | (state << 3), &vaddr, &vword);
-    if (r < 0)
+    uint64_t dirty = vword & 1;
+    uint64_t version = vword >> 21;
+    cw_cache *sl;
+    int64_t ls;
+    uint64_t lw;
+    h->s_l2_evictions++;
+    cw_scrub_sharers(h, vaddr, 1ULL << core, &dirty, &version);
+    sl = &h->caches[3 * h->num_cores + cw_slice_idx(h, vaddr)];
+    ls = cw_slot(sl, vaddr);
+    if (ls < 0) {
+        h->err = CW_ERR_INCL_L2;
+        h->err_addr = vaddr;
         return -1;
-    if (r && (vword & 1)) {
+    }
+    lw = sl->words[ls];
+    if (dirty) {
+        if (version > (lw >> 21))
+            lw = (lw & CW_VB) | (version << 21);
+        lw |= 1ULL;
+    }
+    sl->words[ls] = lw & ~(1ULL << (core + 5));
+    return 0;
+}
+
+/* _fill_l1: fill one of core's L1s; a dirty victim writes back into
+ * the core's L2 copy (present by inclusion). */
+static int cw_fill_l1(cw_hier *h, int core, int l1_idx, uint64_t line_addr,
+                      uint64_t word)
+{
+    uint64_t vaddr, vword, vstamp;
+    int r = cw_fill(h, l1_idx, line_addr, word, NULL, &vaddr, &vword,
+                    &vstamp);
+    if (r <= 0)
+        return r;
+    if (vword & 1) {
         cw_cache *l2 = &h->caches[2 * h->num_cores + core];
         int64_t s = cw_slot(l2, vaddr);
         if (s >= 0) {
@@ -666,89 +727,39 @@ static int cw_fill_l1(cw_hier *h, int core, cw_cache *l1, int l1_idx,
     return 0;
 }
 
-/* _fill_private: fill L2 + L1 from the LLC word, handling inclusion
- * victims, then set the core's directory presence bit. */
+/* _fill_private: fill the core's L2 and L1 from the LLC word in slot
+ * ls, then set the core's directory presence bit. */
 static int cw_fill_private(cw_hier *h, int core, int op, uint64_t line_addr,
-                           uint64_t state, cw_cache *sl, int64_t lslot)
+                           uint64_t state, cw_cache *sl, int64_t ls)
 {
-    uint64_t llc_word = sl->words[lslot];
-    uint64_t base_word = ((llc_word >> 21) << 21) | (state << 3);
-    int l2_idx = 2 * h->num_cores + core;
-    cw_cache *l2 = &h->caches[l2_idx];
-    uint64_t vaddr, vword;
-    int r = cw_fill_small(h, l2, l2_idx, line_addr, base_word,
-                          &vaddr, &vword);
-    int l1_idx;
-    cw_cache *l1;
+    uint64_t llc_word = sl->words[ls];
+    uint64_t word = ((llc_word >> 21) << 21) | (state << 3);
+    uint64_t vaddr, vword, vstamp;
+    int r = cw_fill(h, 2 * h->num_cores + core, line_addr, word, NULL,
+                    &vaddr, &vword, &vstamp);
     if (r < 0)
         return -1;
-    if (r) {
-        /* L2 inclusion victim: purge L1 copies, write back into the
-         * LLC word, release the directory presence bit. */
-        uint64_t dirty = vword & 1;
-        uint64_t version = vword >> 21;
-        cw_cache *vsl;
-        int64_t vs;
-        uint64_t lw;
-        int i;
-        h->s_l2_evictions++;
-        for (i = 0; i < 2; i++) {
-            cw_cache *l1c = &h->caches[i * h->num_cores + core];
-            int64_t s = cw_slot(l1c, vaddr);
-            if (s >= 0) {
-                uint64_t w = l1c->words[s];
-                cw_del(l1c, s, vaddr);
-                if (w & 1) {
-                    uint64_t v = w >> 21;
-                    if (v > version)
-                        version = v;
-                    dirty = 1;
-                }
-            }
-        }
-        vsl = &h->caches[3 * h->num_cores + cw_slice_idx(h, vaddr)];
-        vs = cw_slot(vsl, vaddr);
-        if (vs < 0) {
-            h->err = CW_ERR_INCL_L2;
-            h->err_addr = vaddr;
-            return -1;
-        }
-        lw = vsl->words[vs];
-        if (dirty) {
-            if (version > (lw >> 21))
-                lw = (lw & CW_VB) | (version << 21);
-            lw |= 1ULL;
-        }
-        vsl->words[vs] = lw & ~(1ULL << (core + 5));
-    }
-    l1_idx = (op == 2 ? h->num_cores : 0) + core;
-    l1 = &h->caches[l1_idx];
-    r = cw_fill_small(h, l1, l1_idx, line_addr, base_word, &vaddr, &vword);
-    if (r < 0)
+    if (r && cw_handle_l2_eviction(h, core, vaddr, vword) < 0)
         return -1;
-    if (r && (vword & 1)) {
-        int64_t s = cw_slot(l2, vaddr);
-        if (s >= 0) {
-            uint64_t w = l2->words[s];
-            uint64_t v = vword >> 21;
-            if (v > (w >> 21))
-                w = (w & CW_VB) | (v << 21);
-            l2->words[s] = w | 1ULL;
-        }
-    }
-    /* llc_word is still current: the eviction handling above only
-     * rewrites other addresses' words (and lslot cannot move — slices
-     * are only touched word-in-place here). */
-    sl->words[lslot] = llc_word | (1ULL << (core + 5));
+    if (cw_fill_l1(h, core, (op == 2 ? h->num_cores : 0) + core, line_addr,
+                   word) < 0)
+        return -1;
+    /* llc_word is still current: the victim handling above only
+     * rewrites other addresses' words. */
+    sl->words[ls] = llc_word | (1ULL << (core + 5));
     return 0;
 }
 
-/* _handle_llc_eviction. */
-static int cw_handle_llc_evict(cw_hier *h, uint64_t vaddr, uint64_t vword,
-                               uint64_t vstamp, int64_t now)
+/* _handle_llc_eviction: a line that left the LLC, a capacity victim
+ * or a clflush, in one body: the monitor hook while its directory
+ * state is intact, the sharer scrub, then the writeback of the merged
+ * dirty data.  Returns 1 when it wrote back, 0 when not, -1 with err
+ * set; each caller keeps its own counters. */
+static int cw_handle_llc_eviction(cw_hier *h, uint64_t vaddr, uint64_t vword,
+                                  uint64_t vstamp, int64_t now)
 {
-    uint64_t sharers;
-    h->s_llc_evictions++;
+    uint64_t dirty = vword & 1;
+    uint64_t version = vword >> 21;
     if (h->mon_kind && ((vword & 2) || h->needs_all)) {
         h->callbacks++;
         if (cw_cb_evict(h->ctx, vaddr, vword, vstamp, now) != 0) {
@@ -756,49 +767,26 @@ static int cw_handle_llc_evict(cw_hier *h, uint64_t vaddr, uint64_t vword,
             return -1;
         }
     }
-    sharers = (vword >> 5) & CW_SMASK;
-    if (sharers) {
-        uint64_t dirty = vword & 1;
-        uint64_t version = vword >> 21;
-        int core;
-        for (core = 0; core < h->num_cores; core++) {
-            uint64_t v;
-            if (!((sharers >> core) & 1))
-                continue;
-            h->s_back_invalidations++;
-            if (cw_scrub(h, core, vaddr, &v)) {
-                dirty = 1;
-                if (v > version)
-                    version = v;
-            }
-        }
-        vword = (vword & CW_VBNSF) | dirty | (version << 21);
+    cw_scrub_sharers(h, vaddr, (vword >> 5) & CW_SMASK, &dirty, &version);
+    if (!dirty)
+        return 0;
+    cw_mc_writeback(h, now);
+    if (cw_map_set(&h->memver, vaddr, version) < 0) {
+        h->err = CW_ERR_OOM;
+        return -1;
     }
-    if (vword & 1) {
-        int64_t start = now > h->channel_free_at ? now : h->channel_free_at;
-        h->total_queue_wait += (uint64_t)(start - now);
-        h->channel_free_at = start + h->burst_cycles;
-        h->writebacks++;
-        if (cw_map_set(&h->memver, vaddr, vword >> 21) < 0) {
-            h->err = CW_ERR_OOM;
-            return -1;
-        }
-        h->s_writebacks_to_memory++;
-    }
-    return 0;
+    h->s_writebacks_to_memory++;
+    return 1;
 }
 
-/* _fetch_into_llc, with MemoryController.fetch inlined; returns the
- * memory latency or -1. */
+/* _fetch_into_llc: fill slice si from memory; returns the memory
+ * latency or -1. */
 static int64_t cw_fetch_into_llc(cw_hier *h, uint64_t line_addr, int64_t now,
-                                 int demand, cw_cache *sl, int si)
+                                 int demand, int si)
 {
-    int captured = 0;
-    int64_t free_at, start, latency;
-    uint64_t version, base_word, set, sbase, vaddr = 0, vword = 0, vstamp = 0;
-    uint64_t *tags;
-    uint32_t i;
-    int have = 0;
+    int captured = 0, r;
+    int64_t latency;
+    uint64_t flags, sharers, vaddr, vword, vstamp;
     if (demand && h->mon_kind) {
         if (h->mon_kind == 1) {
             /* PiPoMonitor inline: stats bump + Auto-Cuckoo access in
@@ -817,63 +805,35 @@ static int64_t cw_fetch_into_llc(cw_hier *h, uint64_t line_addr, int64_t now,
                 captured = 1;
             }
         } else {
-            int r;
             h->callbacks++;
-            r = cw_cb_access(h->ctx, line_addr, now);
-            if (r < 0) {
+            captured = cw_cb_access(h->ctx, line_addr, now);
+            if (captured < 0) {
                 h->err = CW_ERR_CALLBACK;
                 return -1;
             }
-            captured = r;
         }
     }
-    free_at = h->channel_free_at;
-    start = now > free_at ? now : free_at;
-    h->channel_free_at = start + h->burst_cycles;
-    h->total_queue_wait += (uint64_t)(start - now);
+    latency = cw_mc_fetch(h, now, !demand);
+    /* A captured demand fill is tagged and accessed; a prefetch fill
+     * stays tagged with the access bit cleared. */
     if (demand)
-        h->demand_fetches++;
+        flags = captured ? 6ULL : 0ULL;
     else
-        h->prefetch_fetches++;
-    latency = start - now + h->dram_latency;
-    version = cw_map_get(&h->memver, line_addr);
-    if (demand)
-        base_word = (version << 21) | (captured ? 6ULL : 0ULL);
-    else
-        base_word = (version << 21) | 2ULL;
-    set = line_addr & sl->set_mask;
-    sbase = set * sl->ways;
-    tags = sl->tags + sbase;
-    for (i = 0; i < sl->ways; i++) {
-        if (tags[i] == line_addr) {
-            h->err = CW_ERR_DUP;
-            h->err_addr = line_addr;
-            h->err_cache = 3 * h->num_cores + si;
-            return -1;
-        }
-    }
-    if (sl->counts[set] >= sl->ways) {
-        int64_t vs;
-        vaddr = cw_llc_victim(h, sl, si, set);
-        vs = cw_slot(sl, vaddr);
-        vstamp = sl->stamps[vs];
-        vword = sl->words[vs];
-        cw_del(sl, vs, vaddr);
-        sl->evictions++;
-        have = 1;
-    }
-    sl->stamp++;
-    for (i = 0; i < sl->ways; i++) {
-        if (tags[i] == CW_EMPTY) {
-            tags[i] = line_addr;
-            sl->words[sbase + i] = base_word;
-            sl->stamps[sbase + i] = sl->stamp;
-            break;
-        }
-    }
-    sl->counts[set]++;
-    if (have && cw_handle_llc_evict(h, vaddr, vword, vstamp, now) < 0)
+        flags = 2ULL;
+    r = cw_fill(h, 3 * h->num_cores + si, line_addr,
+                (cw_map_get(&h->memver, line_addr) << 21) | flags,
+                h->llc_victim_rand ? &h->rng[si] : NULL,
+                &vaddr, &vword, &vstamp);
+    if (r < 0)
         return -1;
+    if (r) {
+        h->s_llc_evictions++;
+        if (cw_handle_llc_eviction(h, vaddr, vword, vstamp, now) < 0)
+            return -1;
+        for (sharers = (vword >> 5) & CW_SMASK; sharers;
+             sharers &= sharers - 1)
+            h->s_back_invalidations++;
+    }
     return latency;
 }
 
@@ -910,13 +870,7 @@ static int64_t cw_serve_llc_hit(cw_hier *h, int core, int op,
         sl->words[ls] = lw | 4;
     if (cw_fill_private(h, core, op, line_addr, state, sl, ls) < 0)
         return -1;
-    if (op == 1)
-        cw_mark_written(h, core, op, line_addr);
-    sl->stamp++;
-    if (h->llc_touch)
-        sl->stamps[ls] = sl->stamp;
-    /* else: the policy's touch_stamps is False (random): a hit bumps
-     * the counter but leaves the line's stamp. */
+    cw_touch(sl, ls, h->llc_touch);
     return penalty;
 }
 
@@ -927,11 +881,10 @@ int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now)
 {
     uint64_t line_addr = addr >> h->line_bits;
     int64_t latency = h->l1_lat + h->llc_lat;
-    int si = cw_slice_idx(h, line_addr);
-    cw_cache *sl = &h->caches[3 * h->num_cores + si];
+    cw_cache *sl = &h->caches[3 * h->num_cores + cw_slice_idx(h, line_addr)];
     int64_t ls;
-    uint64_t word, stamp, sharers, dirty, version;
-    int c;
+    uint64_t word, stamp, sharers;
+    int wrote_back;
     /* The issuer needs no special case: a flush hits every sharer,
      * the issuing core included.  The parameter mirrors
      * clflush(core, addr, now). */
@@ -945,37 +898,12 @@ int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now)
     cw_del(sl, ls, line_addr);
     h->s_flush_hits++;
     latency += h->llc_lat;
-    if (h->mon_kind && ((word & 2) || h->needs_all)) {
-        h->callbacks++;
-        if (cw_cb_evict(h->ctx, line_addr, word, stamp, now) != 0) {
-            h->err = CW_ERR_CALLBACK;
-            return -1;
-        }
-    }
-    sharers = (word >> 5) & CW_SMASK;
-    dirty = word & 1;
-    version = word >> 21;
-    for (c = 0; c < h->num_cores; c++) {
-        uint64_t v;
-        if (!((sharers >> c) & 1))
-            continue;
+    wrote_back = cw_handle_llc_eviction(h, line_addr, word, stamp, now);
+    if (wrote_back < 0)
+        return -1;
+    for (sharers = (word >> 5) & CW_SMASK; sharers; sharers &= sharers - 1)
         h->s_flush_back_invalidations++;
-        if (cw_scrub(h, c, line_addr, &v)) {
-            dirty = 1;
-            if (v > version)
-                version = v;
-        }
-    }
-    if (dirty) {
-        int64_t start = now > h->channel_free_at ? now : h->channel_free_at;
-        h->total_queue_wait += (uint64_t)(start - now);
-        h->channel_free_at = start + h->burst_cycles;
-        h->writebacks++;
-        if (cw_map_set(&h->memver, line_addr, version) < 0) {
-            h->err = CW_ERR_OOM;
-            return -1;
-        }
-        h->s_writebacks_to_memory++;
+    if (wrote_back) {
         h->s_flush_writebacks++;
         latency += h->dram_latency;
     }
@@ -986,13 +914,13 @@ int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag)
 {
     int si = cw_slice_idx(h, line_addr);
     cw_cache *sl = &h->caches[3 * h->num_cores + si];
-    int64_t ls = cw_slot(sl, line_addr);
+    int64_t ls;
     uint64_t w;
-    if (ls >= 0) {
+    if (cw_slot(sl, line_addr) >= 0) {
         h->s_prefetch_skipped++;
         return 0;
     }
-    if (cw_fetch_into_llc(h, line_addr, now, 0, sl, si) < 0)
+    if (cw_fetch_into_llc(h, line_addr, now, 0, si) < 0)
         return -1;
     ls = cw_slot(sl, line_addr);
     if (ls < 0) {
@@ -1011,124 +939,79 @@ int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag)
 int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now)
 {
     uint64_t line_addr = addr >> h->line_bits;
-    cw_cache *l1, *l2, *sl;
-    int64_t latency, s, s2, ls, mem, pen;
-    int si, l2_idx;
-    uint64_t state;
-    if (op == 0) {  /* OP_READ */
-        l1 = &h->caches[core];
-        s = cw_slot(l1, line_addr);
-        if (s >= 0) {
-            l1->hits++;
-            l1->stamp++;
-            l1->stamps[s] = l1->stamp;
-            h->s_l1_hits++;
-            h->s_total_latency += (uint64_t)h->l1_lat;
-            h->per_core[core]++;
-            return h->l1_lat;
-        }
-    } else {
-        if (op == 3)  /* OP_FLUSH */
-            return cw_clflush(h, core, addr, now);
-        l1 = &h->caches[(op == 2 ? h->num_cores : 0) + core];
-        s = cw_slot(l1, line_addr);
-        if (s >= 0) {
-            uint64_t w = l1->words[s];
-            latency = h->l1_lat;
-            l1->hits++;
-            h->s_l1_hits++;
-            if (op == 1) {  /* OP_WRITE */
-                state = (w >> 3) & 3;
-                if (state != 3) {
-                    int64_t extra = cw_write_hit(h, core, line_addr, state);
-                    if (extra < 0)
-                        return -1;
-                    latency += extra;
-                    w = l1->words[s];  /* upgrade rewrote the state */
-                }
-                h->write_counter++;
-                l1->words[s] = (w & CW_VB) | (h->write_counter << 21) | 1ULL;
-                h->s_writes++;
-            } else {
-                h->s_ifetches++;
-            }
-            l1->stamp++;
-            l1->stamps[s] = l1->stamp;
-            h->s_total_latency += (uint64_t)latency;
-            h->per_core[core]++;
-            return latency;
-        }
-    }
-    l1->misses++;
-    h->s_l1_misses++;
-    latency = h->l1_lat + h->l2_lat;
-
-    /* ---- L2 ---- */
-    l2_idx = 2 * h->num_cores + core;
-    l2 = &h->caches[l2_idx];
-    s2 = cw_slot(l2, line_addr);
-    if (s2 >= 0) {
-        uint64_t w = l2->words[s2];
-        l2->hits++;
-        h->s_l2_hits++;
+    int l1_idx = (op == 2 ? h->num_cores : 0) + core;
+    cw_cache *l1 = &h->caches[l1_idx];
+    int64_t latency = h->l1_lat, s, extra;
+    if (op == 3)  /* OP_FLUSH: its own service path */
+        return cw_clflush(h, core, addr, now);
+    s = cw_slot(l1, line_addr);
+    if (s >= 0) {
+        l1->hits++;
+        h->s_l1_hits++;
         if (op == 1) {
-            int64_t extra = cw_write_hit(h, core, line_addr, (w >> 3) & 3);
-            if (extra < 0)
-                return -1;
-            latency += extra;
-            w = l2->words[s2];  /* state rewritten by the upgrade */
+            uint64_t state = (l1->words[s] >> 3) & 3;
+            /* A repeat write to an M line skips the upgrade: an M L1
+             * copy implies M on every private level. */
+            if (state != 3) {
+                extra = cw_write_hit(h, core, line_addr, state);
+                if (extra < 0)
+                    return -1;
+                latency += extra;
+            }
         }
-        if (cw_fill_l1(h, core, l1,
-                       (op == 2 ? h->num_cores : 0) + core,
-                       line_addr, (w >> 3) & 3, w >> 21) < 0)
-            return -1;
-        if (op == 1)
-            cw_mark_written(h, core, op, line_addr);
-        l2->stamp++;
-        l2->stamps[s2] = l2->stamp;
-        h->s_total_latency += (uint64_t)latency;
-        if (op == 1)
-            h->s_writes++;
-        else if (op == 2)
-            h->s_ifetches++;
-        h->per_core[core]++;
-        return latency;
+        cw_touch(l1, s, 1);
+    } else {
+        cw_cache *l2 = &h->caches[2 * h->num_cores + core];
+        l1->misses++;
+        h->s_l1_misses++;
+        latency += h->l2_lat;
+        s = cw_slot(l2, line_addr);
+        if (s >= 0) {
+            uint64_t w;
+            l2->hits++;
+            h->s_l2_hits++;
+            if (op == 1) {
+                extra = cw_write_hit(h, core, line_addr,
+                                     (l2->words[s] >> 3) & 3);
+                if (extra < 0)
+                    return -1;
+                latency += extra;
+            }
+            /* The L1 copy takes the L2 copy's version and state (the
+             * upgrade above rewrote the state). */
+            w = l2->words[s];
+            if (cw_fill_l1(h, core, l1_idx, line_addr,
+                           ((w >> 21) << 21) | (w & 0x18ULL)) < 0)
+                return -1;
+            cw_touch(l2, s, 1);
+        } else {
+            int si = cw_slice_idx(h, line_addr);
+            cw_cache *sl = &h->caches[3 * h->num_cores + si];
+            l2->misses++;
+            h->s_l2_misses++;
+            latency += h->llc_lat;
+            s = cw_slot(sl, line_addr);
+            if (s >= 0) {
+                h->s_llc_hits++;
+                extra = cw_serve_llc_hit(h, core, op, line_addr, sl, s);
+                if (extra < 0)
+                    return -1;
+                latency += extra;
+            } else {
+                h->s_llc_misses++;
+                extra = cw_fetch_into_llc(h, line_addr, now + latency, 1, si);
+                if (extra < 0)
+                    return -1;
+                latency += extra;
+                if (cw_fill_private(h, core, op, line_addr, op == 1 ? 3 : 2,
+                                    sl, cw_slot(sl, line_addr)) < 0)
+                    return -1;
+            }
+        }
     }
-    l2->misses++;
-    h->s_l2_misses++;
-
-    /* ---- LLC ---- */
-    latency += h->llc_lat;
-    si = cw_slice_idx(h, line_addr);
-    sl = &h->caches[3 * h->num_cores + si];
-    ls = cw_slot(sl, line_addr);
-    if (ls >= 0) {
-        h->s_llc_hits++;
-        pen = cw_serve_llc_hit(h, core, op, line_addr, sl, ls);
-        if (pen < 0)
-            return -1;
-        latency += pen;
-        if (op == 1)
-            h->s_writes++;
-        else if (op == 2)
-            h->s_ifetches++;
-        h->s_total_latency += (uint64_t)latency;
-        h->per_core[core]++;
-        return latency;
-    }
-    h->s_llc_misses++;
-
-    /* ---- Memory ---- */
-    mem = cw_fetch_into_llc(h, line_addr, now + latency, 1, sl, si);
-    if (mem < 0)
-        return -1;
-    latency += mem;
-    state = (op == 1) ? 3 : 2;  /* MODIFIED : EXCLUSIVE */
-    ls = cw_slot(sl, line_addr);
-    if (cw_fill_private(h, core, op, line_addr, state, sl, ls) < 0)
-        return -1;
     if (op == 1) {
-        cw_mark_written(h, core, op, line_addr);
+        /* Every path above leaves the line in this core's L1D. */
+        cw_mark_written(h, core, line_addr);
         h->s_writes++;
     } else if (op == 2) {
         h->s_ifetches++;

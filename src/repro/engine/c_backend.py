@@ -5,19 +5,19 @@ build for the packed-word cache walk.
 simulator's hot pair through one cffi-compiled extension:
 
 * the **filter** Query/kick-walk — fingerprint rows, Security
-  counters, the ``_alt_xor`` table and the LCG in flat C arrays, a
-  line-for-line exact-uint64 port of
-  ``AutoCuckooFilter.access``/``_insert_new`` (this module, installed
+  counters, the ``_alt_xor`` table and the LCG in flat C arrays, an
+  exact-uint64 port of ``AutoCuckooFilter`` (this module, installed
   by :func:`install`);
-* the **cache walk** — the fused L1 probe → miss walk → LLC
-  fill/evict → monitor chain with per-cache tag/word/stamp arrays and
-  a C-owned ``_memory_versions`` map (source in
-  :mod:`repro.engine._walk_src`, installed by
-  :mod:`repro.engine.c_cache`).
+* the **cache walk** — the L1 probe → miss walk → LLC fill/evict →
+  monitor chain with per-cache tag/word/stamp arrays and a C-owned
+  ``_memory_versions`` map (source in :mod:`repro.engine._walk_src`,
+  installed by :mod:`repro.engine.c_cache`).
 
 Both are held to the same golden-trace conformance suite: every
 scenario must replay bit-identically under the C engine and under the
-``python`` reference engine.
+``python`` reference engine.  Like the walk, each filter kernel ports
+one Python body; the twin table in :mod:`repro.engine._filter_batch_src`
+pairs the kernels of this module and of that one.
 
 The extension is **built lazily at first use** and cached under
 ``~/.cache/repro-engine`` (override with ``REPRO_ENGINE_CACHE``); the
@@ -38,11 +38,10 @@ State-consistency contract with the Python object: once
 ``access_many`` and the storage ops are rebound on the instance).  The
 scalar counters (``valid_count``, ``autonomic_deletions``,
 ``total_relocations``, ``_lcg``) only change on insertions, so they
-are synced back exactly when an Access returns 0 (a Response of 0
-*is* a fresh insertion); ``total_accesses`` is kept on the Python
-side.  The tables are born
-in C: a filter whose Python rows were never read gets zeroed C rows,
-and the ``_alt_xor`` table is always computed in C
+are synced back exactly when an Access returns 0 (a Response of 0 *is*
+a fresh insertion); ``total_accesses`` is kept on the Python side.
+The tables are born in C: a filter whose Python rows were never read
+gets zeroed C rows, and the ``_alt_xor`` table is always computed in C
 (``acf_fill_alt_xor``); only rows that already exist (``from_bytes``,
 or a filter driven on the reference path first) are copied in.  The
 Python ``_fps``/``_security``/``_alt_xor`` appear only when something
@@ -138,6 +137,18 @@ static inline void acf_candidates(const acf_state *st, uint64_t key,
     *i2_out = i1 ^ st->alt_xor[fp];
 }
 
+/* The first slot of bucket index holding value, or -1: the C form of
+ * `value in row` / `row.index(value)` (value 0 finds a vacancy). */
+static inline int acf_find(const acf_state *st, uint32_t index,
+                           uint32_t value)
+{
+    const uint16_t *row = st->fps + (size_t)index * st->entries_per_bucket;
+    for (uint32_t s = 0; s < st->entries_per_bucket; s++)
+        if (row[s] == value)
+            return (int)s;
+    return -1;
+}
+
 /* _insert_new: vacancy scan then the LCG kick walk with autonomic
  * deletion at MNK (never fails).  Shared by acf_access's miss path
  * and the storage-mode acf_insert (see _filter_batch_src). */
@@ -146,15 +157,10 @@ static void acf_insert_new(acf_state *st, uint32_t fp, uint32_t i1,
 {
     const uint32_t b = st->entries_per_bucket;
     uint32_t vidx = i1;
-    uint16_t *row = st->fps + (size_t)i1 * b;
-    int slot = -1;
-    for (uint32_t s = 0; s < b; s++)
-        if (row[s] == 0) { slot = (int)s; break; }
+    int slot = acf_find(st, i1, 0);
     if (slot < 0) {
         vidx = i2;
-        row = st->fps + (size_t)i2 * b;
-        for (uint32_t s = 0; s < b; s++)
-            if (row[s] == 0) { slot = (int)s; break; }
+        slot = acf_find(st, i2, 0);
     }
     if (slot >= 0) {
         st->fps[(size_t)vidx * b + (size_t)slot] = (uint16_t)fp;
@@ -190,13 +196,10 @@ static void acf_insert_new(acf_state *st, uint32_t fp, uint32_t i1,
         }
         rel++;
         kidx ^= st->alt_xor[carried_fp];
-        krow = st->fps + (size_t)kidx * b;
-        int empty = -1;
-        for (uint32_t s = 0; s < b; s++)
-            if (krow[s] == 0) { empty = (int)s; break; }
+        int empty = acf_find(st, kidx, 0);
         if (empty < 0)
             continue;
-        krow[empty] = (uint16_t)carried_fp;
+        st->fps[(size_t)kidx * b + (size_t)empty] = (uint16_t)carried_fp;
         st->security[(size_t)kidx * b + (size_t)empty] = carried_sec;
         st->valid_count++;
         st->total_relocations += rel;
@@ -207,22 +210,17 @@ static void acf_insert_new(acf_state *st, uint32_t fp, uint32_t i1,
 
 int acf_access(acf_state *st, uint64_t key)
 {
-    const uint32_t b = st->entries_per_bucket;
     uint32_t fp, i1, i2;
     acf_candidates(st, key, &fp, &i1, &i2);
     uint32_t index = i1;
-    uint16_t *row = st->fps + (size_t)i1 * b;
-    int slot = -1;
-    for (uint32_t s = 0; s < b; s++)
-        if (row[s] == fp) { slot = (int)s; break; }
+    int slot = acf_find(st, i1, fp);
     if (slot < 0) {
         index = i2;
-        row = st->fps + (size_t)i2 * b;
-        for (uint32_t s = 0; s < b; s++)
-            if (row[s] == fp) { slot = (int)s; break; }
+        slot = acf_find(st, i2, fp);
     }
     if (slot >= 0) {
-        uint8_t *sec = st->security + (size_t)index * b + (size_t)slot;
+        uint8_t *sec = st->security
+            + (size_t)index * st->entries_per_bucket + (size_t)slot;
         uint8_t v = *sec;
         if (v < st->threshold) {
             v++;

@@ -9,7 +9,7 @@ capacity, every working set, and the filter's bucket count divided by
 ``PERFORMANCE_SCALE_FACTOR`` (8).  Uniform scaling preserves the ratios
 that drive the results (working set : LLC, filter reach : LLC lines),
 so regimes — who misses, who ping-pongs, who benefits from prefetch —
-are unchanged; EXPERIMENTS.md quantifies this.
+are unchanged.
 
 ``REPRO_FULL=1`` (or ``run(full=True)``) switches to the paper's exact
 Table II geometry; ``REPRO_INSNS`` overrides the instruction budget.

@@ -3,7 +3,7 @@
 The paper fixes the Auto-Cuckoo filter precisely but leaves two system
 parameters open: the LLC replacement policy and the pEvict→prefetch
 delay.  This ablation runs the Fig. 6 attack across both axes and
-quantifies the finding recorded in EXPERIMENTS.md:
+quantifies this finding:
 
 * under **strict LRU** the attacker's probe deterministically
   re-victimises the prefetched (not-yet-touched) line; the

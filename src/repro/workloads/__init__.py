@@ -5,8 +5,7 @@ The paper drives Fig. 8 with 10 mixes of SPEC CPU2006 benchmarks
 so this package models each benchmark as a parameterised synthetic
 address-stream generator calibrated to the benchmark's published memory
 character (working-set size, dominant access pattern, memory-operation
-density) — see ``repro.workloads.spec`` for the calibration table and
-DESIGN.md for why this preserves the experiment.
+density) — see ``repro.workloads.spec`` for the calibration table.
 """
 
 from repro.workloads.base import (

@@ -12,15 +12,17 @@ itself.
 """
 
 import dataclasses
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.engine as engine_mod
 from repro.baselines.registry import build_defence
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.llc import SlicedLLC
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.config import (
     TABLE_II,
     CacheLevelConfig,
@@ -30,39 +32,81 @@ from repro.core.config import (
 from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import Core
 from repro.cpu.system import run_workloads
-from repro.engine import available_engines, c_backend, engine_name, set_engine
+from repro.engine import (
+    _filter_batch_src,
+    _walk_src,
+    available_engines,
+    c_backend,
+    engine_name,
+    set_engine,
+)
 from repro.experiments import defense_ablation
 from repro.experiments.common import scaled_mix_workloads, scaled_system_config
 from repro.filters.auto_cuckoo import AutoCuckooFilter
+from repro.memory.controller import MemoryController
 from repro.obs import trace
 from repro.utils.events import EventQueue
 
 #: op codes: READ, WRITE, IFETCH, FLUSH
 _OPS = (0, 1, 2, 3)
 
+#: A small 4-core hierarchy: 2 KB L1s, 8 KB L2s and a 128-line LLC (4
+#: slices of 4 sets x 8 ways), so the random streams below evict.
+_SMALL = SystemConfig(
+    num_cores=4,
+    l1=CacheLevelConfig(2 * 1024, 2, 2),
+    l2=CacheLevelConfig(8 * 1024, 4, 18),
+    llc=CacheLevelConfig(8 * 1024, 8, 35),
+    llc_slices=4,
+    filter=FilterConfig(num_buckets=64, security_threshold=1),
+    prefetch_delay=5,
+)
+
 #: A record: (core, op, line index) — line indices mix a hot region
-#: (hits), a warm region (L2/LLC), and a cold tail (misses/evictions).
+#: (L1/L2 hits), a warm one of twice the LLC's lines (LLC hits and
+#: capacity victims) and a cold tail (misses).
 _records = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3),
         st.sampled_from(_OPS),
         st.one_of(
-            st.integers(min_value=0, max_value=255),          # hot
-            st.integers(min_value=0, max_value=32767),        # warm
+            st.integers(min_value=0, max_value=15),           # hot
+            st.integers(min_value=0, max_value=255),          # warm
             st.integers(min_value=0, max_value=(1 << 22) - 1),  # cold
         ),
     ),
-    min_size=1,
+    min_size=100,
     max_size=400,
 )
+
+#: Records that capture line 0 (a second demand fetch at Security
+#: threshold 1) after 64 lines of set 0, over the 4 slices, evicted it,
+#: so the sweep of :func:`_replay` raises a pEvict and the prefetch
+#: refills the line.
+_CAPTURE_THEN_EVICT = (
+    [(0, 0, 0)] + [(1, 1, 4 * k) for k in range(1, 65)] + [(2, 0, 0)]
+)
+
+
+def _replay(records):
+    """``(now, core, op, addr)`` for each record, then a read sweep of
+    twice the LLC's lines above every drawn line: every example then
+    evicts what its records left in the LLC (sharers, dirty data,
+    tagged lines), even the all-zero one Hypothesis tries first."""
+    for now, (core, op, line) in enumerate(records):
+        yield now, core, op, line * 64
+    llc_lines = _SMALL.llc.size_bytes // 64
+    for k in range(2 * llc_lines):
+        yield len(records) + k, k & 3, 0, ((1 << 22) + k) * 64
 
 
 def _monitored_pair(seed=7):
     def build():
-        h = TABLE_II.build_hierarchy(seed=seed)
+        h = _SMALL.build_hierarchy(seed=seed)
         monitor = PiPoMonitor(
-            TABLE_II.filter.build(seed=seed + 1),
+            _SMALL.filter.build(seed=seed + 1),
             EventQueue(),
+            prefetch_delay=_SMALL.prefetch_delay,
             track_captured_lines=True,
         )
         monitor.attach(h)
@@ -197,6 +241,65 @@ def test_build_tag_hashes_the_compile_environment(monkeypatch):
     assert c_backend._build_tag() == plain
 
 
+#: The classes whose methods the C kernels port (the twin tables).
+_TWIN_OWNERS = {
+    cls.__name__: cls
+    for cls in (
+        CacheHierarchy, SetAssociativeCache, SlicedLLC, MemoryController,
+        AutoCuckooFilter,
+    )
+}
+#: A twin-table row: ``Owner.method`` then its C function.
+_TWIN_ROW = re.compile(r"^``(\w+)\.(\w+)``\s+``(\w+)``$", re.M)
+#: Static helpers with no Python body of their own: the walk's
+#: ``_memory_versions`` map, Mersenne Twister, record emitter and
+#: scheduler step, and the filter's mix and row scan, which port
+#: expressions (``splitmix64``, ``value in row``) rather than methods.
+_UNPAIRED_HELPERS = {
+    "cw_map_hash", "cw_map_get", "cw_map_set",
+    "cw_genrand", "cw_random", "cw_randbelow",
+    "cw_next_line", "cw_emit_one",
+    "cw_advance",
+    "acf_mix", "acf_find",
+}
+
+
+def _c_definitions(source, head=r"(?!\s)"):
+    """Names of the functions ``source`` defines at file scope (a
+    declaration ends in a semicolon, a definition opens a body)."""
+    return set(re.findall(
+        rf"^{head}[\w \*]*?\b(\w+)\([^;{{}}]*\)\s*\{{", source, re.M
+    ))
+
+
+def test_twin_tables_pair_every_kernel_with_its_python_body():
+    """Each row of the engine docstrings' twin tables pairs a C function
+    the extension defines with a Python method that exists, one to one,
+    and every static function of the walk and filter kernels has a row:
+    a new hand-fused copy of a body fails here."""
+    rows = [
+        row
+        for module in (_walk_src, _filter_batch_src)
+        for row in _TWIN_ROW.findall(module.__doc__)
+    ]
+    c_functions = {c for _, _, c in rows}
+    assert len(c_functions) == len(rows)
+    assert len({(owner, name) for owner, name, _ in rows}) == len(rows)
+    defined = _c_definitions(c_backend._FULL_CSOURCE)
+    for owner, name, c_function in rows:
+        assert c_function in defined, c_function
+        assert callable(getattr(_TWIN_OWNERS[owner], name, None)), (
+            f"{owner}.{name}"
+        )
+    static = _c_definitions(
+        c_backend._CSOURCE + _filter_batch_src.BATCH_SOURCE
+        + _walk_src.WALK_SOURCE,
+        head="static ",
+    )
+    assert {"cw_fill", "acf_candidates"} <= static
+    assert not static - c_functions - _UNPAIRED_HELPERS
+
+
 class TestEngineSelection:
     def test_engine_name_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
@@ -326,21 +429,17 @@ class TestCCacheWalk:
 
     @settings(max_examples=30, deadline=None)
     @given(records=_records)
+    @example(records=_CAPTURE_THEN_EVICT)
     def test_monitored_random_streams(self, records):
         # Captures publish through the callback tail, evictions raise
         # the pEvict hook, and the scheduled prefetches drain through
         # prefetch_fill back into C — all orderings pinned vs generic.
         (hg, mg), (hc, mc) = _monitored_pair()
         kernel = self._install(hc)
-        generic = [
-            hg.access(core, op, line * 64, now=i)
-            for i, (core, op, line) in enumerate(records)
-        ]
-        walked = [
-            kernel(core, op, line * 64, now=i)
-            for i, (core, op, line) in enumerate(records)
-        ]
-        assert generic == walked
+        for now, core, op, addr in _replay(records):
+            mg.events.run_until(now)
+            mc.events.run_until(now)
+            assert hg.access(core, op, addr, now) == kernel(core, op, addr, now)
         for mon in (mg, mc):
             while (t := mon.events.next_time()) is not None:
                 mon.events.run_until(t)
@@ -349,6 +448,10 @@ class TestCCacheWalk:
         assert mg.filter.snapshot() == mc.filter.snapshot()
         assert mg.captured_lines == mc.captured_lines
         hc.check_invariants()
+        assert hc.stats.llc_evictions > 0
+        if records == _CAPTURE_THEN_EVICT:
+            assert mc.stats.pevicts > 0
+            assert mc.stats.prefetches_issued > 0
 
     @settings(max_examples=20, deadline=None)
     @given(records=_records)
@@ -356,14 +459,14 @@ class TestCCacheWalk:
         # lru_rand lockstep: _assert_hierarchies_equal compares the
         # Mersenne-Twister states, so every victim draw must have
         # consumed the exact same stream.
-        hg = TABLE_II.build_hierarchy(seed=3)
-        hc = TABLE_II.build_hierarchy(seed=3)
+        hg = _SMALL.build_hierarchy(seed=3)
+        hc = _SMALL.build_hierarchy(seed=3)
         kernel = self._install(hc)
-        for i, (core, op, line) in enumerate(records):
-            assert hg.access(core, op, line * 64, now=i) == kernel(
-                core, op, line * 64, now=i
-            )
+        for now, core, op, addr in _replay(records):
+            assert hg.access(core, op, addr, now) == kernel(core, op, addr, now)
         _assert_hierarchies_equal(hg, hc)
+        hc.check_invariants()
+        assert hc.stats.llc_evictions > 0
 
     def test_midstream_install_carries_state(self):
         # Installing after generic-path traffic must seed the C arrays

@@ -1,11 +1,14 @@
-"""Repository hygiene: no tracked file is one ``.gitignore`` excludes.
+"""Repository hygiene: no tracked file is one ``.gitignore`` excludes,
+and no Python file points at a document the repository does not have.
 
 A tracked file that matches an ignore pattern is an artefact that was
 committed by accident (a checkpoint shard, a build output) — git keeps
 tracking it, so the ignore rule silently stops protecting the tree.
-Skipped outside a git checkout (e.g. an exported source tarball).
+That check is skipped outside a git checkout (e.g. an exported source
+tarball).
 """
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -35,3 +38,26 @@ def test_no_tracked_file_is_ignored():
     assert not ignored, (
         f"tracked files match .gitignore (committed artefacts?): {ignored}"
     )
+
+
+#: A Markdown file name, with or without a directory part.
+_DOC_REF = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_referenced_docs_exist():
+    """Every ``.md`` file that a Python file under ``src/``, ``tests/``,
+    ``benchmarks/`` or ``examples/`` names exists in the repository, so
+    a docstring cannot send its reader to a document nobody wrote."""
+    docs = {
+        path.relative_to(ROOT).as_posix()
+        for path in ROOT.rglob("*.md")
+        if not any(part.startswith(".") for part in path.relative_to(ROOT).parts)
+    }
+    missing = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for name in _DOC_REF.findall(path.read_text(encoding="utf-8")):
+                name = name.lstrip("./")
+                if not any(doc == name or doc.endswith("/" + name) for doc in docs):
+                    missing.append(f"{path.relative_to(ROOT)}: {name}")
+    assert not missing, f"Python files name missing documents: {missing}"
