@@ -254,7 +254,8 @@ class CacheHierarchy:
         # C cache-walk seam (repro.engine.c_cache): once installed,
         # ``_c_state`` owns the authoritative C-side storage and every
         # mutator below routes through it; the counters are refreshed
-        # by :meth:`engine_sync`, the line dicts on their first read.
+        # by :meth:`engine_sync`, the line dicts, ``_memory_versions``
+        # and the LLC MT states on their first read.
         self._c_state = None
 
     def engine_access(self):
@@ -721,15 +722,15 @@ class CacheHierarchy:
         A no-op for the ``python`` engine (the dicts *are* the
         state).  Under the C cache walk this performs the batch sync:
         the per-cache and AccessStats counters, the monitor/filter
-        counters, the memory-controller channel state, the LLC
-        policies' random state and ``_memory_versions`` are refreshed
-        from the C arrays (in place — object identity is preserved for
-        held references).  The ``_map``/``_sets`` line dicts are only
-        marked stale: the first line reader (``lookup``, ``lines``,
-        ``in``, :meth:`holders_of`, …) rebuilds them.  Cheap when
-        nothing ran since the last sync.  The C side stays
-        authoritative afterwards; this is a read-only snapshot
-        refresh, never a hand-back.
+        counters and the memory-controller channel state are refreshed
+        from the C side (in place — object identity is preserved for
+        held references).  The ``_map``/``_sets`` line dicts,
+        ``_memory_versions`` and the LLC policies' random state are
+        only marked stale: the first line reader (``lookup``,
+        ``lines``, ``in``, :meth:`read_version`, :meth:`holders_of`,
+        …) refreshes them.  Cheap when nothing ran since the last
+        sync.  The C side stays authoritative afterwards; this is a
+        read-only snapshot refresh, never a hand-back.
         """
         cs = self._c_state
         if cs is not None:

@@ -111,11 +111,12 @@ class MulticoreSystem:
             if gc_was_enabled:
                 gc.enable()
         # Under the C cache walk, the Python-side counters (AccessStats,
-        # per-cache and monitor/filter counters, _memory_versions) are
-        # stale until a batch sync; resync here so the result below
-        # reads consistent state.  The sync copies counters only: the
-        # cache line dicts are rebuilt by the first introspection call
-        # that reads them, which a tenant never makes.
+        # per-cache and monitor/filter counters) are stale until a
+        # batch sync; resync here so the result below reads consistent
+        # state.  The sync copies counters only: the cache line dicts,
+        # _memory_versions and the LLC MT states are refreshed by the
+        # first introspection call that reads them, which a tenant
+        # never makes.
         self.hierarchy.engine_sync()
         monitor = self.hierarchy.monitor
         result = SimulationResult(

@@ -70,11 +70,13 @@ violations, or a stored callback exception).
 The same translation unit carries the C-resident run loop
 (``cw_schedule``, PERFORMANCE.md rule 19): a port of the five
 synthetic archetypes' record emission (``workloads/synthetic.py``,
-MT19937 draw for draw), of the pointer chase's chain (``cw_chain``,
-``Random.shuffle`` draw for draw) and of ``MulticoreSystem.run``'s
-earliest-core-first loop around ``cw_access``.  It returns to Python
-when an event is due, after a step that made a callback (counted in
-``cw_hier.callbacks``), on a walk error, and when every core is done.
+MT19937 draw for draw), of ``random.Random(int)``'s seeding
+(``cw_mt_seed``, CPython's ``init_by_array``), of the pointer chase's
+chain (``cw_chain``, ``Random.shuffle`` draw for draw) and of
+``MulticoreSystem.run``'s earliest-core-first loop around
+``cw_access``.  It returns to Python when an event is due, after a
+step that made a callback (counted in ``cw_hier.callbacks``), on a
+walk error, and when every core is done.
 """
 
 # Cache array layout inside ``cw_hier.caches``:
@@ -172,7 +174,7 @@ typedef struct {
 } cw_hier;
 
 typedef struct {
-    cw_mt rng;                /* the stream's random.Random, via getstate() */
+    cw_mt rng;                /* the stream's random.Random, via cw_mt_seed */
     const uint64_t *chain;    /* pointer chase: the cycle cw_chain built */
     double gap_frac;
     double write_fraction;
@@ -230,6 +232,7 @@ int cw_schedule(cw_hier *h, cw_sched *s);
 void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
              uint64_t *addrs);
 int cw_chain(cw_mt *r, uint64_t n, uint64_t *chain);
+void cw_mt_seed(cw_mt *r, uint64_t seed);
 int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
 void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
 void cw_hier_free(cw_hier *h);
@@ -375,8 +378,47 @@ void cw_hier_free(cw_hier *h)
 
 /* ------------------------------------------------------------------ */
 /* Mersenne Twister (CPython's random.getrandbits(k <= 32) is
- * genrand_uint32() >> (32-k)); state is imported/exported through
- * Random.getstate()/setstate() on install/sync. */
+ * genrand_uint32() >> (32-k)).  An emitter's state is seeded here
+ * (cw_mt_seed); an LLC slice's is imported from Random.getstate() on
+ * install and exported through Random.setstate() by sync_lines. */
+
+/* random.Random(seed) for 0 <= seed < 2**64: CPython's init_by_array
+ * over the seed's 32-bit words, low word first (one word below 2**32,
+ * zero included, two from 2**32 up), after init_genrand(19650218). */
+void cw_mt_seed(cw_mt *r, uint64_t seed)
+{
+    uint32_t *mt = r->mt;
+    uint32_t key[2], len = (seed >> 32) ? 2 : 1, i, j = 0, k;
+    key[0] = (uint32_t)seed;
+    key[1] = (uint32_t)(seed >> 32);
+    mt[0] = 19650218U;
+    for (i = 1; i < 624; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
+    i = 1;
+    for (k = 624; k; k--) {   /* max(624, len) rounds */
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+            + key[j] + j;
+        i++;
+        j++;
+        if (i >= 624) {
+            mt[0] = mt[623];
+            i = 1;
+        }
+        if (j >= len)
+            j = 0;
+    }
+    for (k = 623; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
+            - i;
+        i++;
+        if (i >= 624) {
+            mt[0] = mt[623];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    r->mti = 624;
+}
 
 static uint32_t cw_genrand(cw_mt *r)
 {

@@ -17,21 +17,24 @@ boundaries, in two steps:
 
 * :meth:`CWalkState.sync` (reached through
   ``CacheHierarchy.engine_sync``, which ``MulticoreSystem.run`` calls
-  after every run) copies the scalars — per-cache stamp and counters,
-  ``AccessStats``, the controller state, ``_memory_versions``, the
-  LLC MT states, the monitor/filter counters and the counter export
-  to the trace recorder — and marks the line dicts stale;
-* :meth:`CWalkState.sync_lines` rebuilds every ``_map``/``_sets``
-  dict **in place** (object identity preserved, so held references
-  stay valid), only when stale, on the first read: the line readers
-  of ``SetAssociativeCache`` call it through ``_c_sync``, and
-  ``read_version``/``holders_of``/``check_invariants`` directly.
+  after every run) copies the counters — per-cache stamp and counters,
+  ``AccessStats``, the controller state, the monitor/filter counters
+  and the counter export to the trace recorder — and marks the rest
+  of the mirror stale;
+* :meth:`CWalkState.sync_lines` refreshes that rest, only when stale,
+  on the first read: every ``_map``/``_sets`` dict and
+  ``_memory_versions`` **in place** (object identity preserved, so
+  held references stay valid), and the LLC policies' MT states.  The
+  line readers of ``SetAssociativeCache`` call it through
+  ``_c_sync``, and ``read_version``/``holders_of``/``check_invariants``
+  directly; under the C walk they are the only readers of that state.
 
 A run whose caller reads only counters (a campaign tenant) never
-pays for the per-line rebuild.  Sync is a snapshot refresh, never a
-hand-back: mutating the Python dicts afterwards does not reach the C
-arrays, which is why every mutator of an installed hierarchy routes
-into C, and the object-level mutators of ``SetAssociativeCache``
+pays for the per-line rebuild, the memory-version copy or the MT
+readback.  Sync is a snapshot refresh, never a hand-back: mutating
+the Python dicts afterwards does not reach the C arrays, which is why
+every mutator of an installed hierarchy routes into C, and the
+object-level mutators of ``SetAssociativeCache``
 (``insert``/``remove``/``touch``/``probe``) raise ``RuntimeError``
 instead of writing the mirror.  Introspection hands out detached
 ``CacheLine`` snapshots, so nothing can write through them either.
@@ -63,16 +66,18 @@ suite), so they never re-enter the walk synchronously.
 
 :meth:`CWalkState.run_cores` runs a whole ``MulticoreSystem.run`` of
 synthetic streams inside the walk (PERFORMANCE.md rule 19), detection
-unit or not, with each pointer chase's chain built in C
-(``cw_chain``, from the MT state ``emitter_state`` hands over); the
-event queue stays in Python, which is why the C loop comes back after
-every step that made a callback.
+unit or not, with every stream's MT state seeded in C
+(``cw_mt_seed``, from the seed ``emitter_state`` hands over) and each
+pointer chase's chain built in C (``cw_chain``); the event queue stays
+in Python, which is why the C loop comes back after every step that
+made a callback.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import weakref
+from array import array
 
 from repro.cache.coherence import CoherenceViolation
 from repro.cache.hierarchy import AccessStats
@@ -183,9 +188,10 @@ class CWalkState:
         self.hier = h
         #: True when C state may be ahead of the Python scalars.
         self.dirty = False
-        #: True when the line dicts lag the C arrays: :meth:`sync`
-        #: leaves them to the first reader (:meth:`sync_lines`).
-        self.lines_stale = False
+        #: True when the line dicts, ``_memory_versions`` and the LLC
+        #: MT states lag the C side: :meth:`sync` leaves them to the
+        #: first reader (:meth:`sync_lines`).
+        self.mirror_stale = False
         #: Exception raised inside a callback, re-raised by the wrapper.
         self.exc = None
 
@@ -226,20 +232,25 @@ class CWalkState:
             ffi.buffer(tags)[:] = b"\xff" * (n * 8)
             words = ffi.new("uint64_t[]", n)
             stamps = ffi.new("uint64_t[]", n)
+            # Born zeroed: only an occupied set needs a store, and a
+            # fresh cache (empty ``_map``) none at all.
             counts = ffi.new("uint16_t[]", nsets)
             cmap = cobj._map
-            for si, sdict in enumerate(cobj._sets):
-                base = si * ways
-                counts[si] = len(sdict)
-                w = 0
-                # Slot order mirrors dict insertion order; victim
-                # selection only reads stamps (unique per cache), so
-                # the packing order is unobservable.
-                for laddr, stamp in sdict.items():
-                    tags[base + w] = laddr
-                    words[base + w] = cmap[laddr]
-                    stamps[base + w] = stamp
-                    w += 1
+            if cmap:
+                for si, sdict in enumerate(cobj._sets):
+                    if not sdict:
+                        continue
+                    base = si * ways
+                    counts[si] = len(sdict)
+                    w = 0
+                    # Slot order mirrors dict insertion order; victim
+                    # selection only reads stamps (unique per cache),
+                    # so the packing order is unobservable.
+                    for laddr, stamp in sdict.items():
+                        tags[base + w] = laddr
+                        words[base + w] = cmap[laddr]
+                        stamps[base + w] = stamp
+                        w += 1
             cc = carr[i]
             cc.tags = tags
             cc.words = words
@@ -284,7 +295,7 @@ class CWalkState:
             rng = ffi.new("cw_mt[]", S)
             bufs.append(rng)
             for i, sl in enumerate(slices):
-                _load_mt(rng[i], sl.policy._rng.getstate()[1])
+                _load_mt(ffi, rng[i], sl.policy._rng.getstate()[1])
             st.rng = rng
         st.write_counter = h._write_counter
 
@@ -527,8 +538,10 @@ class CWalkState:
     # ------------------------------------------------------------------
 
     def sync(self) -> None:
-        """Copy the C side's scalars into the Python objects and mark
-        the line dicts stale (:meth:`sync_lines` rebuilds them).
+        """Copy the C side's counters into the Python objects and mark
+        the rest of the mirror stale: the line dicts,
+        ``_memory_versions`` and the LLC MT states wait for
+        :meth:`sync_lines`.
 
         Cheap when nothing ran since the last sync.  Read-only from
         the C side's perspective: C stays authoritative afterwards.
@@ -536,10 +549,8 @@ class CWalkState:
         if not self.dirty:
             return
         self.dirty = False
-        self.lines_stale = True
-        ffi = self.ffi
+        self.mirror_stale = True
         st = self.st
-        unpack = ffi.unpack
         carr = st.caches
         for i, cobj in enumerate(self.cache_objs):
             cc = carr[i]
@@ -551,7 +562,9 @@ class CWalkState:
         stats = h.stats
         for name in _STAT_FIELDS:
             setattr(stats, name, getattr(st, "s_" + name))
-        stats.per_core_accesses[:] = unpack(st.per_core, st.num_cores)
+        stats.per_core_accesses[:] = self.ffi.unpack(
+            st.per_core, st.num_cores
+        )
         h._write_counter = st.write_counter
         mc = h.mc
         mc._channel_free_at = st.channel_free_at
@@ -559,20 +572,6 @@ class CWalkState:
         mc.demand_fetches = st.demand_fetches
         mc.prefetch_fetches = st.prefetch_fetches
         mc.writebacks = st.writebacks
-        memver = h._memory_versions
-        memver.clear()
-        count = st.memver.count
-        if count:
-            keys = ffi.new("uint64_t[]", count)
-            vals = ffi.new("uint64_t[]", count)
-            self.lib.cw_map_items(st, keys, vals)
-            memver.update(zip(unpack(keys, count), unpack(vals, count)))
-        if st.llc_victim_rand:
-            for i, sl in enumerate(h.llc.slices):
-                mt = unpack(st.rng[i].mt, 624)
-                sl.policy._rng.setstate(
-                    (3, tuple(mt) + (st.rng[i].mti,), None)
-                )
         if st.mon_kind == 1:
             # Inline-monitor counters: deltas for the additive Python
             # counters (the monitor/filter may also be driven from
@@ -597,17 +596,35 @@ class CWalkState:
         self._export_counters()
 
     def sync_lines(self) -> None:
-        """:meth:`sync`, then refill every cache's ``_map``/``_sets``
-        from the C arrays (in place) when they are stale.  The line
+        """:meth:`sync`, then, when stale, refill every cache's
+        ``_map``/``_sets`` (in place), ``_memory_versions`` (in place)
+        and the LLC policies' MT states from the C side.  The line
         readers reach it: ``SetAssociativeCache._c_sync`` and the
         hierarchy's ``read_version``/``holders_of``/``check_invariants``.
         """
         self.sync()
-        if not self.lines_stale:
+        if not self.mirror_stale:
             return
-        self.lines_stale = False
-        unpack = self.ffi.unpack
-        carr = self.st.caches
+        self.mirror_stale = False
+        ffi = self.ffi
+        unpack = ffi.unpack
+        st = self.st
+        h = self.hier
+        memver = h._memory_versions
+        memver.clear()
+        count = st.memver.count
+        if count:
+            keys = ffi.new("uint64_t[]", count)
+            vals = ffi.new("uint64_t[]", count)
+            self.lib.cw_map_items(st, keys, vals)
+            memver.update(zip(unpack(keys, count), unpack(vals, count)))
+        if st.llc_victim_rand:
+            for i, sl in enumerate(h.llc.slices):
+                rng = st.rng[i]
+                sl.policy._rng.setstate(
+                    (3, (*unpack(rng.mt, 624), rng.mti), None)
+                )
+        carr = st.caches
         for i, cobj in enumerate(self.cache_objs):
             cc = carr[i]
             ways = cc.ways
@@ -628,22 +645,25 @@ class CWalkState:
                 sets[j // ways][tag] = stamps[j]
 
 
-def _load_mt(rng, state: tuple) -> None:
-    """Fill the ``cw_mt`` ``rng`` from ``Random.getstate()[1]``."""
-    rng.mt = list(state[:624])
+def _load_mt(ffi, rng, state: tuple) -> None:
+    """Fill the ``cw_mt`` ``rng`` from ``Random.getstate()[1]``: the
+    624 words in one copy, then the index."""
+    ffi.memmove(rng.mt, array("I", state), 624 * 4)
     rng.mti = state[624]
 
 
 def _load_emitter(ffi, lib, c, state: dict, keep: list) -> None:
     """Fill the ``cw_core`` ``c`` from an ``emitter_state`` dict; the
-    buffers ``c`` points into are appended to ``keep``.  A pointer
-    chase's chain is built here, by ``cw_chain`` from ``chain_mt``."""
+    buffers ``c`` points into are appended to ``keep``.  The stream's
+    MT state is seeded in C from ``seed`` (``cw_mt_seed``), and a
+    pointer chase's chain is built here, by ``cw_chain`` from an MT
+    state seeded with ``chain_seed``."""
     for name, value in state.items():
-        if name == "mt":
-            _load_mt(c.rng, value)
-        elif name == "chain_mt":
+        if name == "seed":
+            lib.cw_mt_seed(ffi.addressof(c, "rng"), value)
+        elif name == "chain_seed":
             rng = ffi.new("cw_mt *")
-            _load_mt(rng, value)
+            lib.cw_mt_seed(rng, value)
             n = state["num_lines"]
             chain = ffi.new("uint64_t[]", n)
             if lib.cw_chain(rng, n, chain) < 0:

@@ -24,17 +24,18 @@ exists in two forms with identical record streams: the generator
 (:meth:`_SyntheticWorkload.generator`, one suspension per record), and
 the compiled run loop's C port, which
 :meth:`_SyntheticWorkload.emitter_state` hands the loop's constants,
-its ``random.Random`` state and the picker's parameters
-(PERFORMANCE.md rule 19).  The equivalence tests pin the streams
-record-for-record.
+the seed of its ``random.Random`` (seeded again in C) and the
+picker's parameters (PERFORMANCE.md rule 19).  The equivalence tests
+pin the streams record-for-record.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable
 
 from repro.cache.hierarchy import OP_IFETCH, OP_READ, OP_WRITE
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rng, derive_seed
 from repro.workloads.base import (
     Workload,
     WorkloadGenerator,
@@ -124,8 +125,9 @@ class _SyntheticWorkload(Workload):
     def _picker_state(self, core_id: int, seed: int) -> dict:
         """The same picker as :meth:`_line_picker`, as the C port's
         ``cw_core`` fields (``kind`` plus its parameters).  Cheap: the
-        pointer chase hands over the MT state its chain is shuffled
-        with (``chain_mt``), and ``c_cache`` builds the chain in C."""
+        pointer chase hands over the seed of the ``random.Random`` its
+        chain is shuffled with (``chain_seed``), and ``c_cache`` seeds
+        it and builds the chain in C."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -200,10 +202,11 @@ class _SyntheticWorkload(Workload):
     def emitter_state(self, core_id: int, seed: int) -> dict | None:
         """The :meth:`generator` stream for ``(core_id, seed)`` as the
         compiled run loop's ``cw_core`` fields: the loop constants
-        derived exactly as above, the stream's ``random.Random`` state
-        (``mt``, from ``getstate()``) and the picker's parameters
-        (:meth:`_picker_state`; for the pointer chase, the chain's MT
-        state ``chain_mt``, not the chain).
+        derived exactly as above, the 64-bit seed of the stream's
+        ``random.Random`` (``seed``; ``c_cache`` seeds the C state
+        from it as ``random.Random(seed)`` would) and the picker's
+        parameters (:meth:`_picker_state`; for the pointer chase, the
+        chain's seed ``chain_seed``, not the chain).
 
         None when the C port does not reproduce the stream: a subclass
         (it may change the stream), a working set of 2**32 lines or
@@ -218,7 +221,7 @@ class _SyntheticWorkload(Workload):
                 or gap_base >> 32):
             return None
         return {
-            "mt": derive_rng(seed, self.name, core_id).getstate()[1],
+            "seed": derive_seed(seed, self.name, core_id),
             "gap_base": gap_base,
             "gap_frac": gap_target - gap_base,
             "write_fraction": self.write_fraction,
@@ -281,13 +284,14 @@ class PointerChaseWorkload(_SyntheticWorkload):
     name = "pointer"
 
     @staticmethod
-    def _chain_rng(core_id: int, seed: int):
-        """The ``random.Random`` the chain is shuffled with."""
-        return derive_rng(seed, "pointer-permutation", core_id)
+    def _chain_seed(core_id: int, seed: int) -> int:
+        """The seed of the ``random.Random`` the chain is shuffled
+        with."""
+        return derive_seed(seed, "pointer-permutation", core_id)
 
     def _chain(self, core_id: int, seed: int) -> list[int]:
         """``chain[line]`` is the line visited after ``line``."""
-        rng = self._chain_rng(core_id, seed)
+        rng = random.Random(self._chain_seed(core_id, seed))
         # A single Hamiltonian cycle over the working set (not a plain
         # shuffled permutation, whose cycle through the start line has
         # wildly seed-dependent length — a short cycle would turn the
@@ -314,7 +318,7 @@ class PointerChaseWorkload(_SyntheticWorkload):
     def _picker_state(self, core_id: int, seed: int) -> dict:
         return {
             "kind": 2,
-            "chain_mt": self._chain_rng(core_id, seed).getstate()[1],
+            "chain_seed": self._chain_seed(core_id, seed),
             "position": 0,
         }
 

@@ -1,6 +1,9 @@
 """The C-resident run loop (PERFORMANCE.md rule 19) against its Python
 references.
 
+* ``cw_mt_seed`` leaves the exact state ``random.Random(seed)`` starts
+  from, for every 64-bit seed (the edges of the one- and two-word
+  keys, plus Hypothesis);
 * the C emitter reproduces each synthetic archetype's generator
   stream record for record (Hypothesis over sizes, fractions and
   seeds), and refuses every stream it does not port — attackers and
@@ -17,9 +20,10 @@ references.
   its line picker, and the C loop builds a pointer chase's chain in C
   (``cw_chain``, pinned element for element against ``_chain`` over
   sizes and seeds), so no Python shuffle runs;
-* the sync after a C run copies counters only: the line dicts stay
-  untouched until the first reader, and every reader then equals the
-  ``REPRO_BATCH=0`` run;
+* the sync after a C run copies counters only: the line dicts,
+  ``_memory_versions`` and the LLC MT states stay untouched until the
+  first reader, which brings them to the python engine's, and every
+  reader then equals the ``REPRO_BATCH=0`` run;
 * a defended system (``run_workloads`` with a registry defence and a
   detection unit online) takes the C loop and equals its
   ``REPRO_BATCH=0`` run field for field, the detection report
@@ -28,6 +32,7 @@ references.
   loops.
 """
 
+import random
 from dataclasses import replace
 from itertools import islice
 
@@ -42,7 +47,7 @@ from repro.attacks.victim import SquareMultiplyVictim
 from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import Core
 from repro.cpu.multicore import MulticoreSystem
-from repro.cpu.system import build_system, run_workloads
+from repro.cpu.system import build_system, run_system, run_workloads
 from repro.detection import DetectionSpec
 from repro.detection.responses import RESPONSES
 from repro.engine import available_engines, c_backend, c_cache
@@ -116,6 +121,29 @@ def _workloads(draw, cls):
         kwargs["hot_bytes"] = draw(st.integers(64, kwargs["working_set_bytes"]))
         kwargs["hot_probability"] = draw(st.floats(0.01, 0.99))
     return cls(**kwargs)
+
+
+def test_cw_mt_seed_matches_random_seeding(c_engine):
+    # The emitters' MT states are seeded in C from the seeds
+    # emitter_state hands over; each must be the state
+    # random.Random(seed) starts from (init_by_array over the seed's
+    # 32-bit words, one word below 2**32), all 624 words and the index.
+    ffi, lib = c_backend._load_lib()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    @example(seed=1)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)
+    @example(seed=2**63)
+    @example(seed=2**64 - 1)
+    def check(seed):
+        rng = ffi.new("cw_mt *")
+        lib.cw_mt_seed(rng, seed)
+        assert (*rng.mt, rng.mti) == random.Random(seed).getstate()[1]
+
+    check()
 
 
 @pytest.mark.parametrize("cls", [
@@ -421,6 +449,9 @@ def test_throttle_costs_the_same_under_both_engines(monkeypatch):
 # The lazy line mirror (PERFORMANCE.md rule 16)
 # ----------------------------------------------------------------------
 
+_MIX5_CONFIG = scaled_system_config(False, monitor_enabled=True)
+
+
 def _mix5_cell(monkeypatch, native: bool):
     """A monitored mix5 cell under the C walk, taking the C loop
     (``native``) or the Python loop (``REPRO_BATCH=0``).  Returns its
@@ -441,12 +472,27 @@ def _mix5_cell(monkeypatch, native: bool):
     with monkeypatch.context() as patched:
         patched.setattr(c_cache, "install", recording)
         result = _bound(
-            native, run_workloads,
-            scaled_system_config(False, monitor_enabled=True),
+            native, run_workloads, _MIX5_CONFIG,
             scaled_mix_workloads("mix5", False), 20_000, seed=3,
         )
     ((h, maps),) = installed
     return result, h, maps
+
+
+def _python_mix5_cell(monkeypatch):
+    """The same cell on the python engine: its result and hierarchy."""
+    with monkeypatch.context() as env:
+        env.setenv("REPRO_ENGINE", "python")
+        system, _ = build_system(
+            _MIX5_CONFIG, scaled_mix_workloads("mix5", False), 3
+        )
+        result = run_system(system, 20_000)
+    assert system.hierarchy._c_state is None
+    return result, system.hierarchy
+
+
+def _llc_rng_states(h):
+    return [sl.policy._rng.getstate() for sl in h.llc.slices]
 
 
 def _caches(h):
@@ -491,18 +537,31 @@ _LINE_READERS = {
 
 def test_sync_copies_counters_and_leaves_lines_stale(c_engine, monkeypatch):
     native, h, maps = _mix5_cell(monkeypatch, native=True)
-    reference, ref, _ = _mix5_cell(monkeypatch, native=False)
-    # The run's sync rebuilt no line dict ...
+    reference, ref = _python_mix5_cell(monkeypatch)
+    fresh = _MIX5_CONFIG.build_hierarchy(seed=3)
+    # The run's sync rebuilt no line dict, and left _memory_versions
+    # and the LLC slices' MT states as they were at install, where the
+    # python engine has moved both ...
     assert all(cache._map is m and not m for cache, m in maps)
     assert not any(any(cache._sets) for cache, _ in maps)
+    memver = h._memory_versions
+    assert memver == fresh._memory_versions == {} != ref._memory_versions
+    assert _llc_rng_states(h) == _llc_rng_states(fresh) != _llc_rng_states(ref)
     # ... yet every counter is current.
+    for result in (native, reference):
+        result.extra.pop("engine")  # provenance, not semantics
     assert native == reference
     assert h.stats is native.stats
     assert h.stats == ref.stats
     assert [(c._stamp, c.hits, c.misses, c.evictions) for c in _caches(h)] == [
         (c._stamp, c.hits, c.misses, c.evictions) for c in _caches(ref)
     ]
-    assert h._memory_versions == ref._memory_versions
+    # The first reader brings the rest of the mirror to the python
+    # engine's state, _memory_versions in place.
+    assert len(h.llc) == len(ref.llc)
+    assert h._memory_versions is memver
+    assert memver == ref._memory_versions
+    assert _llc_rng_states(h) == _llc_rng_states(ref)
     assert h.llc.evictions == ref.llc.evictions == h.stats.llc_evictions > 0
     # With no C work in between, neither a second sync nor a reader
     # rebuilds: a planted entry survives both.

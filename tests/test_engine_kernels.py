@@ -470,23 +470,32 @@ class TestCCacheWalk:
 
     def test_midstream_install_carries_state(self):
         # Installing after generic-path traffic must seed the C arrays
-        # from the live dicts exactly — counters, stamps, words, RNG.
+        # from the live dicts exactly — counters, stamps, words, RNG,
+        # memory versions — occupied sets and all.
         hg = TABLE_II.build_hierarchy(seed=5)
         hc = TABLE_II.build_hierarchy(seed=5)
+
+        def line(i):
+            # A flush (i % 4 == 3) takes the line written two ops
+            # before, so dirty data reaches memory before the install.
+            return ((i - 2 if i & 3 == 3 else i) * 131) % 60_000
+
         stream = [
-            ((i * 7) & 3, (0, 1, 0, 3)[i & 3], ((i * 131) % 60_000) * 64)
+            ((i * 7) & 3, (0, 1, 0, 3)[i & 3], line(i) * 64)
             for i in range(12_000)
         ]
         for i, (core, op, addr) in enumerate(stream[:5_000]):
             assert hg.access(core, op, addr, now=i) == hc.access(
                 core, op, addr, now=i
             )
+        assert hc._memory_versions and len(hc.llc)
         kernel = self._install(hc)
         for i, (core, op, addr) in enumerate(stream[5_000:], start=5_000):
             assert hg.access(core, op, addr, now=i) == kernel(
                 core, op, addr, now=i
             )
         _assert_hierarchies_equal(hg, hc)
+        assert hg._memory_versions == hc._memory_versions
 
     def test_random_llc_takes_the_c_walk(self, monkeypatch):
         # The random LLC runs in C as the whole-set draw (pool_size
