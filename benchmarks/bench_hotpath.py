@@ -13,6 +13,7 @@ tracked, not asserted:
 * the batched storage-mode filter ops, and filter construction plus
   install at the LSM level shapes;
 * a pointer chase's per-core chain, built in Python and in C;
+* one core's record emission, by the generator and by ``cw_emit``;
 * one end-to-end Fig. 8 cell (mix1, Table II filter, scaled system).
 
 Run through ``benchmarks/run_perf.sh``, which writes the ops/sec
@@ -463,6 +464,55 @@ def test_pointer_chain_build(benchmark, leg):
                 )
 
     _bench_ops(benchmark, run, lambda: None, CHAIN_BUILDS)
+
+
+# ----------------------------------------------------------------------
+# Record emission
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("leg", ["python", "c"])
+def test_emit_records(benchmark, leg):
+    """Record emission (records/sec) for one scaled-mix1 core, sphinx3
+    on core 2: a hot/cold stream, five or six Mersenne-Twister draws per
+    record.  The python leg advances the generator; the c leg calls
+    ``cw_emit``, the emitter the C run loop steps, into preallocated
+    buffers.  Each round starts a fresh stream."""
+    from collections import deque
+    from itertools import islice
+
+    from repro.experiments.common import scaled_mix_workloads
+
+    core_id = 2
+    workload = scaled_mix_workloads("mix1", False)[core_id]
+    assert workload.name == "sphinx3"
+    if leg == "python":
+        def setup():
+            return workload.generator(core_id, 0)
+
+        def run(gen):
+            deque(islice(gen, N_OPS), maxlen=0)
+    else:
+        from repro.engine import c_backend, c_cache
+
+        pair = c_backend._load_lib()
+        if pair is None:
+            pytest.skip("C backend unavailable (no cffi/toolchain)")
+        ffi, lib = pair
+        gaps = ffi.new("int64_t[]", N_OPS)
+        ops = ffi.new("int32_t[]", N_OPS)
+        addrs = ffi.new("uint64_t[]", N_OPS)
+
+        def setup():
+            c = ffi.new("cw_core *")
+            c_cache._load_emitter(
+                ffi, lib, c, workload.emitter_state(core_id, 0), []
+            )
+            return c
+
+        def run(c):
+            lib.cw_emit(c, N_OPS, gaps, ops, addrs)
+
+    _bench_ops(benchmark, run, setup, N_OPS)
 
 
 # ----------------------------------------------------------------------

@@ -64,6 +64,9 @@ CELL_GROUPS = {
     "setup": (
         "test_pointer_chain_build",
     ),
+    "emit": (
+        "test_emit_records",
+    ),
     "end_to_end": (
         "test_fig8_single_cell",
         "test_fig8_single_cell_generator_loop",
@@ -146,7 +149,15 @@ def load_record(source: str, trajectory: bool, engine: str | None = None) -> dic
         raise SystemExit(
             f"error: {TRAJECTORY_PATH}: not valid JSON ({exc})"
         ) from None
-    matches = [e for e in entries if e.get("commit", "").startswith(source)]
+    # An exact stamp wins.  A prefix reaches the `<sha>-dirty` stamp of
+    # an uncommitted change only when it ends in -dirty itself, so a
+    # parent's record stays selectable once its change's record follows.
+    matches = [e for e in entries if e.get("commit") == source] or [
+        e for e in entries
+        if e.get("commit", "").startswith(source)
+        and (source.endswith("-dirty")
+             or not e.get("commit", "").endswith("-dirty"))
+    ]
     if not matches:
         known = sorted({e.get("commit", "?") for e in entries})
         raise SystemExit(

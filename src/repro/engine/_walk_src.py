@@ -103,6 +103,7 @@ typedef struct {
 typedef struct {
     uint32_t mt[624];
     uint32_t mti;
+    uint32_t out[624];
 } cw_mt;
 
 typedef struct {
@@ -233,6 +234,7 @@ void cw_emit(cw_core *c, int64_t n, int64_t *gaps, int32_t *ops,
              uint64_t *addrs);
 int cw_chain(cw_mt *r, uint64_t n, uint64_t *chain);
 void cw_mt_seed(cw_mt *r, uint64_t seed);
+void cw_mt_temper(cw_mt *r);
 int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
 void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
 void cw_hier_free(cw_hier *h);
@@ -378,9 +380,13 @@ void cw_hier_free(cw_hier *h)
 
 /* ------------------------------------------------------------------ */
 /* Mersenne Twister (CPython's random.getrandbits(k <= 32) is
- * genrand_uint32() >> (32-k)).  An emitter's state is seeded here
- * (cw_mt_seed); an LLC slice's is imported from Random.getstate() on
- * install and exported through Random.setstate() by sync_lines. */
+ * genrand_uint32() >> (32-k)).  mt[] and mti are CPython's state, the
+ * untempered words and the index; out[] holds the same block tempered,
+ * so a draw is a load and only a refill, once per 624 draws, twists.
+ * An emitter's state is seeded here (cw_mt_seed, mti = 624: the first
+ * draw refills); an LLC slice's is imported from Random.getstate() on
+ * install, tempered in place without a twist (cw_mt_temper), and
+ * exported through Random.setstate() by sync_lines. */
 
 /* random.Random(seed) for 0 <= seed < 2**64: CPython's init_by_array
  * over the seed's 32-bit words, low word first (one word below 2**32,
@@ -420,31 +426,47 @@ void cw_mt_seed(cw_mt *r, uint64_t seed)
     r->mti = 624;
 }
 
-static uint32_t cw_genrand(cw_mt *r)
+/* Temper all 624 words of mt[] into out[], so a draw is one load.
+ * Install calls it alone on an imported Random.getstate(): the words
+ * from mti on are the ones that state has still to hand out. */
+void cw_mt_temper(cw_mt *r)
+{
+    int i;
+    for (i = 0; i < 624; i++) {
+        uint32_t y = r->mt[i];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9D2C5680U;
+        y ^= (y << 15) & 0xEFC60000U;
+        r->out[i] = y ^ (y >> 18);
+    }
+}
+
+/* Twist the spent block, then temper the new one. */
+static void cw_mt_refill(cw_mt *r)
 {
     uint32_t y;
-    if (r->mti >= 624) {
-        int kk;
-        for (kk = 0; kk < 624 - 397; kk++) {
-            y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7FFFFFFFU);
-            r->mt[kk] = r->mt[kk + 397] ^ (y >> 1)
-                ^ ((y & 1U) ? 0x9908B0DFU : 0U);
-        }
-        for (; kk < 623; kk++) {
-            y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7FFFFFFFU);
-            r->mt[kk] = r->mt[kk + (397 - 624)] ^ (y >> 1)
-                ^ ((y & 1U) ? 0x9908B0DFU : 0U);
-        }
-        y = (r->mt[623] & 0x80000000U) | (r->mt[0] & 0x7FFFFFFFU);
-        r->mt[623] = r->mt[396] ^ (y >> 1) ^ ((y & 1U) ? 0x9908B0DFU : 0U);
-        r->mti = 0;
+    int kk;
+    for (kk = 0; kk < 624 - 397; kk++) {
+        y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7FFFFFFFU);
+        r->mt[kk] = r->mt[kk + 397] ^ (y >> 1)
+            ^ ((y & 1U) ? 0x9908B0DFU : 0U);
     }
-    y = r->mt[r->mti++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9D2C5680U;
-    y ^= (y << 15) & 0xEFC60000U;
-    y ^= (y >> 18);
-    return y;
+    for (; kk < 623; kk++) {
+        y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7FFFFFFFU);
+        r->mt[kk] = r->mt[kk + (397 - 624)] ^ (y >> 1)
+            ^ ((y & 1U) ? 0x9908B0DFU : 0U);
+    }
+    y = (r->mt[623] & 0x80000000U) | (r->mt[0] & 0x7FFFFFFFU);
+    r->mt[623] = r->mt[396] ^ (y >> 1) ^ ((y & 1U) ? 0x9908B0DFU : 0U);
+    cw_mt_temper(r);
+    r->mti = 0;
+}
+
+static uint32_t cw_genrand(cw_mt *r)
+{
+    if (r->mti >= 624)
+        cw_mt_refill(r);
+    return r->out[r->mti++];
 }
 
 /* random.Random.random(): CPython's genrand_res53. */
@@ -467,16 +489,18 @@ static uint64_t cw_randbelow(cw_mt *r, uint64_t n, int shift)
 /* ------------------------------------------------------------------ */
 /* Cache-array primitives. */
 
-/* The probe (_map.get): line_addr's slot, or -1 when absent. */
+/* The probe (_map.get): line_addr's slot, or -1 when absent.  Every
+ * way is scanned without an early exit (a tag is in a set at most
+ * once, cw_fill refuses a duplicate), so the loop has no branch. */
 static int64_t cw_slot(const cw_cache *c, uint64_t line_addr)
 {
     uint64_t base = (line_addr & c->set_mask) * c->ways;
     const uint64_t *tags = c->tags + base;
+    int64_t slot = -1;
     uint32_t i;
     for (i = 0; i < c->ways; i++)
-        if (tags[i] == line_addr)
-            return (int64_t)(base + i);
-    return -1;
+        slot = tags[i] == line_addr ? (int64_t)(base + i) : slot;
+    return slot;
 }
 
 /* _remove_word, at the slot the probe found. */
@@ -496,13 +520,17 @@ static int cw_slice_idx(const cw_hier *h, uint64_t line_addr)
 
 /* _fill on cache cidx: returns 1 with the victim's tag, word and stamp
  * in *v_addr, *v_word, *v_stamp when the set was full, 0 when it had a
- * free way, -1 on a duplicate insert.  The victim is the smallest stamp
- * or, handed a slice's MT state, the pool draw of lru_rand and random:
- * the exact _randbelow_with_getrandbits redraw over pool_size, then a
- * walk to the v-th smallest stamp (stamps are unique per cache and
- * start at 1, so each scan takes the smallest stamp above the last
- * one, which is Python's sorted pool and, for random, its fill order).
- * The new line takes the victim's way, the one free way of a full set. */
+ * free way, -1 on a duplicate insert.  One pass over the set makes the
+ * duplicate check and, in a full set, finds the smallest stamp.  A set
+ * with a free way takes its first empty way and never reads its stamps
+ * (in a fresh cache, a read before the first write would fault each
+ * untouched stamp page twice).  A full set's victim is that smallest
+ * stamp or, handed a slice's MT state, the pool draw of lru_rand and
+ * random: the exact _randbelow_with_getrandbits redraw v over
+ * pool_size, then v more scans, each taking the smallest stamp above
+ * the last one (stamps are unique per cache and start at 1, so this is
+ * entry v of Python's sorted pool and, for random, of its fill order).
+ * The new line takes the victim's way. */
 static int cw_fill(cw_hier *h, int cidx, uint64_t line_addr, uint64_t word,
                    cw_mt *rng, uint64_t *v_addr, uint64_t *v_word,
                    uint64_t *v_stamp)
@@ -513,30 +541,35 @@ static int cw_fill(cw_hier *h, int cidx, uint64_t line_addr, uint64_t word,
     uint64_t *tags = c->tags + base;
     uint64_t *stamps = c->stamps + base;
     int full = c->counts[set] >= c->ways;
+    uint64_t best = CW_EMPTY;
     uint32_t i, way = 0;
+    int dup = 0;
     for (i = 0; i < c->ways; i++) {
-        if (tags[i] == line_addr) {
-            h->err = CW_ERR_DUP;
-            h->err_addr = line_addr;
-            h->err_cache = cidx;
-            return -1;
+        dup |= tags[i] == line_addr;
+        if (full && stamps[i] < best) {
+            best = stamps[i];
+            way = i;
         }
     }
+    if (dup) {
+        h->err = CW_ERR_DUP;
+        h->err_addr = line_addr;
+        h->err_cache = cidx;
+        return -1;
+    }
     if (full) {
-        uint64_t v = 0, above = 0;
+        uint64_t v = 0;
         if (rng)
             v = cw_randbelow(rng, (uint64_t)h->pool_size, 32 - h->rbits);
-        for (;;) {
-            uint64_t best = CW_EMPTY;
+        while (v--) {
+            uint64_t above = best;
+            best = CW_EMPTY;
             for (i = 0; i < c->ways; i++) {
                 if (stamps[i] > above && stamps[i] < best) {
                     best = stamps[i];
                     way = i;
                 }
             }
-            if (v-- == 0)
-                break;
-            above = best;
         }
         *v_addr = tags[way];
         *v_word = c->words[base + way];

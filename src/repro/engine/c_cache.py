@@ -295,7 +295,7 @@ class CWalkState:
             rng = ffi.new("cw_mt[]", S)
             bufs.append(rng)
             for i, sl in enumerate(slices):
-                _load_mt(ffi, rng[i], sl.policy._rng.getstate()[1])
+                _load_mt(ffi, lib, rng[i], sl.policy._rng.getstate()[1])
             st.rng = rng
         st.write_counter = h._write_counter
 
@@ -645,11 +645,15 @@ class CWalkState:
                 sets[j // ways][tag] = stamps[j]
 
 
-def _load_mt(ffi, rng, state: tuple) -> None:
+def _load_mt(ffi, lib, rng, state: tuple) -> None:
     """Fill the ``cw_mt`` ``rng`` from ``Random.getstate()[1]``: the
-    624 words in one copy, then the index."""
+    624 words in one copy, then the index, then ``cw_mt_temper``
+    tempers the block into ``out`` without twisting it, so the next
+    draw reads word ``mti`` as ``Random`` would (a twist here would
+    skip the rest of the block and move ``getstate()``)."""
     ffi.memmove(rng.mt, array("I", state), 624 * 4)
     rng.mti = state[624]
+    lib.cw_mt_temper(ffi.addressof(rng))
 
 
 def _load_emitter(ffi, lib, c, state: dict, keep: list) -> None:

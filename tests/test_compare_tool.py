@@ -111,6 +111,26 @@ def test_trajectory_skips_non_hotpath_records(tmp_path, capsys, monkeypatch):
     assert "bench" in capsys.readouterr().out
 
 
+def test_trajectory_prefix_skips_a_dirty_record(tmp_path, capsys, monkeypatch):
+    """A parent's record stays selectable once its change's
+    `<sha>-dirty` record follows it: an exact stamp wins, and a prefix
+    reaches a -dirty entry only when it ends in -dirty itself."""
+    trajectory = tmp_path / "BENCH_trajectory.json"
+    trajectory.write_text(json.dumps([
+        {"commit": "aaaa", "engine": "c",
+         "benchmarks": {"bench": {"ops_per_sec": 100.0}}},
+        {"commit": "aaaa-dirty", "engine": "c",
+         "benchmarks": {"bench": {"ops_per_sec": 200.0}}},
+    ]))
+    monkeypatch.setattr(compare_mod, "TRAJECTORY_PATH", trajectory)
+    for source, ops in (("aaaa", 100.0), ("aa", 100.0),
+                        ("aaaa-dirty", 200.0)):
+        record = compare_mod.load_record(source, trajectory=True)
+        assert record["benchmarks"]["bench"]["ops_per_sec"] == ops, source
+    assert compare_mod.main(["aaaa", "aaaa-dirty", "--trajectory"]) == 0
+    assert "2.00" in capsys.readouterr().out
+
+
 def test_cell_groups_match_bench_hotpath():
     """CELL_GROUPS must name exactly the cells bench_hotpath.py
     defines — a renamed or added cell that is not grouped would

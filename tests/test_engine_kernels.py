@@ -252,12 +252,14 @@ _TWIN_OWNERS = {
 #: A twin-table row: ``Owner.method`` then its C function.
 _TWIN_ROW = re.compile(r"^``(\w+)\.(\w+)``\s+``(\w+)``$", re.M)
 #: Static helpers with no Python body of their own: the walk's
-#: ``_memory_versions`` map, Mersenne Twister, record emitter and
-#: scheduler step, and the filter's mix and row scan, which port
-#: expressions (``splitmix64``, ``value in row``) rather than methods.
+#: ``_memory_versions`` map, Mersenne Twister (the block refill and the
+#: draws that load from it, which port CPython's ``_random`` module),
+#: record emitter and scheduler step, and the filter's mix and row scan,
+#: which port expressions (``splitmix64``, ``value in row``) rather
+#: than methods.
 _UNPAIRED_HELPERS = {
     "cw_map_hash", "cw_map_get", "cw_map_set",
-    "cw_genrand", "cw_random", "cw_randbelow",
+    "cw_mt_refill", "cw_genrand", "cw_random", "cw_randbelow",
     "cw_next_line", "cw_emit_one",
     "cw_advance",
     "acf_mix", "acf_find",
@@ -496,6 +498,50 @@ class TestCCacheWalk:
             )
         _assert_hierarchies_equal(hg, hc)
         assert hg._memory_versions == hc._memory_versions
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        policy=st.sampled_from(["lru_rand", "random"]),
+        drawn=st.integers(0, 1_999),
+    )
+    @example(policy="lru_rand", drawn=0)
+    @example(policy="lru_rand", drawn=1)
+    @example(policy="lru_rand", drawn=623)
+    @example(policy="lru_rand", drawn=624)
+    @example(policy="lru_rand", drawn=625)
+    @example(policy="random", drawn=0)
+    @example(policy="random", drawn=1)
+    @example(policy="random", drawn=623)
+    @example(policy="random", drawn=624)
+    @example(policy="random", drawn=625)
+    def test_imported_mt_state_at_block_edges(self, policy, drawn):
+        # The C draws load from a tempered copy of the 624-word block,
+        # so an imported Random.getstate() must be tempered as it is,
+        # not twisted: every slice's MT has handed out ``drawn`` words
+        # before install (index 624 on a fresh or a spent block, 1 or
+        # 623 inside one), and the stream's victim draws then cross
+        # further block edges under both engines.
+        config = dataclasses.replace(_SMALL, llc_policy=policy)
+        hg = config.build_hierarchy(seed=9)
+        hc = config.build_hierarchy(seed=9)
+        for h in (hg, hc):
+            for sl in h.llc.slices:
+                assert sl.policy.pool_size == (4 if policy == "lru_rand" else None)
+                for _ in range(drawn):
+                    sl.policy._rng.getrandbits(32)
+        kernel = self._install(hc)
+        for i in range(4_000):
+            core, op = i & 3, (0, 1, 0, 2)[i % 4]
+            addr = ((i * 37) % 1_500) * 64
+            assert hg.access(core, op, addr, now=i) == kernel(
+                core, op, addr, now=i
+            )
+        hc.engine_sync()
+        assert hg.stats == hc.stats
+        assert hc.stats.llc_evictions > 1_000
+        assert len(hc.llc) == len(hg.llc)
+        for sg, sc in zip(hg.llc.slices, hc.llc.slices):
+            assert sg.policy._rng.getstate() == sc.policy._rng.getstate()
 
     def test_random_llc_takes_the_c_walk(self, monkeypatch):
         # The random LLC runs in C as the whole-set draw (pool_size
