@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -113,6 +114,38 @@ def warn_cross_host(baseline: dict, candidate: dict) -> None:
             "change",
             file=sys.stderr,
         )
+
+
+def merge_process_bests(raws: list[dict]) -> dict:
+    """The compact ``benchmarks`` section of a record, from the
+    pytest-benchmark dumps of several processes that ran the same cells
+    one after another (``run_perf.sh`` runs three).
+
+    A whole process can land in a fast or a slow host state, so a cell's
+    ``best_seconds`` is the median of the processes' bests, and
+    ``ops_per_sec`` is its ``operations`` over that median.  Each
+    process's best (``process_best_seconds``) and every round
+    (``rounds_seconds``) are kept, in run order.
+    """
+    cells: dict[str, dict] = {}
+    for raw in raws:
+        for bench in raw["benchmarks"]:
+            cell = cells.setdefault(bench["name"], {
+                "operations": bench.get("extra_info", {}).get(
+                    "operations", 1),
+                "process_best_seconds": [],
+                "rounds_seconds": [],
+            })
+            cell["process_best_seconds"].append(
+                round(bench["stats"]["min"], 6))
+            cell["rounds_seconds"] += [
+                round(v, 6) for v in bench["stats"]["data"]
+            ]
+    for cell in cells.values():
+        best = statistics.median(cell["process_best_seconds"])
+        cell["best_seconds"] = round(best, 6)
+        cell["ops_per_sec"] = round(cell["operations"] / best, 1)
+    return cells
 
 
 def load_record(source: str, trajectory: bool, engine: str | None = None) -> dict:

@@ -22,9 +22,9 @@ binds its access entry point when it is constructed, after the monitor
 is attached.  The ``c`` engine is admissible only because the
 golden-trace conformance harness (``tests/conformance/``) replays the
 full attack × defence scenario matrix bit-identically under both
-engines.  Every hierarchy takes the C walk; only a filter the C
-kernels do not support (instrumented, wide fingerprints) stays on its
-generic methods, rather than approximating.
+engines.  Every hierarchy takes the C walk, and so does every filter
+width; only an instrumented filter (its shadow address sets have no C
+form) stays on its generic methods, rather than approximating.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def effective_engine() -> str:
     process.  Provenance stamps (benchmark records, artefact headers,
     ``result.extra["engine"]``) must use this, never the request, so a
     toolchain-less host cannot label python-engine numbers as C
-    numbers.  (The per-filter fallback — instrumented or wide-
-    fingerprint filters — is config-local and not reflected here.)
+    numbers.  (The per-filter fallback — instrumented filters — is
+    config-local and not reflected here.)
     """
     name = engine_name()
     if name == "c" and _c_unavailable():
@@ -220,7 +220,6 @@ def filter_batch(flt):
 
         if not c_backend.install(flt):
             # Toolchain/cffi missing warns once; per-filter
-            # ineligibility (instrumented, wide fingerprints) is
-            # config-local and quiet.
+            # ineligibility (instrumented) is config-local and quiet.
             _c_unavailable()
     return flt

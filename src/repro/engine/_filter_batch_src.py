@@ -5,25 +5,26 @@ Concatenated into :mod:`repro.engine.c_backend`'s translation unit
 ``acf_find``, ``acf_insert_new``) are called directly.  Every filter
 kernel, of ``_CSOURCE`` or of this module, is an exact-uint64 port of
 one body of the reference
-:class:`repro.filters.auto_cuckoo.AutoCuckooFilter`, as this twin
-table pairs them; one row scan, ``acf_find``, is the C form of
+:class:`repro.filters.auto_cuckoo.AutoCuckooFilter` or of its
+:class:`repro.filters.hashing.PartialKeyHasher`, as this twin table
+pairs them; one row scan, ``acf_find``, is the C form of
 ``value in row`` / ``row.index(value)`` for all of them:
 
-===================================  =====================
-Python body                          C function
-===================================  =====================
-``AutoCuckooFilter._locate``         ``acf_candidates``
-``AutoCuckooFilter._build_alt_xor``  ``acf_fill_alt_xor``
-``AutoCuckooFilter.access``          ``acf_access``
-``AutoCuckooFilter.access_many``     ``acf_access_many``
-``AutoCuckooFilter._insert_new``     ``acf_insert_new``
-``AutoCuckooFilter.insert``          ``acf_insert``
-``AutoCuckooFilter.query``           ``acf_query``
-``AutoCuckooFilter.delete``          ``acf_delete``
-``AutoCuckooFilter.insert_many``     ``acf_insert_many``
-``AutoCuckooFilter.query_many``      ``acf_query_many``
-``AutoCuckooFilter.delete_many``     ``acf_delete_many``
-===================================  =====================
+================================  =====================
+Python body                       C function
+================================  =====================
+``AutoCuckooFilter._locate``      ``acf_candidates``
+``PartialKeyHasher.alt_index``    ``acf_alt_index``
+``AutoCuckooFilter.access``       ``acf_access``
+``AutoCuckooFilter.access_many``  ``acf_access_many``
+``AutoCuckooFilter._insert_new``  ``acf_insert_new``
+``AutoCuckooFilter.insert``       ``acf_insert``
+``AutoCuckooFilter.query``        ``acf_query``
+``AutoCuckooFilter.delete``       ``acf_delete``
+``AutoCuckooFilter.insert_many``  ``acf_insert_many``
+``AutoCuckooFilter.query_many``   ``acf_query_many``
+``AutoCuckooFilter.delete_many``  ``acf_delete_many``
+================================  =====================
 
 ``insert`` places only when no matching fingerprint is resident
 (never fails: the kick walk deletes autonomically at MNK; no Security
@@ -36,12 +37,11 @@ per key.  ``install`` passes ``array('Q')`` buffers through
 
 Bit-identical results against the Python reference are gated by the
 conformance matrix and the batched-vs-per-key equivalence suites.
-Like ``acf_access``, these kernels assume the C alternate table
-``st->alt_xor`` exists: ``CFilterState`` fills it with
-``acf_fill_alt_xor`` at install, whether or not the Python
-``_alt_xor`` was ever built.  ``install`` refuses wide-fingerprint
-(f > 16) filters, whose fingerprints do not fit the ``uint16_t`` rows;
-they stay on the Python reference path.
+The rows are 32 bits wide and ``acf_alt_index`` computes the
+alternate bucket with the hasher's mix, so every fingerprint width
+f = 1..32 runs here; the reference path's ``_alt_xor`` table is a
+Python-only memo of the same mix.  Only instrumented filters, whose
+shadow address sets have no C form, stay on the reference path.
 """
 
 BATCH_CDEF = """

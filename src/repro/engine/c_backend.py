@@ -4,10 +4,10 @@ build for the packed-word cache walk.
 ``REPRO_ENGINE=c`` (the default engine) routes the two halves of the
 simulator's hot pair through one cffi-compiled extension:
 
-* the **filter** Query/kick-walk — fingerprint rows, Security
-  counters, the ``_alt_xor`` table and the LCG in flat C arrays, an
-  exact-uint64 port of ``AutoCuckooFilter`` (this module, installed
-  by :func:`install`);
+* the **filter** Query/kick-walk — 32-bit fingerprint rows, Security
+  counters and the LCG in flat C arrays, an exact-uint64 port of
+  ``AutoCuckooFilter`` for every fingerprint width f = 1..32 (this
+  module, installed by :func:`install`);
 * the **cache walk** — the L1 probe → miss walk → LLC fill/evict →
   monitor chain with per-cache tag/word/stamp arrays and a C-owned
   ``_memory_versions`` map (source in :mod:`repro.engine._walk_src`,
@@ -41,12 +41,12 @@ scalar counters (``valid_count``, ``autonomic_deletions``,
 are synced back exactly when an Access returns 0 (a Response of 0 *is*
 a fresh insertion); ``total_accesses`` is kept on the Python side.
 The tables are born in C: a filter whose Python rows were never read
-gets zeroed C rows, and the ``_alt_xor`` table is always computed in C
-(``acf_fill_alt_xor``); only rows that already exist (``from_bytes``,
-or a filter driven on the reference path first) are copied in.  The
-Python ``_fps``/``_security``/``_alt_xor`` appear only when something
-reads them: the first read builds them from the C arrays
-(``AutoCuckooFilter._build_rows``/``_build_alt_xor``), and
+gets zeroed C rows; only rows that already exist (``from_bytes``, or a
+filter driven on the reference path first) are copied in.  C computes
+the alternate bucket with the hasher's mix (``acf_alt_index``), so the
+``_alt_xor`` table is a Python-only memo.  The Python ``_fps``/
+``_security`` appear only when something reads them: the first read
+builds them from the C arrays (``AutoCuckooFilter._build_rows``), and
 introspection refreshes rows that exist
 (``AutoCuckooFilter._sync_rows_from_c``).
 The cache walk's (batch) sync contract is documented in
@@ -75,12 +75,12 @@ _U64 = (1 << 64) - 1
 #: both the cdef and the source.
 _ACF_STATE = """
 typedef struct {
-    uint16_t *fps;
+    uint32_t *fps;
     uint8_t *security;
-    uint32_t *alt_xor;
     uint64_t lcg;
     uint64_t fp_add;
     uint64_t index_add;
+    uint64_t alt_add;
     uint32_t index_mask;
     uint32_t fp_mask;
     uint32_t entries_per_bucket;
@@ -97,8 +97,6 @@ typedef struct {
 _CDEF = _ACF_STATE + """
 int acf_access(acf_state *st, uint64_t key);
 uint64_t acf_access_many(acf_state *st, const uint64_t *keys, uint64_t n);
-void acf_fill_alt_xor(uint32_t *out, uint64_t n, uint64_t alt_add,
-                      uint32_t index_mask);
 """
 
 _CSOURCE = """
@@ -113,13 +111,11 @@ static inline uint64_t acf_mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* The alternate-bucket table: out[fp] = mix(fp + alt_add) & index_mask
- * for every fp < n, the arithmetic of AutoCuckooFilter._build_alt_xor. */
-void acf_fill_alt_xor(uint32_t *out, uint64_t n, uint64_t alt_add,
-                      uint32_t index_mask)
+/* The other candidate bucket of fp: the paper's sigma = mu ^ hash(xi). */
+static inline uint32_t acf_alt_index(const acf_state *st, uint32_t index,
+                                     uint32_t fp)
 {
-    for (uint64_t fp = 0; fp < n; fp++)
-        out[fp] = (uint32_t)(acf_mix(fp + alt_add) & index_mask);
+    return (uint32_t)((index ^ acf_mix(fp + st->alt_add)) & st->index_mask);
 }
 
 /* fp/i1/i2 derivation shared by the Query and the storage ops. */
@@ -134,7 +130,7 @@ static inline void acf_candidates(const acf_state *st, uint64_t key,
     uint32_t i1 = (uint32_t)(acf_mix(key + st->index_add) & st->index_mask);
     *fp_out = fp;
     *i1_out = i1;
-    *i2_out = i1 ^ st->alt_xor[fp];
+    *i2_out = acf_alt_index(st, i1, fp);
 }
 
 /* The first slot of bucket index holding value, or -1: the C form of
@@ -142,7 +138,7 @@ static inline void acf_candidates(const acf_state *st, uint64_t key,
 static inline int acf_find(const acf_state *st, uint32_t index,
                            uint32_t value)
 {
-    const uint16_t *row = st->fps + (size_t)index * st->entries_per_bucket;
+    const uint32_t *row = st->fps + (size_t)index * st->entries_per_bucket;
     for (uint32_t s = 0; s < st->entries_per_bucket; s++)
         if (row[s] == value)
             return (int)s;
@@ -163,7 +159,7 @@ static void acf_insert_new(acf_state *st, uint32_t fp, uint32_t i1,
         slot = acf_find(st, i2, 0);
     }
     if (slot >= 0) {
-        st->fps[(size_t)vidx * b + (size_t)slot] = (uint16_t)fp;
+        st->fps[(size_t)vidx * b + (size_t)slot] = fp;
         st->security[(size_t)vidx * b + (size_t)slot] = 0;
         st->valid_count++;
         return;
@@ -180,10 +176,10 @@ static void acf_insert_new(acf_state *st, uint32_t fp, uint32_t i1,
         uint32_t kslot = st->has_slot_mask
             ? (uint32_t)((state >> 33) & st->slot_mask)
             : (uint32_t)((state >> 33) % b);
-        uint16_t *krow = st->fps + (size_t)kidx * b;
+        uint32_t *krow = st->fps + (size_t)kidx * b;
         uint8_t *ksec = st->security + (size_t)kidx * b;
-        uint16_t tf = krow[kslot];
-        krow[kslot] = (uint16_t)carried_fp;
+        uint32_t tf = krow[kslot];
+        krow[kslot] = carried_fp;
         carried_fp = tf;
         uint8_t ts = ksec[kslot];
         ksec[kslot] = carried_sec;
@@ -195,11 +191,11 @@ static void acf_insert_new(acf_state *st, uint32_t fp, uint32_t i1,
             return;
         }
         rel++;
-        kidx ^= st->alt_xor[carried_fp];
+        kidx = acf_alt_index(st, kidx, carried_fp);
         int empty = acf_find(st, kidx, 0);
         if (empty < 0)
             continue;
-        st->fps[(size_t)kidx * b + (size_t)empty] = (uint16_t)carried_fp;
+        st->fps[(size_t)kidx * b + (size_t)empty] = carried_fp;
         st->security[(size_t)kidx * b + (size_t)empty] = carried_sec;
         st->valid_count++;
         st->total_relocations += rel;
@@ -391,7 +387,7 @@ def unavailable_reason() -> str | None:
 class CFilterState:
     """Owner of one filter's C-side arrays (keeps cffi buffers alive)."""
 
-    __slots__ = ("ffi", "lib", "st", "_fps_buf", "_sec_buf", "_alt_buf")
+    __slots__ = ("ffi", "lib", "st", "_fps_buf", "_sec_buf")
 
     def __init__(self, ffi, lib, flt):
         self.ffi = ffi
@@ -401,28 +397,25 @@ class CFilterState:
             # Python rows exist (``from_bytes``, or a filter driven on
             # the reference path before install): copy them.
             self._fps_buf = ffi.new(
-                "uint16_t[]", [fp for row in flt._fps for fp in row])
+                "uint32_t[]", [fp for row in flt._fps for fp in row])
             self._sec_buf = ffi.new(
                 "uint8_t[]", [s for row in flt._security for s in row])
         else:
             # Never materialised, so the table is empty: ``ffi.new``
             # returns zeroed memory.
             slots = flt.num_buckets * b
-            self._fps_buf = ffi.new("uint16_t[]", slots)
+            self._fps_buf = ffi.new("uint32_t[]", slots)
             self._sec_buf = ffi.new("uint8_t[]", slots)
-        alt_len = 1 << flt.hasher.fingerprint_bits
-        self._alt_buf = ffi.new("uint32_t[]", alt_len)
-        lib.acf_fill_alt_xor(
-            self._alt_buf, alt_len, flt._alt_mix_add, flt._index_mask)
+        hasher = flt.hasher
         st = ffi.new("acf_state *")
         st.fps = self._fps_buf
         st.security = self._sec_buf
-        st.alt_xor = self._alt_buf
         st.lcg = flt._lcg
-        st.fp_add = flt._fp_add
-        st.index_add = flt._index_add
-        st.index_mask = flt._index_mask
-        st.fp_mask = flt.hasher._fp_mask
+        st.fp_add = hasher._fp_add
+        st.index_add = hasher._index_add
+        st.alt_add = hasher._alt_add
+        st.index_mask = hasher._index_mask
+        st.fp_mask = hasher._fp_mask
         st.entries_per_bucket = b
         st.slot_mask = flt._slot_mask if flt._slot_mask is not None else 0
         st.has_slot_mask = 1 if flt._slot_mask is not None else 0
@@ -442,19 +435,13 @@ class CFilterState:
         sec = [flat_sec[i * b:(i + 1) * b] for i in range(num_buckets)]
         return fps, sec
 
-    def alt_xor(self) -> list[int]:
-        """The C-computed ``_alt_xor`` table as a list."""
-        return list(self._alt_buf)
-
 
 def filter_supported(flt) -> bool:
-    """Can the C kernels take this filter?  Requires a plain
-    ``AutoCuckooFilter`` whose fingerprints fit the 16-bit C rows
-    (f <= 16, the widths that have an ``_alt_xor`` table) and no
-    instrumentation shadow maps."""
+    """Can the C kernels take this filter?  Any plain
+    ``AutoCuckooFilter`` (every width f = 1..32 fits the 32-bit C
+    rows) without instrumentation shadow maps."""
     return (
         type(flt).__name__ == "AutoCuckooFilter"
-        and flt.hasher.fingerprint_bits <= 16
         and not flt.instrumented
     )
 
@@ -463,12 +450,11 @@ def install(flt) -> bool:
     """Route all of ``flt``'s accesses through the C kernels.
 
     Gives the filter C arrays (zeroed, or a copy of the Python rows
-    when they exist) and a C-computed alternate table, and rebinds
-    ``access`` / ``access_many`` plus the storage-mode surface (``insert`` /
-    ``query`` / ``delete``, their ``*_many`` batch forms, and
-    ``contains``) on the *instance*; returns False (leaving the filter
-    untouched) when the filter is ineligible (see
-    :func:`filter_supported`) or the extension cannot be built.
+    when they exist) and rebinds ``access`` / ``access_many`` plus the
+    storage-mode surface (``insert`` / ``query`` / ``delete``, their
+    ``*_many`` batch forms, and ``contains``) on the *instance*; returns
+    False (leaving the filter untouched) when the filter is ineligible
+    (see :func:`filter_supported`) or the extension cannot be built.
     Idempotent.
 
     Batch calls cross the boundary once per ``array('Q')`` buffer

@@ -50,8 +50,9 @@ Monitor side effects stay in Python.  The walk classifies the attached
 monitor once at install time:
 
 * **kind 0** — no monitor: the walk never leaves C;
-* **kind 1** — PiPoMonitor over a C-eligible Auto-Cuckoo filter with
-  ``needs_all_evictions`` False: the Query/insert runs inline in C
+* **kind 1** — PiPoMonitor over a non-instrumented Auto-Cuckoo
+  filter of any fingerprint width, with ``needs_all_evictions``
+  False: the Query/insert runs inline in C
   against the *shared* ``acf_state`` (same struct the filter's own C
   kernel uses), and Python is called back only for captures that must
   publish alarms or record captured lines, and for tagged evictions

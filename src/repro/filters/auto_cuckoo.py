@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 from repro.filters.hashing import PartialKeyHasher
 from repro.utils.bitops import (
-    GOLDEN_GAMMA as _GOLDEN_GAMMA,
     MIX_MULT_1 as _MIX_MULT_1,
     MIX_MULT_2 as _MIX_MULT_2,
 )
@@ -193,22 +192,13 @@ class AutoCuckooFilter:
         # which runs once per operation: the attribute chase to the
         # hasher costs more than the call itself.
         self._candidate_buckets = self.hasher.candidate_buckets
-        # Precomputed splitmix64 additive term for the kick loop's
-        # inlined alt-index mix (the hasher's alt salt folded into the
-        # golden-gamma increment once, instead of per relocation).
-        self._alt_mix_add = ((self.hasher._alt_salt + 1) * _GOLDEN_GAMMA) & _U64
-        # The same folding for the fingerprint and primary-index mixes
-        # (used by ``_locate``).
-        self._fp_add = ((self.hasher._fp_salt + 1) * _GOLDEN_GAMMA) & _U64
-        self._index_add = ((self.hasher._index_salt + 1) * _GOLDEN_GAMMA) & _U64
-        self._index_mask = num_buckets - 1
         # The tables power up empty and are built on first read (see
         # ``_BuiltOnFirstRead``): the fingerprint rows ``_fps``, the
-        # Security rows ``_security`` and, for f <= 16, the ``_alt_xor``
-        # table.  Under ``c`` the C arrays own the table, so a filter
-        # the kernels serve never builds the Python copies at all.
-        # Wide fingerprints have no table: ``_locate`` takes the
-        # hasher's alternate index and the kick walk its inline mix.
+        # Security rows ``_security`` and, for f <= 16, the Python-only
+        # ``_alt_xor`` memo.  Under ``c`` the C arrays own the rows and
+        # C computes the alternate index, so a filter the kernels serve
+        # never builds the Python copies at all.  Wide fingerprints
+        # have no memo: ``_locate`` and the kick walk call the hasher.
         if fingerprint_bits > 16:
             self._alt_xor: list[int] | None = None
         self.geometry = FilterGeometry(
@@ -254,27 +244,16 @@ class AutoCuckooFilter:
             self._fps = [[0] * b for _ in range(l)]
             self._security = [[0] * b for _ in range(l)]
 
-    def _build_alt_xor(self, state) -> None:
-        # The alternate-bucket mix depends only on the (f-bit)
-        # fingerprint, so for realistic widths it collapses into one
-        # table lookup: ``i2 = i1 ^ _alt_xor[fp]``.  This removes a
-        # full splitmix64 chain per Query *and* per relocation — the
-        # kick walk at saturation is the monitor's hottest loop.
-        # (Bit-identical to PartialKeyHasher.alt_index: with a
-        # power-of-two bucket count, masking the xor-term first is
-        # equivalent to masking the combined index.)
-        if state is not None:
-            self._alt_xor = state.alt_xor()
-            return
-        alt_add = self._alt_mix_add
-        index_mask = self._index_mask
-        table = []
-        for fp in range(1 << self.hasher.fingerprint_bits):
-            z = (fp + alt_add) & _U64
-            z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
-            z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
-            table.append((z ^ (z >> 31)) & index_mask)
-        self._alt_xor = table
+    def _build_alt_xor(self, _state) -> None:
+        # A Python-only memo: the alternate-bucket mix depends only on
+        # the f-bit fingerprint, so ``i2 = i1 ^ _alt_xor[fp]`` saves the
+        # reference path a splitmix64 chain per Query and per
+        # relocation (the kick walk at saturation is its hottest loop).
+        # The C kernels compute the mix instead.
+        alt_index = self.hasher.alt_index
+        self._alt_xor = [
+            alt_index(0, fp) for fp in range(1 << self.hasher.fingerprint_bits)
+        ]
 
     _fps = _BuiltOnFirstRead(_build_rows)
     _security = _BuiltOnFirstRead(_build_rows)
@@ -308,19 +287,18 @@ class AutoCuckooFilter:
         ``f = ceil(log2(2 b / fpp))`` — which guarantees the *analytic*
         rate ``1 - (1 - 2**-f)**(2b)`` is at or under target.  The
         bucket count is the next power of two covering
-        ``item_num / load`` slots (the ``_alt_xor``/mask geometry
+        ``item_num / load`` slots (the XOR alternate-index geometry
         requires a power of two), so real occupancy at ``item_num``
         keys lands at or below the load budget.
 
-        Construction allocates no table: the rows and the ``_alt_xor``
-        table are built on first read, so under ``c`` a filter handed
-        straight to :meth:`engine_batch` gets zeroed C rows and a
-        C-computed alternate table and never builds the Python copies.
-        Tight targets legitimately derive f > 16 — e.g. fpp = 1e-4
-        gives f = 17 — where there is no ``_alt_xor`` table and every
-        path takes the splitmix alternate index (the C rows are 16 bits
-        wide, so the C engine declines the filter and the batch seam
-        quietly serves the reference implementation).
+        Construction allocates no table: the rows and the Python-only
+        ``_alt_xor`` memo are built on first read, so under ``c`` a
+        filter handed straight to :meth:`engine_batch` gets zeroed C
+        rows and never builds the Python copies.  Tight targets
+        legitimately derive f > 16 — e.g. fpp = 1e-4 gives f = 17.  The
+        C kernels take every width (32-bit rows, the alternate index
+        computed by the hasher's mix); on the reference path a wide
+        filter has no ``_alt_xor`` memo and calls the hasher instead.
         """
         if item_num < 1:
             raise ValueError("item_num must be >= 1")
@@ -368,17 +346,18 @@ class AutoCuckooFilter:
         table = self._alt_xor
         if table is None:
             return self._candidate_buckets(key)
-        fp_mask = self.hasher._fp_mask
-        z = (key + self._fp_add) & _U64
+        hasher = self.hasher
+        fp_mask = hasher._fp_mask
+        z = (key + hasher._fp_add) & _U64
         z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
         z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
         fp = (z ^ (z >> 31)) & fp_mask
         if not fp:
             fp = fp_mask
-        z = (key + self._index_add) & _U64
+        z = (key + hasher._index_add) & _U64
         z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
         z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
-        i1 = (z ^ (z >> 31)) & self._index_mask
+        i1 = (z ^ (z >> 31)) & hasher._index_mask
         return fp, i1, i1 ^ table[fp]
 
     def access(self, key: int) -> int:
@@ -568,15 +547,10 @@ class AutoCuckooFilter:
         max_kicks = self.max_kicks
         entries_per_bucket = self.entries_per_bucket
         slot_mask = self._slot_mask
-        # alt_index reduced to one table lookup (wide-fingerprint
-        # fallback: the inlined splitmix64 chain, same arithmetic as
-        # PartialKeyHasher): at saturation every insert runs the full
-        # MNK-kick chain, so per-kick work is worth eliminating.
+        # At saturation every insert runs the full MNK-kick chain, so
+        # for f <= 16 the alternate index is one ``_alt_xor`` lookup;
+        # wider fingerprints call the hasher's.
         alt_xor = self._alt_xor
-        alt_add = self._alt_mix_add
-        index_mask = self._index_mask
-        mult1 = _MIX_MULT_1
-        mult2 = _MIX_MULT_2
         while True:
             state = (state * 6364136223846793005 + 1442695040888963407) & _U64
             # Power-of-two bucket widths (the Table II default) reduce
@@ -605,10 +579,7 @@ class AutoCuckooFilter:
             if alt_xor is not None:
                 index ^= alt_xor[carried_fp]
             else:
-                z = (carried_fp + alt_add) & _U64
-                z = ((z ^ (z >> 30)) * mult1) & _U64
-                z = ((z ^ (z >> 27)) * mult2) & _U64
-                index = (index ^ z ^ (z >> 31)) & index_mask
+                index = self.hasher.alt_index(index, carried_fp)
             row = fps[index]
             if 0 not in row:
                 continue
@@ -736,9 +707,10 @@ class AutoCuckooFilter:
         byte order.
 
         Raises ValueError on a bad frame and on rows no filter can
-        hold: a fingerprint of ``2**f`` or more (the kick walk indexes
-        ``_alt_xor`` with it), a Security value above ``secThr``, or a
-        ``valid_count`` other than the number of occupied slots.
+        hold: a fingerprint of ``2**f`` or more (the reference kick
+        walk indexes the ``_alt_xor`` memo with it), a Security value
+        above ``secThr``, or a ``valid_count`` other than the number of
+        occupied slots.
         """
         header_size = _SERIAL_HEADER.size
         if len(data) < header_size:

@@ -67,16 +67,18 @@ class PartialKeyHasher:
         self._index_mask = num_buckets - 1
         self._fp_mask = mask(fingerprint_bits)
         self._seed = seed
-        # The three hash-module salts, resolved once: the filter calls
-        # candidate_buckets on every LLC demand miss, so the per-call
-        # XOR of module salt and instance seed is hoisted here.
-        self._fp_salt = _SALT_FPRINT ^ seed
-        self._index_salt = _SALT_INDEX ^ seed
-        self._alt_salt = _SALT_ALT ^ seed
+        # The three hash modules' additive terms: ``mix64(x, salt)``
+        # starts from ``x + (salt + 1) * GOLDEN_GAMMA``, so each module
+        # salt, XORed with the instance seed, is folded into that
+        # increment once for the inlined mixes.  The filter's Query and
+        # the C kernels read them from here.
+        self._fp_add = ((_SALT_FPRINT ^ seed) + 1) * _GOLDEN_GAMMA & _U64
+        self._index_add = ((_SALT_INDEX ^ seed) + 1) * _GOLDEN_GAMMA & _U64
+        self._alt_add = ((_SALT_ALT ^ seed) + 1) * _GOLDEN_GAMMA & _U64
 
     def fingerprint(self, key: int) -> int:
         """Return ``ξ_x`` — the non-zero ``f``-bit fingerprint of key."""
-        fp = mix64(key, salt=self._fp_salt) & self._fp_mask
+        fp = mix64(key, salt=_SALT_FPRINT ^ self._seed) & self._fp_mask
         # Zero encodes an empty slot; remap it to the all-ones pattern.
         # This biases one codepoint (doubles its probability) which is
         # the standard practical compromise and is negligible for f>=8.
@@ -84,16 +86,21 @@ class PartialKeyHasher:
 
     def index1(self, key: int) -> int:
         """Return ``µ_x`` — the primary candidate bucket index."""
-        return mix64(key, salt=self._index_salt) & self._index_mask
+        return mix64(key, salt=_SALT_INDEX ^ self._seed) & self._index_mask
 
     def alt_index(self, index: int, fingerprint: int) -> int:
-        """Return the other candidate bucket for ``fingerprint``.
+        """Return the other candidate bucket for ``fingerprint``:
+        ``index ^ hash(fingerprint)``, the paper's hash block (C twin:
+        ``acf_alt_index``).
 
-        Involutive: ``alt_index(alt_index(i, fp), fp) == i``.  Called
-        once per relocation on the filter's kick path, so the mix is
-        inlined like :meth:`candidate_buckets`.
+        Involutive: ``alt_index(alt_index(i, fp), fp) == i``.  With a
+        power-of-two bucket count, masking the hash first is masking
+        the combined index, so ``alt_index(0, fp)`` is the xor-term.
+        Called once per relocation on the reference kick walk at
+        f > 16 and once per entry of the ``_alt_xor`` memo, so the mix
+        is inlined like :meth:`candidate_buckets`.
         """
-        z = (fingerprint + (self._alt_salt + 1) * _GOLDEN_GAMMA) & _U64
+        z = (fingerprint + self._alt_add) & _U64
         z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
         z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
         return (index ^ z ^ (z >> 31)) & self._index_mask
@@ -108,19 +115,19 @@ class PartialKeyHasher:
         """
         fp_mask = self._fp_mask
         # fingerprint(key)
-        z = (key + (self._fp_salt + 1) * _GOLDEN_GAMMA) & _U64
+        z = (key + self._fp_add) & _U64
         z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
         z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
         fp = (z ^ (z >> 31)) & fp_mask
         if not fp:
             fp = fp_mask
         # index1(key)
-        z = (key + (self._index_salt + 1) * _GOLDEN_GAMMA) & _U64
+        z = (key + self._index_add) & _U64
         z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
         z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
         i1 = (z ^ (z >> 31)) & self._index_mask
         # alt_index(i1, fp)
-        z = (fp + (self._alt_salt + 1) * _GOLDEN_GAMMA) & _U64
+        z = (fp + self._alt_add) & _U64
         z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _U64
         z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _U64
         return fp, i1, (i1 ^ z ^ (z >> 31)) & self._index_mask

@@ -253,9 +253,10 @@ DETECTION_SCENARIOS = {
 def storage_lsm(fpp: float):
     """A seconds-small LSM filter-tree run at one fpp target.
 
-    ``fpp=1e-4`` derives f = 17 fingerprints, pinning the
-    wide-fingerprint inline-splitmix path (which the C backend refuses,
-    so that scenario also gates the quiet fallback)."""
+    ``fpp=1e-4`` derives f = 17 fingerprints, pinning 17-bit rows: the
+    C kernels' 32-bit rows and computed alternate index under ``c``,
+    the hasher's alternate index (no ``_alt_xor`` memo) under
+    ``python``."""
     import hashlib
     from array import array
 

@@ -184,3 +184,33 @@ def test_group_with_no_shared_cells_errors(tmp_path):
     cand = _record(tmp_path / "b.json", {"test_access_l1_hit": 1.0})
     with pytest.raises(SystemExit, match="group 'filter_batch'"):
         compare_mod.main([base, cand, "--group", "filter_batch"])
+
+
+def _raw(cells: dict) -> dict:
+    """A pytest-benchmark dump: ``{name: (operations, rounds)}``."""
+    return {"benchmarks": [
+        {"name": name, "extra_info": {"operations": ops},
+         "stats": {"min": min(rounds), "data": rounds}}
+        for name, (ops, rounds) in cells.items()
+    ]}
+
+
+def test_merge_process_bests_keeps_the_median_best():
+    """Each cell's record is the median of the processes' bests, not
+    the best of all rounds: one process in a fast host state must not
+    set the number on its own."""
+    raws = [
+        _raw({"cell": (1000, [0.5, 0.2, 0.3]), "other": (10, [1.0])}),
+        _raw({"cell": (1000, [0.1, 0.4, 0.1]), "other": (10, [3.0])}),
+        _raw({"cell": (1000, [0.6, 0.4, 0.5]), "other": (10, [2.0])}),
+    ]
+    merged = compare_mod.merge_process_bests(raws)
+    cell = merged["cell"]
+    assert cell["process_best_seconds"] == [0.2, 0.1, 0.4]
+    assert cell["best_seconds"] == 0.2
+    assert cell["ops_per_sec"] == 5000.0
+    assert cell["operations"] == 1000
+    assert cell["rounds_seconds"] == [
+        0.5, 0.2, 0.3, 0.1, 0.4, 0.1, 0.6, 0.4, 0.5]
+    assert merged["other"]["best_seconds"] == 2.0
+    assert merged["other"]["ops_per_sec"] == 5.0

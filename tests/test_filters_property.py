@@ -4,9 +4,11 @@ Three families:
 
 * hashing — the partial-key alternate index is an involution
   (``alt(alt(i, fp), fp) == i``) for any seed, and the Auto-Cuckoo
-  filter's precomputed XOR table is bit-identical to the hasher for
-  every f <= 16 and bucket count up to 2**16, built in Python or in C,
-  and so is its Query (``_locate``) for every f in 1..32;
+  filter's Python-only XOR memo is bit-identical to the hasher for
+  every f <= 16 and bucket count up to 2**16, and so is its Query
+  (``_locate``) for every f in 1..32; a filter installed into C
+  stores every key's fingerprint in a bucket the hasher names, at
+  every f in 1..32;
 * classic :class:`CuckooFilter` — insert/query/delete round-trips:
   no false negatives while resident, delete removes exactly one
   matching record, occupancy bookkeeping stays consistent;
@@ -78,22 +80,16 @@ class TestAltIndexInvolution:
         assert 1 <= fp <= (1 << 10) - 1
 
     @pytest.mark.parametrize("fingerprint_bits", range(1, 17))
-    @pytest.mark.parametrize("engine", available_engines())
-    def test_precomputed_xor_table_matches_hasher(
-        self, engine, fingerprint_bits
-    ):
+    def test_precomputed_xor_table_matches_hasher(self, fingerprint_bits):
         # Every bucket count 2**0..2**16, each filter on its own seed.
-        # Under ``c`` the table is computed in C at install and read
-        # back from an installed, never-touched filter; under
-        # ``python`` the first read builds it with the splitmix loop.
+        # The table is a Python-only memo (the C kernels compute the
+        # mix), built on first read.
         for log_buckets in range(17):
             fltr = AutoCuckooFilter(
                 num_buckets=1 << log_buckets, entries_per_bucket=1,
                 fingerprint_bits=fingerprint_bits,
                 seed=derive_seed(fingerprint_bits, "alt-xor", log_buckets),
             )
-            if engine == "c":
-                assert c_backend.install(fltr)
             alt_index = fltr.hasher.alt_index
             assert fltr._alt_xor == [
                 alt_index(0, fp) for fp in range(1 << fingerprint_bits)
@@ -109,6 +105,33 @@ class TestAltIndexInvolution:
         for log_buckets in (0, 4, 10):
             fltr = _locate_filter(fingerprint_bits, log_buckets)
             assert fltr._locate(key) == fltr.hasher.candidate_buckets(key)
+
+    @pytest.mark.parametrize("fingerprint_bits", range(1, 33))
+    @given(seed=seeds, batch=st.lists(
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        min_size=24, max_size=48, unique=True))
+    @settings(max_examples=10, deadline=None)
+    def test_c_rows_hold_fingerprints_where_the_hasher_says(
+        self, fingerprint_bits, seed, batch
+    ):
+        # 24-48 keys in 16 x 4 slots: the kick walk mostly relocates
+        # (and at f >= 17 carries fingerprints a 16-bit row would
+        # truncate), but at <= 75 % load and MNK 500 no record is
+        # deleted, so every key's fingerprint sits in one of its two
+        # candidate buckets.
+        if "c" not in available_engines():
+            pytest.skip("C backend unavailable (no cffi/toolchain)")
+        fltr = AutoCuckooFilter(
+            num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
+            fingerprint_bits=fingerprint_bits, max_kicks=500, seed=seed,
+        )
+        assert c_backend.install(fltr)
+        fltr.insert_many(batch)
+        assert fltr.autonomic_deletions == 0
+        candidates = fltr.hasher.candidate_buckets
+        for key in batch:
+            fp, i1, i2 = candidates(key)
+            assert fp in fltr.bucket(i1) or fp in fltr.bucket(i2), key
 
 
 class TestClassicCuckooRoundTrips:

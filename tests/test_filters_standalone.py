@@ -14,8 +14,10 @@ Property-based where the contract is algebraic:
   state-identical to the scalar loops for any key sequence, on every
   available engine (reference loops, C batch kernels);
 * the f > 16 regression — ``fingerprint_bits=17`` builds no
-  ``_alt_xor`` table and every surface (access, storage ops, batches,
-  serialization) works on the inline-splitmix path.
+  ``_alt_xor`` memo and every surface (access, storage ops, batches,
+  serialization) works on the hasher's alternate index; under ``c``
+  f = 17 and f = 32 filters install into the C kernels and stay
+  state-identical to the reference through kick walks.
 """
 
 import math
@@ -146,7 +148,7 @@ class TestFromFpp:
     def test_fpp_1e4_derives_wide_fingerprints(self):
         flt = AutoCuckooFilter.from_fpp(10_000, 1e-4)
         assert flt.hasher.fingerprint_bits == 17
-        assert flt._alt_xor is None  # the f > 16 table gate
+        assert flt._alt_xor is None  # no Python memo above 16 bits
 
 
 class TestStorageOps:
@@ -230,9 +232,9 @@ class TestSerialization:
             AutoCuckooFilter.from_bytes(blob[:-1])
 
     # Well-framed blobs whose rows no filter can hold.  Each is refused
-    # at ``from_bytes``; no op runs on the result, because a kick walk
-    # over an out-of-range fingerprint reads past the ``_alt_xor``
-    # table (a crash under ``c``).
+    # at ``from_bytes``; no op runs on the result, because a reference
+    # kick walk would index the ``_alt_xor`` memo past its end with an
+    # out-of-range fingerprint.
 
     def test_from_bytes_rejects_out_of_range_fingerprints(self):
         slots = SMALL_BUCKETS * SMALL_ENTRIES
@@ -265,8 +267,8 @@ class TestSerialization:
 
 
 class TestWideFingerprintRegression:
-    """f = 17: no ``_alt_xor`` table; every surface must take the
-    inline-splitmix path and agree with a scalar twin."""
+    """f = 17: no ``_alt_xor`` memo; every surface must take the
+    hasher's alternate index and agree with a scalar twin."""
 
     @given(seed=seeds, batch=st.lists(keys, min_size=1, max_size=80))
     @settings(max_examples=50, deadline=None)
@@ -302,15 +304,20 @@ class TestWideFingerprintRegression:
 
 
 #: Filters the batch seam must serve state-identically to a Python
-#: twin: the 16x4 f=8 table, both ``from_fpp`` regimes (b=2, f=9 and
-#: b=4, f=13; 4,000 keys load them past 90 % so long kick walks run),
-#: and a b=3 table, whose kick walk takes the modulo slot pick.
+#: twin: the 16x4 f=8 table, the three ``from_fpp`` widths (b=2, f=9;
+#: b=4, f=13; b=4, f=17; 4,000 keys load them past 90 % so long kick
+#: walks run), a b=3 table, whose kick walk takes the modulo slot pick,
+#: and a saturated 256x4 table of the widest fingerprints, f=32.
 SEAM_FILTERS = (
     lambda: _small(21),
     lambda: AutoCuckooFilter.from_fpp(1800, 1e-2, seed=21),
     lambda: AutoCuckooFilter.from_fpp(3000, 1e-3, seed=21),
+    lambda: AutoCuckooFilter.from_fpp(3000, 1e-4, seed=21),
     lambda: AutoCuckooFilter(
         num_buckets=1024, entries_per_bucket=3, fingerprint_bits=12,
+        seed=21),
+    lambda: AutoCuckooFilter(
+        num_buckets=256, entries_per_bucket=4, fingerprint_bits=32,
         seed=21),
 )
 
@@ -400,16 +407,20 @@ class TestEngineBatchSeam:
         assert not hasattr(half, "_alt_xor")
         assert not hasattr(half, "_fps")
 
-    def test_wide_fingerprints_fall_back_quietly(self, engine_env):
+    def test_wide_fingerprints_install_into_c(self, engine_env):
+        """f = 17 and f = 32 take the C kernels like any other width;
+        instrumentation is the only per-filter fallback."""
         if "c" not in available_engines():
             pytest.skip("no C toolchain")
         set_engine("c")
-        flt = _small(5, fingerprint_bits=17)
-        batch = filter_batch(flt)
-        # The C backend refuses f > 16; the seam must hand back a
-        # working view, not crash.
-        assert batch.insert_many(range(100)) >= 1
-        assert flt._c_state is None
+        for bits in (17, 32):
+            flt = _small(5, fingerprint_bits=bits)
+            assert filter_batch(flt) is flt
+            assert flt._c_state is not None
+            twin = _small(5, fingerprint_bits=bits)
+            assert flt.insert_many(range(100)) == twin.insert_many(range(100))
+            assert twin.total_relocations > 0
+            assert flt.snapshot() == twin.snapshot()
 
     def test_c_batch_accepts_plain_lists(self, engine_env):
         if not c_backend.available():
