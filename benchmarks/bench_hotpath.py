@@ -409,8 +409,8 @@ BUILD_PASSES = 10
 def test_filter_build_install(benchmark):
     """Filter construction and install (filters/sec): every LSM level
     shape built with ``from_fpp``, given ``engine_batch()`` and one
-    128-key ``insert_many``, so the python leg pays its deferred table
-    build inside the cell and the c leg its C-side set-up."""
+    128-key ``insert_many``, so the python leg pays its table build
+    inside the cell and the c leg its C-side set-up."""
     def setup():
         return _u64_array(13, 128, 1 << 60)
 

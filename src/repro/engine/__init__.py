@@ -17,14 +17,16 @@ The simulator has one semantic model and two executions of it:
 
 Selection is by the ``REPRO_ENGINE`` environment variable (so fork and
 spawn workers inherit the choice automatically) or the CLI's
-``--engine`` flag, resolved **lazily at kernel-bind time** — a core
-binds its access entry point when it is constructed, after the monitor
-is attached.  The ``c`` engine is admissible only because the
-golden-trace conformance harness (``tests/conformance/``) replays the
-full attack × defence scenario matrix bit-identically under both
-engines.  Every hierarchy takes the C walk, and so does every filter
-width; only an instrumented filter (its shadow address sets have no C
-form) stays on its generic methods, rather than approximating.
+``--engine`` flag, resolved **lazily at bind time**: a core binds its
+access entry point when it is constructed, after the monitor is
+attached, and a filter binds its table and entry points when it is
+built (:func:`bind_filter`).  The ``c`` engine is admissible only
+because the golden-trace conformance harness (``tests/conformance/``)
+replays the full attack × defence scenario matrix bit-identically under
+both engines.  Every hierarchy takes the C walk, and every filter width
+binds to the C kernels; only an instrumented filter (its shadow address
+sets have no C form) stays on its generic methods, rather than
+approximating.
 """
 
 from __future__ import annotations
@@ -203,23 +205,28 @@ def hierarchy_access(h):
     return h.access
 
 
-def filter_batch(flt):
-    """The batched filter entry points under the selected engine.
+def bind_filter(flt) -> bool:
+    """Bind a new filter to the selected engine; True when its table
+    now lives in C.
 
-    Returns ``flt`` itself, exposing ``access`` / ``access_many`` /
-    ``insert_many`` / ``query_many`` / ``delete_many`` (plus the scalar
-    storage ops): under ``c`` after :func:`c_backend.install` rebinds
-    every entry point to the C kernels (one boundary crossing per
-    ``array('Q')`` buffer), otherwise with the reference methods.  Both
-    are bit-identical over the table state.  The install is one-way: a
-    filter already routed through C keeps its C entry points (its
-    arrays are authoritative) whatever engine is now selected.
+    ``AutoCuckooFilter.__init__`` calls it once, as a core binds
+    :func:`hierarchy_access` when it is constructed.  Under ``c``
+    :func:`c_backend.install` gives a non-instrumented filter zeroed C
+    arrays and rebinds every entry point to the C kernels (one boundary
+    crossing per ``array('Q')`` batch); otherwise the filter builds its
+    Python tables and keeps the reference methods, which are
+    bit-identical over the table state.  The binding is for life: a
+    filter built into C keeps its arrays whatever engine is selected
+    later, and one built under ``python`` stays on the reference path
+    after a later ``set_engine("c")``.
     """
-    if flt._c_state is None and engine_name() == "c":
-        from repro.engine import c_backend
+    if engine_name() != "c":
+        return False
+    from repro.engine import c_backend
 
-        if not c_backend.install(flt):
-            # Toolchain/cffi missing warns once; per-filter
-            # ineligibility (instrumented) is config-local and quiet.
-            _c_unavailable()
-    return flt
+    if c_backend.install(flt):
+        return True
+    # Toolchain/cffi missing warns once; per-filter ineligibility
+    # (instrumented) is config-local and quiet.
+    _c_unavailable()
+    return False

@@ -7,7 +7,7 @@ simulator's hot pair through one cffi-compiled extension:
 * the **filter** Query/kick-walk — 32-bit fingerprint rows, Security
   counters and the LCG in flat C arrays, an exact-uint64 port of
   ``AutoCuckooFilter`` for every fingerprint width f = 1..32 (this
-  module, installed by :func:`install`);
+  module, installed by :func:`install` when a filter is built);
 * the **cache walk** — the L1 probe → miss walk → LLC fill/evict →
   monitor chain with per-cache tag/word/stamp arrays and a C-owned
   ``_memory_versions`` map (source in :mod:`repro.engine._walk_src`,
@@ -33,22 +33,22 @@ chain) and surfaced through ``EngineFallbackWarning``.  Workers in a
 fork/spawn pool reuse the on-disk artefact, so kernels rebuild cleanly
 across process boundaries.
 
-State-consistency contract with the Python object: once
-:func:`install` succeeds, *all* accesses go through C (``access``,
-``access_many`` and the storage ops are rebound on the instance).  The
-scalar counters (``valid_count``, ``autonomic_deletions``,
-``total_relocations``, ``_lcg``) only change on insertions, so they
-are synced back exactly when an Access returns 0 (a Response of 0 *is*
-a fresh insertion); ``total_accesses`` is kept on the Python side.
-The tables are born in C: a filter whose Python rows were never read
-gets zeroed C rows; only rows that already exist (``from_bytes``, or a
-filter driven on the reference path first) are copied in.  C computes
-the alternate bucket with the hasher's mix (``acf_alt_index``), so the
-``_alt_xor`` table is a Python-only memo.  The Python ``_fps``/
-``_security`` appear only when something reads them: the first read
-builds them from the C arrays (``AutoCuckooFilter._build_rows``), and
-introspection refreshes rows that exist
-(``AutoCuckooFilter._sync_rows_from_c``).
+State-consistency contract with the Python object: a filter binds
+its engine when it is built (``repro.engine.bind_filter``), and
+:func:`install` is that binding under ``c``.  The table is born in
+zeroed C arrays and stays there: the filter never holds Python rows,
+*all* operations go through C (``access``, ``access_many`` and the
+storage ops are rebound on the instance), and every table reader
+(``snapshot``, ``to_bytes``, ``entries``, ``bucket``, ``security_of``)
+takes fresh per-bucket lists from :meth:`CFilterState.rows`.
+``from_bytes`` writes restored rows and counters straight into the
+arrays (:meth:`CFilterState.load`).  The scalar counters
+(``valid_count``, ``autonomic_deletions``, ``total_relocations``,
+``_lcg``) only change on insertions, so they are synced back exactly
+when an Access returns 0 (a Response of 0 *is* a fresh insertion);
+``total_accesses`` is kept on the Python side.  C computes the
+alternate bucket with the hasher's mix (``acf_alt_index``), so the
+``_alt_xor`` table is a Python-only memo.
 The cache walk's (batch) sync contract is documented in
 :mod:`repro.engine.c_cache` and PERFORMANCE.md design rule 16.
 """
@@ -387,25 +387,16 @@ def unavailable_reason() -> str | None:
 class CFilterState:
     """Owner of one filter's C-side arrays (keeps cffi buffers alive)."""
 
-    __slots__ = ("ffi", "lib", "st", "_fps_buf", "_sec_buf")
+    __slots__ = ("ffi", "st", "_fps_buf", "_sec_buf")
 
-    def __init__(self, ffi, lib, flt):
+    def __init__(self, ffi, flt):
         self.ffi = ffi
-        self.lib = lib
         b = flt.entries_per_bucket
-        if "_fps" in vars(flt):
-            # Python rows exist (``from_bytes``, or a filter driven on
-            # the reference path before install): copy them.
-            self._fps_buf = ffi.new(
-                "uint32_t[]", [fp for row in flt._fps for fp in row])
-            self._sec_buf = ffi.new(
-                "uint8_t[]", [s for row in flt._security for s in row])
-        else:
-            # Never materialised, so the table is empty: ``ffi.new``
-            # returns zeroed memory.
-            slots = flt.num_buckets * b
-            self._fps_buf = ffi.new("uint32_t[]", slots)
-            self._sec_buf = ffi.new("uint8_t[]", slots)
+        # A new filter's table is empty and its counters zero, and
+        # ``ffi.new`` returns zeroed memory.
+        slots = flt.num_buckets * b
+        self._fps_buf = ffi.new("uint32_t[]", slots)
+        self._sec_buf = ffi.new("uint8_t[]", slots)
         hasher = flt.hasher
         st = ffi.new("acf_state *")
         st.fps = self._fps_buf
@@ -421,56 +412,54 @@ class CFilterState:
         st.has_slot_mask = 1 if flt._slot_mask is not None else 0
         st.max_kicks = flt.max_kicks
         st.threshold = flt.security_threshold
+        self.st = st
+
+    def rows(self, b: int):
+        """(fps, security) as fresh lists of ``b``-slot bucket rows."""
+        flat_fps = list(self._fps_buf)
+        flat_sec = list(self._sec_buf)
+        return (
+            [flat_fps[i:i + b] for i in range(0, len(flat_fps), b)],
+            [flat_sec[i:i + b] for i in range(0, len(flat_sec), b)],
+        )
+
+    def load(self, flt, fps: array, sec: bytes) -> None:
+        """Write restored rows — ``fps`` a native-order ``array('I')``,
+        ``sec`` one byte per slot, both row-major — and ``flt``'s
+        insert-side counters into the C state (``from_bytes``)."""
+        memmove = self.ffi.memmove
+        memmove(self._fps_buf, fps, len(fps) * fps.itemsize)
+        memmove(self._sec_buf, sec, len(sec))
+        st = self.st
+        st.lcg = flt._lcg
         st.valid_count = flt.valid_count
         st.autonomic_deletions = flt.autonomic_deletions
         st.total_relocations = flt.total_relocations
-        self.st = st
-
-    def rows(self, num_buckets: int, entries_per_bucket: int):
-        """Materialise (fps, security) back as lists-of-lists."""
-        b = entries_per_bucket
-        flat_fps = list(self._fps_buf)
-        flat_sec = list(self._sec_buf)
-        fps = [flat_fps[i * b:(i + 1) * b] for i in range(num_buckets)]
-        sec = [flat_sec[i * b:(i + 1) * b] for i in range(num_buckets)]
-        return fps, sec
-
-
-def filter_supported(flt) -> bool:
-    """Can the C kernels take this filter?  Any plain
-    ``AutoCuckooFilter`` (every width f = 1..32 fits the 32-bit C
-    rows) without instrumentation shadow maps."""
-    return (
-        type(flt).__name__ == "AutoCuckooFilter"
-        and not flt.instrumented
-    )
 
 
 def install(flt) -> bool:
-    """Route all of ``flt``'s accesses through the C kernels.
+    """Bind a new filter to the C kernels (``repro.engine.bind_filter``).
 
-    Gives the filter C arrays (zeroed, or a copy of the Python rows
-    when they exist) and rebinds ``access`` / ``access_many`` plus the
-    storage-mode surface (``insert`` / ``query`` / ``delete``, their
-    ``*_many`` batch forms, and ``contains``) on the *instance*; returns
-    False (leaving the filter untouched) when the filter is ineligible
-    (see :func:`filter_supported`) or the extension cannot be built.
-    Idempotent.
+    Gives the filter zeroed C arrays and rebinds ``access`` /
+    ``access_many`` plus the storage-mode surface (``insert`` /
+    ``query`` / ``delete``, their ``*_many`` batch forms, and
+    ``contains``) on the *instance*; returns False (leaving the filter
+    untouched) when the filter is instrumented (its shadow address sets
+    have no C form; every width f = 1..32 fits the 32-bit rows) or the
+    extension cannot be built.
 
     Batch calls cross the boundary once per ``array('Q')`` buffer
     (zero-copy via ``ffi.from_buffer``); counters sync back per the
     contract in the module docstring (insert-side counters on fresh
     insertions, ``valid_count`` on deletions, nothing on queries).
     """
-    if getattr(flt, "_c_state", None) is not None:
-        return True
-    if not filter_supported(flt):
+    if type(flt).__name__ != "AutoCuckooFilter" or flt.instrumented:
         return False
     pair = _load_lib()
     if pair is None:
         return False
     ffi, lib = pair
-    state = CFilterState(ffi, lib, flt)
+    state = CFilterState(ffi, flt)
     st = state.st
     c_access = lib.acf_access
     c_access_many = lib.acf_access_many
@@ -580,13 +569,4 @@ def install(flt) -> bool:
     # ``contains`` is exactly the storage query: serve it from C
     # directly (read-only, no sync needed).
     flt.contains = query
-    # Hit-path reads that consult the Python rows must resync first.
-    for name in ("security_of", "entries", "bucket"):
-        bound = getattr(flt, name)
-
-        def synced(*args, _bound=bound, _flt=flt, **kwargs):
-            _flt._sync_rows_from_c()
-            return _bound(*args, **kwargs)
-
-        setattr(flt, name, synced)
     return True

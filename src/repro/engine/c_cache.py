@@ -50,14 +50,15 @@ Monitor side effects stay in Python.  The walk classifies the attached
 monitor once at install time:
 
 * **kind 0** — no monitor: the walk never leaves C;
-* **kind 1** — PiPoMonitor over a non-instrumented Auto-Cuckoo
-  filter of any fingerprint width, with ``needs_all_evictions``
-  False: the Query/insert runs inline in C
-  against the *shared* ``acf_state`` (same struct the filter's own C
-  kernel uses), and Python is called back only for captures that must
-  publish alarms or record captured lines, and for tagged evictions
-  (the pEvict/prefetch tail, handed a ``CacheLine`` snapshot it only
-  reads);
+* **kind 1** — PiPoMonitor over an Auto-Cuckoo filter that was built
+  into C (any non-instrumented filter of any fingerprint width built
+  under ``c``: filters bind their engine at build, and the walk
+  installs none), with ``needs_all_evictions`` False: the Query/insert
+  runs inline in C against the *shared* ``acf_state`` (same struct the
+  filter's own C kernel uses), and Python is called back only for
+  captures that must publish alarms or record captured lines, and for
+  tagged evictions (the pEvict/prefetch tail, handed a ``CacheLine``
+  snapshot it only reads);
 * **kind 2** — any other monitor: ``on_access``/``on_llc_eviction``
   come back through callbacks per event (bit-exact, slower).
 
@@ -360,17 +361,16 @@ class CWalkState:
         if (
             type(monitor).__name__ == "PiPoMonitor"
             and not getattr(monitor, "needs_all_evictions", True)
-            and c_backend.filter_supported(monitor.filter)
+            and monitor.filter._c_state is not None
         ):
             flt = monitor.filter
-            if flt._c_state is not None or c_backend.install(flt):
-                capture_cb = (
-                    1
-                    if (monitor.captured_lines is not None
-                        or monitor.alarms is not None)
-                    else 0
-                )
-                return 1, capture_cb, monitor.filter.security_threshold, flt
+            capture_cb = (
+                1
+                if (monitor.captured_lines is not None
+                    or monitor.alarms is not None)
+                else 0
+            )
+            return 1, capture_cb, flt.security_threshold, flt
         return 2, 0, 0, None
 
     def _build_wrappers(self):

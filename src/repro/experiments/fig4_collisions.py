@@ -14,6 +14,7 @@ from repro.core.config import TABLE_II_FILTER
 from repro.experiments.common import ExperimentResult, is_full_scale
 from repro.filters.auto_cuckoo import AutoCuckooFilter
 from repro.filters.metrics import (
+    CollisionCensus,
     collision_census,
     theoretical_false_positive_rate,
 )
@@ -22,6 +23,27 @@ from repro.utils.rng import derive_rng
 F_SWEEP = (8, 10, 12, 14, 16)
 FULL_INSERTIONS = 6_000_000
 SCALED_INSERTIONS = 600_000
+
+
+def census(f: int, insertions: int, seed: int = 0) -> CollisionCensus:
+    """One Fig. 4 column: the collision census of an instrumented
+    Table II filter with ``f``-bit fingerprints after ``insertions``
+    random addresses (the stream ``derive_rng(seed, "fig4-stream",
+    f)``)."""
+    fltr = AutoCuckooFilter(
+        num_buckets=TABLE_II_FILTER.num_buckets,
+        entries_per_bucket=TABLE_II_FILTER.entries_per_bucket,
+        fingerprint_bits=f,
+        max_kicks=TABLE_II_FILTER.max_kicks,
+        seed=seed,
+        instrument=True,
+    )
+    randrange = derive_rng(seed, "fig4-stream", f).randrange
+    # Millions of inserts per f-variant: stream the whole loop through
+    # the filter's batched entry point (same keys in the same order as
+    # per-access calls — identical table state).
+    fltr.access_many(randrange(1 << 30) for _ in range(insertions))
+    return collision_census(fltr)
 
 
 def run(
@@ -34,25 +56,11 @@ def run(
         insertions = FULL_INSERTIONS if is_full_scale(full) else SCALED_INSERTIONS
     rows = []
     for f in F_SWEEP:
-        fltr = AutoCuckooFilter(
-            num_buckets=TABLE_II_FILTER.num_buckets,
-            entries_per_bucket=TABLE_II_FILTER.entries_per_bucket,
-            fingerprint_bits=f,
-            max_kicks=TABLE_II_FILTER.max_kicks,
-            seed=seed,
-            instrument=True,
-        )
-        rng = derive_rng(seed, "fig4-stream", f)
-        randrange = rng.randrange
-        # Millions of inserts per f-variant: stream the whole loop
-        # through the filter's batched entry point (same keys in the
-        # same order as per-access calls — identical table state).
-        fltr.access_many(randrange(1 << 30) for _ in range(insertions))
-        census = collision_census(fltr)
+        column = census(f, insertions, seed)
         rows.append([
             f,
-            round(census.collision_ratio, 5),
-            round(census.ratio_with_at_least(3), 5),
+            round(column.collision_ratio, 5),
+            round(column.ratio_with_at_least(3), 5),
             round(theoretical_false_positive_rate(
                 TABLE_II_FILTER.entries_per_bucket, f), 5),
         ])

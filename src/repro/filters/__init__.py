@@ -18,7 +18,8 @@ Storage-mode surface (standalone library use, LSM-style):
   geometry from a target false-positive rate;
 * ``insert`` / ``query`` / ``delete`` and their ``*_many`` batch forms
   are the classic filter operations over the same table (batched C
-  kernels under ``REPRO_ENGINE=c`` via ``engine_batch()``);
+  kernels for a filter built under ``REPRO_ENGINE=c``: a filter binds
+  its engine when it is built, and ``engine_batch()`` returns it);
 * ``to_bytes()`` / ``from_bytes()`` round-trip the complete state
   across processes (versioned header, RNG lockstep preserved);
 * ``fpp_report`` measures the realized rate against the target.

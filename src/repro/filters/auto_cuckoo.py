@@ -42,12 +42,15 @@ a *specific address's* record survives (``holds_address``), which
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress, repeat
 
+from repro.engine import bind_filter
 from repro.filters.hashing import PartialKeyHasher
 from repro.utils.bitops import (
     MIX_MULT_1 as _MIX_MULT_1,
@@ -81,43 +84,6 @@ _SERIAL_VERSION = 1
 #: magic, version, flags, l, b, f, MNK, secThr, seed, lcg,
 #: valid_count, autonomic_deletions, total_accesses, total_relocations
 _SERIAL_HEADER = struct.Struct("<4sHHIIIIIQQQQQQ")
-
-
-class _BuiltOnFirstRead:
-    """A filter table built on first read.
-
-    A non-data descriptor: an instance attribute of the same name
-    shadows it, so it runs only while the table is missing.  The first
-    read calls ``build(flt, flt._c_state)``, which stores the table as
-    a plain instance attribute; every later read (every hot path) finds
-    that attribute, with no call and no per-read check.  On CPython
-    3.11 loads of the three table names stay unspecialised all the
-    same, which costs the per-key python ``access`` loop 5-13 %.  A
-    ``__getattr__`` hook would also run only on a miss, but defining
-    one stops the specialisation of *every* attribute load on the
-    class (about 3x slower per read).  A half-built instance
-    (``__new__`` without ``__init__``) has no ``_c_state`` and raises
-    AttributeError.
-    """
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, flt, owner=None):
-        if flt is None:
-            return self
-        try:
-            state = flt._c_state
-        except AttributeError:
-            raise AttributeError(
-                f"{type(flt).__name__!r} object has no attribute "
-                f"{self.name!r}"
-            ) from None
-        self.build(flt, state)
-        return getattr(flt, self.name)
 
 
 @dataclass(frozen=True)
@@ -165,6 +131,19 @@ class AutoCuckooFilter:
     instrument:
         Keep per-entry shadow address sets (testing/measurement only —
         a real hardware filter stores no addresses).
+
+    Engine
+    ------
+    A filter binds the engine selected when it is built
+    (``REPRO_ENGINE``, :func:`repro.engine.bind_filter`), once and for
+    life.  Under ``c`` a non-instrumented filter's table is born in
+    zeroed C arrays and every operation runs in the C kernels; it holds
+    no Python rows.  Otherwise — ``python``, an instrumented filter, or
+    a host with no toolchain (which warns once per process) — the
+    Python tables are built here and the methods below are the
+    reference.  A filter built while ``python`` is selected stays on
+    the reference path after a later ``set_engine("c")``, and a
+    PiPoMonitor over it takes the C walk's per-event callbacks.
     """
 
     def __init__(
@@ -192,15 +171,6 @@ class AutoCuckooFilter:
         # which runs once per operation: the attribute chase to the
         # hasher costs more than the call itself.
         self._candidate_buckets = self.hasher.candidate_buckets
-        # The tables power up empty and are built on first read (see
-        # ``_BuiltOnFirstRead``): the fingerprint rows ``_fps``, the
-        # Security rows ``_security`` and, for f <= 16, the Python-only
-        # ``_alt_xor`` memo.  Under ``c`` the C arrays own the rows and
-        # C computes the alternate index, so a filter the kernels serve
-        # never builds the Python copies at all.  Wide fingerprints
-        # have no memo: ``_locate`` and the kick walk call the hasher.
-        if fingerprint_bits > 16:
-            self._alt_xor: list[int] | None = None
         self.geometry = FilterGeometry(
             num_buckets, entries_per_bucket, fingerprint_bits
         )
@@ -228,36 +198,34 @@ class AutoCuckooFilter:
         self.autonomic_deletions = 0
         self.total_accesses = 0
         self.total_relocations = 0
-        # REPRO_ENGINE=c rebinds access/access_many on the instance and
-        # parks the authoritative table in C arrays here (see
-        # repro.engine.c_backend); None means the Python lists are
-        # authoritative.  Set last: an instance without it is
-        # half-built, and its tables cannot be read.
+        # The engine binds once, here, as a ``Core`` binds its access
+        # kernel when it is built.  Under ``c`` a non-instrumented
+        # filter gets zeroed C arrays in ``_c_state`` and its entry
+        # points are rebound on the instance (repro.engine.c_backend);
+        # it holds no Python rows, and ``_locate`` (reached only by
+        # ``security_of``) takes the hasher's alternate index.
+        # Otherwise ``_c_state`` stays None and the Python tables are
+        # built on the spot: the fingerprint rows ``_fps``, the
+        # Security rows ``_security`` and, for f <= 16, ``_alt_xor``.
+        self._alt_xor: list[int] | None = None
         self._c_state = None
-
-    def _build_rows(self, state) -> None:
-        # The fingerprint and Security rows come as a pair.
-        l, b = self.num_buckets, self.entries_per_bucket
-        if state is not None:
-            self._fps, self._security = state.rows(l, b)
-        else:
-            self._fps = [[0] * b for _ in range(l)]
-            self._security = [[0] * b for _ in range(l)]
-
-    def _build_alt_xor(self, _state) -> None:
-        # A Python-only memo: the alternate-bucket mix depends only on
-        # the f-bit fingerprint, so ``i2 = i1 ^ _alt_xor[fp]`` saves the
-        # reference path a splitmix64 chain per Query and per
-        # relocation (the kick walk at saturation is its hottest loop).
-        # The C kernels compute the mix instead.
-        alt_index = self.hasher.alt_index
-        self._alt_xor = [
-            alt_index(0, fp) for fp in range(1 << self.hasher.fingerprint_bits)
-        ]
-
-    _fps = _BuiltOnFirstRead(_build_rows)
-    _security = _BuiltOnFirstRead(_build_rows)
-    _alt_xor = _BuiltOnFirstRead(_build_alt_xor)
+        if not bind_filter(self):
+            # ``list.copy`` mapped over one zero row builds a table in
+            # one C-level pass, ~40 % faster than a comprehension.
+            zeros = [0] * entries_per_bucket
+            self._fps = list(map(list.copy, repeat(zeros, num_buckets)))
+            self._security = list(map(list.copy, repeat(zeros, num_buckets)))
+            if fingerprint_bits <= 16:
+                # A Python-only memo: the alternate-bucket mix depends
+                # only on the f-bit fingerprint, so ``i2 = i1 ^
+                # _alt_xor[fp]`` saves the reference path a splitmix64
+                # chain per Query and per relocation (the kick walk at
+                # saturation is its hottest loop).  The C kernels
+                # compute the mix instead.
+                alt_index = self.hasher.alt_index
+                self._alt_xor = [
+                    alt_index(0, fp) for fp in range(1 << fingerprint_bits)
+                ]
 
     # ------------------------------------------------------------------
     # fpp-driven sizing (storage mode)
@@ -291,14 +259,13 @@ class AutoCuckooFilter:
         requires a power of two), so real occupancy at ``item_num``
         keys lands at or below the load budget.
 
-        Construction allocates no table: the rows and the Python-only
-        ``_alt_xor`` memo are built on first read, so under ``c`` a
-        filter handed straight to :meth:`engine_batch` gets zeroed C
-        rows and never builds the Python copies.  Tight targets
-        legitimately derive f > 16 — e.g. fpp = 1e-4 gives f = 17.  The
-        C kernels take every width (32-bit rows, the alternate index
-        computed by the hasher's mix); on the reference path a wide
-        filter has no ``_alt_xor`` memo and calls the hasher instead.
+        The filter binds its engine as it is built (see the class
+        docstring): under ``c`` it gets zeroed C rows and no Python
+        copies.  Tight targets legitimately derive f > 16 — e.g. fpp =
+        1e-4 gives f = 17.  The C kernels take every width (32-bit
+        rows, the alternate index computed by the hasher's mix); on the
+        reference path a wide filter has no ``_alt_xor`` memo and calls
+        the hasher instead.
         """
         if item_num < 1:
             raise ValueError("item_num must be >= 1")
@@ -407,7 +374,7 @@ class AutoCuckooFilter:
 
         A loop over :meth:`access`, so the table state, counters and
         kick walks are those of the per-key calls by construction.
-        Under ``c`` the install rebinds it to one C call per batch
+        A filter bound to ``c`` at build runs it as one C call per batch
         (PERFORMANCE.md rule 17).  Fig. 3/Fig. 4-style insertion
         sweeps and the attack pre-fill loops run through this entry
         point.
@@ -429,10 +396,11 @@ class AutoCuckooFilter:
         Read-only — does not count as an Access.
         """
         fp, i1, i2 = self._locate(key)
+        fps, security = self._rows()
         for index in (i1, i2):
-            row = self._fps[index]
+            row = fps[index]
             if fp in row:
-                return self._security[index][row.index(fp)]
+                return security[index][row.index(fp)]
         return None
 
     # ------------------------------------------------------------------
@@ -444,8 +412,8 @@ class AutoCuckooFilter:
     # membership, delete), sharing the table, ``_locate`` and the kick
     # walk with the protocol ops so one filter serves both roles.  The
     # ``*_many`` batch forms are plain loops over the scalar ops.
-    # Under REPRO_ENGINE=c the install rebinds every one of them to the
-    # C kernels, where each batch is one boundary crossing; these
+    # A filter bound to ``c`` at build has every one of them rebound to
+    # the C kernels, where each batch is one boundary crossing; these
     # bodies are the bit-exact reference.
 
     def insert(self, key: int) -> bool:
@@ -600,47 +568,42 @@ class AutoCuckooFilter:
     # ------------------------------------------------------------------
 
     def engine_batch(self):
-        """The entry points under the selected engine
-        (``REPRO_ENGINE``), the only route into the C kernels.
+        """This filter's entry points: the filter itself.
 
-        Returns an object exposing ``access`` / ``access_many`` /
-        ``insert_many`` / ``query_many`` / ``delete_many`` (plus the
-        scalar storage ops): this filter itself, under ``c`` with the C
-        kernels installed (one boundary crossing per batch), otherwise
-        with its own reference implementations.  Both are
-        bit-identical over the table state.
+        ``access`` / ``access_many`` / ``insert_many`` / ``query_many``
+        / ``delete_many`` (plus the scalar storage ops) are those of the
+        engine the filter bound when it was built: the C kernels (one
+        boundary crossing per batch) or the reference methods, which
+        are bit-identical over the table state.  Nothing binds here; the
+        LSM levels, the fpp report and the benchmarks call it to name
+        the seam.
         """
-        from repro.engine import filter_batch
+        return self
 
-        return filter_batch(self)
-
-    def _sync_rows_from_c(self) -> None:
-        """Refresh ``_fps``/``_security`` from the C arrays (no-op when
-        the Python lists are authoritative, or were never built — the
-        first read then builds them from C).  Row *contents* are
-        replaced in place so closures holding the outer lists stay
-        valid."""
+    def _rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``(fps, security)`` per-bucket rows: the live Python tables,
+        or fresh lists from the C arrays of a filter bound to ``c``.
+        ``snapshot``, ``to_bytes``, ``entries``, ``bucket`` and
+        ``security_of`` read the table through here; the
+        instrumented-only readers use ``_fps`` directly, because an
+        instrumented filter never binds to ``c``."""
         state = self._c_state
-        if state is None or "_fps" not in self.__dict__:
-            return
-        fps, sec = state.rows(self.num_buckets, self.entries_per_bucket)
-        for row, fresh in zip(self._fps, fps):
-            row[:] = fresh
-        for row, fresh in zip(self._security, sec):
-            row[:] = fresh
+        if state is None:
+            return self._fps, self._security
+        return state.rows(self.entries_per_bucket)
 
     def snapshot(self) -> dict:
         """Engine-independent structural state (the golden-equivalence
         suites compare engines through this)."""
-        self._sync_rows_from_c()
+        fps, security = self._rows()
         return {
             "total_accesses": self.total_accesses,
             "total_relocations": self.total_relocations,
             "autonomic_deletions": self.autonomic_deletions,
             "valid_count": self.valid_count,
             "lcg": self._lcg,
-            "fps": [list(row) for row in self._fps],
-            "security": [list(row) for row in self._security],
+            "fps": [list(row) for row in fps],
+            "security": [list(row) for row in security],
         }
 
     # ------------------------------------------------------------------
@@ -672,7 +635,6 @@ class AutoCuckooFilter:
             raise ValueError("only uint64 hasher seeds serialize")
         if not 0 <= self.max_kicks < (1 << 32):
             raise ValueError("max_kicks out of uint32 range")
-        self._sync_rows_from_c()
         header = _SERIAL_HEADER.pack(
             _SERIAL_MAGIC,
             _SERIAL_VERSION,
@@ -689,8 +651,9 @@ class AutoCuckooFilter:
             self.total_accesses,
             self.total_relocations,
         )
-        fps = array("I", [fp for row in self._fps for fp in row])
-        sec = array("B", [s for row in self._security for s in row])
+        rows, security = self._rows()
+        fps = array("I", [fp for row in rows for fp in row])
+        sec = array("B", [s for row in security for s in row])
         if sys.byteorder == "big":
             fps.byteswap()
         return header + fps.tobytes() + sec.tobytes()
@@ -699,18 +662,20 @@ class AutoCuckooFilter:
     def from_bytes(cls, data: bytes) -> "AutoCuckooFilter":
         """Rebuild a filter from :meth:`to_bytes` output.
 
-        The stored seed regenerates the hasher salts and ``_alt_xor``
-        table; rows, counters, and the LCG are restored verbatim, so
+        The stored seed regenerates the hasher salts; the new filter
+        binds the selected engine like any other (the class docstring),
+        and the rows, counters and LCG are written verbatim into the
+        store it was bound to — its Python tables, or its C arrays.  So
         the result is state-identical to the serialized filter and
         every subsequent operation (including kick walks) replays
-        bit-exactly.  Works across processes and machines of either
-        byte order.
+        bit-exactly, whichever engine wrote the blob.  Works across
+        processes and machines of either byte order.
 
         Raises ValueError on a bad frame and on rows no filter can
         hold: a fingerprint of ``2**f`` or more (the reference kick
         walk indexes the ``_alt_xor`` memo with it), a Security value
-        above ``secThr``, or a ``valid_count`` other than the number of
-        occupied slots.
+        above ``secThr`` or on an empty slot, or a ``valid_count``
+        other than the number of occupied slots.
         """
         header_size = _SERIAL_HEADER.size
         if len(data) < header_size:
@@ -754,19 +719,28 @@ class AutoCuckooFilter:
             raise ValueError(
                 f"Security value above secThr={security_threshold}"
             )
+        # Every operation that empties a slot clears its Security too.
+        if any(compress(sec, map(operator.not_, fps))):
+            raise ValueError("Security value on an empty slot (fp = 0)")
         occupied = entry_count - fps.count(0)
         if valid_count != occupied:
             raise ValueError(
                 f"valid_count {valid_count} != {occupied} occupied slots"
             )
-        b = entries_per_bucket
-        flt._fps = [fps[i:i + b].tolist() for i in range(0, entry_count, b)]
-        flt._security = [list(sec[i:i + b]) for i in range(0, entry_count, b)]
         flt.valid_count = valid_count
         flt.autonomic_deletions = autonomic_deletions
         flt.total_accesses = total_accesses
         flt.total_relocations = total_relocations
         flt._lcg = lcg
+        state = flt._c_state
+        if state is not None:
+            state.load(flt, fps, sec)
+        else:
+            b = entries_per_bucket
+            flt._fps = [fps[i:i + b].tolist() for i in range(0, entry_count, b)]
+            flt._security = [
+                list(sec[i:i + b]) for i in range(0, entry_count, b)
+            ]
         return flt
 
     # ------------------------------------------------------------------
@@ -784,15 +758,16 @@ class AutoCuckooFilter:
 
     def entries(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield ``(bucket, slot, fingerprint, security)`` of valid slots."""
-        for index, row in enumerate(self._fps):
-            sec_row = self._security[index]
+        fps, security = self._rows()
+        for index, row in enumerate(fps):
+            sec_row = security[index]
             for slot, fp in enumerate(row):
                 if fp:
                     yield index, slot, fp, sec_row[slot]
 
     def bucket(self, index: int) -> tuple[int, ...]:
         """Snapshot of one fingerprint bucket row (0 = empty slot)."""
-        return tuple(self._fps[index])
+        return tuple(self._rows()[0][index])
 
     def entry_address_sets(self) -> Iterator[set[int]]:
         """Shadow address sets of valid entries (instrumented only)."""

@@ -6,9 +6,10 @@ level so point reads can skip levels that cannot hold the key — the
 reproduces that *filter workload*, not the storage engine: levels keep
 only their resident key runs (``array('Q')``) so compactions can
 rebuild filters; gets, deletes, and compactions drive the filters
-themselves through the engine batch seam (``engine_batch()``), so the
-whole tree runs on whichever engine ``REPRO_ENGINE`` selects — C batch
-kernels or the reference loops — with bit-identical state.
+themselves through their batch entry points (``engine_batch()``).  Each
+level's filter binds the engine ``REPRO_ENGINE`` selects when the level
+is built — C batch kernels or the reference loops — with bit-identical
+state.
 
 Key streams are fully deterministic:
 

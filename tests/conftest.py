@@ -13,9 +13,16 @@ run (``c`` is probed once — included only when the cffi extension
 builds).  Suites parametrize over it with an autouse fixture that pins
 ``REPRO_ENGINE``, so each case replays bit-identically under each
 engine.
+
+A filter binds its engine when it is built, so a test that checks the
+C kernels against the reference builds the reference twin under
+``python`` (and the twin under test under ``c``) with the
+``built_under`` fixture.
 """
 
+import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -57,3 +64,26 @@ def repro_engine(request, monkeypatch):
     """Pin ``REPRO_ENGINE`` for the test; yields the engine name."""
     monkeypatch.setenv("REPRO_ENGINE", request.param)
     return request.param
+
+
+@contextlib.contextmanager
+def _built_under(name: str):
+    """Select engine ``name`` for the block; restore the prior
+    selection (set or unset) after it."""
+    prior = os.environ.get("REPRO_ENGINE")
+    os.environ["REPRO_ENGINE"] = name
+    try:
+        yield
+    finally:
+        if prior is None:
+            os.environ.pop("REPRO_ENGINE", None)
+        else:
+            os.environ["REPRO_ENGINE"] = prior
+
+
+@pytest.fixture(scope="session")
+def built_under():
+    """``with built_under("python"): reference = make()`` — what the
+    block builds binds that engine for life.  Session-scoped, so
+    Hypothesis tests may take it."""
+    return _built_under

@@ -101,19 +101,22 @@ def _replay(records):
         yield len(records) + k, k & 3, 0, ((1 << 22) + k) * 64
 
 
-def _monitored_pair(seed=7):
-    def build():
-        h = _SMALL.build_hierarchy(seed=seed)
-        monitor = PiPoMonitor(
-            _SMALL.filter.build(seed=seed + 1),
-            EventQueue(),
-            prefetch_delay=_SMALL.prefetch_delay,
-            track_captured_lines=True,
-        )
+def _monitored_pair(built_under, seed=7):
+    """The reference (hierarchy, monitor), built under ``python``, and
+    its twin built under ``c``, whose filter the walk runs inline."""
+    def build(engine):
+        with built_under(engine):
+            h = _SMALL.build_hierarchy(seed=seed)
+            monitor = PiPoMonitor(
+                _SMALL.filter.build(seed=seed + 1),
+                EventQueue(),
+                prefetch_delay=_SMALL.prefetch_delay,
+                track_captured_lines=True,
+            )
         monitor.attach(h)
         return h, monitor
 
-    return build(), build()
+    return build("python"), build("c")
 
 
 def _assert_hierarchies_equal(ha, hb):
@@ -160,23 +163,29 @@ class TestCBackend:
             max_size=500,
         )
     )
-    def test_c_filter_random_keys(self, keys):
-        ref = AutoCuckooFilter(seed=13)
-        cfl = AutoCuckooFilter(seed=13)
-        assert c_backend.install(cfl)
+    def test_c_filter_random_keys(self, built_under, keys):
+        with built_under("python"):
+            ref = AutoCuckooFilter(seed=13)
+        with built_under("c"):
+            cfl = AutoCuckooFilter(seed=13)
+        assert cfl._c_state is not None and ref._c_state is None
         assert [ref.access(k) for k in keys] == [cfl.access(k) for k in keys]
         assert ref.snapshot() == cfl.snapshot()
 
-    def test_c_backend_midstream_install(self):
-        # Installing after Python-side accesses must carry the table
-        # over exactly (the C arrays are seeded from the live lists).
+    def test_c_backend_resumes_a_python_filter(self, built_under):
+        # A filter is bound for life, so a table built on the reference
+        # path moves into C through ``from_bytes``: the restored C
+        # filter must carry it over exactly and track the reference.
         keys = [(k * 977) & ((1 << 40) - 1) for k in range(20_000)]
-        ref = AutoCuckooFilter(seed=2)
-        cfl = AutoCuckooFilter(seed=2)
+        with built_under("python"):
+            ref = AutoCuckooFilter(seed=2)
+            early = AutoCuckooFilter(seed=2)
         for k in keys[:7_000]:
             ref.access(k)
-            cfl.access(k)
-        assert c_backend.install(cfl)
+            early.access(k)
+        with built_under("c"):
+            cfl = AutoCuckooFilter.from_bytes(early.to_bytes())
+        assert cfl._c_state is not None
         for k in keys[7_000:]:
             assert ref.access(k) == cfl.access(k)
         assert ref.snapshot() == cfl.snapshot()
@@ -186,10 +195,13 @@ class TestCBackend:
         assert ref.security_of(probe) == cfl.security_of(probe)
         assert sorted(ref.entries()) == sorted(cfl.entries())
 
-    def test_ineligible_filters_refuse(self):
+    def test_ineligible_filters_refuse(self, built_under):
         # Instrumentation is the one per-filter fallback: its shadow
         # address sets have no C form.  Every width is eligible.
-        assert not c_backend.install(AutoCuckooFilter(seed=1, instrument=True))
+        with built_under("c"):
+            flt = AutoCuckooFilter(seed=1, instrument=True)
+        assert flt._c_state is None
+        assert not c_backend.install(flt)
 
     def test_c_routed_filter_survives_engine_switch(self, monkeypatch):
         # Once a filter's state moved into C arrays, later kernels
@@ -432,12 +444,13 @@ class TestCCacheWalk:
     @settings(max_examples=30, deadline=None)
     @given(records=_records)
     @example(records=_CAPTURE_THEN_EVICT)
-    def test_monitored_random_streams(self, records):
+    def test_monitored_random_streams(self, built_under, records):
         # Captures publish through the callback tail, evictions raise
         # the pEvict hook, and the scheduled prefetches drain through
         # prefetch_fill back into C — all orderings pinned vs generic.
-        (hg, mg), (hc, mc) = _monitored_pair()
+        (hg, mg), (hc, mc) = _monitored_pair(built_under)
         kernel = self._install(hc)
+        assert hc._c_state.st.mon_kind == 1
         for now, core, op, addr in _replay(records):
             mg.events.run_until(now)
             mc.events.run_until(now)
@@ -569,7 +582,7 @@ class TestCCacheWalk:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_every_configuration_takes_the_c_walk(self, data):
+    def test_every_configuration_takes_the_c_walk(self, built_under, data):
         # Every hierarchy SystemConfig.build_hierarchy can make installs,
         # and the kernel replays a stream of reads, writes, ifetches,
         # flushes and prefetch fills bit-exactly against the generic
@@ -597,26 +610,27 @@ class TestCCacheWalk:
             prefetch_delay=5,
         )
 
-        def build():
-            h = config.build_hierarchy(seed=11)
+        def build(engine):
+            with built_under(engine):
+                h = config.build_hierarchy(seed=11)
+                if monitor == "pipo":
+                    mon = PiPoMonitor(
+                        config.filter.build(seed=12), EventQueue(),
+                        prefetch_delay=config.prefetch_delay,
+                        track_captured_lines=True,
+                    )
+                else:
+                    mon = build_defence(
+                        monitor or "none", config, EventQueue(), seed=12
+                    )
             if policy == "lru_rand":
                 for sl in h.llc.slices:
                     sl.policy.pool_size = pool
-            if monitor == "pipo":
-                mon = PiPoMonitor(
-                    config.filter.build(seed=12), EventQueue(),
-                    prefetch_delay=config.prefetch_delay,
-                    track_captured_lines=True,
-                )
-            else:
-                mon = build_defence(
-                    monitor or "none", config, EventQueue(), seed=12
-                )
             if mon is not None:
                 mon.attach(h)
             return h, mon
 
-        (hg, mg), (hc, mc) = build(), build()
+        (hg, mg), (hc, mc) = build("python"), build("c")
         assert c_cache.install(hc)
         kernel = hc._c_state.kernel
         lines = 3 * slices * sets * ways + 8

@@ -6,14 +6,16 @@ Three families:
   (``alt(alt(i, fp), fp) == i``) for any seed, and the Auto-Cuckoo
   filter's Python-only XOR memo is bit-identical to the hasher for
   every f <= 16 and bucket count up to 2**16, and so is its Query
-  (``_locate``) for every f in 1..32; a filter installed into C
+  (``_locate``) for every f in 1..32 (both on filters built under
+  ``python``, the engine that keeps the memo); a filter built into C
   stores every key's fingerprint in a bucket the hasher names, at
   every f in 1..32;
 * classic :class:`CuckooFilter` — insert/query/delete round-trips:
   no false negatives while resident, delete removes exactly one
   matching record, occupancy bookkeeping stays consistent;
 * :class:`AutoCuckooFilter` — ``access_many`` is state-identical to
-  looped ``access`` for any key sequence, responses saturate at
+  looped ``access`` on a reference twin built under ``python``, for
+  any key sequence, responses saturate at
   ``secThr``, occupancy is monotone and never exceeds capacity.
 """
 
@@ -22,7 +24,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import available_engines, c_backend
+from repro.engine import available_engines
 from repro.filters.auto_cuckoo import AutoCuckooFilter
 from repro.filters.cuckoo import CuckooFilter
 from repro.filters.hashing import PartialKeyHasher
@@ -37,27 +39,19 @@ SMALL_BUCKETS = 16
 SMALL_ENTRIES = 4
 
 
-def _filter_state(fltr: AutoCuckooFilter):
-    return (
-        fltr.total_accesses,
-        fltr.total_relocations,
-        fltr.autonomic_deletions,
-        fltr.valid_count,
-        fltr._lcg,
-        fltr._fps,
-        fltr._security,
-    )
-
-
 @functools.cache
-def _locate_filter(fingerprint_bits: int, log_buckets: int) -> AutoCuckooFilter:
-    """One filter per geometry, so the Python ``_alt_xor`` table is
-    built once rather than once per Hypothesis example."""
-    return AutoCuckooFilter(
-        num_buckets=1 << log_buckets, entries_per_bucket=1,
-        fingerprint_bits=fingerprint_bits,
-        seed=derive_seed(fingerprint_bits, "locate", log_buckets),
-    )
+def _locate_filter(
+    built_under, fingerprint_bits: int, log_buckets: int
+) -> AutoCuckooFilter:
+    """One reference filter per geometry, built under ``python`` (the
+    engine that builds the ``_alt_xor`` memo), so the memo is built
+    once rather than once per Hypothesis example."""
+    with built_under("python"):
+        return AutoCuckooFilter(
+            num_buckets=1 << log_buckets, entries_per_bucket=1,
+            fingerprint_bits=fingerprint_bits,
+            seed=derive_seed(fingerprint_bits, "locate", log_buckets),
+        )
 
 
 class TestAltIndexInvolution:
@@ -80,16 +74,19 @@ class TestAltIndexInvolution:
         assert 1 <= fp <= (1 << 10) - 1
 
     @pytest.mark.parametrize("fingerprint_bits", range(1, 17))
-    def test_precomputed_xor_table_matches_hasher(self, fingerprint_bits):
+    def test_precomputed_xor_table_matches_hasher(
+        self, built_under, fingerprint_bits
+    ):
         # Every bucket count 2**0..2**16, each filter on its own seed.
         # The table is a Python-only memo (the C kernels compute the
-        # mix), built on first read.
+        # mix), built with the rows by a filter built under ``python``.
         for log_buckets in range(17):
-            fltr = AutoCuckooFilter(
-                num_buckets=1 << log_buckets, entries_per_bucket=1,
-                fingerprint_bits=fingerprint_bits,
-                seed=derive_seed(fingerprint_bits, "alt-xor", log_buckets),
-            )
+            with built_under("python"):
+                fltr = AutoCuckooFilter(
+                    num_buckets=1 << log_buckets, entries_per_bucket=1,
+                    fingerprint_bits=fingerprint_bits,
+                    seed=derive_seed(fingerprint_bits, "alt-xor", log_buckets),
+                )
             alt_index = fltr.hasher.alt_index
             assert fltr._alt_xor == [
                 alt_index(0, fp) for fp in range(1 << fingerprint_bits)
@@ -98,12 +95,13 @@ class TestAltIndexInvolution:
     @pytest.mark.parametrize("fingerprint_bits", range(1, 33))
     @given(key=st.integers(min_value=0, max_value=(1 << 64) - 1))
     @settings(max_examples=40, deadline=None)
-    def test_locate_matches_hasher(self, fingerprint_bits, key):
+    def test_locate_matches_hasher(self, built_under, fingerprint_bits, key):
         # ``_locate`` reads the ``_alt_xor`` table for f <= 16 and the
         # hasher's alternate index above it; both branches must equal
         # the reference hasher, whatever the bucket count.
         for log_buckets in (0, 4, 10):
-            fltr = _locate_filter(fingerprint_bits, log_buckets)
+            fltr = _locate_filter(built_under, fingerprint_bits, log_buckets)
+            assert (fltr._alt_xor is None) == (fingerprint_bits > 16)
             assert fltr._locate(key) == fltr.hasher.candidate_buckets(key)
 
     @pytest.mark.parametrize("fingerprint_bits", range(1, 33))
@@ -112,7 +110,7 @@ class TestAltIndexInvolution:
         min_size=24, max_size=48, unique=True))
     @settings(max_examples=10, deadline=None)
     def test_c_rows_hold_fingerprints_where_the_hasher_says(
-        self, fingerprint_bits, seed, batch
+        self, built_under, fingerprint_bits, seed, batch
     ):
         # 24-48 keys in 16 x 4 slots: the kick walk mostly relocates
         # (and at f >= 17 carries fingerprints a 16-bit row would
@@ -121,11 +119,12 @@ class TestAltIndexInvolution:
         # candidate buckets.
         if "c" not in available_engines():
             pytest.skip("C backend unavailable (no cffi/toolchain)")
-        fltr = AutoCuckooFilter(
-            num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
-            fingerprint_bits=fingerprint_bits, max_kicks=500, seed=seed,
-        )
-        assert c_backend.install(fltr)
+        with built_under("c"):
+            fltr = AutoCuckooFilter(
+                num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
+                fingerprint_bits=fingerprint_bits, max_kicks=500, seed=seed,
+            )
+        assert fltr._c_state is not None
         fltr.insert_many(batch)
         assert fltr.autonomic_deletions == 0
         candidates = fltr.hasher.candidate_buckets
@@ -182,11 +181,14 @@ class TestAutoCuckooProperties:
     @given(seed=seeds,
            sequence=st.lists(keys, min_size=1, max_size=120))
     @settings(max_examples=100, deadline=None)
-    def test_access_many_equals_looped_access(self, seed, sequence):
-        looped = AutoCuckooFilter(
-            num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
-            fingerprint_bits=8, seed=seed,
-        )
+    def test_access_many_equals_looped_access(
+        self, built_under, seed, sequence
+    ):
+        with built_under("python"):
+            looped = AutoCuckooFilter(
+                num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
+                fingerprint_bits=8, seed=seed,
+            )
         batched = AutoCuckooFilter(
             num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
             fingerprint_bits=8, seed=seed,
@@ -196,7 +198,7 @@ class TestAutoCuckooProperties:
             1 for key in sequence if looped.access(key) >= threshold
         )
         assert batched.access_many(sequence) == captures
-        assert _filter_state(looped) == _filter_state(batched)
+        assert looped.snapshot() == batched.snapshot()
 
     @given(seed=seeds,
            sequence=st.lists(keys, min_size=1, max_size=120))

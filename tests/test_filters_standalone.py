@@ -16,8 +16,10 @@ Property-based where the contract is algebraic:
 * the f > 16 regression — ``fingerprint_bits=17`` builds no
   ``_alt_xor`` memo and every surface (access, storage ops, batches,
   serialization) works on the hasher's alternate index; under ``c``
-  f = 17 and f = 32 filters install into the C kernels and stay
-  state-identical to the reference through kick walks.
+  f = 17 and f = 32 filters bind to the C kernels and stay
+  state-identical to the reference through kick walks;
+* binding — a filter binds its engine when it is built, so every
+  reference twin here is built under ``python`` (``built_under``).
 """
 
 import math
@@ -27,12 +29,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import (
-    available_engines,
-    c_backend,
-    filter_batch,
-    set_engine,
-)
+from repro.engine import available_engines
 from repro.filters.auto_cuckoo import _SERIAL_HEADER, AutoCuckooFilter
 from repro.filters.metrics import (
     FppReport,
@@ -56,18 +53,6 @@ def _small(seed, fingerprint_bits=8):
     )
 
 
-def _state(flt: AutoCuckooFilter):
-    return (
-        flt.total_accesses,
-        flt.total_relocations,
-        flt.autonomic_deletions,
-        flt.valid_count,
-        flt._lcg,
-        flt._fps,
-        flt._security,
-    )
-
-
 def _reframed(flt, fps=None, sec=None, valid_count=None):
     """``flt.to_bytes()`` with the rows or ``valid_count`` replaced,
     framing intact."""
@@ -81,19 +66,6 @@ def _reframed(flt, fps=None, sec=None, valid_count=None):
                 else body[:4 * slots])
     sec_bytes = bytes(sec) if sec is not None else body[4 * slots:]
     return _SERIAL_HEADER.pack(*fields) + fp_bytes + sec_bytes
-
-
-@pytest.fixture
-def engine_env():
-    """Restore the ``REPRO_ENGINE`` selection after a test flips it."""
-    import os
-
-    prior = os.environ.get("REPRO_ENGINE")
-    yield
-    if prior is None:
-        os.environ.pop("REPRO_ENGINE", None)
-    else:
-        os.environ["REPRO_ENGINE"] = prior
 
 
 class TestFromFpp:
@@ -154,18 +126,19 @@ class TestFromFpp:
 class TestStorageOps:
     @given(seed=seeds, batch=st.lists(keys, min_size=1, max_size=120))
     @settings(max_examples=100, deadline=None)
-    def test_batched_ops_equal_scalar_loops(self, seed, batch):
-        scalar = _small(seed)
+    def test_batched_ops_equal_scalar_loops(self, built_under, seed, batch):
+        with built_under("python"):
+            scalar = _small(seed)
         batched = _small(seed)
         fresh = sum(1 for key in batch if scalar.insert(key))
         assert batched.insert_many(batch) == fresh
-        assert _state(scalar) == _state(batched)
+        assert scalar.snapshot() == batched.snapshot()
         hits = sum(1 for key in batch if scalar.query(key))
         assert batched.query_many(batch) == hits
-        assert _state(scalar) == _state(batched)
+        assert scalar.snapshot() == batched.snapshot()
         removed = sum(1 for key in batch if scalar.delete(key))
         assert batched.delete_many(batch) == removed
-        assert _state(scalar) == _state(batched)
+        assert scalar.snapshot() == batched.snapshot()
 
     @given(seed=seeds, batch=st.lists(keys, min_size=1, max_size=60,
                                       unique=True))
@@ -181,6 +154,17 @@ class TestStorageOps:
         # Every resident key's fingerprint had at least one match.
         if flt.autonomic_deletions == 0:
             assert removed == count
+
+    def test_delete_clears_security(self):
+        flt = _small(4)
+        for key in (11, 12):
+            for _ in range(3):
+                flt.access(key)
+            assert flt.security_of(key) == 2
+        assert flt.delete(11)
+        assert flt.delete_many([12]) == 1
+        assert flt.valid_count == 0
+        assert not any(s for row in flt.snapshot()["security"] for s in row)
 
     @given(seed=seeds, key=keys)
     @settings(max_examples=100, deadline=None)
@@ -200,7 +184,7 @@ class TestSerialization:
            ops=st.lists(keys, min_size=1, max_size=150),
            tail=st.lists(keys, min_size=1, max_size=80))
     @settings(max_examples=75, deadline=None)
-    def test_round_trip_and_rng_lockstep(self, seed, ops, tail):
+    def test_round_trip_and_rng_lockstep(self, built_under, seed, ops, tail):
         original = _small(seed)
         # A mixed stream: monitor accesses (drive the kick-walk LCG and
         # Security counters) plus storage ops.
@@ -212,15 +196,24 @@ class TestSerialization:
             else:
                 original.delete(key)
         blob = original.to_bytes()
-        restored = AutoCuckooFilter.from_bytes(blob)
-        assert _state(restored) == _state(original)
-        assert restored.to_bytes() == blob
+        # Restored under every engine: ``from_bytes`` writes into the
+        # Python tables or the C arrays its filter was bound to.
+        restored = []
+        for engine in available_engines():
+            with built_under(engine):
+                restored.append(AutoCuckooFilter.from_bytes(blob))
+        for twin in restored:
+            assert twin.snapshot() == original.snapshot()
+            assert twin.to_bytes() == blob
         # RNG lockstep: identical further op streams keep the twins
         # bit-identical (the serialized LCG state is live, not a copy).
         for key in tail:
-            assert original.access(key) == restored.access(key)
-        assert _state(restored) == _state(original)
-        assert restored.to_bytes() == original.to_bytes()
+            response = original.access(key)
+            assert [twin.access(key) for twin in restored] == (
+                [response] * len(restored))
+        for twin in restored:
+            assert twin.snapshot() == original.snapshot()
+            assert twin.to_bytes() == original.to_bytes()
 
     def test_from_bytes_rejects_corrupt_blobs(self):
         flt = _small(3)
@@ -250,6 +243,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="Security"):
             AutoCuckooFilter.from_bytes(_reframed(flt, sec=sec))
 
+    def test_from_bytes_rejects_security_on_an_empty_slot(self):
+        flt = _small(3)
+        flt.insert_many(range(20))
+        empty = next(
+            b * SMALL_ENTRIES + slot
+            for b in range(SMALL_BUCKETS)
+            for slot, fp in enumerate(flt.bucket(b)) if not fp
+        )
+        sec = [s for row in flt.snapshot()["security"] for s in row]
+        sec[empty] = 1
+        with pytest.raises(ValueError, match="empty slot"):
+            AutoCuckooFilter.from_bytes(_reframed(flt, sec=sec))
+
     def test_from_bytes_rejects_a_wrong_valid_count(self):
         flt = _small(3)
         flt.insert_many(range(20))
@@ -272,8 +278,9 @@ class TestWideFingerprintRegression:
 
     @given(seed=seeds, batch=st.lists(keys, min_size=1, max_size=80))
     @settings(max_examples=50, deadline=None)
-    def test_storage_ops_at_f17(self, seed, batch):
-        scalar = _small(seed, fingerprint_bits=17)
+    def test_storage_ops_at_f17(self, built_under, seed, batch):
+        with built_under("python"):
+            scalar = _small(seed, fingerprint_bits=17)
         batched = _small(seed, fingerprint_bits=17)
         assert scalar._alt_xor is None
         fresh = sum(1 for key in batch if scalar.insert(key))
@@ -282,25 +289,26 @@ class TestWideFingerprintRegression:
         assert batched.query_many(batch) == hits
         removed = sum(1 for key in batch if scalar.delete(key))
         assert batched.delete_many(batch) == removed
-        assert _state(scalar) == _state(batched)
+        assert scalar.snapshot() == batched.snapshot()
 
     @given(seed=seeds, sequence=st.lists(keys, min_size=1, max_size=80))
     @settings(max_examples=50, deadline=None)
-    def test_access_many_at_f17(self, seed, sequence):
-        looped = _small(seed, fingerprint_bits=17)
+    def test_access_many_at_f17(self, built_under, seed, sequence):
+        with built_under("python"):
+            looped = _small(seed, fingerprint_bits=17)
         batched = _small(seed, fingerprint_bits=17)
         threshold = looped.security_threshold
         captures = sum(
             1 for key in sequence if looped.access(key) >= threshold
         )
         assert batched.access_many(sequence) == captures
-        assert _state(looped) == _state(batched)
+        assert looped.snapshot() == batched.snapshot()
 
     def test_serialization_at_f17(self):
         flt = _small(11, fingerprint_bits=17)
         flt.insert_many(range(100))
         restored = AutoCuckooFilter.from_bytes(flt.to_bytes())
-        assert _state(restored) == _state(flt)
+        assert restored.snapshot() == flt.snapshot()
 
 
 #: Filters the batch seam must serve state-identically to a Python
@@ -327,7 +335,7 @@ SEAM_PAYLOAD = array("Q", (k * 2654435761 % (1 << 40) for k in range(4000)))
 def _assert_twins(flt, twin, keys):
     """Every read surface agrees between ``flt`` and its Python twin.
 
-    ``bucket`` and ``security_of`` resync every row from C per call
+    ``bucket`` and ``security_of`` read every row out of C per call
     under ``c``, so they are sampled: 64 buckets and the given keys.
     """
     assert flt.snapshot() == twin.snapshot()
@@ -340,17 +348,24 @@ def _assert_twins(flt, twin, keys):
         twin.security_of(k) for k in keys]
 
 
+def _require_c():
+    if "c" not in available_engines():
+        pytest.skip("no C toolchain")
+
+
 class TestEngineBatchSeam:
     @pytest.mark.parametrize("engine", available_engines())
-    def test_batch_views_are_state_identical(self, engine, engine_env):
-        set_engine(engine)
+    def test_batch_views_are_state_identical(self, engine, built_under):
         payload = SEAM_PAYLOAD
         for make in SEAM_FILTERS:
-            reference = make()
-            flt = make()
-            batch = filter_batch(flt)
+            with built_under("python"):
+                reference = make()
+            with built_under(engine):
+                flt = make()
+            batch = flt.engine_batch()
             assert batch is flt
             assert (flt._c_state is not None) == (engine == "c")
+            assert reference._c_state is None
             assert batch.insert_many(payload) == reference.insert_many(payload)
             assert reference.total_relocations > 0  # kick walks ran
             assert batch.query_many(payload) == reference.query_many(payload)
@@ -363,73 +378,72 @@ class TestEngineBatchSeam:
             assert batch.delete_many(payload) == reference.delete_many(payload)
             _assert_twins(flt, reference, payload[:64])
 
-    def test_existing_rows_are_copied_into_c(self):
-        """Rows that exist before the install — restored by
-        ``from_bytes``, or built by ops on the reference path — are
-        copied into C, and the filter then tracks its Python twin."""
-        if not c_backend.available():
-            pytest.skip("no C toolchain")
+    def test_restored_rows_are_written_into_c(self, built_under):
+        """``from_bytes`` under ``c`` writes the rows, counters and LCG
+        a Python filter serialized into the new filter's C arrays, and
+        the restored filter then tracks its Python twin."""
+        _require_c()
         head, tail = SEAM_PAYLOAD[:2500], SEAM_PAYLOAD[2500:]
         for make in SEAM_FILTERS:
-            driven, twin = make(), make()
-            driven.insert_many(head)
+            with built_under("python"):
+                twin = make()
             twin.insert_many(head)
-            blob = twin.to_bytes()
-            restored = AutoCuckooFilter.from_bytes(blob)
-            for flt in (driven, restored):
-                assert c_backend.install(flt)
-                assert flt.snapshot() == twin.snapshot()
+            with built_under("c"):
+                restored = AutoCuckooFilter.from_bytes(twin.to_bytes())
+            assert restored._c_state is not None
+            assert restored.snapshot() == twin.snapshot()
             threshold = twin.security_threshold
             captures = sum(1 for key in tail if twin.access(key) >= threshold)
-            for flt in (driven, restored):
-                assert flt.access_many(tail) == captures
-                _assert_twins(flt, twin, tail[:64])
+            assert restored.access_many(tail) == captures
+            _assert_twins(restored, twin, tail[:64])
 
     @pytest.mark.parametrize("engine", available_engines())
-    def test_tables_are_built_only_when_read(self, engine, engine_env):
-        set_engine(engine)
-        flt = AutoCuckooFilter.from_fpp(32768, 1e-3)
-        batch = flt.engine_batch()
-        keys = array("Q", range(1, 4097))
-        lazy = {"_fps", "_security", "_alt_xor"}
-        assert not lazy & vars(flt).keys()
-        batch.insert_many(keys)
-        if engine == "python":
-            assert lazy <= vars(flt).keys()
-        batch.query_many(keys)
-        batch.delete_many(keys)
+    def test_filter_binds_its_engine_at_build(self, engine, built_under):
+        """A filter built under ``c`` holds no Python rows; one built
+        under ``python`` holds them from construction, and keeps the
+        reference path after ``c`` is selected."""
+        with built_under(engine):
+            flt = AutoCuckooFilter.from_fpp(32768, 1e-3)
         if engine == "c":
-            # The C arrays own the table; no Python copy was built.
-            assert not lazy & vars(flt).keys()
-        # A half-built instance has nothing to build from: the read
-        # raises AttributeError (``hasattr`` lets nothing else through).
-        half = AutoCuckooFilter.__new__(AutoCuckooFilter)
-        assert not hasattr(half, "_alt_xor")
-        assert not hasattr(half, "_fps")
+            assert flt._c_state is not None
+            assert not hasattr(flt, "_fps")
+            assert not hasattr(flt, "_security")
+            assert flt._alt_xor is None
+        else:
+            assert flt._c_state is None
+            rows = [[0] * flt.entries_per_bucket] * flt.num_buckets
+            assert flt._fps == rows and flt._security == rows
+            assert len(flt._alt_xor) == 1 << flt.hasher.fingerprint_bits
+        with built_under("c"):
+            assert flt.engine_batch() is flt
+            assert (flt._c_state is not None) == (engine == "c")
+        keys = array("Q", range(1, 4097))
+        flt.insert_many(keys)
+        assert flt.query_many(keys) == 4096
+        assert flt.delete_many(keys) == 4096
+        assert flt.valid_count == 0
+        assert hasattr(flt, "_fps") == (engine == "python")
 
-    def test_wide_fingerprints_install_into_c(self, engine_env):
+    def test_wide_fingerprints_install_into_c(self, built_under):
         """f = 17 and f = 32 take the C kernels like any other width;
         instrumentation is the only per-filter fallback."""
-        if "c" not in available_engines():
-            pytest.skip("no C toolchain")
-        set_engine("c")
+        _require_c()
         for bits in (17, 32):
-            flt = _small(5, fingerprint_bits=bits)
-            assert filter_batch(flt) is flt
+            with built_under("c"):
+                flt = _small(5, fingerprint_bits=bits)
+            with built_under("python"):
+                twin = _small(5, fingerprint_bits=bits)
             assert flt._c_state is not None
-            twin = _small(5, fingerprint_bits=bits)
             assert flt.insert_many(range(100)) == twin.insert_many(range(100))
             assert twin.total_relocations > 0
             assert flt.snapshot() == twin.snapshot()
 
-    def test_c_batch_accepts_plain_lists(self, engine_env):
-        if not c_backend.available():
-            pytest.skip("no C toolchain")
-        set_engine("c")
-        flt = _small(9)
-        batch = filter_batch(flt)
+    def test_c_batch_accepts_plain_lists(self, built_under):
+        _require_c()
+        with built_under("c"):
+            flt = _small(9)
+        with built_under("python"):
+            twin = _small(9)
         listed = [k * 7 for k in range(500)]
-        twin = _small(9)
-        assert batch.insert_many(listed) == twin.insert_many(listed)
-        flt._sync_rows_from_c()
-        assert _state(flt) == _state(twin)
+        assert flt.insert_many(listed) == twin.insert_many(listed)
+        assert flt.snapshot() == twin.snapshot()

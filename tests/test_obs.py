@@ -101,10 +101,10 @@ def test_attach_detach_and_context_manager():
 # Tentpole: detached kernels publish nothing
 # ----------------------------------------------------------------------
 
-def _installed_walk():
-    """A fresh monitored hierarchy with the C cache walk installed
-    under whatever recorder is attached now; returns it and its
-    kernel."""
+def _installed_walk(built_under):
+    """A fresh monitored hierarchy, its filter built into C, with the C
+    cache walk installed under whatever recorder is attached now;
+    returns it and its kernel."""
     from repro.core.config import TABLE_II
     from repro.core.pipomonitor import PiPoMonitor
     from repro.utils.events import EventQueue
@@ -112,7 +112,8 @@ def _installed_walk():
     if "c" not in available_engines():
         pytest.skip("C backend unavailable (no cffi/toolchain)")
     h = TABLE_II.build_hierarchy(seed=0)
-    monitor = PiPoMonitor(TABLE_II.filter.build(seed=1), EventQueue())
+    with built_under("c"):
+        monitor = PiPoMonitor(TABLE_II.filter.build(seed=1), EventQueue())
     monitor.attach(h)
     assert c_cache.install(h)
     return h, h._c_state.kernel
@@ -128,16 +129,16 @@ def _drive(h, kernel):
     h.engine_sync()
 
 
-def test_detached_c_walk_publishes_nothing():
-    h, kernel = _installed_walk()
+def test_detached_c_walk_publishes_nothing(built_under):
+    h, kernel = _installed_walk(built_under)
     t = attach_recorder(TraceRecorder())
     _drive(h, kernel)
     assert t.metrics()["counters"] == {}
 
 
-def test_attached_kernel_publishes_counters():
+def test_attached_kernel_publishes_counters(built_under):
     t = attach_recorder(TraceRecorder())
-    h, kernel = _installed_walk()
+    h, kernel = _installed_walk(built_under)
     _drive(h, kernel)
     assert t.counter("engine.llc_fills") >= 512
     assert t.counter("engine.monitor_probes") >= 512

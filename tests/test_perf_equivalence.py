@@ -10,8 +10,9 @@ derivation fails loudly.
 The suites are parametrized over every available engine
 (``REPRO_ENGINE`` — python, and c when buildable, via the
 shared ``repro_engine`` fixture): the serial reference side always
-runs the generic paths, so under ``c`` each case pins the compiled
-kernel against the generic reference.
+runs the generic paths (its filter is built under ``python``, since a
+filter binds its engine when it is built), so under ``c`` each case
+pins the compiled kernel against the generic reference.
 """
 
 import dataclasses
@@ -68,13 +69,6 @@ def _monitored_hierarchy(seed=3):
     return h, monitor
 
 
-def _filter_state(fltr):
-    # snapshot() is engine-independent (it resyncs from the C arrays
-    # when the c engine routed this filter), so the comparison is
-    # meaningful under every REPRO_ENGINE value.
-    return fltr.snapshot()
-
-
 def _drive_kernel(h, requests):
     """Run ``requests`` through ``h``'s engine kernel, one call each."""
     access = h.engine_access()
@@ -83,9 +77,10 @@ def _drive_kernel(h, requests):
 
 @pytest.mark.usefixtures("repro_engine")
 class TestKernelEquivalence:
-    def test_kernel_matches_serial(self):
+    def test_kernel_matches_serial(self, built_under):
         requests = _request_stream()
-        serial_h, serial_m = _monitored_hierarchy()
+        with built_under("python"):
+            serial_h, serial_m = _monitored_hierarchy()
         kernel_h, kernel_m = _monitored_hierarchy()
 
         serial_latencies = [
@@ -99,7 +94,9 @@ class TestKernelEquivalence:
         # bound an engine kernel, so it is already current.
         kernel_h.engine_sync()
         assert serial_h.stats == kernel_h.stats
-        assert _filter_state(serial_m.filter) == _filter_state(kernel_m.filter)
+        # snapshot() reads either engine's table, so the comparison is
+        # meaningful under every REPRO_ENGINE value.
+        assert serial_m.filter.snapshot() == kernel_m.filter.snapshot()
         assert dataclasses.asdict(serial_m.stats) == dataclasses.asdict(
             kernel_m.stats
         )

@@ -162,27 +162,24 @@ class TestLSMFilterTree:
 
 
 class TestCrossEngine:
-    def test_tree_state_identical_across_engines(self):
+    def test_tree_state_identical_across_engines(self, built_under):
         from repro.engine import available_engines
 
         results = {}
-        prior = __import__("os").environ.get("REPRO_ENGINE")
-        try:
-            for engine in available_engines():
-                __import__("os").environ["REPRO_ENGINE"] = engine
+        for engine in available_engines():
+            # Each level's filter binds the engine selected when the
+            # level is built, compaction rebuilds included.
+            with built_under(engine):
                 tree, salt = _loaded_tree(keys=4000, seed=17)
                 batch = array("Q", (
                     resident_key(i, salt) for i in range(500)
                 ))
                 removed = tree.delete_many(batch)
-                results[engine] = (
-                    tree.stats(), tree.filter_digests(), removed,
-                )
-        finally:
-            if prior is None:
-                __import__("os").environ.pop("REPRO_ENGINE", None)
-            else:
-                __import__("os").environ["REPRO_ENGINE"] = prior
+            assert all(
+                (level.filter._c_state is not None) == (engine == "c")
+                for level in tree.levels
+            )
+            results[engine] = (tree.stats(), tree.filter_digests(), removed)
         assert len(set(map(repr, results.values()))) == 1
 
 
