@@ -12,6 +12,8 @@ tracked, not asserted:
 * ``AutoCuckooFilter.access`` hit-heavy and mixed (insert-heavy);
 * the batched storage-mode filter ops, and filter construction plus
   install at the LSM level shapes;
+* ``derive_seed`` in the LSM build's two label shapes, the Python body
+  and its C twin;
 * a pointer chase's per-core chain, built in Python and in C;
 * one core's record emission, by the generator and by ``cw_emit``;
 * one end-to-end Fig. 8 cell (mix1, Table II filter, scaled system).
@@ -421,6 +423,45 @@ def test_filter_build_install(benchmark):
                 batch.insert_many(keys)
 
     _bench_ops(benchmark, run, setup, BUILD_PASSES * len(BUILD_SHAPES))
+
+
+# ----------------------------------------------------------------------
+# Per-filter set-up: seed derivation
+# ----------------------------------------------------------------------
+
+#: ``derive_seed`` calls per measured round: about one perfbench
+#: ``lsm_store`` round's 136 filter builds, half in each LSM shape.
+DERIVE_CALLS = 136
+
+
+@pytest.mark.parametrize("leg", ["python", "c"])
+def test_derive_seed(benchmark, leg, monkeypatch):
+    """Seed derivation (seeds/sec) in the two label shapes of an LSM
+    level build: a filter's kick-walk LCG seed
+    (``(seed, "auto-cuckoo-victim")``) and a level's hasher seed
+    (``(seed, "lsm-level", depth, generation)``).  The python leg runs
+    the reference body (the twin unbound), the c leg the C twin
+    ``rng_derive_seed``."""
+    from repro.engine import c_backend
+    from repro.utils import rng
+
+    # Load (and so bind) first: the python leg's unbinding must not
+    # be undone by a first load inside it, nor outlive it.  A tree
+    # from before the twin has no ``_c_twin``, and both legs run the
+    # Python body there.
+    loaded = c_backend._load_lib() is not None
+    if leg == "python":
+        monkeypatch.setattr(rng, "_c_twin", None, raising=False)
+    elif not loaded:
+        pytest.skip("C backend unavailable (no cffi/toolchain)")
+    derive_seed = rng.derive_seed
+
+    def run(_state):
+        for i in range(DERIVE_CALLS // 2):
+            derive_seed(i, "auto-cuckoo-victim")
+            derive_seed(7, "lsm-level", i & 3, i)
+
+    _bench_ops(benchmark, run, lambda: None, DERIVE_CALLS)
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,7 @@ CELL_GROUPS = {
         "test_filter_build_install",
     ),
     "setup": (
+        "test_derive_seed",
         "test_pointer_chain_build",
     ),
     "emit": (

@@ -8,7 +8,10 @@ one body of the reference
 :class:`repro.filters.auto_cuckoo.AutoCuckooFilter` or of its
 :class:`repro.filters.hashing.PartialKeyHasher`, as this twin table
 pairs them; one row scan, ``acf_find``, is the C form of
-``value in row`` / ``row.index(value)`` for all of them:
+``value in row`` / ``row.index(value)`` for all of them.  The last
+row, in ``_CSOURCE`` beside the filter kernels, ports
+:func:`repro.utils.rng.derive_seed`, which seeds every filter's
+kick-walk LCG and every LSM level's hasher:
 
 ================================  =====================
 Python body                       C function
@@ -24,6 +27,7 @@ Python body                       C function
 ``AutoCuckooFilter.insert_many``  ``acf_insert_many``
 ``AutoCuckooFilter.query_many``   ``acf_query_many``
 ``AutoCuckooFilter.delete_many``  ``acf_delete_many``
+``rng.derive_seed``               ``rng_derive_seed``
 ================================  =====================
 
 ``insert`` places only when no matching fingerprint is resident

@@ -19,6 +19,11 @@ scenario must replay bit-identically under the C engine and under the
 one Python body; the twin table in :mod:`repro.engine._filter_batch_src`
 pairs the kernels of this module and of that one.
 
+Beside the filter kernels sits ``rng_derive_seed``, the twin of
+:func:`repro.utils.rng.derive_seed` that seeds every filter's LCG and
+every LSM level: :func:`_load_lib` binds it into ``repro.utils.rng``
+when the extension loads, so seed derivation needs no engine choice.
+
 The extension is **built lazily at first use** and cached under
 ``~/.cache/repro-engine`` (override with ``REPRO_ENGINE_CACHE``); the
 cache key hashes the full generated source plus the interpreter/cffi/
@@ -39,8 +44,9 @@ its engine when it is built (``repro.engine.bind_filter``), and
 zeroed C arrays and stays there: the filter never holds Python rows,
 *all* operations go through C (``access``, ``access_many`` and the
 storage ops are rebound on the instance), and every table reader
-(``snapshot``, ``to_bytes``, ``entries``, ``bucket``, ``security_of``)
-takes fresh per-bucket lists from :meth:`CFilterState.rows`.
+takes fresh lists from the arrays: ``snapshot``, ``to_bytes`` and
+``entries`` per-bucket rows from :meth:`CFilterState.rows`, ``bucket``
+and ``security_of`` one bucket's slots from :meth:`CFilterState.row`.
 ``from_bytes`` writes restored rows and counters straight into the
 arrays (:meth:`CFilterState.load`).  The scalar counters
 (``valid_count``, ``autonomic_deletions``, ``total_relocations``,
@@ -58,6 +64,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import struct
 import sys
 import sysconfig
 import tempfile
@@ -68,6 +75,7 @@ from array import array
 
 from repro.engine import _filter_batch_src, _walk_src
 from repro.obs.trace import current_recorder
+from repro.utils import rng
 
 _U64 = (1 << 64) - 1
 
@@ -97,6 +105,8 @@ typedef struct {
 _CDEF = _ACF_STATE + """
 int acf_access(acf_state *st, uint64_t key);
 uint64_t acf_access_many(acf_state *st, const uint64_t *keys, uint64_t n);
+uint64_t rng_derive_seed(uint64_t master_seed, const uint8_t *labels,
+                         uint64_t n);
 """
 
 _CSOURCE = """
@@ -239,6 +249,40 @@ uint64_t acf_access_many(acf_state *st, const uint64_t *keys, uint64_t n)
             captures++;
     return captures;
 }
+
+/* derive_seed: mix64 of the master seed, then one salted mix64 step
+ * per byte of a string label (salt 0x5EED) and one per int label
+ * (salt 0x1D).  mix64(v, salt) is acf_mix(v + (salt + 1) * gamma).
+ * The n bytes at labels hold the labels as _derive_seed_twin packs
+ * them: per label a kind byte (0 int, else string), a little-endian
+ * uint64 (the int masked to 64 bits, or the string's UTF-8 length),
+ * then the string's bytes.  A label that would overrun the buffer
+ * ends it. */
+uint64_t rng_derive_seed(uint64_t master_seed, const uint8_t *labels,
+                         uint64_t n)
+{
+    const uint64_t gamma = 0x9E3779B97F4A7C15ULL;
+    uint64_t state = acf_mix(master_seed + gamma);
+    uint64_t at = 0;
+    while (n - at >= 9) {
+        const uint8_t *head = labels + at;
+        uint64_t word = 0;
+        for (int i = 8; i >= 1; i--)
+            word = (word << 8) | head[i];
+        at += 9;
+        if (!head[0]) {
+            state = acf_mix((state ^ word) + (0x1DULL + 1) * gamma);
+            continue;
+        }
+        if (word > n - at)
+            break;
+        for (uint64_t i = 0; i < word; i++)
+            state = acf_mix((state ^ labels[at + i])
+                            + (0x5EEDULL + 1) * gamma);
+        at += word;
+    }
+    return state;
+}
 """
 
 # The batch kernels join the same translation unit right after the
@@ -310,6 +354,51 @@ def _build_tag() -> str:
     )).encode()).hexdigest()[:20]
 
 
+#: One label's head in the buffer ``rng_derive_seed`` reads: the kind
+#: byte (0 int, 1 string) and the little-endian uint64 word.
+_LABEL_HEAD = struct.Struct("<BQ")
+
+
+def _derive_seed_twin(c_derive, _pack=_LABEL_HEAD.pack, _u64=_U64):
+    """The C twin of :func:`repro.utils.rng.derive_seed` over
+    ``c_derive`` (``rng_derive_seed``): ``twin(master_seed, labels)``
+    packs the labels into one buffer and crosses into C once.
+
+    A ``str`` label packs its UTF-8 bytes (a lone surrogate raises the
+    body's ``UnicodeEncodeError``) and an int label its low 64 bits.
+    For a master seed whose type is not exactly ``int``, or a label
+    whose type is not exactly ``str``, ``int`` or ``bool`` (a subclass
+    may override ``encode`` or ``&``), it returns None, and
+    ``derive_seed`` runs its Python body, which gives the value or
+    raises its own ``TypeError``.
+    """
+
+    def twin(master_seed, labels):
+        if type(master_seed) is not int:
+            return None
+        packed = b""
+        for label in labels:
+            kind = type(label)
+            if kind is str:
+                data = label.encode("utf-8")
+                packed += _pack(1, len(data)) + data
+            elif kind is int or kind is bool:
+                packed += _pack(0, label & _u64)
+            else:
+                return None
+        return c_derive(master_seed & _u64, packed, len(packed))
+
+    return twin
+
+
+def _bind(mod):
+    """The loaded extension's ``(ffi, lib)`` pair; from here on
+    :func:`repro.utils.rng.derive_seed` runs its C twin in this
+    process (the one place ``repro.utils`` meets the extension)."""
+    rng._c_twin = _derive_seed_twin(mod.lib.rng_derive_seed)
+    return mod.ffi, mod.lib
+
+
 def _load_lib():
     """Build (or load the cached build of) the extension; returns the
     ``(ffi, lib)`` pair or None when cffi/toolchain are unavailable."""
@@ -357,14 +446,14 @@ def _load_lib():
                     )
                     mod = importlib.util.module_from_spec(spec)
                     spec.loader.exec_module(mod)
-                    _LIB = (mod.ffi, mod.lib)
+                    _LIB = _bind(mod)
                     return _LIB
             finally:
                 shutil.rmtree(tmp, ignore_errors=True)
         spec = importlib.util.spec_from_file_location(_MODULE_NAME, sofile)
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        _LIB = (mod.ffi, mod.lib)
+        _LIB = _bind(mod)
     except Exception as exc:
         _LIB = False
         _LIB_ERROR = _format_error_chain(exc)
@@ -421,6 +510,15 @@ class CFilterState:
         return (
             [flat_fps[i:i + b] for i in range(0, len(flat_fps), b)],
             [flat_sec[i:i + b] for i in range(0, len(flat_sec), b)],
+        )
+
+    def row(self, index: int, b: int):
+        """(fps, security) of bucket ``index`` (``0 <= index < l``) as
+        fresh ``b``-slot lists: only that bucket's slots are read."""
+        at = index * b
+        return (
+            list(self._fps_buf[at:at + b]),
+            list(self._sec_buf[at:at + b]),
         )
 
     def load(self, flt, fps: array, sec: bytes) -> None:

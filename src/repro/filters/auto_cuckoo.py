@@ -396,11 +396,10 @@ class AutoCuckooFilter:
         Read-only — does not count as an Access.
         """
         fp, i1, i2 = self._locate(key)
-        fps, security = self._rows()
         for index in (i1, i2):
-            row = fps[index]
+            row, sec_row = self._bucket_rows(index)
             if fp in row:
-                return security[index][row.index(fp)]
+                return sec_row[row.index(fp)]
         return None
 
     # ------------------------------------------------------------------
@@ -583,27 +582,44 @@ class AutoCuckooFilter:
     def _rows(self) -> tuple[list[list[int]], list[list[int]]]:
         """``(fps, security)`` per-bucket rows: the live Python tables,
         or fresh lists from the C arrays of a filter bound to ``c``.
-        ``snapshot``, ``to_bytes``, ``entries``, ``bucket`` and
-        ``security_of`` read the table through here; the
-        instrumented-only readers use ``_fps`` directly, because an
-        instrumented filter never binds to ``c``."""
+        ``snapshot``, ``to_bytes`` and ``entries`` read the whole table
+        through here, ``bucket`` and ``security_of`` one bucket through
+        :meth:`_bucket_rows`; the instrumented-only readers use
+        ``_fps`` directly, because an instrumented filter never binds
+        to ``c``."""
         state = self._c_state
         if state is None:
             return self._fps, self._security
         return state.rows(self.entries_per_bucket)
 
+    def _bucket_rows(self, index: int) -> tuple[list[int], list[int]]:
+        """``(fps, security)`` of bucket ``index`` alone: the live
+        Python rows, or fresh lists of its ``b`` slots in the C arrays
+        (an index out of range raises ``IndexError``, as on a list)."""
+        state = self._c_state
+        if state is None:
+            return self._fps[index], self._security[index]
+        return state.row(
+            range(self.num_buckets)[index], self.entries_per_bucket
+        )
+
     def snapshot(self) -> dict:
         """Engine-independent structural state (the golden-equivalence
-        suites compare engines through this)."""
+        suites compare engines through this).  The rows are the
+        snapshot's own: a copy of the Python tables, or the fresh lists
+        a C-bound filter's arrays are read into, taken once."""
         fps, security = self._rows()
+        if self._c_state is None:
+            fps = [list(row) for row in fps]
+            security = [list(row) for row in security]
         return {
             "total_accesses": self.total_accesses,
             "total_relocations": self.total_relocations,
             "autonomic_deletions": self.autonomic_deletions,
             "valid_count": self.valid_count,
             "lcg": self._lcg,
-            "fps": [list(row) for row in fps],
-            "security": [list(row) for row in security],
+            "fps": fps,
+            "security": security,
         }
 
     # ------------------------------------------------------------------
@@ -767,7 +783,7 @@ class AutoCuckooFilter:
 
     def bucket(self, index: int) -> tuple[int, ...]:
         """Snapshot of one fingerprint bucket row (0 = empty slot)."""
-        return tuple(self._rows()[0][index])
+        return tuple(self._bucket_rows(index)[0])
 
     def entry_address_sets(self) -> Iterator[set[int]]:
         """Shadow address sets of valid entries (instrumented only)."""

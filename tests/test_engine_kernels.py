@@ -46,6 +46,7 @@ from repro.filters.auto_cuckoo import AutoCuckooFilter
 from repro.filters.hashing import PartialKeyHasher
 from repro.memory.controller import MemoryController
 from repro.obs import trace
+from repro.utils import rng
 from repro.utils.events import EventQueue
 
 #: op codes: READ, WRITE, IFETCH, FLUSH
@@ -253,13 +254,17 @@ def test_build_tag_hashes_the_compile_environment(monkeypatch):
     assert c_backend._build_tag() == plain
 
 
-#: The classes whose methods the C kernels port (the twin tables).
+#: The classes (and the one module) whose functions the C kernels
+#: port (the twin tables).
 _TWIN_OWNERS = {
-    cls.__name__: cls
-    for cls in (
-        CacheHierarchy, SetAssociativeCache, SlicedLLC, MemoryController,
-        AutoCuckooFilter, PartialKeyHasher,
-    )
+    **{
+        cls.__name__: cls
+        for cls in (
+            CacheHierarchy, SetAssociativeCache, SlicedLLC,
+            MemoryController, AutoCuckooFilter, PartialKeyHasher,
+        )
+    },
+    "rng": rng,
 }
 #: A twin-table row: ``Owner.method`` then its C function.
 _TWIN_ROW = re.compile(r"^``(\w+)\.(\w+)``\s+``(\w+)``$", re.M)

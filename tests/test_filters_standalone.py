@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import available_engines
+from repro.engine.c_backend import CFilterState
 from repro.filters.auto_cuckoo import _SERIAL_HEADER, AutoCuckooFilter
 from repro.filters.metrics import (
     FppReport,
@@ -437,6 +438,38 @@ class TestEngineBatchSeam:
             assert flt.insert_many(range(100)) == twin.insert_many(range(100))
             assert twin.total_relocations > 0
             assert flt.snapshot() == twin.snapshot()
+
+    def test_bucket_and_security_of_read_one_bucket(
+        self, built_under, monkeypatch
+    ):
+        """On a ``from_fpp`` filter built into C, ``bucket`` and
+        ``security_of`` equal the Python twin's for every bucket and
+        for resident and absent keys, and read only the bucket they
+        name: the whole-table read (``CFilterState.rows``) never runs."""
+        _require_c()
+        resident = array("Q", range(1, 2001))
+        absent = array("Q", range(1 << 40, (1 << 40) + 2000))
+        with built_under("c"):
+            flt = AutoCuckooFilter.from_fpp(2048, 1e-3, seed=3)
+        with built_under("python"):
+            twin = AutoCuckooFilter.from_fpp(2048, 1e-3, seed=3)
+        for f in (flt, twin):
+            f.insert_many(resident)
+            f.access_many(resident[:600])
+            f.access_many(resident[:300])
+        assert flt._c_state is not None and twin._c_state is None
+
+        def whole_table(self, b):
+            raise AssertionError("read the whole table")
+
+        monkeypatch.setattr(CFilterState, "rows", whole_table)
+        for index in range(-1, flt.num_buckets):
+            assert flt.bucket(index) == twin.bucket(index)
+        with pytest.raises(IndexError):
+            flt.bucket(flt.num_buckets)
+        seen = [flt.security_of(key) for key in resident + absent]
+        assert seen == [twin.security_of(key) for key in resident + absent]
+        assert {1, 2} <= set(seen) and None in seen
 
     def test_c_batch_accepts_plain_lists(self, built_under):
         _require_c()
